@@ -215,7 +215,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--stall-rel", type=float, default=None)
     ps.add_argument("--init", default="const",
                     help="const | random:SEED | file:CSV")
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True, help="output file prefix")
     ps.add_argument("--config", help="JSON config file; flags override it")
     ps.add_argument("--verbose", action="store_true")

@@ -10,6 +10,7 @@ defined on it) is reconstructed from the stored norm factors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -175,7 +176,8 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         if k == 1:
             trace.first_step_sup = c * np.abs(u.values).max()
         if verbose:
-            print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}")
+            print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}",
+                  file=sys.stderr)
         if abs(R - R_prev) <= tol_outer * R and k >= min_steps:
             trace.converged = True
             break

@@ -39,6 +39,15 @@ class TestSolve:
                                        p=summary["p"], h=summary["h"])
         assert len(trace.steps) == summary["steps"] + 1
 
+    def test_verbose_keeps_stdout_json(self, tmp_path, capsys):
+        prefix = str(tmp_path / "loud")
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", "3", "--verbose",
+                                 "--out", prefix)
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+        assert "step 1:" in err
+
     def test_rect_requires_bounds(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain", "rect",
                                "--n", "8", "--p", "2", "--out", "/tmp/x")

@@ -205,3 +205,38 @@ class TestScaleCovariance:
         for s1, s2 in zip(tr1.steps, tr2.steps):
             assert s2.R == s1.R
             assert s2.norm_factor == s1.norm_factor
+
+
+def _assert_checked(tr):
+    assert tr.converged
+    assert check_monotonicity(tr).all_passed
+    assert consistency_estimators(tr) < 1e-6
+    assert check_barrier(tr).passed
+
+
+class TestDefaultConfigConvergence:
+    """Solves that once stalled at the line search's floating-point floor
+    under the default SolverConfig (no stall_rel)."""
+
+    @pytest.mark.parametrize("p", [32.0, 64.0])
+    def test_large_p_square(self, p, monkeypatch):
+        import pground.inner
+        calls = [0]
+        raw = pground.inner._raw_functional_gradient
+
+        def counted(*args):
+            calls[0] += 1
+            return raw(*args)
+
+        monkeypatch.setattr(pground.inner, "_raw_functional_gradient", counted)
+        tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 32, p,
+                             PositiveConstant(), K_max=60, tol_outer=1e-8)
+        _assert_checked(tr)
+        # a floor-regime step costs one gradient evaluation, not one per
+        # halving of the step length (about 1.2 per inner iteration here)
+        assert calls[0] <= 2500
+
+    def test_small_square_random_init(self):
+        tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 16, 3.0,
+                             RandomPositive(seed=191740094))
+        _assert_checked(tr)
