@@ -153,9 +153,13 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     summary = traceio.read_summary_json(args.prefix + ".summary.json")
+    tol_grad = args.tol_grad
+    if tol_grad is None:
+        # summaries that predate the recorded tolerance: assume the default
+        tol_grad = summary.get("tol_grad", 1e-10)
     trace = traceio.read_trace_csv(args.prefix + ".trace.csv",
                                    p=summary["p"], h=summary["h"],
-                                   tol_grad=args.tol_grad)
+                                   tol_grad=tol_grad)
     trace.lambda_R = summary["lambda_R"]
     trace.lambda_Q = summary["lambda_Q"]
     trace.mu = summary["mu"]
@@ -242,9 +246,10 @@ def build_parser() -> _Parser:
 
     pc = sub.add_parser("check", help="re-verify a saved trace")
     pc.add_argument("prefix", help="output prefix used by solve")
-    pc.add_argument("--tol-grad", type=float, default=1e-10,
+    pc.add_argument("--tol-grad", type=float, default=None,
                     help="inner tolerance the trace was produced with "
-                         "(sets the slack budget)")
+                         "(sets the slack budget); default: the one the "
+                         "summary records, else 1e-10")
     pc.add_argument("--gap-tol", type=float, default=1e-6)
     pc.set_defaults(func=cmd_check, parser_ref=pc)
     return parser

@@ -8,7 +8,10 @@ Liu, J. Sci. Comput. 2007); every accepted step decreases the objective to
 within its floating-point resolution.  Where the Armijo decrease falls below
 that resolution, a step is accepted by the derivative form of the Armijo
 condition instead, the approximate Wolfe test of Hager & Zhang (SIAM J.
-Optim. 2005), which needs only the gradient at the trial point.  For p < 2 the
+Optim. 2005), which needs only the gradient at the trial point.  The
+preconditioner and the p=2 Laplacian are symmetric positive definite and are
+factored by SuperLU with a minimum-degree ordering of A^T + A and no pivoting
+(X. S. Li, "An overview of SuperLU", ACM TOMS 2005).  For p < 2 the
 integrand is regularized and eps is driven down a short continuation
 schedule so the final solve sees the target smoothness h^2.
 """
@@ -17,12 +20,13 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from scipy import sparse
-from scipy.sparse.linalg import factorized
+from scipy.sparse.linalg import splu
 
 from .calculus import GridFunction, _raw_functional_gradient
 from .geometry import Grid
@@ -151,8 +155,30 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
     return GridFunction(grid, v), total_iters
 
 
+# per-grid solver state keyed by id(grid); each entry is dropped by a
+# finalizer when its grid is collected, before the id can be reused
 _PRECOND_CACHE: dict = {}
 _GRADOP_CACHE: dict = {}
+
+
+def _cache_put(cache: dict, grid: Grid, value):
+    cache[id(grid)] = value
+    weakref.finalize(grid, cache.pop, id(grid), None)
+    return value
+
+
+def factorized(A):
+    """Solve callable for the sparse SPD matrix A (the p=2 Laplacian or the
+    lagged-diffusivity operator G^T diag(w) G with w > 0).
+
+    SuperLU with a minimum-degree ordering of A^T + A and the diagonal taken
+    as pivot throughout, as SuperLU recommends for a symmetric pattern with a
+    stable diagonal (X. S. Li, ACM TOMS 2005).  A is symmetric positive
+    definite, so symmetrically permuted LU without pivoting is stable, and
+    the symmetric ordering keeps about half the fill of the general-matrix
+    COLAMD ordering."""
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}).solve
 
 
 def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
@@ -187,22 +213,19 @@ def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
 
 def _laplacian_solver(grid: Grid):
     """Cached solve with the p=2 stencil."""
-    key = id(grid)
-    hit = _PRECOND_CACHE.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
-    solve = factorized(dirichlet_laplacian_matrix(grid))
-    _PRECOND_CACHE[key] = (grid, solve)
+    solve = _PRECOND_CACHE.get(id(grid))
+    if solve is None:
+        solve = _cache_put(_PRECOND_CACHE, grid,
+                           factorized(dirichlet_laplacian_matrix(grid)))
     return solve
 
 
 def _gradient_operators(grid: Grid):
     """Sparse per-axis difference operators: interior node values to per-cell
     gradient components (divided by h); cached per grid."""
-    key = id(grid)
-    hit = _GRADOP_CACHE.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
+    ops = _GRADOP_CACHE.get(id(grid))
+    if ops is not None:
+        return ops
     idx = -np.ones(grid.shape, dtype=np.int64)
     idx[grid.interior] = np.arange(grid.num_interior)
     inv_h = 1.0 / grid.h
@@ -222,8 +245,7 @@ def _gradient_operators(grid: Grid):
         G = sparse.coo_matrix((vals[ok], (rows[ok], cols[ok])),
                               shape=(ncell, grid.num_interior)).tocsr()
         ops.append(G)
-    _GRADOP_CACHE[key] = (grid, ops)
-    return ops
+    return _cache_put(_GRADOP_CACHE, grid, ops)
 
 
 def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):

@@ -68,6 +68,7 @@ def trace_summary(trace: IterationTrace) -> dict:
         "mu": trace.mu,
         "steps": trace.num_steps,
         "converged": trace.converged,
+        "tol_grad": trace.tol_grad,
     }
 
 

@@ -194,6 +194,19 @@ class TestCheck:
         assert code == 0, err
         assert "FAIL" not in out
 
+    def test_uses_recorded_tol_grad(self, tmp_path, capsys):
+        prefix = str(tmp_path / "loose")
+        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "63", "--p", "3", "--tol-grad", "1e-5",
+                               "--out", prefix)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "check", prefix)
+        assert code == 0, out + err
+        assert "FAIL" not in out
+        # an explicit flag still overrides the recorded tolerance
+        code, _, _ = run_cli(capsys, "check", prefix, "--tol-grad", "1e-10")
+        assert code == 3
+
     def test_tampered_summary_fails(self, solved_prefix, capsys):
         summary = traceio.read_summary_json(solved_prefix + ".summary.json")
         summary["lambda_Q"] = summary["lambda_Q"] * 1.01

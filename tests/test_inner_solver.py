@@ -1,15 +1,19 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from pground.calculus import GridFunction, functional_gradient
+from pground import inner
+from pground.calculus import GridFunction, _cell_grad_sq, functional_gradient
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.inner import (NonConvergence, SolverConfig,
                            dirichlet_laplacian_matrix, signed_power,
                            solve_step, solve_step_with_stats)
+from pground.iteration import PositiveConstant, inverse_iterate
 
 
 @pytest.fixture
@@ -99,6 +103,45 @@ class TestQuadraticCase:
         A = dirichlet_laplacian_matrix(g)
         direct = spsolve(A.tocsr(), f.values[g.interior])
         assert np.allclose(v.values[g.interior], direct, rtol=1e-9, atol=1e-12)
+
+
+class TestWeightedPreconditioner:
+    @pytest.mark.parametrize("kind", ["interval", "square", "l_shape"])
+    def test_matches_direct_solve(self, kind, l_mask):
+        spec, n = {"interval": (Interval(0.0, 1.0), 63),
+                   "square": (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                   "l_shape": (l_mask, 16)}[kind]
+        g = build_grid(spec, n)
+        rng = np.random.default_rng(17)
+        v = np.zeros(g.shape)
+        v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
+        v[: g.shape[0] // 2] = 0.0  # flat half: zero weights, floored
+        p = 3.0
+        w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** (p / 2 - 1)
+        floor = 1e-10 * w.max()
+        assert np.any(w < floor)
+        W = sparse.diags(np.maximum(w, floor))
+        A = sum(G.T @ W @ G for G in inner._gradient_operators(g))
+        b = rng.uniform(-1.0, 1.0, g.num_interior)
+        x = inner._weighted_preconditioner(g, v, p, 0.0)(b)
+        direct = spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+class TestSolverCaches:
+    def test_entries_leave_with_their_grid(self):
+        gc.collect()
+        start = len(inner._PRECOND_CACHE), len(inner._GRADOP_CACHE)
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        for k in range(30):
+            grid = build_grid(spec, 16)
+            inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
+                            PositiveConstant(), grid=grid)
+            cache = inner._PRECOND_CACHE if k % 2 else inner._GRADOP_CACHE
+            assert id(grid) in cache
+        del grid
+        gc.collect()
+        assert (len(inner._PRECOND_CACHE), len(inner._GRADOP_CACHE)) == start
 
 
 class TestGeneralP:

@@ -64,7 +64,8 @@ class TestSummaryJson:
         traceio.write_summary_json(path, trace)
         back = traceio.read_summary_json(path)
         assert set(back) == {"p", "h", "lambda_R", "lambda_Q", "mu", "steps",
-                             "converged"}
+                             "converged", "tol_grad"}
+        assert back["tol_grad"] == trace.tol_grad
         assert back["lambda_R"] == trace.lambda_R
         assert back["steps"] == trace.num_steps
         assert back["converged"] is True
