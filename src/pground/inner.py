@@ -5,7 +5,9 @@ functions.
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
 backtracking, preconditioned by the lagged-diffusivity operator (Huang, Li &
 Liu, J. Sci. Comput. 2007); every accepted step decreases the objective to
-within its floating-point resolution.  Where the Armijo decrease falls below
+within its floating-point resolution.  The operator is assembled by one
+scatter of the cell weights into a fixed sparse pattern, built once per grid,
+so a re-lag changes only its values.  Where the Armijo decrease falls below
 that resolution, a step is accepted by the derivative form of the Armijo
 condition instead, the approximate Wolfe test of Hager & Zhang (SIAM J.
 Optim. 2005), which needs only the gradient at the trial point.  The
@@ -18,6 +20,7 @@ schedule so the final solve sees the target smoothness h^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import weakref
@@ -222,10 +225,7 @@ def _laplacian_solver(grid: Grid):
 
 def _gradient_operators(grid: Grid):
     """Sparse per-axis difference operators: interior node values to per-cell
-    gradient components (divided by h); cached per grid."""
-    ops = _GRADOP_CACHE.get(id(grid))
-    if ops is not None:
-        return ops
+    gradient components (divided by h)."""
     idx = -np.ones(grid.shape, dtype=np.int64)
     idx[grid.interior] = np.arange(grid.num_interior)
     inv_h = 1.0 / grid.h
@@ -245,14 +245,45 @@ def _gradient_operators(grid: Grid):
         G = sparse.coo_matrix((vals[ok], (rows[ok], cols[ok])),
                               shape=(ncell, grid.num_interior)).tocsr()
         ops.append(G)
-    return _cache_put(_GRADOP_CACHE, grid, ops)
+    return ops
+
+
+def _weighted_assembly(grid: Grid):
+    """Fixed CSC pattern (indices, indptr) of the lagged-diffusivity operator
+    A(w) = sum_a G_a^T diag(w) G_a and the scatter S with A(w).data == S @ w:
+    S holds G_a[c, i] G_a[c, j] in column c at the slot of (i, j).  Built once
+    per grid from `_gradient_operators`; only the weights change per re-lag."""
+    hit = _GRADOP_CACHE.get(id(grid))
+    if hit is not None:
+        return hit
+    n = grid.num_interior
+    keys, cells, vals = [], [], []
+    for G in _gradient_operators(grid):
+        count = np.diff(G.indptr)
+        # every ordered pair (a, b) of the stored entries of one row (cell)
+        for da, db in itertools.product(range(count.max()), repeat=2):
+            cell = np.nonzero(count > max(da, db))[0]
+            a, b = G.indptr[cell] + da, G.indptr[cell] + db
+            # column-major slot key; int64 since n^2 overflows int32 at n=256
+            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
+            cells.append(cell)
+            vals.append(G.data[a] * G.data[b])
+    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    ncell = int(np.count_nonzero(grid.cell_mask))
+    S = sparse.csr_matrix((np.concatenate(vals), (slot, np.concatenate(cells))),
+                          shape=(pattern.size, ncell))
+    indices = (pattern % n).astype(np.intc)
+    indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
+    return _cache_put(_GRADOP_CACHE, grid, (S, indices, indptr))
 
 
 def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):
     """Factorized solve with the lagged-diffusivity operator
     div((|grad v|^2 + eps^2)^((p-2)/2) grad .), weights floored to keep it
-    positive definite where the current gradient vanishes."""
-    ops = _gradient_operators(grid)
+    positive definite where the current gradient vanishes.  The operator is
+    assembled by one scatter of the weights into the grid's fixed pattern
+    (`_weighted_assembly`, built once per grid)."""
+    S, indices, indptr = _weighted_assembly(grid)
     h = grid.h
     if grid.dim == 1:
         g = (v[1:] - v[:-1]) / h
@@ -266,9 +297,8 @@ def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):
     if not (wmax > 0 and math.isfinite(wmax)):
         return _laplacian_solver(grid)
     w = np.maximum(w, 1e-10 * wmax)
-    W = sparse.diags(w)
-    A = sum((G.T @ W @ G) for G in ops).tocsc()
-    return factorized(A)
+    n = grid.num_interior
+    return factorized(sparse.csc_matrix((S @ w, indices, indptr), shape=(n, n)))
 
 
 def _objective(grid: Grid, v: np.ndarray, f: np.ndarray, p: float,
@@ -337,7 +367,9 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
             raise NonConvergence(best_gsup, tol, it, best_v)
         if p != 2 and since_refresh >= 20:
             # re-lag the diffusivity weights at the current iterate; resets
-            # the BB history since the metric changed
+            # the BB history since the metric changed; the old factor is
+            # released first so two never coexist
+            precond = None
             precond = _weighted_preconditioner(grid, v, p, eps)
             d = direction(g)
             prev = None
@@ -380,6 +412,7 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
                 # a dead-ended line search can just mean the lagged weights
                 # (and with them the BB metric) are stale; re-lag once at the
                 # current iterate and retry before declaring the floor
+                precond = None
                 precond = _weighted_preconditioner(grid, v, p, eps)
                 d = direction(g)
                 prev = None

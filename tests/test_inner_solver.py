@@ -127,6 +127,64 @@ class TestWeightedPreconditioner:
         direct = spsolve(A.tocsc(), b)
         assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
 
+    @staticmethod
+    def _grid(kind, l_mask):
+        spec, n = {"interval": (Interval(0.0, 1.0), 63),
+                   "square": (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                   "l_shape": (l_mask, 16),
+                   "rectangle": (Rectangle(0.0, 2.0, 0.0, 1.0), 16)}[kind]
+        return build_grid(spec, n)
+
+    @staticmethod
+    def _assembled(grid, w):
+        S, indices, indptr = inner._weighted_assembly(grid)
+        n = grid.num_interior
+        return sparse.csc_matrix((S @ w, indices, indptr), shape=(n, n))
+
+    @pytest.mark.parametrize("kind",
+                             ["interval", "square", "l_shape", "rectangle"])
+    def test_scatter_matches_products(self, kind, l_mask):
+        g = self._grid(kind, l_mask)
+        rng = np.random.default_rng(23)
+        w = rng.uniform(0.0, 1.0, int(np.count_nonzero(g.cell_mask)))
+        w[: w.size // 2] = 0.0
+        w = np.maximum(w, 1e-10 * w.max())  # half the weights at the floor
+        ref = sum(G.T @ sparse.diags(w) @ G
+                  for G in inner._gradient_operators(g))
+        A = self._assembled(g, w)
+        assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+
+    @pytest.mark.parametrize("kind",
+                             ["interval", "square", "l_shape", "rectangle"])
+    def test_unit_weights_give_laplacian(self, kind, l_mask):
+        # at p = 2 the lagged operator is the 3/5-point Laplacian, slot for
+        # slot; the values agree to rounding of 1/h^2 against (1/h)^2
+        g = self._grid(kind, l_mask)
+        A = self._assembled(g, np.ones(int(np.count_nonzero(g.cell_mask))))
+        L = dirichlet_laplacian_matrix(g)
+        assert np.array_equal(A.indices, L.indices)
+        assert np.array_equal(A.indptr, L.indptr)
+        assert np.abs(A.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
+
+    def test_pattern_built_once_per_grid(self):
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
+        rng = np.random.default_rng(29)
+        b = rng.uniform(-1.0, 1.0, g.num_interior)
+        entries = []
+        for _ in range(2):
+            v = np.zeros(g.shape)
+            v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
+            x = inner._weighted_preconditioner(g, v, 3.0, 0.0)(b)
+            entries.append(inner._GRADOP_CACHE[id(g)])
+            w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** 0.5
+            w = np.maximum(w, 1e-10 * w.max())
+            A = sum(G.T @ sparse.diags(w) @ G
+                    for G in inner._gradient_operators(g))
+            direct = spsolve(A.tocsc(), b)
+            assert np.linalg.norm(x - direct) <= \
+                1e-10 * np.linalg.norm(direct)
+        assert entries[0] is entries[1]
+
 
 class TestSolverCaches:
     def test_entries_leave_with_their_grid(self):
