@@ -3,19 +3,18 @@
 functions.
 
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
-backtracking, preconditioned by the lagged-diffusivity operator (Huang, Li &
-Liu, J. Sci. Comput. 2007); every accepted step decreases the objective to
-within its floating-point resolution.  The operator is assembled by one
-scatter of the cell weights into a fixed sparse pattern, built once per grid,
-so a re-lag changes only its values.  Where the Armijo decrease falls below
-that resolution, a step is accepted by the derivative form of the Armijo
-condition instead, the approximate Wolfe test of Hager & Zhang (SIAM J.
-Optim. 2005), which needs only the gradient at the trial point.  The
-preconditioner and the p=2 Laplacian are symmetric positive definite and are
-factored by SuperLU with a minimum-degree ordering of A^T + A and no pivoting
-(X. S. Li, "An overview of SuperLU", ACM TOMS 2005).  For p < 2 the
-integrand is regularized and eps is driven down a short continuation
-schedule so the final solve sees the target smoothness h^2.
+backtracking on the interior node values, preconditioned by the
+lagged-diffusivity operator G^T diag(w) G (Huang, Li & Liu, J. Sci. Comput.
+2007); G and the operator's sparse pattern are built once per grid.  One
+kernel per trial point returns the objective with the cell gradients and
+weights it was computed from, which the gradient and the next re-lag reuse.
+Below the objective's floating-point resolution a step is accepted by the
+derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
+2005).  Both SPD preconditioners, this one and the p=2 Laplacian, are
+factored by SuperLU with a minimum-degree ordering of A^T + A and no
+pivoting (X. S. Li, ACM TOMS 2005).  For p < 2 the integrand is regularized
+and eps is driven down a short continuation schedule so the final solve
+sees the target smoothness h^2.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .calculus import GridFunction, _raw_functional_gradient
+from .calculus import GridFunction
 from .geometry import Grid
 
 
@@ -248,148 +247,158 @@ def _gradient_operators(grid: Grid):
     return ops
 
 
+def _grid_operators(grid: Grid) -> list:
+    """The grid's cache entry [G, G^T, assembly]: G = vstack(
+    `_gradient_operators`), G^T its CSC view; `_weighted_assembly` fills in
+    the assembly on first use, since a p=2 solve never needs it."""
+    entry = _GRADOP_CACHE.get(id(grid))
+    if entry is None:
+        G = sparse.vstack(_gradient_operators(grid), format="csr")
+        entry = _cache_put(_GRADOP_CACHE, grid, [G, G.T, None])
+    return entry
+
+
 def _weighted_assembly(grid: Grid):
-    """Fixed CSC pattern (indices, indptr) of the lagged-diffusivity operator
-    A(w) = sum_a G_a^T diag(w) G_a and the scatter S with A(w).data == S @ w:
-    S holds G_a[c, i] G_a[c, j] in column c at the slot of (i, j).  Built once
-    per grid from `_gradient_operators`; only the weights change per re-lag."""
-    hit = _GRADOP_CACHE.get(id(grid))
-    if hit is not None:
-        return hit
-    n = grid.num_interior
+    """Fixed CSC pattern (indices, indptr) of A(w) = G^T diag(w) G and the
+    scatter S with A(w).data == S @ w, built once per grid: S holds
+    G[r, i] G[r, j] in the column of row r's cell at the slot of (i, j)."""
+    entry = _grid_operators(grid)
+    if entry[2] is not None:
+        return entry[2]
+    G = entry[0]
+    n, ncell = G.shape[1], G.shape[0] // grid.dim
+    count = np.diff(G.indptr)
     keys, cells, vals = [], [], []
-    for G in _gradient_operators(grid):
-        count = np.diff(G.indptr)
-        # every ordered pair (a, b) of the stored entries of one row (cell)
-        for da, db in itertools.product(range(count.max()), repeat=2):
-            cell = np.nonzero(count > max(da, db))[0]
-            a, b = G.indptr[cell] + da, G.indptr[cell] + db
-            # column-major slot key; int64 since n^2 overflows int32 at n=256
-            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
-            cells.append(cell)
-            vals.append(G.data[a] * G.data[b])
+    # every ordered pair (a, b) of the stored entries of one row of G
+    for da, db in itertools.product(range(count.max()), repeat=2):
+        row = np.nonzero(count > max(da, db))[0]
+        a, b = G.indptr[row] + da, G.indptr[row] + db
+        # column-major slot key; int64 since n^2 overflows int32 at n=256
+        keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
+        cells.append(row % ncell)
+        vals.append(G.data[a] * G.data[b])
     pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    ncell = int(np.count_nonzero(grid.cell_mask))
     S = sparse.csr_matrix((np.concatenate(vals), (slot, np.concatenate(cells))),
                           shape=(pattern.size, ncell))
     indices = (pattern % n).astype(np.intc)
     indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
-    return _cache_put(_GRADOP_CACHE, grid, (S, indices, indptr))
+    entry[2] = (S, indices, indptr)
+    return entry[2]
 
 
-def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):
-    """Factorized solve with the lagged-diffusivity operator
-    div((|grad v|^2 + eps^2)^((p-2)/2) grad .), weights floored to keep it
-    positive definite where the current gradient vanishes.  The operator is
-    assembled by one scatter of the weights into the grid's fixed pattern
-    (`_weighted_assembly`, built once per grid)."""
-    S, indices, indptr = _weighted_assembly(grid)
-    h = grid.h
-    if grid.dim == 1:
-        g = (v[1:] - v[:-1]) / h
-        gsq = np.where(grid.cell_mask, g * g, 0.0)[grid.cell_mask]
-    else:
-        gx = (v[1:, :-1] - v[:-1, :-1]) / h
-        gy = (v[:-1, 1:] - v[:-1, :-1]) / h
-        gsq = (gx * gx + gy * gy)[grid.cell_mask]
-    w = (gsq + eps * eps) ** (p / 2 - 1)
+def _energy(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
+            eps: float):
+    """(J, c, w): the inner objective J = h^d w.a / p - fh.x at the interior
+    vector x (+inf on overflow), from c = G x, a = |c|^2 + eps^2 per cell
+    and w = a^(p/2-1); fh is f h^d on the interior nodes."""
+    c = _grid_operators(grid)[0] @ x
+    a = (c * c).reshape(grid.dim, -1).sum(axis=0) + eps * eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = a ** (p / 2 - 1)
+        bulk = float(np.dot(w, a))
+        if math.isnan(bulk):  # inf * 0 in flat cells when p < 2 and eps = 0
+            bulk = float(np.sum(w * a, where=a > 0))
+    return bulk / p * grid.h ** grid.dim - float(np.dot(fh, x)), c, w
+
+
+def _nodal_gradient(grid: Grid, c: np.ndarray, w: np.ndarray,
+                    fh: np.ndarray) -> np.ndarray:
+    """Gradient h^d G^T (w c) - fh of the inner objective on the interior
+    nodes, from the (c, w) of one `_energy` call."""
+    flux = (c.reshape(grid.dim, -1) * w).ravel()
+    return grid.h ** grid.dim * (_grid_operators(grid)[1] @ flux) - fh
+
+
+def _lagged_solver(grid: Grid, w: np.ndarray):
+    """Factorized solve with the lagged-diffusivity operator G^T diag(w) G,
+    w floored at 1e-10 max(w) to keep it positive definite where the gradient
+    vanishes (the p=2 stencil if max(w) is not finite)."""
     wmax = float(w.max()) if w.size else 1.0
     if not (wmax > 0 and math.isfinite(wmax)):
         return _laplacian_solver(grid)
-    w = np.maximum(w, 1e-10 * wmax)
-    n = grid.num_interior
-    return factorized(sparse.csc_matrix((S @ w, indices, indptr), shape=(n, n)))
+    S, indices, indptr = _weighted_assembly(grid)
+    A = sparse.csc_matrix((S @ np.maximum(w, 1e-10 * wmax), indices, indptr),
+                          shape=(indptr.size - 1,) * 2)
+    return factorized(A)
 
 
-def _objective(grid: Grid, v: np.ndarray, f: np.ndarray, p: float,
-               eps: float) -> float:
-    h, hd = grid.h, grid.h ** grid.dim
-    if grid.dim == 1:
-        g = (v[1:] - v[:-1]) / h
-        gsq = np.where(grid.cell_mask, g * g, 0.0)
-    else:
-        gx = (v[1:, :-1] - v[:-1, :-1]) / h
-        gy = (v[:-1, 1:] - v[:-1, :-1]) / h
-        gsq = np.where(grid.cell_mask, gx * gx + gy * gy, 0.0)
-    with np.errstate(over="ignore"):
-        bulk = float(np.sum((gsq + eps * eps) ** (p / 2))) / p * hd
-    return bulk - float(np.sum(f * v)) * hd
+def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):
+    """`_lagged_solver` with the `_energy` weights of the node array v."""
+    x = v[grid.interior]
+    return _lagged_solver(grid, _energy(grid, x, np.zeros_like(x), p, eps)[2])
 
 
 def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
              eps: float, tol: float, budget: int, verbose: bool):
     """Monotone preconditioned descent with BB step scaling on the interior
-    values; the direction is the inverse lagged-diffusivity operator (the p=2
-    stencil when p == 2) applied to the gradient.
+    vector x = v0[interior]; node arrays go out only as the result and as
+    NonConvergence.best.  The direction is the inverse lagged-diffusivity
+    operator (the p=2 stencil when p == 2) applied to the gradient.  A trial
+    point costs one `_energy` call; the gradient is formed from its (c, w)
+    only at the accepted trial and at trials below the resolution floor, and
+    a re-lag factors the current iterate's weights.
 
-    A trial step v - t d is accepted by the Armijo test J(v - t d) <= J(v) -
-    c t g.d while that decrease is resolvable (above 1e-15 |J|).  Below it
-    the objective test only asks for nonincrease within that floor, and the
-    step must also satisfy the derivative form of the Armijo condition,
-    phi'(t) <= (2c - 1) phi'(0) for phi(t) = J(v - t d), the approximate
-    Wolfe test of Hager & Zhang (SIAM J. Optim. 2005).  It costs only the
-    dot product of the trial gradient, which the step needs anyway."""
+    A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
+    c t g.d while that decrease is resolvable (above 1e-15 |J|); below it,
+    by nonincrease within that floor together with the derivative form of
+    the Armijo condition, phi'(t) <= (2c - 1) phi'(0) for phi(t) =
+    J(x - t d), the approximate Wolfe test of Hager & Zhang, which costs
+    only the dot product of the trial gradient the step needs anyway.  A
+    non-finite gradient sup-norm raises NonConvergence at once."""
     if budget <= 0:
         raise NonConvergence(math.inf, tol, 0)
     p = cfg.p
     hd = grid.h ** grid.dim
 
-    v = v0.copy()
-    v[~grid.interior] = 0.0
-    if p == 2:
-        precond = _laplacian_solver(grid)
-    else:
-        precond = _weighted_preconditioner(grid, v, p, eps)
+    def nodes(x):
+        return GridFunction.from_interior(grid, x).values
 
-    def direction(g):
-        d = np.zeros(grid.shape)
-        d[grid.interior] = precond(g[grid.interior])
-        return d
-
-    J = _objective(grid, v, f, p, eps)
-    g = _raw_functional_gradient(grid, v, f, p, eps)
+    x = v0[grid.interior]
+    fh = f[grid.interior] * hd
+    J, c, w = _energy(grid, x, fh, p, eps)
+    precond = _laplacian_solver(grid) if p == 2 else _lagged_solver(grid, w)
+    g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
-    d = direction(g)
+    d = precond(g)
     # exact step for p=2; for general p the BB update takes over immediately
     t = 1.0 / hd
     prev = None  # (t, g, d) of the last accepted step
     it = 0
     since_refresh = 0
-    best_gsup, best_v, last_gain, mark_J = gsup, v, 0, J
-    while gsup > tol:
+    best_gsup, best_x, last_gain, mark_J = gsup, x, 0, J
+    while tol < gsup < math.inf:  # a non-finite residual is raised below
         if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
             last_gain, mark_J = it, J
         elif it - last_gain > 300:
             break  # floating-point floor: no measurable progress
         if gsup < best_gsup:
-            best_gsup, best_v = gsup, v
+            best_gsup, best_x = gsup, x
         if it >= budget:
-            raise NonConvergence(best_gsup, tol, it, best_v)
+            raise NonConvergence(best_gsup, tol, it, nodes(best_x))
         if p != 2 and since_refresh >= 20:
-            # re-lag the diffusivity weights at the current iterate; resets
-            # the BB history since the metric changed; the old factor is
-            # released first so two never coexist
+            # re-lag at the current weights (the old factor is released
+            # first so two never coexist); the new metric resets BB history
             precond = None
-            precond = _weighted_preconditioner(grid, v, p, eps)
-            d = direction(g)
+            precond = _lagged_solver(grid, w)
+            d = precond(g)
             prev = None
             t = 1.0 / hd
             since_refresh = 0
         if prev is not None:
             t_old, g_old, d_old = prev
-            s_y = t_old * float(np.sum(d_old * (g_old - g)))
+            s_y = t_old * float(np.dot(d_old, g_old - g))
             if s_y > 0:
                 # BB1 in the preconditioned metric: s.P^{-1}s / s.y
-                t = t_old * t_old * float(np.sum(g_old * d_old)) / s_y
+                t = t_old * t_old * float(np.dot(g_old, d_old)) / s_y
             else:
                 t = 2.0 * t_old
-        slope = float(np.sum(g * d))  # directional derivative along -d
+        slope = float(np.dot(g, d))  # directional derivative along -d
         floor = 1e-15 * max(1.0, abs(J))  # resolvable objective decrease
         accepted = False
         trial_g = None
         for _ in range(80):
-            trial = v - t * d
-            Jt = _objective(grid, trial, f, p, eps)
+            trial = x - t * d
+            Jt, ct, wt = _energy(grid, trial, fh, p, eps)
             decrease = cfg.armijo_c * t * slope
             if decrease > floor:
                 if Jt <= J - decrease:
@@ -401,8 +410,8 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
                 # (Hager & Zhang's approximate Wolfe test, exact for a
                 # quadratic); the nonincrease invariant holds to within the
                 # 1e-14 slack it is stated with
-                trial_g = _raw_functional_gradient(grid, trial, f, p, eps)
-                if (Jt <= J + floor and float(np.sum(trial_g * d))
+                trial_g = _nodal_gradient(grid, ct, wt, fh)
+                if (Jt <= J + floor and float(np.dot(trial_g, d))
                         >= -(1.0 - 2.0 * cfg.armijo_c) * slope):
                     accepted = True
                     break
@@ -413,8 +422,8 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
                 # (and with them the BB metric) are stale; re-lag once at the
                 # current iterate and retry before declaring the floor
                 precond = None
-                precond = _weighted_preconditioner(grid, v, p, eps)
-                d = direction(g)
+                precond = _lagged_solver(grid, w)
+                d = precond(g)
                 prev = None
                 t = 1.0 / hd
                 since_refresh = 0
@@ -422,18 +431,17 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
                 continue
             break  # at the numerical floor for this eps
         prev = (t, g, d)
-        v, J = trial, min(Jt, J)
-        g = trial_g if trial_g is not None else \
-            _raw_functional_gradient(grid, v, f, p, eps)
+        x, J, w = trial, min(Jt, J), wt
+        g = _nodal_gradient(grid, ct, wt, fh) if trial_g is None else trial_g
         gsup = float(np.abs(g).max())
-        d = direction(g)
+        d = precond(g)
         it += 1
         since_refresh += 1
         if verbose and it % 1000 == 0:
             print(f"    inner iter {it}: J={J:.12e} grad_sup={gsup:.3e}",
                   file=sys.stderr)
     if gsup < best_gsup:
-        best_gsup, best_v = gsup, v
-    if best_gsup > tol:
-        raise NonConvergence(best_gsup, tol, it, best_v)
-    return best_v, it
+        best_gsup, best_x = gsup, x
+    if not best_gsup <= tol:
+        raise NonConvergence(best_gsup, tol, it, nodes(best_x))
+    return nodes(best_x), it

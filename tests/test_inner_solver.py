@@ -8,7 +8,8 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from pground import inner
-from pground.calculus import GridFunction, _cell_grad_sq, functional_gradient
+from pground.calculus import (GridFunction, _cell_grad_sq, functional_gradient,
+                              functional_value)
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.inner import (NonConvergence, SolverConfig,
                            dirichlet_laplacian_matrix, signed_power,
@@ -186,6 +187,51 @@ class TestWeightedPreconditioner:
         assert entries[0] is entries[1]
 
 
+class TestEnergyKernel:
+    """The descent's fused kernel against the array-level references."""
+
+    @staticmethod
+    def _state(kind, l_mask, p, seed=31):
+        g = TestWeightedPreconditioner._grid(kind, l_mask)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, g.num_interior)
+        f = rng.uniform(-1.0, 1.0, g.num_interior)
+        eps = g.h ** 2 if p < 2 else 0.0
+        return g, x, f, eps
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 64.0])
+    @pytest.mark.parametrize("kind",
+                             ["interval", "square", "l_shape", "rectangle"])
+    def test_matches_calculus(self, kind, p, l_mask):
+        g, x, f, eps = self._state(kind, l_mask, p)
+        fh = f * g.h ** g.dim
+        J, c, w = inner._energy(g, x, fh, p, eps)
+        grad = inner._nodal_gradient(g, c, w, fh)
+        v = GridFunction.from_interior(g, x)
+        fg = GridFunction.from_interior(g, f)
+        J_ref = functional_value(v, fg, p, eps)
+        grad_ref = functional_gradient(v, fg, p, eps).values[g.interior]
+        assert abs(J - J_ref) <= 1e-13 * abs(J_ref)
+        assert np.abs(grad - grad_ref).max() <= \
+            1e-13 * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 64.0])
+    @pytest.mark.parametrize("kind", ["interval", "square", "l_shape"])
+    def test_gradient_odd(self, kind, p, l_mask):
+        g, x, f, eps = self._state(kind, l_mask, p)
+        fh = f * g.h ** g.dim
+        _, c, w = inner._energy(g, x, fh, p, eps)
+        _, cn, wn = inner._energy(g, -x, -fh, p, eps)
+        assert np.array_equal(inner._nodal_gradient(g, cn, wn, -fh),
+                              -inner._nodal_gradient(g, c, w, fh))
+
+    def test_overflow_is_infinite(self, l_mask):
+        g, x, f, _ = self._state("square", l_mask, 64.0)
+        with np.errstate(over="ignore"):
+            J, _, _ = inner._energy(g, 1e6 * x, f * g.h ** 2, 64.0, 0.0)
+        assert J == math.inf
+
+
 class TestSolverCaches:
     def test_entries_leave_with_their_grid(self):
         gc.collect()
@@ -292,6 +338,24 @@ class TestFailureModes:
         cfg = SolverConfig(p=3.0, tol_grad=1e-30)
         with pytest.raises(NonConvergence):
             solve_step(f, cfg)
+
+    def test_nan_gradient_raises(self):
+        # from the zero start every cell is flat, so at p < 2 and eps = 0
+        # the weights 0^(p/2-1) are infinite and the gradient is NaN
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 8)
+        f = GridFunction.constant(g, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence) as exc_info:
+                solve_step_with_stats(
+                    f, SolverConfig(p=1.5, eps_schedule=(0.0,)))
+            assert exc_info.value.iterations == 0
+            for schedule in [(0.01, 0.0), None]:
+                cfg = SolverConfig(p=1.5, eps_schedule=schedule)
+                v, iters = solve_step_with_stats(f, cfg)
+                eps = cfg.resolved_eps(g.h)[-1]
+                res = functional_gradient(v, f, 1.5, eps).values
+                assert iters > 0
+                assert float(np.abs(res).max()) <= 10 * cfg.resolved_tol(1.0)
 
     def test_stall_acceptance(self, small_interval):
         # same unreachable tolerance, but a loose relative-residual cap
