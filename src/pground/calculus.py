@@ -6,6 +6,11 @@ corner.  Both p-integrals use the rectangle rule.  The resulting discrete
 p-Dirichlet energy is convex and exactly differentiable, which is what the
 iteration's monotonicity arguments need.
 
+Every cell gradient here is the grid's own operator applied to the interior
+node values, `grid.G @ x`, and `_energy` / `_nodal_gradient` are the one
+kernel for the inner objective and its gradient, shared by the inner solve,
+`functional_value` / `functional_gradient` and the brute-force oracle.
+
 Energy sums factor out the largest cell gradient before exponentiation so
 that large exponents (p up to 64 and beyond) stay inside double range.
 """
@@ -80,16 +85,11 @@ def gradient_field(u: GridFunction) -> np.ndarray:
     Cells outside the domain report zero.
     """
     g = u.grid
-    v = u.values
-    if g.dim == 1:
-        out = (v[1:] - v[:-1]) / g.h
-        out[~g.cell_mask] = 0.0
-        return out
-    gx = (v[1:, :-1] - v[:-1, :-1]) / g.h
-    gy = (v[:-1, 1:] - v[:-1, :-1]) / g.h
-    out = np.stack([gx, gy], axis=-1)
-    out[~g.cell_mask] = 0.0
-    return out
+    c = (g.G @ u.values[g.interior]).reshape(g.dim, -1)
+    out = np.zeros((g.dim,) + g.cell_mask.shape)
+    for k in range(g.dim):  # one component at a time: a 2D mask is fast
+        out[k][g.cell_mask] = c[k]
+    return out[0] if g.dim == 1 else np.moveaxis(out, 0, -1)
 
 
 def _cell_grad_sq(u: GridFunction) -> np.ndarray:
@@ -169,48 +169,41 @@ def functional_value(v: GridFunction, f: GridFunction, p: float,
     sum over cells of (1/p)(|grad v|^2 + eps^2)^(p/2) h^d minus sum of f v h^d.
     """
     _require_p(p)
-    hd = v.grid.h ** v.grid.dim
-    gsq = _cell_grad_sq(v)
-    mask = v.grid.cell_mask
-    with np.errstate(over="ignore"):
-        bulk = np.sum((gsq[mask] + eps * eps) ** (p / 2)) / p * hd
-    load = float(np.sum(f.values * v.values)) * hd
-    return float(bulk) - load
+    grid = v.grid
+    fh = f.values[grid.interior] * grid.h ** grid.dim
+    return _energy(grid, v.values[grid.interior], fh, p, eps)[0]
 
 
 def functional_gradient(v: GridFunction, f: GridFunction, p: float,
                         eps: float = 0.0) -> GridFunction:
     """Exact gradient of the inner objective w.r.t. interior node values."""
-    grad = _raw_functional_gradient(v.grid, v.values, f.values, p, eps)
-    return GridFunction(v.grid, grad)
+    grid = v.grid
+    fh = f.values[grid.interior] * grid.h ** grid.dim
+    _, c, w = _energy(grid, v.values[grid.interior], fh, p, eps)
+    return GridFunction.from_interior(grid, _nodal_gradient(grid, c, w, fh))
 
 
-def _raw_functional_gradient(grid: Grid, v: np.ndarray, f: np.ndarray,
-                             p: float, eps: float) -> np.ndarray:
-    """Array-level gradient; zero outside the interior."""
-    h, hd = grid.h, grid.h ** grid.dim
-    out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        g = (v[1:] - v[:-1]) / h
-        g[~grid.cell_mask] = 0.0
-        w = (g * g + eps * eps) ** (p / 2 - 1)
-        flux = np.where(grid.cell_mask, w * g, 0.0)
-        out[:-1] -= flux * (hd / h)
-        out[1:] += flux * (hd / h)
-    else:
-        gx = (v[1:, :-1] - v[:-1, :-1]) / h
-        gy = (v[:-1, 1:] - v[:-1, :-1]) / h
-        mask = grid.cell_mask
-        gsq = np.where(mask, gx * gx + gy * gy, 0.0)
-        w = (gsq + eps * eps) ** (p / 2 - 1)
-        fx = np.where(mask, w * gx, 0.0) * (hd / h)
-        fy = np.where(mask, w * gy, 0.0) * (hd / h)
-        out[:-1, :-1] -= fx + fy
-        out[1:, :-1] += fx
-        out[:-1, 1:] += fy
-    out -= f * hd
-    out[~grid.interior] = 0.0
-    return out
+def _energy(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
+            eps: float):
+    """(J, c, w): the inner objective J = h^d w.a / p - fh.x at the interior
+    vector x (+inf on overflow), from c = G x, a = |c|^2 + eps^2 per cell
+    and w = a^(p/2-1); fh is f h^d on the interior nodes."""
+    c = grid.G @ x
+    a = (c * c).reshape(grid.dim, -1).sum(axis=0) + eps * eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = a ** (p / 2 - 1)
+        bulk = float(np.dot(w, a))
+        if math.isnan(bulk):  # inf * 0 in flat cells when p < 2 and eps = 0
+            bulk = float(np.sum(w * a, where=a > 0))
+    return bulk / p * grid.h ** grid.dim - float(np.dot(fh, x)), c, w
+
+
+def _nodal_gradient(grid: Grid, c: np.ndarray, w: np.ndarray,
+                    fh: np.ndarray) -> np.ndarray:
+    """Gradient h^d G^T (w c) - fh of the inner objective on the interior
+    nodes, from the (c, w) of one `_energy` call."""
+    flux = (c.reshape(grid.dim, -1) * w).ravel()
+    return grid.h ** grid.dim * (grid.GT @ flux) - fh
 
 
 def _require_p(p: float) -> None:

@@ -94,8 +94,7 @@ def cmd_solve(args, parser) -> int:
     spec = _resolve_domain(args)
     grid = build_grid(spec, args.n)
     init = _parse_init(args.init, grid)
-    cfg = SolverConfig(p=args.p, tol_grad=args.tol_grad,
-                       stall_rel=args.stall_rel)
+    cfg = SolverConfig(p=args.p, tol_grad=args.tol_grad)
     try:
         trace = inverse_iterate(spec, args.n, args.p, init,
                                 K_max=args.max_steps, tol_outer=args.tol,
@@ -216,7 +215,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--tol", type=float, default=1e-10,
                     help="relative Cauchy tolerance on the Rayleigh quotient")
     ps.add_argument("--tol-grad", type=float, default=None)
-    ps.add_argument("--stall-rel", type=float, default=None)
     ps.add_argument("--init", default="const",
                     help="const | random:SEED | file:CSV")
     ps.add_argument("--out", required=True, help="output file prefix")

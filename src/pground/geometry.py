@@ -1,19 +1,24 @@
-"""Domains, uniform lattice grids, and the inradius.
+"""Domains, uniform lattice grids with their discrete operators, and the
+inradius.
 
 Domains are 1D intervals, axis-aligned rectangles, or boolean cell masks.
 Grids carry an interior/boundary classification per node; functions built on
 them vanish on boundary nodes (zero trace), so the boundary set itself is the
-discrete representation of the Dirichlet condition.
+discrete representation of the Dirichlet condition.  A grid also owns the one
+cell-gradient operator G that every energy, gradient and preconditioner is
+built from, together with the operators derived from it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 
 class DomainError(ValueError):
@@ -131,6 +136,16 @@ class Grid:
     `boundary` partition the nodes that belong to the closed domain; nodes in
     neither set lie outside a mask domain and never carry values.  `cell_mask`
     marks lattice cells inside the domain; energies sum over these cells.
+
+    The grid owns its discrete operators, each built on first use and
+    collected with the grid:
+      * `G`, the cell gradient of the interior node values, through which
+        the calculus (energies, gradient field, objective and its
+        gradient), the inner solve and the brute-force oracle all go;
+      * `GT`, its transpose, for the objective's nodal gradient;
+      * `weighted_assembly`, the pattern and scatter of the inner solve's
+        lagged-diffusivity operator G^T diag(w) G (built for p != 2 only);
+      * `laplacian_solve`, the inner solve's factored p=2 operator G^T G.
     """
 
     spec: DomainSpec = field(repr=False)
@@ -154,6 +169,75 @@ class Grid:
             return axes[0]
         xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.stack([xs, ys], axis=-1)
+
+    @functools.cached_property
+    def G(self) -> sparse.csr_matrix:
+        """Interior node values to per-cell gradients: the stacked
+        `_gradient_operators`, all x components first, then all y."""
+        return sparse.vstack(_gradient_operators(self), format="csr")
+
+    @functools.cached_property
+    def GT(self) -> sparse.csc_matrix:
+        """G^T, a CSC view sharing G's arrays."""
+        return self.G.T
+
+    @functools.cached_property
+    def weighted_assembly(self):
+        """Fixed CSC pattern (indices, indptr) of A(w) = G^T diag(w) G and the
+        scatter S with A(w).data == S @ w, as (S, indices, indptr): S holds
+        G[r, i] G[r, j] in the column of row r's cell at the slot of (i, j)."""
+        G = self.G
+        n, ncell = G.shape[1], G.shape[0] // self.dim
+        count = np.diff(G.indptr)
+        keys, cells, vals = [], [], []
+        # every ordered pair (a, b) of the stored entries of one row of G
+        for da, db in itertools.product(range(count.max()), repeat=2):
+            row = np.nonzero(count > max(da, db))[0]
+            a, b = G.indptr[row] + da, G.indptr[row] + db
+            # column-major slot key; int64 since n^2 overflows int32 at n=256
+            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
+            cells.append(row % ncell)
+            vals.append(G.data[a] * G.data[b])
+        pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        S = sparse.csr_matrix(
+            (np.concatenate(vals), (slot, np.concatenate(cells))),
+            shape=(pattern.size, ncell))
+        indices = (pattern % n).astype(np.intc)
+        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
+        return S, indices, indptr
+
+    @functools.cached_property
+    def laplacian_solve(self):
+        """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
+        quadratic energy induces, factored by `pground.inner.factorized`
+        (looked up at call time, so every factorization goes through it)."""
+        from . import inner
+        return inner.factorized((self.GT @ self.G).sorted_indices())
+
+
+def _gradient_operators(grid: Grid):
+    """Sparse per-axis difference operators: interior node values to per-cell
+    gradient components (divided by h)."""
+    idx = -np.ones(grid.shape, dtype=np.int64)
+    idx[grid.interior] = np.arange(grid.num_interior)
+    inv_h = 1.0 / grid.h
+    if grid.dim == 1:
+        cells = np.nonzero(grid.cell_mask)[0]
+        pairs = [(idx[cells], idx[cells + 1])]
+    else:
+        ci, cj = np.nonzero(grid.cell_mask)
+        pairs = [(idx[ci, cj], idx[ci + 1, cj]), (idx[ci, cj], idx[ci, cj + 1])]
+    ops = []
+    for lo, hi in pairs:
+        ncell = lo.size
+        rows = np.repeat(np.arange(ncell), 2)
+        cols = np.stack([lo, hi], axis=1).ravel()
+        vals = np.tile([-inv_h, inv_h], ncell)
+        ok = cols >= 0
+        G = sparse.coo_matrix((vals[ok], (rows[ok], cols[ok])),
+                              shape=(ncell, grid.num_interior)).tocsr()
+        ops.append(G)
+    return ops
 
 
 def build_grid(spec: DomainSpec, n: int) -> Grid:

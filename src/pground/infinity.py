@@ -33,7 +33,6 @@ class SweepResult:
 
 def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
           tol_outer: float = 1e-8, tol_grad: float | None = None,
-          stall_rel: float | None = 1e-2,
           verbose: bool = False) -> SweepResult:
     """Run the inverse iteration for each exponent in p_list (positive
     constant init) and collect the limit diagnostics."""
@@ -46,7 +45,7 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
     rho = 1.0 / inradius(spec, grid)
     entries, traces = [], []
     for p in p_list:
-        cfg = SolverConfig(p=p, tol_grad=tol_grad, stall_rel=stall_rel)
+        cfg = SolverConfig(p=p, tol_grad=tol_grad)
         try:
             tr = inverse_iterate(spec, n, p, PositiveConstant(), K_max=K_max,
                                  tol_outer=tol_outer, cfg=cfg, grid=grid,

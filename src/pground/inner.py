@@ -5,9 +5,11 @@ functions.
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
 backtracking on the interior node values, preconditioned by the
 lagged-diffusivity operator G^T diag(w) G (Huang, Li & Liu, J. Sci. Comput.
-2007); G and the operator's sparse pattern are built once per grid.  One
-kernel per trial point returns the objective with the cell gradients and
-weights it was computed from, which the gradient and the next re-lag reuse.
+2007).  The grid owns G, the operator's sparse pattern and scatter, and the
+factored p=2 operator G^T G, each built once per grid and collected with it.
+One calculus kernel per trial point, `_energy`, returns the objective with
+the cell gradients and weights it was computed from, which the gradient
+(`_nodal_gradient`) and the next re-lag reuse.
 Below the objective's floating-point resolution a step is accepted by the
 derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
 2005).  Both SPD preconditioners, this one and the p=2 Laplacian, are
@@ -19,10 +21,8 @@ sees the target smoothness h^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .calculus import GridFunction
+from .calculus import GridFunction, _energy, _nodal_gradient
 from .geometry import Grid
 
 
@@ -71,7 +71,6 @@ class SolverConfig:
     eps_schedule: tuple | None = None
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    stall_rel: float | None = None
 
     def __post_init__(self):
         if not self.p > 1:
@@ -123,17 +122,12 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
                           verbose: bool = False):
     """Like solve_step but also returns the total inner iteration count.
 
-    If cfg.stall_rel is set and the descent bottoms out at its floating-point
-    floor above tol_grad, the iterate is still accepted provided the residual
-    is below stall_rel * max(1, sup|f|) * h^dim (a relative sup-norm bound on
-    the discrete equation residual).
-    """
+    NonConvergence is raised, carrying the best iterate, when the last eps
+    stage stalls above its tolerance or the iteration budget runs out."""
     grid = f.grid
     f_sup = float(np.abs(f.values).max(initial=0.0))
     tol = cfg.resolved_tol(f_sup)
     eps_stages = cfg.resolved_eps(grid.h)
-    stall_cap = (cfg.stall_rel * max(1.0, f_sup) * grid.h ** grid.dim
-                 if cfg.stall_rel is not None else None)
 
     v = np.zeros(grid.shape) if initial is None else initial.values.copy()
     total_iters = 0
@@ -149,24 +143,10 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
             # a stalled continuation stage just hands its iterate onward
             total_iters += exc.iterations
             v = exc.best
-            if final:
-                if stall_cap is not None and exc.residual <= stall_cap:
-                    break
+            if final or total_iters >= budget:
                 raise NonConvergence(exc.residual, stage_tol, total_iters,
                                      GridFunction(grid, v)) from None
     return GridFunction(grid, v), total_iters
-
-
-# per-grid solver state keyed by id(grid); each entry is dropped by a
-# finalizer when its grid is collected, before the id can be reused
-_PRECOND_CACHE: dict = {}
-_GRADOP_CACHE: dict = {}
-
-
-def _cache_put(cache: dict, grid: Grid, value):
-    cache[id(grid)] = value
-    weakref.finalize(grid, cache.pop, id(grid), None)
-    return value
 
 
 def factorized(A):
@@ -183,140 +163,14 @@ def factorized(A):
                 options={"SymmetricMode": True}).solve
 
 
-def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
-    """Standard 3/5-point Dirichlet Laplacian (divided by h^2) on the interior
-    nodes; this is exactly the operator the quadratic (p=2) energy induces."""
-    idx = -np.ones(grid.shape, dtype=np.int64)
-    n = grid.num_interior
-    idx[grid.interior] = np.arange(n)
-    h2 = grid.h * grid.h
-    rows, cols, vals = [], [], []
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(np.full(n, 2 * grid.dim / h2))
-    if grid.dim == 1:
-        shifts = [(1,), (-1,)]
-    else:
-        shifts = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for sh in shifts:
-        here = idx[grid.interior]
-        nb = np.roll(idx, [-s for s in sh], axis=tuple(range(grid.dim)))
-        nb = nb[grid.interior]
-        ok = nb >= 0
-        rows.append(here[ok])
-        cols.append(nb[ok])
-        vals.append(np.full(int(ok.sum()), -1.0 / h2))
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsc()
-
-
-def _laplacian_solver(grid: Grid):
-    """Cached solve with the p=2 stencil."""
-    solve = _PRECOND_CACHE.get(id(grid))
-    if solve is None:
-        solve = _cache_put(_PRECOND_CACHE, grid,
-                           factorized(dirichlet_laplacian_matrix(grid)))
-    return solve
-
-
-def _gradient_operators(grid: Grid):
-    """Sparse per-axis difference operators: interior node values to per-cell
-    gradient components (divided by h)."""
-    idx = -np.ones(grid.shape, dtype=np.int64)
-    idx[grid.interior] = np.arange(grid.num_interior)
-    inv_h = 1.0 / grid.h
-    if grid.dim == 1:
-        cells = np.nonzero(grid.cell_mask)[0]
-        pairs = [(idx[cells], idx[cells + 1])]
-    else:
-        ci, cj = np.nonzero(grid.cell_mask)
-        pairs = [(idx[ci, cj], idx[ci + 1, cj]), (idx[ci, cj], idx[ci, cj + 1])]
-    ops = []
-    for lo, hi in pairs:
-        ncell = lo.size
-        rows = np.repeat(np.arange(ncell), 2)
-        cols = np.stack([lo, hi], axis=1).ravel()
-        vals = np.tile([-inv_h, inv_h], ncell)
-        ok = cols >= 0
-        G = sparse.coo_matrix((vals[ok], (rows[ok], cols[ok])),
-                              shape=(ncell, grid.num_interior)).tocsr()
-        ops.append(G)
-    return ops
-
-
-def _grid_operators(grid: Grid) -> list:
-    """The grid's cache entry [G, G^T, assembly]: G = vstack(
-    `_gradient_operators`), G^T its CSC view; `_weighted_assembly` fills in
-    the assembly on first use, since a p=2 solve never needs it."""
-    entry = _GRADOP_CACHE.get(id(grid))
-    if entry is None:
-        G = sparse.vstack(_gradient_operators(grid), format="csr")
-        entry = _cache_put(_GRADOP_CACHE, grid, [G, G.T, None])
-    return entry
-
-
-def _weighted_assembly(grid: Grid):
-    """Fixed CSC pattern (indices, indptr) of A(w) = G^T diag(w) G and the
-    scatter S with A(w).data == S @ w, built once per grid: S holds
-    G[r, i] G[r, j] in the column of row r's cell at the slot of (i, j)."""
-    entry = _grid_operators(grid)
-    if entry[2] is not None:
-        return entry[2]
-    G = entry[0]
-    n, ncell = G.shape[1], G.shape[0] // grid.dim
-    count = np.diff(G.indptr)
-    keys, cells, vals = [], [], []
-    # every ordered pair (a, b) of the stored entries of one row of G
-    for da, db in itertools.product(range(count.max()), repeat=2):
-        row = np.nonzero(count > max(da, db))[0]
-        a, b = G.indptr[row] + da, G.indptr[row] + db
-        # column-major slot key; int64 since n^2 overflows int32 at n=256
-        keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
-        cells.append(row % ncell)
-        vals.append(G.data[a] * G.data[b])
-    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    S = sparse.csr_matrix((np.concatenate(vals), (slot, np.concatenate(cells))),
-                          shape=(pattern.size, ncell))
-    indices = (pattern % n).astype(np.intc)
-    indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
-    entry[2] = (S, indices, indptr)
-    return entry[2]
-
-
-def _energy(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
-            eps: float):
-    """(J, c, w): the inner objective J = h^d w.a / p - fh.x at the interior
-    vector x (+inf on overflow), from c = G x, a = |c|^2 + eps^2 per cell
-    and w = a^(p/2-1); fh is f h^d on the interior nodes."""
-    c = _grid_operators(grid)[0] @ x
-    a = (c * c).reshape(grid.dim, -1).sum(axis=0) + eps * eps
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = a ** (p / 2 - 1)
-        bulk = float(np.dot(w, a))
-        if math.isnan(bulk):  # inf * 0 in flat cells when p < 2 and eps = 0
-            bulk = float(np.sum(w * a, where=a > 0))
-    return bulk / p * grid.h ** grid.dim - float(np.dot(fh, x)), c, w
-
-
-def _nodal_gradient(grid: Grid, c: np.ndarray, w: np.ndarray,
-                    fh: np.ndarray) -> np.ndarray:
-    """Gradient h^d G^T (w c) - fh of the inner objective on the interior
-    nodes, from the (c, w) of one `_energy` call."""
-    flux = (c.reshape(grid.dim, -1) * w).ravel()
-    return grid.h ** grid.dim * (_grid_operators(grid)[1] @ flux) - fh
-
-
 def _lagged_solver(grid: Grid, w: np.ndarray):
     """Factorized solve with the lagged-diffusivity operator G^T diag(w) G,
     w floored at 1e-10 max(w) to keep it positive definite where the gradient
     vanishes (the p=2 stencil if max(w) is not finite)."""
     wmax = float(w.max()) if w.size else 1.0
     if not (wmax > 0 and math.isfinite(wmax)):
-        return _laplacian_solver(grid)
-    S, indices, indptr = _weighted_assembly(grid)
+        return grid.laplacian_solve
+    S, indices, indptr = grid.weighted_assembly
     A = sparse.csc_matrix((S @ np.maximum(w, 1e-10 * wmax), indices, indptr),
                           shape=(indptr.size - 1,) * 2)
     return factorized(A)
@@ -346,7 +200,7 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
     only the dot product of the trial gradient the step needs anyway.  A
     non-finite gradient sup-norm raises NonConvergence at once."""
     if budget <= 0:
-        raise NonConvergence(math.inf, tol, 0)
+        raise NonConvergence(math.inf, tol, 0, v0)
     p = cfg.p
     hd = grid.h ** grid.dim
 
@@ -356,7 +210,7 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
     x = v0[grid.interior]
     fh = f[grid.interior] * hd
     J, c, w = _energy(grid, x, fh, p, eps)
-    precond = _laplacian_solver(grid) if p == 2 else _lagged_solver(grid, w)
+    precond = grid.laplacian_solve if p == 2 else _lagged_solver(grid, w)
     g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
     d = precond(g)

@@ -56,9 +56,9 @@ def make_initial(grid: Grid, init: InitPolicy) -> GridFunction:
         return GridFunction.from_interior(
             grid, rng.uniform(0.5, 1.5, size=grid.num_interior))
     if isinstance(init, Custom):
-        if init.function.grid.shape != grid.shape:
-            raise ValueError("custom init lives on a different grid")
-        return init.function
+        # rebuilt on this grid: raises unless the values have its shape and
+        # vanish off its interior
+        return GridFunction(grid, init.function.values)
     raise TypeError(f"unknown init policy {type(init).__name__}")
 
 

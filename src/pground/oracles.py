@@ -14,18 +14,49 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 from scipy.sparse.linalg import eigsh
 
-from .calculus import GridFunction, p_norm_pow, rayleigh_quotient, \
-    _raw_functional_gradient
+from .calculus import (GridFunction, _energy, _nodal_gradient, p_norm_pow,
+                       rayleigh_quotient)
 from .geometry import DomainSpec, Grid, build_grid
-from .inner import dirichlet_laplacian_matrix
 
 
 class SizeExceeded(ValueError):
     """Grid too large for the requested dense/direct code path."""
+
+
+def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
+    """Standard 3/5-point Dirichlet Laplacian (divided by h^2) on the interior
+    nodes: the operator G^T G the quadratic (p=2) energy induces, built here
+    from the stencil alone as an independent reference for it."""
+    idx = -np.ones(grid.shape, dtype=np.int64)
+    n = grid.num_interior
+    idx[grid.interior] = np.arange(n)
+    h2 = grid.h * grid.h
+    rows, cols, vals = [], [], []
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(np.full(n, 2 * grid.dim / h2))
+    if grid.dim == 1:
+        shifts = [(1,), (-1,)]
+    else:
+        shifts = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    for sh in shifts:
+        here = idx[grid.interior]
+        nb = np.roll(idx, [-s for s in sh], axis=tuple(range(grid.dim)))
+        nb = nb[grid.interior]
+        ok = nb >= 0
+        rows.append(here[ok])
+        cols.append(nb[ok])
+        vals.append(np.full(int(ok.sum()), -1.0 / h2))
+    A = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return A.tocsc()
 
 
 def lambda2_reference(spec: DomainSpec, n: int,
@@ -135,17 +166,17 @@ def rayleigh_bruteforce(spec: DomainSpec, n: int, p: float,
     if m > 12:
         raise SizeExceeded(f"{m} interior nodes exceeds the brute-force cap")
     hd = grid.h ** grid.dim
-    zero_rhs = np.zeros(grid.shape)
+    zero_rhs = np.zeros(m)
 
     def quotient_and_grad(z):
         u = GridFunction.from_interior(grid, z)
         E = rayleigh_quotient(u, p)  # raises on the zero function
         Np = p_norm_pow(u, p)
         # dE_total = p * gradient of (1/p) Dirichlet energy
-        dE = p * _raw_functional_gradient(grid, u.values, zero_rhs, p, 0.0)
-        ui = u.values[grid.interior]
-        dNp = p * np.abs(ui) ** (p - 2) * ui * hd
-        dR = (dE[grid.interior] - E * dNp) / Np
+        _, c, w = _energy(grid, z, zero_rhs, p, 0.0)
+        dE = p * _nodal_gradient(grid, c, w, zero_rhs)
+        dNp = p * np.abs(z) ** (p - 2) * z * hd
+        dR = (dE - E * dNp) / Np
         return E, dR
 
     rng = np.random.default_rng(seed)

@@ -28,3 +28,40 @@ def hat_function(grid):
     vals = np.maximum(0.0, 1.0 - 2.0 * np.abs(x - 0.5))
     vals[~grid.interior] = 0.0
     return GridFunction(grid, vals)
+
+
+def loop_gradient_field(grid, values):
+    """Per-cell gradient by an explicit loop over the domain's cells, laid
+    out as `gradient_field`: the forward difference (v[i+1] - v[i]) / h in
+    1D, the forward differences along the two edges at the cell's
+    lower-left corner in 2D; zero on cells outside the domain."""
+    out = np.zeros(grid.cell_mask.shape + ((2,) if grid.dim == 2 else ()))
+    for cell in zip(*np.nonzero(grid.cell_mask)):
+        for k in range(grid.dim):
+            nb = tuple(i + (d == k) for d, i in enumerate(cell))
+            out[cell + ((k,) if grid.dim == 2 else ())] = \
+                (values[nb] - values[cell]) / grid.h
+    return out
+
+
+def loop_objective(grid, values, f, p, eps):
+    """(J, gradient) of the inner objective
+    sum over cells of (1/p)(|grad v|^2 + eps^2)^(p/2) h^d - sum of f v h^d,
+    by an explicit loop over cells; the gradient is a node array, zero off
+    the interior."""
+    hd = grid.h ** grid.dim
+    J = -float(np.sum(f * values)) * hd
+    grad = -f * hd
+    cells = loop_gradient_field(grid, values)
+    for cell in zip(*np.nonzero(grid.cell_mask)):
+        c = np.atleast_1d(cells[cell])
+        a = float(c @ c) + eps * eps
+        J += a ** (p / 2) / p * hd
+        # component k is (v[nb] - v[cell]) / h, so it pulls on both nodes
+        flux = a ** (p / 2 - 1) * c * hd / grid.h
+        for k in range(grid.dim):
+            nb = tuple(i + (d == k) for d, i in enumerate(cell))
+            grad[cell] -= flux[k]
+            grad[nb] += flux[k]
+    grad[~grid.interior] = 0.0
+    return J, grad

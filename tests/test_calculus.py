@@ -9,7 +9,7 @@ from pground.calculus import (DegenerateFunction, GridFunction,
                               gradient_field, grad_sup, p_dirichlet_energy,
                               p_norm, p_norm_pow, rayleigh_quotient, sup_norm)
 from pground.geometry import Interval, Rectangle, build_grid
-from pground.inner import dirichlet_laplacian_matrix
+from pground.oracles import dirichlet_laplacian_matrix
 
 from conftest import hat_function
 

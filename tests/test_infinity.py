@@ -82,10 +82,9 @@ class TestSupnormCheck:
         assert result.status == "fail"
 
     def test_nonconvergence_entry_is_flagged(self):
-        # an unreachable inner tolerance (stall acceptance disabled) must
-        # surface as a non-converged nan entry, not an exception
-        res = sweep(Interval(0.0, 1.0), 16, (4.0,), tol_grad=1e-30,
-                    stall_rel=None)
+        # an unreachable inner tolerance must surface as a non-converged
+        # nan entry, not an exception
+        res = sweep(Interval(0.0, 1.0), 16, (4.0,), tol_grad=1e-30)
         e = res.entries[0]
         assert not e.converged
         assert math.isnan(e.lambda_R)

@@ -46,6 +46,18 @@ class TestInitPolicies:
         with pytest.raises(ValueError):
             make_initial(interval_grid, Custom(u))
 
+    def test_custom_rebuilt_on_target_grid(self, square_grid, l_mask):
+        # the L-shape grid has the square grid's node shape
+        lgrid = build_grid(l_mask, 16)
+        assert lgrid.shape == square_grid.shape
+        with pytest.raises(ValueError):  # nonzero off the L interior
+            make_initial(lgrid, Custom(GridFunction.constant(square_grid)))
+        u = GridFunction(square_grid, GridFunction.constant(lgrid).values)
+        tr = inverse_iterate(l_mask, 16, 3.0, Custom(u), grid=lgrid)
+        assert tr.final.grid is lgrid
+        ref = inverse_iterate(l_mask, 16, 3.0, PositiveConstant(), grid=lgrid)
+        assert tr.lambda_R == ref.lambda_R
+
 
 class TestIteration:
     def test_matches_linear_eigenvalue(self, p2_trace):
