@@ -100,13 +100,18 @@ def _cell_grad_sq(u: GridFunction) -> np.ndarray:
     return f[..., 0] ** 2 + f[..., 1] ** 2
 
 
-def _stable_pow_sum(base_sq: np.ndarray, p: float, weight: float) -> float:
-    """weight * sum(base_sq ** (p/2)), factoring out the max to avoid overflow."""
+def _log_pow_sum(base_sq: np.ndarray, p: float) -> float:
+    """log sum(base_sq ** (p/2)), -inf when base_sq is empty or zero; the
+    max is factored out so that large p stays inside double range."""
     m2 = float(base_sq.max()) if base_sq.size else 0.0
     if m2 == 0.0:
-        return 0.0
-    s = float(np.sum((base_sq / m2) ** (p / 2)))
-    log_val = 0.5 * p * math.log(m2) + math.log(s) + math.log(weight)
+        return -math.inf
+    return 0.5 * p * math.log(m2) + math.log(np.sum((base_sq / m2) ** (p / 2)))
+
+
+def _stable_pow_sum(base_sq: np.ndarray, p: float, weight: float) -> float:
+    """weight * sum(base_sq ** (p/2)), +inf past exp(700)."""
+    log_val = _log_pow_sum(base_sq, p) + math.log(weight)
     if log_val > 700.0:
         return math.inf
     return math.exp(log_val)
@@ -132,18 +137,12 @@ def p_norm(u: GridFunction, p: float) -> float:
 def rayleigh_quotient(u: GridFunction, p: float) -> float:
     """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
     _require_p(p)
-    gsq = _cell_grad_sq(u)
     vi = u.values[u.grid.interior]
-    num_m2 = float(gsq.max()) if gsq.size else 0.0
-    den_m2 = float(np.max(vi * vi)) if vi.size else 0.0
-    if den_m2 == 0.0:
-        raise DegenerateFunction("Rayleigh quotient of the zero function")
-    if num_m2 == 0.0:
-        return 0.0
     # work in logs: both sums can individually overflow for large p
-    log_num = 0.5 * p * math.log(num_m2) + math.log(np.sum((gsq / num_m2) ** (p / 2)))
-    log_den = 0.5 * p * math.log(den_m2) + math.log(np.sum((vi * vi / den_m2) ** (p / 2)))
-    return math.exp(log_num - log_den)
+    log_den = _log_pow_sum(vi * vi, p)
+    if log_den == -math.inf:
+        raise DegenerateFunction("Rayleigh quotient of the zero function")
+    return math.exp(_log_pow_sum(_cell_grad_sq(u), p) - log_den)
 
 
 def sup_norm(u: GridFunction) -> float:
@@ -155,11 +154,13 @@ def grad_sup(u: GridFunction) -> float:
 
 
 def energy_report(u: GridFunction, p: float) -> EnergyReport:
+    _require_p(p)
+    gsq = _cell_grad_sq(u)  # one cell gradient for both gradient fields
     return EnergyReport(
-        dirichlet_p=p_dirichlet_energy(u, p),
+        dirichlet_p=_stable_pow_sum(gsq, p, u.grid.h ** u.grid.dim),
         norm_p=p_norm_pow(u, p),
         sup_norm=sup_norm(u),
-        grad_sup=grad_sup(u),
+        grad_sup=float(np.sqrt(gsq.max())),
     )
 
 

@@ -17,6 +17,11 @@ factored by SuperLU with a minimum-degree ordering of A^T + A and no
 pivoting (X. S. Li, ACM TOMS 2005).  For p < 2 the integrand is regularized
 and eps is driven down a short continuation schedule so the final solve
 sees the target smoothness h^2.
+
+One stopping rule: each eps stage descends to its gradient tolerance (100
+tol before the last stage) unless a floor ends it first, and hands its last
+iterate on; the solve raises NonConvergence at one place, when the last
+stage ends above tol.  The floors are listed with `_descend`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from .geometry import Grid
 
 
 class NonConvergence(RuntimeError):
-    """Inner solve could not reach the gradient tolerance (iteration cap or
-    floating-point floor); carries the best iterate found."""
+    """Inner solve ended above the gradient tolerance (iteration budget or
+    floating-point floor); `best` is the last iterate, which has the lowest
+    objective of the last eps stage's monotone descent."""
 
     def __init__(self, residual: float, tol: float, iterations: int,
                  best=None):
@@ -77,8 +83,14 @@ class SolverConfig:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.tol_grad is not None and not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
+        if not self.max_inner_iters >= 1:
+            raise ValueError(
+                f"max_inner_iters must be at least 1, got "
+                f"{self.max_inner_iters}")
         if self.eps_schedule is not None:
             sched = tuple(float(e) for e in self.eps_schedule)
+            if not sched:
+                raise ValueError("eps schedule must not be empty")
             if any(e < 0 for e in sched):
                 raise ValueError("eps entries must be nonnegative")
             if any(a < b for a, b in zip(sched, sched[1:])):
@@ -122,31 +134,27 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
                           verbose: bool = False):
     """Like solve_step but also returns the total inner iteration count.
 
-    NonConvergence is raised, carrying the best iterate, when the last eps
-    stage stalls above its tolerance or the iteration budget runs out."""
+    Every eps stage runs, each from the previous stage's last iterate and
+    with what is left of max_inner_iters; NonConvergence, carrying the last
+    iterate, is raised when the last stage ends above the tolerance."""
     grid = f.grid
     f_sup = float(np.abs(f.values).max(initial=0.0))
     tol = cfg.resolved_tol(f_sup)
     eps_stages = cfg.resolved_eps(grid.h)
-
-    v = np.zeros(grid.shape) if initial is None else initial.values.copy()
+    fh = f.values[grid.interior] * grid.h ** grid.dim
+    x = (np.zeros(grid.num_interior) if initial is None
+         else initial.values[grid.interior])
     total_iters = 0
-    budget = cfg.max_inner_iters
     for stage, eps in enumerate(eps_stages):
-        final = stage == len(eps_stages) - 1
-        stage_tol = tol if final else max(tol, 100 * tol)
-        try:
-            v, used = _descend(grid, v, f.values, cfg, eps, stage_tol,
-                               budget - total_iters, verbose)
-            total_iters += used
-        except NonConvergence as exc:
-            # a stalled continuation stage just hands its iterate onward
-            total_iters += exc.iterations
-            v = exc.best
-            if final or total_iters >= budget:
-                raise NonConvergence(exc.residual, stage_tol, total_iters,
-                                     GridFunction(grid, v)) from None
-    return GridFunction(grid, v), total_iters
+        stage_tol = tol if stage == len(eps_stages) - 1 else 100 * tol
+        x, used, residual = _descend(grid, x, fh, cfg, eps, stage_tol,
+                                     cfg.max_inner_iters - total_iters,
+                                     verbose)
+        total_iters += used
+    v = GridFunction.from_interior(grid, x)
+    if not residual <= tol:
+        raise NonConvergence(residual, tol, total_iters, v)
+    return v, total_iters
 
 
 def factorized(A):
@@ -176,68 +184,51 @@ def _lagged_solver(grid: Grid, w: np.ndarray):
     return factorized(A)
 
 
-def _weighted_preconditioner(grid: Grid, v: np.ndarray, p: float, eps: float):
-    """`_lagged_solver` with the `_energy` weights of the node array v."""
-    x = v[grid.interior]
-    return _lagged_solver(grid, _energy(grid, x, np.zeros_like(x), p, eps)[2])
-
-
-def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
+def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
              eps: float, tol: float, budget: int, verbose: bool):
-    """Monotone preconditioned descent with BB step scaling on the interior
-    vector x = v0[interior]; node arrays go out only as the result and as
-    NonConvergence.best.  The direction is the inverse lagged-diffusivity
-    operator (the p=2 stencil when p == 2) applied to the gradient.  A trial
+    """Monotone preconditioned descent with BB step scaling from the
+    interior vector x; fh is f h^d on the interior nodes.  Returns
+    (x, iterations, residual) where it stopped, the residual being the
+    gradient sup-norm there; it never raises.
+
+    The loop runs while tol < residual < inf, fewer than `budget`
+    iterations are spent and some iteration of the last 300 made
+    measurable progress (the gradient sup-norm fell below 0.99 of its best
+    or the objective by 1e-12 relative); it also stops when the line search
+    finds no acceptable step.  All exits but the tolerance are floors.
+
+    The direction is the inverse lagged-diffusivity operator (the p=2
+    stencil when p == 2) applied to the gradient, factored at the current
+    iterate's weights on the first iteration and every 20 after.  A trial
     point costs one `_energy` call; the gradient is formed from its (c, w)
-    only at the accepted trial and at trials below the resolution floor, and
-    a re-lag factors the current iterate's weights.
+    only at the accepted trial and at trials below the resolution floor.
 
     A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
     c t g.d while that decrease is resolvable (above 1e-15 |J|); below it,
     by nonincrease within that floor together with the derivative form of
     the Armijo condition, phi'(t) <= (2c - 1) phi'(0) for phi(t) =
     J(x - t d), the approximate Wolfe test of Hager & Zhang, which costs
-    only the dot product of the trial gradient the step needs anyway.  A
-    non-finite gradient sup-norm raises NonConvergence at once."""
-    if budget <= 0:
-        raise NonConvergence(math.inf, tol, 0, v0)
+    only the dot product of the trial gradient the step needs anyway."""
     p = cfg.p
     hd = grid.h ** grid.dim
-
-    def nodes(x):
-        return GridFunction.from_interior(grid, x).values
-
-    x = v0[grid.interior]
-    fh = f[grid.interior] * hd
     J, c, w = _energy(grid, x, fh, p, eps)
-    precond = grid.laplacian_solve if p == 2 else _lagged_solver(grid, w)
     g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
-    d = precond(g)
-    # exact step for p=2; for general p the BB update takes over immediately
-    t = 1.0 / hd
-    prev = None  # (t, g, d) of the last accepted step
-    it = 0
-    since_refresh = 0
-    best_gsup, best_x, last_gain, mark_J = gsup, x, 0, J
-    while tol < gsup < math.inf:  # a non-finite residual is raised below
-        if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
-            last_gain, mark_J = it, J
-        elif it - last_gain > 300:
-            break  # floating-point floor: no measurable progress
-        if gsup < best_gsup:
-            best_gsup, best_x = gsup, x
-        if it >= budget:
-            raise NonConvergence(best_gsup, tol, it, nodes(best_x))
-        if p != 2 and since_refresh >= 20:
-            # re-lag at the current weights (the old factor is released
-            # first so two never coexist); the new metric resets BB history
+    precond = None
+    it = last_gain = since_refresh = 0
+    best_gsup, mark_J = gsup, J
+    while tol < gsup < math.inf and it < budget and it - last_gain <= 300:
+        if precond is None or (p != 2 and since_refresh >= 20):
+            # (re-)lag at the current weights (the old factor is released
+            # first so two never coexist); the new metric resets BB history,
+            # and 1/h^d is the exact first step for p=2
             precond = None
-            precond = _lagged_solver(grid, w)
-            d = precond(g)
-            prev = None
+            precond = grid.laplacian_solve if p == 2 \
+                else _lagged_solver(grid, w)
+            prev = None  # (t, g, d) of the last accepted step
             t = 1.0 / hd
             since_refresh = 0
+        d = precond(g)
         if prev is not None:
             t_old, g_old, d_old = prev
             s_y = t_old * float(np.dot(d_old, g_old - g))
@@ -271,31 +262,17 @@ def _descend(grid: Grid, v0: np.ndarray, f: np.ndarray, cfg: SolverConfig,
                     break
             t *= cfg.backtrack
         if not accepted:
-            if p != 2 and since_refresh > 0:
-                # a dead-ended line search can just mean the lagged weights
-                # (and with them the BB metric) are stale; re-lag once at the
-                # current iterate and retry before declaring the floor
-                precond = None
-                precond = _lagged_solver(grid, w)
-                d = precond(g)
-                prev = None
-                t = 1.0 / hd
-                since_refresh = 0
-                it += 1
-                continue
             break  # at the numerical floor for this eps
         prev = (t, g, d)
         x, J, w = trial, min(Jt, J), wt
         g = _nodal_gradient(grid, ct, wt, fh) if trial_g is None else trial_g
         gsup = float(np.abs(g).max())
-        d = precond(g)
         it += 1
         since_refresh += 1
+        if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
+            last_gain, mark_J = it, J
+        best_gsup = min(best_gsup, gsup)
         if verbose and it % 1000 == 0:
             print(f"    inner iter {it}: J={J:.12e} grad_sup={gsup:.3e}",
                   file=sys.stderr)
-    if gsup < best_gsup:
-        best_gsup, best_x = gsup, x
-    if not best_gsup <= tol:
-        raise NonConvergence(best_gsup, tol, it, nodes(best_x))
-    return nodes(best_x), it
+    return x, it, gsup

@@ -65,6 +65,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(p=1.5, eps_schedule=(1e-4, 1e-2))
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_rejects_empty_budget(self, iters):
+        # no iteration would ever evaluate the start against the tolerance
+        with pytest.raises(ValueError):
+            SolverConfig(p=3.0, max_inner_iters=iters)
+
+    def test_rejects_empty_eps_schedule(self):
+        # a solve with no stage would have no residual to decide on
+        with pytest.raises(ValueError):
+            SolverConfig(p=3.0, eps_schedule=())
+
     def test_default_tol_scales_with_rhs(self):
         cfg = SolverConfig(p=3.0)
         assert cfg.resolved_tol(0.5) == pytest.approx(1e-10)
@@ -129,9 +140,15 @@ class TestWeightedPreconditioner:
         W = sparse.diags(np.maximum(w, floor))
         A = sum(G.T @ W @ G for G in _gradient_operators(g))
         b = rng.uniform(-1.0, 1.0, g.num_interior)
-        x = inner._weighted_preconditioner(g, v, p, 0.0)(b)
+        x = self._lagged(g, v, p)(b)
         direct = spsolve(A.tocsc(), b)
         assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    @staticmethod
+    def _lagged(grid, v, p):
+        # the solve's own path: `_energy` weights of the node array v
+        x = v[grid.interior]
+        return inner._lagged_solver(grid, _energy(grid, x, 0 * x, p, 0.0)[2])
 
     @staticmethod
     def _grid(kind, l_mask):
@@ -179,7 +196,7 @@ class TestWeightedPreconditioner:
         for _ in range(2):
             v = np.zeros(g.shape)
             v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
-            x = inner._weighted_preconditioner(g, v, 3.0, 0.0)(b)
+            x = self._lagged(g, v, 3.0)(b)
             entries.append(g.weighted_assembly)
             w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** 0.5
             w = np.maximum(w, 1e-10 * w.max())
@@ -350,8 +367,10 @@ class TestFailureModes:
     def test_unreachable_tolerance_raises(self, small_interval):
         f = random_rhs(small_interval, 12)
         cfg = SolverConfig(p=3.0, tol_grad=1e-30)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as exc_info:
             solve_step(f, cfg)
+        # the 300-iteration no-progress floor ends it, not the 200,000 cap
+        assert exc_info.value.iterations <= 1000
 
     def test_nan_gradient_raises(self):
         # from the zero start every cell is flat, so at p < 2 and eps = 0
@@ -373,11 +392,14 @@ class TestFailureModes:
 
     def test_budget_exhausted_before_last_stage(self):
         # p < 2 runs an eps continuation; the budget runs out in its first
-        # stage, and the solve still reports the best iterate on its grid
+        # stage, the later stages only evaluate their start, and the solve
+        # reports the last iterate on its grid against the target tolerance
         g = build_grid(Interval(0.0, 1.0), 15)
+        cfg = SolverConfig(p=1.5, max_inner_iters=3)
         with pytest.raises(NonConvergence) as exc_info:
-            solve_step_with_stats(GridFunction.constant(g, 1.0),
-                                  SolverConfig(p=1.5, max_inner_iters=3))
-        best = exc_info.value.best
-        assert isinstance(best, GridFunction) and best.grid is g
-        assert exc_info.value.iterations == 3
+            solve_step_with_stats(GridFunction.constant(g, 1.0), cfg)
+        exc = exc_info.value
+        assert isinstance(exc.best, GridFunction) and exc.best.grid is g
+        assert exc.iterations == 3
+        assert exc.tol == cfg.resolved_tol(1.0)
+        assert exc.tol < exc.residual < math.inf
