@@ -7,7 +7,7 @@ from .calculus import (EnergyReport, GridFunction, energy_report,
 from .inner import NonConvergence, SolverConfig, signed_power, solve_step
 from .iteration import (Custom, DegenerateIterate, InitPolicy, IterationTrace,
                         PositiveConstant, RandomPositive, check_monotonicity,
-                        consistency_estimators, inverse_iterate)
+                        consistency_estimators, inverse_iterate, verify)
 from .oracles import lambda2_reference, lambda_p_shooting_1d, rayleigh_bruteforce
 from .infinity import SweepResult, monotone_supnorm_check, sweep
 
@@ -20,7 +20,7 @@ __all__ = [
     "PositiveConstant", "RandomPositive", "check_monotonicity",
     "consistency_estimators", "inverse_iterate", "lambda2_reference",
     "lambda_p_shooting_1d", "rayleigh_bruteforce", "SweepResult",
-    "monotone_supnorm_check", "sweep",
+    "monotone_supnorm_check", "sweep", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Subcommands:
   solve   run the inverse iteration, write PREFIX.trace.csv + PREFIX.summary.json
   sweep   run a large-p sweep, write OUT.sweep.csv
   oracle  print one reference value as JSON
-  check   re-verify a saved trace offline
+  check   re-verify a saved trace offline: monotone R_k and N_k, bounds by
+          the limits, energy decay, mu, the estimator gap (if converged) and
+          the first-step barrier bound (SKIP where the files lack it)
 
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence,
 3 invariant check failure.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import geometry, traceio
@@ -22,8 +23,8 @@ from .geometry import DomainError, Interval, Rectangle, build_grid
 from .infinity import sweep as run_sweep
 from .inner import NonConvergence, SolverConfig
 from .iteration import (Custom, DegenerateIterate, InitPolicy,
-                        PositiveConstant, RandomPositive, check_monotonicity,
-                        consistency_estimators, inverse_iterate)
+                        PositiveConstant, RandomPositive, inverse_iterate,
+                        verify)
 from .oracles import (SizeExceeded, lambda2_reference, lambda_p_shooting_1d,
                       rayleigh_bruteforce)
 
@@ -73,24 +74,20 @@ def _parse_init(text: str, grid) -> InitPolicy:
     raise UsageError(f"unknown init {text!r}")
 
 
-def _apply_config(args, parser):
-    """Merge a JSON config file under the parsed flags (flags win)."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(parser, args, argv):
+    """Parse argv again with a JSON config file's values as the subcommand's
+    defaults, so that every flag given on the command line wins."""
     with open(args.config) as fh:
         conf = json.load(fh)
-    defaults = {a.dest: parser.get_default(a.dest)
-                for a in parser._actions if a.dest != "help"}
-    for key, val in conf.items():
-        if key not in defaults:
+    flags = set(vars(args)) - {"command", "func", "parser_ref", "config"}
+    for key in conf:
+        if key not in flags:
             raise UsageError(f"config key {key!r} is not a known flag")
-        if getattr(args, key) == defaults[key]:
-            setattr(args, key, val)
-    return args
+    args.parser_ref.set_defaults(**conf)
+    return parser.parse_args(argv)
 
 
-def cmd_solve(args, parser) -> int:
-    args = _apply_config(args, parser)
+def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
     grid = build_grid(spec, args.n)
     init = _parse_init(args.init, grid)
@@ -111,8 +108,7 @@ def cmd_solve(args, parser) -> int:
     return 0 if trace.converged else 2
 
 
-def cmd_sweep(args, parser) -> int:
-    args = _apply_config(args, parser)
+def cmd_sweep(args) -> int:
     spec = _resolve_domain(args)
     p_list = [float(x) for x in args.p_list.split(",")]
     result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
@@ -126,7 +122,7 @@ def cmd_sweep(args, parser) -> int:
     return 0 if all(e.converged for e in result.entries) else 2
 
 
-def cmd_oracle(args, parser) -> int:
+def cmd_oracle(args) -> int:
     spec = _resolve_domain(args)
     if args.method == "dense":
         value, _ = lambda2_reference(spec, args.n)
@@ -150,43 +146,13 @@ def cmd_oracle(args, parser) -> int:
     return 0
 
 
-def cmd_check(args, parser) -> int:
-    summary = traceio.read_summary_json(args.prefix + ".summary.json")
-    tol_grad = args.tol_grad
-    if tol_grad is None:
-        # summaries that predate the recorded tolerance: assume the default
-        tol_grad = summary.get("tol_grad", 1e-10)
-    trace = traceio.read_trace_csv(args.prefix + ".trace.csv",
-                                   p=summary["p"], h=summary["h"],
-                                   tol_grad=tol_grad)
-    trace.lambda_R = summary["lambda_R"]
-    trace.lambda_Q = summary["lambda_Q"]
-    trace.mu = summary["mu"]
-    trace.converged = summary["converged"]
-
-    failures = []
-    report = check_monotonicity(trace)
-    for claim in report.claims:
-        status = "PASS" if claim.passed else "FAIL"
-        print(f"{status}  {claim.name}: worst margin {claim.worst_margin:.3e} "
-              f"at k={claim.worst_index}")
-        if not claim.passed:
-            failures.append(claim.name)
-    mu_ok = math.isclose(trace.mu,
-                         trace.lambda_R ** (1.0 / (summary["p"] - 1)),
-                         rel_tol=1e-12)
-    print(f"{'PASS' if mu_ok else 'FAIL'}  mu consistency with lambda_R")
-    if not mu_ok:
-        failures.append("mu consistency")
-    if trace.converged:
-        gap = consistency_estimators(trace)
-        gap_ok = gap <= args.gap_tol
-        print(f"{'PASS' if gap_ok else 'FAIL'}  estimator gap {gap:.3e} "
-              f"(tol {args.gap_tol:g})")
-        if not gap_ok:
-            failures.append("estimator gap")
-    else:
-        print("SKIP  estimator gap (trace not converged)")
+def cmd_check(args) -> int:
+    trace = traceio.read_trace(args.prefix)
+    if args.tol_grad is not None:
+        trace.tol_grad = args.tol_grad
+    report = verify(trace, gap_tol=args.gap_tol)
+    print(report)
+    failures = [c.name for c in report.claims if c.passed is False]
     if failures:
         print(f"error: {len(failures)} check(s) failed: {', '.join(failures)}",
               file=sys.stderr)
@@ -240,7 +206,7 @@ def build_parser() -> _Parser:
     po.add_argument("--tol", type=float, default=1e-10)
     po.add_argument("--restarts", type=int, default=64)
     po.add_argument("--seed", type=int, default=0)
-    po.set_defaults(func=cmd_oracle, parser_ref=po)
+    po.set_defaults(func=cmd_oracle)
 
     pc = sub.add_parser("check", help="re-verify a saved trace")
     pc.add_argument("prefix", help="output prefix used by solve")
@@ -249,7 +215,7 @@ def build_parser() -> _Parser:
                          "(sets the slack budget); default: the one the "
                          "summary records, else 1e-10")
     pc.add_argument("--gap-tol", type=float, default=1e-6)
-    pc.set_defaults(func=cmd_check, parser_ref=pc)
+    pc.set_defaults(func=cmd_check)
     return parser
 
 
@@ -257,7 +223,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, args.parser_ref)
+        if getattr(args, "config", None):
+            args = _apply_config(parser, args, argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -38,6 +38,9 @@ from scipy.sparse.linalg import splu
 from .calculus import GridFunction, _energy, _nodal_gradient
 from .geometry import Grid
 
+ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
+BACKTRACK = 0.5   # step-length factor per rejected trial
+
 
 class NonConvergence(RuntimeError):
     """Inner solve ended above the gradient tolerance (iteration budget or
@@ -75,8 +78,6 @@ class SolverConfig:
     tol_grad: float | None = None
     max_inner_iters: int = 200_000
     eps_schedule: tuple | None = None
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if not self.p > 1:
@@ -244,7 +245,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
         for _ in range(80):
             trial = x - t * d
             Jt, ct, wt = _energy(grid, trial, fh, p, eps)
-            decrease = cfg.armijo_c * t * slope
+            decrease = ARMIJO_C * t * slope
             if decrease > floor:
                 if Jt <= J - decrease:
                     accepted = True
@@ -257,10 +258,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
                 # 1e-14 slack it is stated with
                 trial_g = _nodal_gradient(grid, ct, wt, fh)
                 if (Jt <= J + floor and float(np.dot(trial_g, d))
-                        >= -(1.0 - 2.0 * cfg.armijo_c) * slope):
+                        >= -(1.0 - 2.0 * ARMIJO_C) * slope):
                     accepted = True
                     break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if not accepted:
             break  # at the numerical floor for this eps
         prev = (t, g, d)

@@ -153,9 +153,9 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     trace.steps.append(TraceStep(
         k=0, report=energy_report(u, p), R=rayleigh_quotient(u, p),
         N=math.nan, Q=math.nan, norm_factor=1.0, inner_iters=0))
-    trace.barrier_bound = barrier_sup_bound(grid, p) * np.abs(u.values).max()
+    trace.barrier_bound = float(barrier_sup_bound(grid, p)
+                                * np.abs(u.values).max())
 
-    mu_est = None
     for k in range(1, K_max + 1):
         f = signed_power(u, p)
         # warm start at the expected scale of the raw next iterate
@@ -174,7 +174,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
             k=k, report=energy_report(u, p), R=R, N=N,
             Q=N ** (1 - 1 / p), norm_factor=c, inner_iters=iters))
         if k == 1:
-            trace.first_step_sup = c * np.abs(u.values).max()
+            trace.first_step_sup = float(c * np.abs(u.values).max())
         if verbose:
             print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}",
                   file=sys.stderr)
@@ -193,7 +193,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
-    passed: bool
+    passed: bool | None     # None: the check does not apply to the trace
     worst_margin: float     # most negative slack observed (>= 0 means pass)
     worst_index: int        # step index where the worst margin occurred
     detail: str = ""
@@ -204,32 +204,44 @@ class MonotonicityReport:
     claims: tuple
 
     @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.claims)
+    def all_passed(self) -> bool:  # a check that does not apply is no failure
+        return all(c.passed is not False for c in self.claims)
 
     def __str__(self):
         lines = []
         for c in self.claims:
+            if c.passed is None:
+                lines.append(f"SKIP  {c.name}: {c.detail}")
+                continue
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"{status}  {c.name}: worst margin {c.worst_margin:.3e}"
                          f" at k={c.worst_index} {c.detail}")
         return "\n".join(lines)
 
 
-def _monotone_claim(name, values, slack):
-    """Check values[k] >= values[k+1] (relative slack); report worst margin.
-
-    values[0] corresponds to outer step 1, and the reported index is the
-    outer step of the later element of the worst pair."""
-    worst, worst_k, ok = math.inf, -1, True
-    for k in range(len(values) - 1):
-        a, b = values[k], values[k + 1]
-        margin = (a - b) / abs(a) + slack
+def _claim(name, margins, detail=""):
+    """The one margin rule: margins yields (margin, k) pairs, k the step the
+    margin belongs to.  The worst margin is the first smallest, a NaN margin
+    counts as -inf, and the claim passes iff the worst margin is >= 0; with
+    no margins it does not apply (passed None).  A callable detail maps the
+    worst pair's position to the claim's note."""
+    worst, worst_k, worst_i = math.inf, -1, -1
+    for i, (margin, k) in enumerate(margins):
+        if math.isnan(margin):
+            margin = -math.inf
         if margin < worst:
-            worst, worst_k = margin, k + 2
-        if margin < 0:
-            ok = False
-    return ClaimResult(name, ok, worst, worst_k)
+            worst, worst_k, worst_i = margin, k, i
+    if callable(detail):
+        detail = detail(worst_i)
+    passed = worst >= 0 if worst_i >= 0 else None
+    return ClaimResult(name, passed, worst, worst_k, detail)
+
+
+def _monotone_claim(name, values, slack):
+    """values[k] >= values[k+1] to a relative slack; values[0] is outer step
+    1, and a pair is indexed by the outer step of its later element."""
+    pairs = enumerate(zip(values, values[1:]), start=2)
+    return _claim(name, [((a - b) / abs(a) + slack, k) for k, (a, b) in pairs])
 
 
 def check_monotonicity(trace: IterationTrace,
@@ -253,30 +265,26 @@ def check_monotonicity(trace: IterationTrace,
 
     lam = trace.lambda_R
     lam_conj = math.exp(p / (p - 1) * math.log(lam))
-    worst, worst_k, ok, which = math.inf, -1, True, ""
-    for k, (r, nn) in enumerate(zip(R, N), start=1):
-        for val, bound, tag in ((r, lam, "R"), (nn, lam_conj, "N")):
-            margin = (val - bound) / bound + slack
-            if margin < worst:
-                worst, worst_k, which = margin, k, tag
-            if margin < 0:
-                ok = False
-    c = ClaimResult("(c) bounded below by the limit values", ok, worst,
-                    worst_k, f"({which} sequence)")
+
+    def limit_margins():  # alternately R and N at each step
+        for k, (r, nn) in enumerate(zip(R, N), start=1):
+            yield (r - lam) / lam + slack, k
+            yield (nn - lam_conj) / lam_conj + slack, k
+
+    c = _claim("(c) bounded below by the limit values", limit_margins(),
+               lambda i: f"({'RN'[i % 2]} sequence)")
 
     # (d): with E_k the raw Dirichlet energy, mu^p E_{k+1} <= E_k reduces to
     # mu^p R_{k+1} / N_{k+1} <= R_k after factoring out the norm products.
     mu_p = lam ** (1.0 / (p - 1)) if lam > 0 else math.nan
-    worst, worst_k, ok = math.inf, -1, True
-    for k in range(1, len(R)):
-        lhs = p * math.log(mu_p) + math.log(R[k]) - math.log(N[k])
-        rhs = math.log(R[k - 1])
-        margin = rhs - lhs + slack
-        if margin < worst:
-            worst, worst_k = margin, k + 1
-        if margin < 0:
-            ok = False
-    d = ClaimResult("(d) scaled Dirichlet energy decay", ok, worst, worst_k)
+
+    def decay_margins():
+        for k in range(1, len(R)):
+            lhs = p * math.log(mu_p) + math.log(R[k]) - math.log(N[k])
+            rhs = math.log(R[k - 1])
+            yield rhs - lhs + slack, k + 1
+
+    d = _claim("(d) scaled Dirichlet energy decay", decay_margins())
 
     return MonotonicityReport(claims=(a, b, c, d))
 
@@ -292,6 +300,28 @@ def consistency_estimators(trace: IterationTrace) -> float:
 def check_barrier(trace: IterationTrace) -> ClaimResult:
     """First-step sup bound from the explicit p-superharmonic comparison
     function: sup|u_1| <= sup|w| * sup|u_0|."""
-    ok = trace.first_step_sup <= trace.barrier_bound
     margin = (trace.barrier_bound - trace.first_step_sup) / trace.barrier_bound
-    return ClaimResult("barrier sup bound", ok, margin, 1)
+    return _claim("barrier sup bound", [(margin, 1)])
+
+
+def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
+    """Every check a recorded trace supports: claims (a)-(d), mu against
+    lambda_R^(1/(p-1)) to 1e-12 relative, the estimator gap of a converged
+    trace, and the barrier bound if the trace records it.  A check that does
+    not apply has passed None and prints as SKIP."""
+    claims = check_monotonicity(trace).claims  # raises on a short trace
+    last = trace.num_steps
+    mu_ref = trace.lambda_R ** (1.0 / (trace.p - 1))
+    mu_err = abs(trace.mu - mu_ref) / max(abs(trace.mu), abs(mu_ref))
+    mu = _claim("mu consistency with lambda_R", [(1e-12 - mu_err, last)])
+    if trace.converged:
+        gap_value = consistency_estimators(trace)
+        gap = _claim("estimator gap", [(gap_tol - gap_value, last)],
+                     f"(gap {gap_value:.3e}, tol {gap_tol:g})")
+    else:
+        gap = _claim("estimator gap", [], "trace not converged")
+    if math.isnan(trace.barrier_bound) and math.isnan(trace.first_step_sup):
+        barrier = _claim("barrier sup bound", [], "not recorded")
+    else:
+        barrier = check_barrier(trace)
+    return MonotonicityReport(claims=claims + (mu, gap, barrier))

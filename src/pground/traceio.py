@@ -69,6 +69,8 @@ def trace_summary(trace: IterationTrace) -> dict:
         "steps": trace.num_steps,
         "converged": trace.converged,
         "tol_grad": trace.tol_grad,
+        "barrier_bound": trace.barrier_bound,
+        "first_step_sup": trace.first_step_sup,
     }
 
 
@@ -81,6 +83,24 @@ def write_summary_json(path, trace: IterationTrace) -> None:
 def read_summary_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def read_trace(prefix) -> IterationTrace:
+    """Rebuild the trace that PREFIX.trace.csv and PREFIX.summary.json
+    record.  A summary that predates a key reads as written with the default
+    inner tolerance (tol_grad 1e-10) and without the barrier record (nan)."""
+    summary = read_summary_json(prefix + ".summary.json")
+    trace = read_trace_csv(prefix + ".trace.csv", p=summary["p"],
+                           h=summary["h"],
+                           tol_grad=summary.get("tol_grad", 1e-10))
+    if trace.num_steps != summary["steps"]:
+        raise ValueError(f"{prefix}: the trace has {trace.num_steps} steps, "
+                         f"the summary records {summary['steps']}")
+    for key in ("lambda_R", "lambda_Q", "mu", "converged"):
+        setattr(trace, key, summary[key])
+    for key in ("barrier_bound", "first_step_sup"):
+        setattr(trace, key, summary.get(key, math.nan))
+    return trace
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

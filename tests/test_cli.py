@@ -4,7 +4,9 @@ import pytest
 
 from pground import traceio
 from pground.cli import main
-from pground.geometry import write_mask_file
+from pground.geometry import Interval, Rectangle, write_mask_file
+from pground.iteration import (PositiveConstant, RandomPositive,
+                               inverse_iterate, verify)
 
 from conftest import hat_function
 
@@ -107,6 +109,19 @@ class TestSolve:
         assert code == 0
         # the explicit --p flag wins over the config value
         assert json.loads(out)["p"] == 2.0
+
+    def test_config_keeps_explicit_flag_at_its_default(self, tmp_path,
+                                                        capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"max_steps": 2, "verbose": True}))
+        prefix = str(tmp_path / "conf_run")
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", "3", "--max-steps", "100",
+                                 "--config", str(conf), "--out", prefix)
+        assert code == 0, err
+        assert json.loads(out)["steps"] > 2
+        # a key no flag was given for still applies
+        assert "step 1:" in err
 
     def test_config_unknown_key(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -216,6 +231,81 @@ class TestCheck:
         assert code == 3
         assert "FAIL" in out
         assert err.startswith("error:")
+
+    def test_checks_barrier(self, solved_prefix, capsys):
+        code, out, _ = run_cli(capsys, "check", solved_prefix)
+        assert code == 0
+        assert "PASS  barrier sup bound" in out
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        summary["first_step_sup"] = 2.0 * summary["barrier_bound"]
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 3
+        assert "FAIL  barrier sup bound" in out
+        assert "barrier sup bound" in err
+
+    def test_summary_without_recent_keys(self, solved_prefix, capsys):
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        for key in ("barrier_bound", "first_step_sup", "tol_grad"):
+            del summary[key]
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 0, out + err
+        assert "SKIP  barrier sup bound" in out
+        assert "FAIL" not in out
+
+    def test_nan_row_fails(self, solved_prefix, capsys):
+        path = solved_prefix + ".trace.csv"
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        row = lines[4].split(",")  # header, then k = 0, 1, 2, 3
+        assert row[0] == "3"
+        row[1] = row[2] = "nan"
+        lines[4] = ",".join(row)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 3
+        assert "FAIL  (a)" in out and "FAIL  (b)" in out
+
+    def test_truncated_trace_rejected(self, solved_prefix, capsys):
+        path = solved_prefix + ".trace.csv"
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:-2]) + "\n")
+        code, _, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert "summary records" in err
+
+    @pytest.mark.parametrize("domain, n, p, init", [
+        ("interval", 31, 3.0, "const"),
+        ("square", 16, 1.5, "random:3"),
+        ("lshape", 16, 6.0, "const"),
+    ])
+    def test_verdict_from_disk_matches_memory(self, tmp_path, capsys, l_mask,
+                                              domain, n, p, init):
+        specs = {"interval": Interval(0.0, 1.0),
+                 "square": Rectangle(0.0, 1.0, 0.0, 1.0), "lshape": l_mask}
+        flag = domain
+        if domain == "lshape":
+            write_mask_file(tmp_path / "L.mask", l_mask)
+            flag = f"mask:{tmp_path / 'L.mask'}"
+        prefix = str(tmp_path / "run")
+        code, _, err = run_cli(capsys, "solve", "--domain", flag,
+                               "--n", str(n), "--p", str(p), "--init", init,
+                               "--out", prefix)
+        assert code == 0, err
+        policy = PositiveConstant() if init == "const" else RandomPositive(3)
+        in_memory = verify(inverse_iterate(specs[domain], n, p, policy))
+        from_disk = verify(traceio.read_trace(prefix))
+        assert in_memory.all_passed, str(in_memory)
+        assert [(c.name, c.passed, c.worst_margin, c.worst_index)
+                for c in from_disk.claims] == [
+            (c.name, c.passed, c.worst_margin, c.worst_index)
+            for c in in_memory.claims]
 
     def test_missing_trace(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope"))

@@ -9,7 +9,7 @@ from pground.geometry import Interval, Rectangle, build_grid
 from pground.iteration import (Custom, PositiveConstant, RandomPositive,
                                barrier_sup_bound, check_barrier,
                                check_monotonicity, consistency_estimators,
-                               inverse_iterate, make_initial)
+                               inverse_iterate, make_initial, verify)
 from pground.oracles import lambda2_reference
 
 
@@ -158,6 +158,17 @@ class TestMonotonicityChecks:
         names_failed = [c.name for c in report.claims if not c.passed]
         assert any("(b)" in n for n in names_failed)
 
+    def test_nan_fails_every_claim(self, p3_trace):
+        tr = copy.deepcopy(p3_trace)
+        s = tr.steps[3]
+        tr.steps[3] = type(s)(k=s.k, report=s.report, R=math.nan, N=math.nan,
+                              Q=s.Q, norm_factor=s.norm_factor,
+                              inner_iters=s.inner_iters)
+        for claim in check_monotonicity(tr).claims:
+            assert not claim.passed, claim
+            assert claim.worst_margin == -math.inf
+            assert claim.worst_index == 3
+
     def test_too_short_trace_rejected(self, p3_trace):
         tr = copy.copy(p3_trace)
         tr.steps = p3_trace.steps[:3]
@@ -167,6 +178,33 @@ class TestMonotonicityChecks:
     def test_report_string(self, p3_trace):
         text = str(check_monotonicity(p3_trace))
         assert "PASS" in text and "FAIL" not in text
+
+
+class TestVerify:
+    def test_clean_trace(self, p3_trace):
+        report = verify(p3_trace)
+        assert report.all_passed, str(report)
+        assert [c.name for c in report.claims[4:]] == [
+            "mu consistency with lambda_R", "estimator gap",
+            "barrier sup bound"]
+        assert all(c.passed for c in report.claims)
+        gap = consistency_estimators(p3_trace)
+        assert f"(gap {gap:.3e}, tol 1e-06)" in str(report)
+
+    def test_unconverged_trace_skips_gap(self, p3_trace):
+        tr = copy.copy(p3_trace)
+        tr.converged = False
+        report = verify(tr)
+        assert report.claims[5].passed is None
+        assert report.all_passed
+        assert "SKIP  estimator gap: trace not converged" in str(report)
+
+    def test_detects_tampered_mu(self, p3_trace):
+        tr = copy.copy(p3_trace)
+        tr.mu *= 1 + 1e-11
+        report = verify(tr)
+        assert [c.name for c in report.claims if c.passed is False] == [
+            "mu consistency with lambda_R"]
 
 
 class TestBarrier:

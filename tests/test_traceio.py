@@ -64,8 +64,11 @@ class TestSummaryJson:
         traceio.write_summary_json(path, trace)
         back = traceio.read_summary_json(path)
         assert set(back) == {"p", "h", "lambda_R", "lambda_Q", "mu", "steps",
-                             "converged", "tol_grad"}
+                             "converged", "tol_grad", "barrier_bound",
+                             "first_step_sup"}
         assert back["tol_grad"] == trace.tol_grad
+        assert back["barrier_bound"] == trace.barrier_bound
+        assert back["first_step_sup"] == trace.first_step_sup
         assert back["lambda_R"] == trace.lambda_R
         assert back["steps"] == trace.num_steps
         assert back["converged"] is True
