@@ -75,16 +75,33 @@ def _parse_init(text: str, grid) -> InitPolicy:
 
 
 def _apply_config(parser, args, argv):
-    """Parse argv again with a JSON config file's values as the subcommand's
-    defaults, so that every flag given on the command line wins."""
+    """Parse the command line again with a JSON config file's values put in
+    as flags right after the subcommand, so that each value passes its
+    flag's type and choices as a command-line value does and every flag
+    given on the command line, coming later, wins.  A key is a flag's dest
+    (`max_steps` for --max-steps); a switch takes true or false, any other
+    flag a string or a number."""
     with open(args.config) as fh:
         conf = json.load(fh)
     flags = set(vars(args)) - {"command", "func", "parser_ref", "config"}
-    for key in conf:
+    extra = []
+    for key, value in conf.items():
         if key not in flags:
             raise UsageError(f"config key {key!r} is not a known flag")
-    args.parser_ref.set_defaults(**conf)
-    return parser.parse_args(argv)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(args.parser_ref.get_default(key), bool):
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r}: expected true or "
+                                 f"false, got {value!r}")
+            extra += [flag] if value else []
+        elif type(value) in (str, int, float):
+            extra.append(f"{flag}={value}")
+        else:
+            raise UsageError(f"config key {key!r}: expected a string or a "
+                             f"number, got {value!r}")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + extra + argv[at:])
 
 
 def cmd_solve(args) -> int:

@@ -13,8 +13,13 @@ the cell gradients and weights it was computed from, which the gradient
 Below the objective's floating-point resolution a step is accepted by the
 derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
 2005).  Both SPD preconditioners, this one and the p=2 Laplacian, are
-factored by SuperLU with a minimum-degree ordering of A^T + A and no
-pivoting (X. S. Li, ACM TOMS 2005).  For p < 2 the integrand is regularized
+factored by `factorized`, which picks the back end from the bandwidth b of
+the operator in the grid's natural node order: LAPACK's banded Cholesky
+(dpbtrf) for b <= BAND_MAX = 16, which covers the interval and the small 2D
+grids, and SuperLU with a minimum-degree ordering of A^T + A and no pivoting
+(X. S. Li, ACM TOMS 2005) beyond.  The cut-off is where OpenBLAS starts
+threading dpbtrf's updates, which makes wider bands slower than SuperLU
+under the default BLAS threads.  For p < 2 the integrand is regularized
 and eps is driven down a short continuation schedule so the final solve
 sees the target smoothness h^2.
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scipy import sparse
+from scipy.linalg import LinAlgError, lapack
 from scipy.sparse.linalg import splu
 
 from .calculus import GridFunction, _energy, _nodal_gradient
@@ -40,6 +46,7 @@ from .geometry import Grid
 
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
+BAND_MAX = 16     # widest band `factorized` hands to LAPACK's dpbtrf
 
 
 class NonConvergence(RuntimeError):
@@ -162,14 +169,43 @@ def factorized(A):
     """Solve callable for the sparse SPD matrix A (the p=2 Laplacian or the
     lagged-diffusivity operator G^T diag(w) G with w > 0).
 
-    SuperLU with a minimum-degree ordering of A^T + A and the diagonal taken
-    as pivot throughout, as SuperLU recommends for a symmetric pattern with a
-    stable diagonal (X. S. Li, ACM TOMS 2005).  A is symmetric positive
-    definite, so symmetrically permuted LU without pivoting is stable, and
-    the symmetric ordering keeps about half the fill of the general-matrix
-    COLAMD ordering."""
-    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True}).solve
+    The back end follows A's bandwidth b, the largest |i - j| over the
+    stored entries.  The 3/5-point stencils in the grid's natural node
+    order have b = 1 on the interval and b = (interior nodes per column) in
+    2D.  For b <= BAND_MAX, A's upper band (A is symmetric, so the lower
+    one is not read) is factored by LAPACK's banded Cholesky (dpbtrf,
+    solves by dpbtrs), which skips SuperLU's ordering, symbolic analysis
+    and allocation, the bulk of the cost on small grids.  A failed factor
+    (A not positive definite) raises scipy.linalg.LinAlgError.  BAND_MAX
+    is where OpenBLAS's dpbtrf starts threading its updates: beyond it the
+    banded factor under the default BLAS threads is slower than SuperLU on
+    the large grids, though faster on one thread.
+
+    Wider A goes to SuperLU with a minimum-degree ordering of A^T + A and
+    the diagonal taken as pivot throughout, as SuperLU recommends for a
+    symmetric pattern with a stable diagonal (X. S. Li, ACM TOMS 2005).  A
+    is symmetric positive definite, so symmetrically permuted LU without
+    pivoting is stable, and the symmetric ordering keeps about half the fill
+    of the general-matrix COLAMD ordering."""
+    A = A.tocsc()
+    n = A.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))
+    offset = cols - A.indices  # j - i of each stored entry (i, j)
+    b = int(np.abs(offset).max(initial=0))
+    if b > BAND_MAX:
+        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve
+    # LAPACK upper band storage: A[i, j] (i <= j) at ab[b + i - j, j]
+    upper = offset >= 0
+    ab = np.zeros((b + 1, n))
+    ab[b - offset[upper], cols[upper]] = A.data[upper]
+    chol, info = lapack.dpbtrf(ab, overwrite_ab=True)
+    if info != 0:
+        raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info})")
+
+    def solve(rhs):
+        return lapack.dpbtrs(chol, rhs)[0]
+    return solve
 
 
 def _lagged_solver(grid: Grid, w: np.ndarray):

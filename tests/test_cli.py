@@ -133,6 +133,33 @@ class TestSolve:
         assert "frobnicate" in err
 
 
+    @pytest.mark.parametrize("conf", [
+        {"tol": [1]}, {"tol": "abc"}, {"n": 3.5}, {"tol_grad": None},
+        {"verbose": 1}, {"max_steps": True}],
+        ids=["list", "bad-string", "float-for-int", "null", "int-for-switch",
+             "bool-for-int"])
+    def test_config_value_must_pass_its_flag(self, tmp_path, capsys, conf):
+        # a config value is parsed as the command-line value of its flag
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", "3", "--config",
+                                 str(path), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+        assert not (tmp_path / "x.summary.json").exists()
+
+    def test_config_string_value_is_parsed(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"max_steps": "2", "tol": "1e-30"}))
+        code, out, _ = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "15", "--p", "3",
+                               "--config", str(conf),
+                               "--out", str(tmp_path / "run"))
+        assert code == 2  # two steps cannot meet the outer tolerance
+        assert json.loads(out)["steps"] == 2
+
+
 class TestUsageErrors:
     def test_unknown_domain(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain", "pentagon",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import splu, spsolve
 
 from pground import inner
 from pground.calculus import (GridFunction, _cell_grad_sq, _energy,
@@ -205,6 +206,61 @@ class TestWeightedPreconditioner:
             assert np.linalg.norm(x - direct) <= \
                 1e-10 * np.linalg.norm(direct)
         assert entries[0] is entries[1]
+
+
+class TestFactorized:
+    """`factorized` on both back ends: LAPACK's banded Cholesky for
+    bandwidth <= BAND_MAX, SuperLU beyond."""
+
+    @staticmethod
+    def _lagged_matrix(spec, n, seed=41):
+        g = build_grid(spec, n)
+        S, indices, indptr = g.weighted_assembly
+        w = np.random.default_rng(seed).uniform(0.01, 1.0, S.shape[1])
+        return sparse.csc_matrix((S @ w, indices, indptr),
+                                 shape=(g.num_interior,) * 2)
+
+    @staticmethod
+    def _bandwidth(A):
+        coo = A.tocoo()
+        return int(np.abs(coo.row - coo.col).max())
+
+    @staticmethod
+    def _splu_solve(A):
+        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve
+
+    @pytest.mark.parametrize("kind, n, band", [
+        ("interval", 63, 1), ("square", 16, 15), ("l_shape", 16, 15)])
+    def test_banded_matches_superlu(self, kind, n, band, l_mask):
+        spec = {"interval": Interval(0.0, 1.0),
+                "square": Rectangle(0.0, 1.0, 0.0, 1.0),
+                "l_shape": l_mask}[kind]
+        A = self._lagged_matrix(spec, n)
+        assert self._bandwidth(A) == band <= inner.BAND_MAX
+        b = np.random.default_rng(43).uniform(-1.0, 1.0, A.shape[0])
+        x = inner.factorized(A)(b)
+        direct = self._splu_solve(A)(b)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_wide_band_keeps_superlu(self):
+        A = self._lagged_matrix(Rectangle(0.0, 1.0, 0.0, 1.0), 20)
+        assert self._bandwidth(A) == 19 > inner.BAND_MAX
+        b = np.random.default_rng(47).uniform(-1.0, 1.0, A.shape[0])
+        assert np.array_equal(inner.factorized(A)(b), self._splu_solve(A)(b))
+
+    def test_long_interval(self):
+        A = self._lagged_matrix(Interval(0.0, 1.0), 20000)
+        b = np.random.default_rng(53).uniform(-1.0, 1.0, A.shape[0])
+        x = inner.factorized(A)(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_indefinite_raises(self):
+        # symmetric tridiagonal, eigenvalues 1 + 4 cos(k pi / 9) of both signs
+        A = sparse.diags([2.0, 1.0, 2.0], [-1, 0, 1], shape=(8, 8),
+                         format="csc")
+        with pytest.raises(LinAlgError):
+            inner.factorized(A)
 
 
 class TestEnergyKernel:
