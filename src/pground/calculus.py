@@ -10,6 +10,9 @@ Every cell gradient here is the grid's own operator applied to the interior
 node values, `grid.G @ x`, and `_energy` / `_nodal_gradient` are the one
 kernel for the inner objective and its gradient, shared by the inner solve,
 `functional_value` / `functional_gradient` and the brute-force oracle.
+`report_and_quotient` takes one cell gradient of an iterate for both its
+`energy_report` and its Rayleigh quotient, the pair the outer iteration
+records per step.
 
 Energy sums factor out the largest cell gradient before exponentiation so
 that large exponents (p up to 64 and beyond) stay inside double range.
@@ -137,12 +140,17 @@ def p_norm(u: GridFunction, p: float) -> float:
 def rayleigh_quotient(u: GridFunction, p: float) -> float:
     """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
     _require_p(p)
+    return _quotient(u, _cell_grad_sq(u), p)
+
+
+def _quotient(u: GridFunction, gsq: np.ndarray, p: float) -> float:
+    """Rayleigh quotient of u from its squared cell gradient gsq."""
     vi = u.values[u.grid.interior]
     # work in logs: both sums can individually overflow for large p
     log_den = _log_pow_sum(vi * vi, p)
     if log_den == -math.inf:
         raise DegenerateFunction("Rayleigh quotient of the zero function")
-    return math.exp(_log_pow_sum(_cell_grad_sq(u), p) - log_den)
+    return math.exp(_log_pow_sum(gsq, p) - log_den)
 
 
 def sup_norm(u: GridFunction) -> float:
@@ -155,7 +163,19 @@ def grad_sup(u: GridFunction) -> float:
 
 def energy_report(u: GridFunction, p: float) -> EnergyReport:
     _require_p(p)
-    gsq = _cell_grad_sq(u)  # one cell gradient for both gradient fields
+    return _report(u, _cell_grad_sq(u), p)
+
+
+def report_and_quotient(u: GridFunction, p: float):
+    """(energy_report(u, p), rayleigh_quotient(u, p)) from one cell
+    gradient of u."""
+    _require_p(p)
+    gsq = _cell_grad_sq(u)
+    return _report(u, gsq, p), _quotient(u, gsq, p)
+
+
+def _report(u: GridFunction, gsq: np.ndarray, p: float) -> EnergyReport:
+    """EnergyReport of u from its squared cell gradient gsq."""
     return EnergyReport(
         dirichlet_p=_stable_pow_sum(gsq, p, u.grid.h ** u.grid.dim),
         norm_p=p_norm_pow(u, p),

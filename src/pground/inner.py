@@ -20,8 +20,10 @@ grids, and SuperLU with a minimum-degree ordering of A^T + A and no pivoting
 (X. S. Li, ACM TOMS 2005) beyond.  The cut-off is where OpenBLAS starts
 threading dpbtrf's updates, which makes wider bands slower than SuperLU
 under the default BLAS threads.  For p < 2 the integrand is regularized
-and eps is driven down a short continuation schedule so the final solve
-sees the target smoothness h^2.
+and eps is driven down a continuation schedule, from 16 h^2 to h^2/4096 by
+default.  A solve runs every stage of the schedule it is given, from any
+start; `inverse_iterate` gives its warm-started outer steps the last stage
+only.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -76,9 +78,10 @@ class SolverConfig:
     eps_schedule None means: no regularization for p >= 2, and a quarter-ratio
     continuation from 16 h^2 down to h^2 / 4096 for p < 2.  Stopping the
     continuation at h^2 leaves a measurable bias in the converged Rayleigh
-    quotient (relative 4e-5 at h = 1/32, p = 1.5); the longer tail removes it
-    and the late stages are cheap because each starts at the previous
-    minimizer.
+    quotient (relative 4e-5 at h = 1/32, p = 1.5); the longer tail removes
+    it.  The continuation is there for a start far from the minimizer, such
+    as zero: `inverse_iterate` runs the whole schedule on its first step
+    only and solves each later, warm-started step at the last eps alone.
     """
 
     p: float

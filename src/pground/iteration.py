@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
-from .calculus import (EnergyReport, GridFunction, energy_report, p_norm_pow,
-                       rayleigh_quotient)
+from .calculus import (EnergyReport, GridFunction, p_norm_pow,
+                       report_and_quotient)
 from .geometry import DomainSpec, Grid, Rectangle, build_grid
 from .inner import SolverConfig, signed_power, solve_step_with_stats
 
@@ -128,7 +128,14 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
 
     The Cauchy stop on the Rayleigh quotient is suppressed before min_steps
     outer steps, which is useful for observing a fixed point over a set
-    number of steps."""
+    number of steps.
+
+    Step 1 starts its inner solve from zero and runs cfg's whole eps
+    schedule.  Every later step starts from the previous iterate scaled by
+    R^(-1/(p-1)), close to its minimizer, and solves at the schedule's last
+    eps only: the minimizer of the strictly convex inner problem does not
+    depend on the start, and the continuation would walk the start away
+    from it and back.  At p >= 2 the schedule is the single eps = 0."""
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     if tol_outer <= 0:
@@ -150,28 +157,32 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
 
     trace = IterationTrace(p=p, h=grid.h)
     trace.tol_grad = cfg.resolved_tol(1.0)
+    report, R = report_and_quotient(u, p)
     trace.steps.append(TraceStep(
-        k=0, report=energy_report(u, p), R=rayleigh_quotient(u, p),
-        N=math.nan, Q=math.nan, norm_factor=1.0, inner_iters=0))
+        k=0, report=report, R=R, N=math.nan, Q=math.nan, norm_factor=1.0,
+        inner_iters=0))
     trace.barrier_bound = float(barrier_sup_bound(grid, p)
                                 * np.abs(u.values).max())
 
+    # the config of the warm-started steps k >= 2: the last eps stage only
+    warm_cfg = replace(cfg, eps_schedule=cfg.resolved_eps(grid.h)[-1:])
     for k in range(1, K_max + 1):
         f = signed_power(u, p)
         # warm start at the expected scale of the raw next iterate
-        R_prev = trace.steps[-1].R
+        R_prev = R
         scale = R_prev ** (-1.0 / (p - 1)) if math.isfinite(R_prev) else 1.0
-        guess = u.scaled(scale) if k > 1 else None
-        raw, iters = solve_step_with_stats(f, cfg, initial=guess,
+        step_cfg, guess = ((cfg, None) if k == 1
+                           else (warm_cfg, u.scaled(scale)))
+        raw, iters = solve_step_with_stats(f, step_cfg, initial=guess,
                                            verbose=verbose)
         c = p_norm_pow(raw, p) ** (1.0 / p)
         if not (c > 0 and math.isfinite(c)):
             raise DegenerateIterate(f"iterate {k} has L^p norm {c}")
         N = math.exp(-p * math.log(c))  # previous iterate is normalized
         u = raw.scaled(1.0 / c)
-        R = rayleigh_quotient(u, p)
+        report, R = report_and_quotient(u, p)
         trace.steps.append(TraceStep(
-            k=k, report=energy_report(u, p), R=R, N=N,
+            k=k, report=report, R=R, N=N,
             Q=N ** (1 - 1 / p), norm_factor=c, inner_iters=iters))
         if k == 1:
             trace.first_step_sup = float(c * np.abs(u.values).max())

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pground.calculus import (DegenerateFunction, GridFunction,
-                              functional_gradient, functional_value,
-                              gradient_field, grad_sup, p_dirichlet_energy,
-                              p_norm, p_norm_pow, rayleigh_quotient, sup_norm)
+                              energy_report, functional_gradient,
+                              functional_value, gradient_field, grad_sup,
+                              p_dirichlet_energy, p_norm, p_norm_pow,
+                              rayleigh_quotient, report_and_quotient,
+                              sup_norm)
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.oracles import dirichlet_laplacian_matrix
 
@@ -124,6 +126,17 @@ class TestScaleBehavior:
         # quotient approaches (20/10)^200 in the leading factor, way past
         # double range for the raw sums but fine for the quotient
         assert math.log(R) == pytest.approx(200.0 * math.log(2.0), rel=0.05)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 200.0])
+    def test_report_and_quotient_share_one_gradient(self, square_grid, p):
+        rng = np.random.default_rng(5)
+        u = GridFunction.from_interior(
+            square_grid, rng.standard_normal(square_grid.num_interior))
+        report, R = report_and_quotient(u, p)
+        assert report == energy_report(u, p)
+        assert repr(R) == repr(rayleigh_quotient(u, p))
+        with pytest.raises(DegenerateFunction):
+            report_and_quotient(GridFunction.zero(square_grid), p)
 
     def test_p_at_most_one_rejected(self, interval_grid):
         u = hat_function(interval_grid)

@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import pground.calculus
+import pground.inner
+import pground.iteration
 from pground.calculus import GridFunction
-from pground.geometry import Interval, Rectangle, build_grid
+from pground.geometry import Interval, MaskDomain, Rectangle, build_grid
+from pground.inner import SolverConfig, signed_power, solve_step
 from pground.iteration import (Custom, PositiveConstant, RandomPositive,
                                barrier_sup_bound, check_barrier,
                                check_monotonicity, consistency_estimators,
@@ -112,6 +116,19 @@ class TestIteration:
         last = p2_trace.steps[-1].report
         assert np.abs(p2_trace.final.values).max() == pytest.approx(
             last.sup_norm)
+
+    def test_one_cell_gradient_per_step(self, monkeypatch):
+        calls = [0]
+        raw = pground.calculus.gradient_field
+
+        def counted(u):
+            calls[0] += 1
+            return raw(u)
+
+        monkeypatch.setattr(pground.calculus, "gradient_field", counted)
+        tr = inverse_iterate(Interval(0.0, 1.0), 63, 3.0, PositiveConstant())
+        assert tr.num_steps >= 3
+        assert calls[0] == len(tr.steps)  # step 0 included
 
     def test_2d_converges(self):
         tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 12, 3.0,
@@ -290,3 +307,71 @@ class TestDefaultConfigConvergence:
         tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 16, 3.0,
                              RandomPositive(seed=191740094))
         _assert_checked(tr)
+
+
+L_SHAPE = MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5)
+
+
+def _eps_per_solve(monkeypatch):
+    """The eps of every `_descend` call, one list per inner solve that
+    `inverse_iterate` or `solve_step` makes."""
+    solves = []
+    solve, descend = (pground.inner.solve_step_with_stats,
+                      pground.inner._descend)
+
+    def recorded_solve(*args, **kwargs):
+        solves.append([])
+        return solve(*args, **kwargs)
+
+    def recorded_descend(grid, x, fh, cfg, eps, *rest):
+        solves[-1].append(eps)
+        return descend(grid, x, fh, cfg, eps, *rest)
+
+    monkeypatch.setattr(pground.inner, "solve_step_with_stats",
+                        recorded_solve)
+    monkeypatch.setattr(pground.iteration, "solve_step_with_stats",
+                        recorded_solve)
+    monkeypatch.setattr(pground.inner, "_descend", recorded_descend)
+    return solves
+
+
+class TestWarmStartedSteps:
+    """Only the cold first outer step runs the p < 2 eps continuation; the
+    warm-started later steps solve at the schedule's last eps."""
+
+    def test_continuation_on_first_step_only(self, monkeypatch):
+        solves = _eps_per_solve(monkeypatch)
+        tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, PositiveConstant())
+        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        assert len(eps) > 1
+        assert len(solves) == tr.num_steps >= 3
+        assert solves[0] == list(eps)
+        assert all(s == [eps[-1]] for s in solves[1:])
+
+    def test_single_stage_at_p_above_2(self, monkeypatch):
+        solves = _eps_per_solve(monkeypatch)
+        tr = inverse_iterate(Interval(0.0, 1.0), 31, 3.0, PositiveConstant())
+        assert len(solves) == tr.num_steps >= 3
+        assert all(s == [0.0] for s in solves)
+
+    def test_solve_step_warm_start_runs_every_stage(self, monkeypatch):
+        g = build_grid(Interval(0.0, 1.0), 31)
+        cfg = SolverConfig(p=1.5)
+        u = make_initial(g, RandomPositive(seed=2))
+        warm = solve_step(signed_power(u, 1.5), cfg)
+        solves = _eps_per_solve(monkeypatch)
+        solve_step(signed_power(warm, 1.5), cfg, initial=warm)
+        assert solves == [list(cfg.resolved_eps(g.h))]
+
+    @pytest.mark.parametrize("spec, n, lam", [
+        (Interval(0.0, 1.0), 63, 5.317900976187745),
+        (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 10.05392809057889),
+        (L_SHAPE, 16, 16.253943997315968),
+    ], ids=["interval", "square", "lshape"])
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_truncation_keeps_lambda(self, spec, n, lam, seed):
+        """The values were recorded with the whole continuation on every
+        step."""
+        tr = inverse_iterate(spec, n, 1.5, RandomPositive(seed=seed))
+        assert verify(tr).all_passed, str(verify(tr))
+        assert abs(tr.lambda_R - lam) <= 1e-9 * lam
