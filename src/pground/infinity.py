@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 from .geometry import DomainSpec, build_grid, inradius
 from .inner import NonConvergence, SolverConfig
-from .iteration import IterationTrace, PositiveConstant, inverse_iterate
+from .iteration import (Custom, IterationTrace, PositiveConstant,
+                        inverse_iterate)
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,10 @@ class SweepResult:
 def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
           tol_outer: float = 1e-8, tol_grad: float | None = None,
           verbose: bool = False) -> SweepResult:
-    """Run the inverse iteration for each exponent in p_list (positive
-    constant init) and collect the limit diagnostics."""
+    """Run the inverse iteration for each exponent in p_list and collect
+    the limit diagnostics.  The first exponent starts from the positive
+    constant, each later one (continuation in p) from the final iterate of
+    the last exponent that converged, as a `Custom` init."""
     p_list = tuple(float(p) for p in p_list)
     if any(p <= 2 for p in p_list):
         raise ValueError("sweep exponents must exceed 2")
@@ -44,12 +47,15 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
     grid = build_grid(spec, n)
     rho = 1.0 / inradius(spec, grid)
     entries, traces = [], []
+    init = PositiveConstant()
     for p in p_list:
         cfg = SolverConfig(p=p, tol_grad=tol_grad)
         try:
-            tr = inverse_iterate(spec, n, p, PositiveConstant(), K_max=K_max,
+            tr = inverse_iterate(spec, n, p, init, K_max=K_max,
                                  tol_outer=tol_outer, cfg=cfg, grid=grid,
                                  verbose=verbose)
+            if tr.converged:
+                init = Custom(tr.final)
             ratios = tuple(s.report.grad_sup / s.report.sup_norm
                            for s in tr.steps[1:])
             entries.append(SweepEntry(

@@ -22,8 +22,8 @@ threading dpbtrf's updates, which makes wider bands slower than SuperLU
 under the default BLAS threads.  For p < 2 the integrand is regularized
 and eps is driven down a continuation schedule, from 16 h^2 to h^2/4096 by
 default.  A solve runs every stage of the schedule it is given, from any
-start; `inverse_iterate` gives its warm-started outer steps the last stage
-only.
+start; `inverse_iterate` gives its warm-started outer steps (every step
+after the first, and the first from a `Custom` init) the last stage only.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -80,8 +80,9 @@ class SolverConfig:
     continuation at h^2 leaves a measurable bias in the converged Rayleigh
     quotient (relative 4e-5 at h = 1/32, p = 1.5); the longer tail removes
     it.  The continuation is there for a start far from the minimizer, such
-    as zero: `inverse_iterate` runs the whole schedule on its first step
-    only and solves each later, warm-started step at the last eps alone.
+    as zero: `inverse_iterate` runs the whole schedule on a first step from
+    zero only and solves each warm-started step (every later one, and the
+    first from a `Custom` init) at the last eps alone.
     """
 
     p: float

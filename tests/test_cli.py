@@ -90,6 +90,23 @@ class TestSolve:
                                "--init", f"file:{u_path}", "--out", prefix)
         assert code == 0
 
+    def test_file_init_from_ground_state_checks(self, tmp_path, capsys):
+        # a start at the fixed point converges at once; the trace still has
+        # the 3 steps `check` needs
+        ground = inverse_iterate(Interval(0.0, 1.0), 31, 3.0,
+                                 PositiveConstant()).final
+        u_path = tmp_path / "ground.csv"
+        traceio.write_gridfunction_csv(u_path, ground)
+        prefix = str(tmp_path / "warm")
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "31", "--p", "3",
+                                 "--init", f"file:{u_path}", "--out", prefix)
+        assert code == 0, err
+        assert json.loads(out)["steps"] >= 3
+        code, out, err = run_cli(capsys, "check", prefix)
+        assert code == 0, out + err
+        assert "FAIL" not in out
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         # unreachable inner tolerance: the solver floors out and reports 2
         prefix = str(tmp_path / "stall")

@@ -2,8 +2,12 @@ import math
 
 import pytest
 
-from pground.geometry import Interval
+import pground.infinity
+from pground.geometry import Interval, Rectangle, build_grid
 from pground.infinity import monotone_supnorm_check, sweep
+from pground.inner import NonConvergence
+from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
+                               verify)
 
 
 @pytest.fixture(scope="module")
@@ -11,6 +15,67 @@ def interval_sweep():
     # interval (0, 1): reciprocal inradius 2, fast enough for every test run
     return sweep(Interval(0.0, 1.0), 64, (4.0, 8.0, 16.0, 32.0),
                  tol_outer=1e-8)
+
+
+@pytest.fixture(scope="module", params=[
+    (Interval(0.0, 1.0), 63), (Rectangle(0.0, 1.0, 0.0, 1.0), 16)],
+    ids=["interval", "square"])
+def continued_sweep(request):
+    """A sweep and, per exponent, the standalone constant-init solve."""
+    spec, n = request.param
+    grid = build_grid(spec, n)
+    result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0))
+    alone = [inverse_iterate(spec, n, p, PositiveConstant(), tol_outer=1e-8,
+                             grid=grid) for p in result.p_list]
+    return result, alone
+
+
+class TestContinuationInP:
+    """Each exponent after the first starts from the previous exponent's
+    ground state."""
+
+    def test_lambda_matches_standalone_solve(self, continued_sweep):
+        result, alone = continued_sweep
+        for tr, ref in zip(result.traces, alone):
+            assert tr.converged
+            assert abs(tr.lambda_R - ref.lambda_R) <= 1e-8 * ref.lambda_R
+            report = verify(tr)
+            assert report.all_passed, f"p={tr.p}:\n{report}"
+
+    def test_first_step_cheaper_than_constant_start(self, continued_sweep):
+        result, alone = continued_sweep
+        # the first exponent starts from the constant, like the reference
+        assert result.traces[0].steps[1].inner_iters == \
+            alone[0].steps[1].inner_iters
+        for tr, ref in zip(result.traces[1:], alone[1:]):
+            assert tr.steps[1].inner_iters < ref.steps[1].inner_iters, tr.p
+
+    def test_close_exponents(self):
+        # the start is nearly the fixed point; the trace still has the
+        # steps the claims need
+        result = sweep(Interval(0.0, 1.0), 63, (4.0, 4.001))
+        tr = result.traces[1]
+        assert tr.converged and tr.num_steps >= 3
+        report = verify(tr)
+        assert report.all_passed, str(report)
+
+    def test_nonconvergence_keeps_last_converged_start(self, monkeypatch):
+        inits = []
+        point = pground.infinity.inverse_iterate
+
+        def failing_at_8(spec, n, p, init, **kwargs):
+            inits.append(init)
+            if p == 8.0:
+                raise NonConvergence(1.0, 0.1, 5)
+            return point(spec, n, p, init, **kwargs)
+
+        monkeypatch.setattr(pground.infinity, "inverse_iterate", failing_at_8)
+        result = sweep(Interval(0.0, 1.0), 31, (4.0, 8.0, 16.0))
+        assert [e.converged for e in result.entries] == [True, False, True]
+        assert isinstance(inits[0], PositiveConstant)
+        for init in inits[1:]:
+            assert isinstance(init, Custom)
+            assert init.function is result.traces[0].final
 
 
 class TestSweepValidation:

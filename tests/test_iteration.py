@@ -107,9 +107,11 @@ class TestIteration:
         tr = inverse_iterate(Interval(0.0, 1.0), 15, 2.0, PositiveConstant(),
                              min_steps=6)
         assert tr.num_steps >= 6
-        with pytest.raises(ValueError):
-            inverse_iterate(Interval(0.0, 1.0), 15, 2.0, PositiveConstant(),
-                            min_steps=1)
+        # fewer than the 3 steps check_monotonicity needs
+        for too_few in (1, 2):
+            with pytest.raises(ValueError):
+                inverse_iterate(Interval(0.0, 1.0), 15, 2.0,
+                                PositiveConstant(), min_steps=too_few)
 
     def test_final_iterate_recorded(self, p2_trace):
         assert p2_trace.final is not None
@@ -375,3 +377,51 @@ class TestWarmStartedSteps:
         tr = inverse_iterate(spec, n, 1.5, RandomPositive(seed=seed))
         assert verify(tr).all_passed, str(verify(tr))
         assert abs(tr.lambda_R - lam) <= 1e-9 * lam
+
+
+class TestCustomWarmStart:
+    """A Custom init is taken as a start near a ground state: step 1 is
+    warm-started like every later step, from the scaled init at the
+    schedule's last eps."""
+
+    def test_first_step_at_last_eps_only(self, monkeypatch):
+        g = build_grid(Interval(0.0, 1.0), 31)
+        near = inverse_iterate(Interval(0.0, 1.0), 31, 1.5,
+                               PositiveConstant(), grid=g).final
+        solves = _eps_per_solve(monkeypatch)
+        tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, Custom(near),
+                             grid=g)
+        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        assert len(solves) == tr.num_steps >= 3
+        assert all(s == [eps[-1]] for s in solves)
+
+    def test_random_init_keeps_cold_first_step(self, monkeypatch):
+        solves = _eps_per_solve(monkeypatch)
+        tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5,
+                             RandomPositive(seed=3))
+        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        assert solves[0] == list(eps)
+        assert all(s == [eps[-1]] for s in solves[1:])
+
+    @pytest.mark.parametrize("spec, n", [
+        (Interval(0.0, 1.0), 63),
+        (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+        (L_SHAPE, 16),
+    ], ids=["interval", "square", "lshape"])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_warm_start_keeps_lambda(self, spec, n, p):
+        """From the constant-init ground state (a start at the fixed point)
+        and from the p=2 ground state, the trace has the steps the claims
+        need, passes them and lands on the constant-init lambda_R."""
+        grid = build_grid(spec, n)
+        ref = inverse_iterate(spec, n, p, PositiveConstant(), grid=grid)
+        _, p2_state = lambda2_reference(spec, n, grid=grid)
+        for start in (ref.final, p2_state):
+            tr = inverse_iterate(spec, n, p, Custom(start), grid=grid)
+            assert tr.converged and tr.num_steps >= 3
+            report = verify(tr)
+            assert report.all_passed, str(report)
+            assert abs(tr.lambda_R - ref.lambda_R) <= 1e-9 * ref.lambda_R
+        # started at the fixed point, step 1 has almost nothing to do
+        tr = inverse_iterate(spec, n, p, Custom(ref.final), grid=grid)
+        assert tr.steps[1].inner_iters < ref.steps[1].inner_iters
