@@ -8,8 +8,8 @@ Subcommands:
           the limits, energy decay, mu, the estimator gap (if converged) and
           the first-step barrier bound (SKIP where the files lack it)
 
-Exit codes: 0 success, 1 usage error, 2 solver non-convergence,
-3 invariant check failure.
+Exit codes: 0 success, 1 usage error, 2 solver non-convergence or
+floating-point overflow, 3 invariant check failure.
 """
 
 from __future__ import annotations
@@ -104,6 +104,15 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv[:at] + extra + argv[at:])
 
 
+def _overflow(exc: OverflowError) -> int:
+    """Report a quantity past the float range, such as the Rayleigh quotient
+    of the constant start, about (1/h)^p (at p = 256 on the interval
+    n=63)."""
+    print(f"error: floating-point overflow ({exc}): a quotient or energy at "
+          f"this p exceeds the float range", file=sys.stderr)
+    return 2
+
+
 def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
     grid = build_grid(spec, args.n)
@@ -119,6 +128,8 @@ def cmd_solve(args) -> int:
     except DegenerateIterate as exc:
         print(f"error: degenerate iterate: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        return _overflow(exc)
     traceio.write_trace_csv(args.out + ".trace.csv", trace)
     traceio.write_summary_json(args.out + ".summary.json", trace)
     print(json.dumps(traceio.trace_summary(trace)))
@@ -128,8 +139,11 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _resolve_domain(args)
     p_list = [float(x) for x in args.p_list.split(",")]
-    result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
-                       tol_outer=args.tol, verbose=args.verbose)
+    try:
+        result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
+                           tol_outer=args.tol, verbose=args.verbose)
+    except OverflowError as exc:
+        return _overflow(exc)
     traceio.write_sweep_csv(args.out + ".sweep.csv", result)
     for e in result.entries:
         print(f"p={e.p:g} lambda_R={e.lambda_R:.6e} "

@@ -144,7 +144,8 @@ class Grid:
         gradient), the inner solve and the brute-force oracle all go;
       * `GT`, its transpose, for the objective's nodal gradient;
       * `weighted_assembly`, the pattern and scatter of the inner solve's
-        lagged-diffusivity operator G^T diag(w) G (built for p != 2 only);
+        lagged-diffusivity operator G^T diag(w) G (built for p != 2 only),
+        and `bandwidth`, that pattern's bandwidth;
       * `laplacian_solve`, the inner solve's factored p=2 operator G^T G.
     """
 
@@ -205,6 +206,14 @@ class Grid:
         indices = (pattern % n).astype(np.intc)
         indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
         return S, indices, indptr
+
+    @functools.cached_property
+    def bandwidth(self) -> int:
+        """Largest |i - j| over the entries of `weighted_assembly`'s pattern,
+        which is what `pground.inner.factorized` picks its back end by."""
+        _, indices, indptr = self.weighted_assembly
+        cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return int(np.abs(cols - indices).max(initial=0))
 
     @functools.cached_property
     def laplacian_solve(self):

@@ -19,11 +19,22 @@ the operator in the grid's natural node order: LAPACK's banded Cholesky
 grids, and SuperLU with a minimum-degree ordering of A^T + A and no pivoting
 (X. S. Li, ACM TOMS 2005) beyond.  The cut-off is where OpenBLAS starts
 threading dpbtrf's updates, which makes wider bands slower than SuperLU
-under the default BLAS threads.  For p < 2 the integrand is regularized
-and eps is driven down a continuation schedule, from 16 h^2 to h^2/4096 by
-default.  A solve runs every stage of the schedule it is given, from any
-start; `inverse_iterate` gives its warm-started outer steps (every step
-after the first, and the first from a `Custom` init) the last stage only.
+under the default BLAS threads.
+
+A descent factors the lagged operator on its first iteration and checks
+the factor every 20 iterations after.  A banded factor costs about one
+iteration and is rebuilt at each check.  A SuperLU factor costs several
+and is kept for another 20 while the best gradient sup-norm has fallen to
+at most 0.3 of its value at the previous check, and rebuilt otherwise.  No
+factor outlives its descent, so every outer step and every eps stage starts
+on a fresh one: carried across outer steps, a stale factor left N off by
+about 1e-8 on the square n=256 at p=3, and claim (b) failed there.
+
+For p < 2 the integrand is regularized and eps is driven down a
+continuation schedule, from 16 h^2 to h^2/4096 by default.  A solve runs
+every stage of the schedule it is given, from any start; `inverse_iterate`
+gives its warm-started outer steps (every step after the first, and the
+first from a `Custom` init) the last stage only.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -215,10 +226,11 @@ def factorized(A):
 def _lagged_solver(grid: Grid, w: np.ndarray):
     """Factorized solve with the lagged-diffusivity operator G^T diag(w) G,
     w floored at 1e-10 max(w) to keep it positive definite where the gradient
-    vanishes (the p=2 stencil if max(w) is not finite)."""
+    vanishes; None if max(w) is not positive and finite (the start from zero
+    at p != 2), where the caller stands the p=2 stencil in."""
     wmax = float(w.max()) if w.size else 1.0
     if not (wmax > 0 and math.isfinite(wmax)):
-        return grid.laplacian_solve
+        return None
     S, indices, indptr = grid.weighted_assembly
     A = sparse.csc_matrix((S @ np.maximum(w, 1e-10 * wmax), indices, indptr),
                           shape=(indptr.size - 1,) * 2)
@@ -240,7 +252,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
 
     The direction is the inverse lagged-diffusivity operator (the p=2
     stencil when p == 2) applied to the gradient, factored at the current
-    iterate's weights on the first iteration and every 20 after.  A trial
+    iterate's weights on the first iteration and checked every 20 after: a
+    factor on a grid of bandwidth above BAND_MAX (SuperLU) is kept for
+    another 20 while the best gradient sup-norm fell to at most 0.3 of its
+    value at the last check, and re-lagged otherwise; a banded factor, and
+    the p=2 stencil standing in for weights without a positive finite max
+    (the start from zero), are re-lagged at every check.  A trial
     point costs one `_energy` call; the gradient is formed from its (c, w)
     only at the accepted trial and at trials below the resolution floor.
 
@@ -255,20 +272,28 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     J, c, w = _energy(grid, x, fh, p, eps)
     g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
+    superlu = p != 2 and grid.bandwidth > BAND_MAX
     precond = None
     it = last_gain = since_refresh = 0
     best_gsup, mark_J = gsup, J
     while tol < gsup < math.inf and it < budget and it - last_gain <= 300:
-        if precond is None or (p != 2 and since_refresh >= 20):
-            # (re-)lag at the current weights (the old factor is released
-            # first so two never coexist); the new metric resets BB history,
-            # and 1/h^d is the exact first step for p=2
-            precond = None
-            precond = grid.laplacian_solve if p == 2 \
-                else _lagged_solver(grid, w)
+        if p != 2 and since_refresh >= 20:
+            if superlu and not stand_in and best_gsup <= 0.3 * lag_gsup:
+                since_refresh, lag_gsup = 0, best_gsup  # one more window
+            else:
+                precond = None  # released before the next is built
+        if precond is None:
+            # (re-)lag at the current weights, or take the p=2 stencil:
+            # exact at p=2, a stand-in where the weights give no factor.
+            # The new metric resets BB history, and 1/h^d is the exact
+            # first step for p=2
+            precond = None if p == 2 else _lagged_solver(grid, w)
+            stand_in = precond is None
+            if stand_in:
+                precond = grid.laplacian_solve
             prev = None  # (t, g, d) of the last accepted step
             t = 1.0 / hd
-            since_refresh = 0
+            since_refresh, lag_gsup = 0, best_gsup
         d = precond(g)
         if prev is not None:
             t_old, g_old, d_old = prev

@@ -17,7 +17,7 @@ from pground.infinity import monotone_supnorm_check, sweep
 from pground.iteration import (Custom, PositiveConstant, RandomPositive,
                                check_barrier, check_monotonicity,
                                consistency_estimators, inverse_iterate,
-                               make_initial)
+                               make_initial, verify)
 from pground.oracles import (lambda2_reference, lambda_p_shooting_1d,
                              rayleigh_bruteforce)
 
@@ -172,6 +172,15 @@ def test_criterion_7_supnorm_diagnostics(square_sweep):
             assert check.passed, f"p={entry.p}: {check}"
         else:
             assert check.status == "skipped"
+
+
+def test_criterion_7_sweep_traces_verify(square_sweep):
+    # n=128 factors its lagged preconditioners by SuperLU, whose re-lag rule
+    # differs from the banded grids' every 20 iterations
+    result, _ = square_sweep
+    for tr in result.traces:
+        report = verify(tr)
+        assert report.all_passed, f"p={tr.p}:\n{report}"
 
 
 def test_criterion_8_fixed_point():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,28 @@ class TestSweep:
                                "--out", str(tmp_path / "sw"))
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestOverflow:
+    """From the constant start R_0 is about (1/h)^p, past the float range at
+    p = 256 on the interval n=63."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--p", "256"], ["sweep", "--p-list", "256,512"]],
+        ids=["solve", "sweep"])
+    def test_error_line_and_exit_code(self, tmp_path, argv):
+        # a console process, so that an uncaught exception would print its
+        # traceback on stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pground.cli", *argv, "--domain",
+             "interval", "--n", "63", "--out", str(tmp_path / "big")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "overflow" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestOracle:

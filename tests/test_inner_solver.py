@@ -335,6 +335,52 @@ class TestSolverCaches:
         assert all(ref() is None for ref in refs)
 
 
+class TestRelag:
+    """Factorizations per descent: a SuperLU factor is kept past its 20
+    iterations while the residual still contracts, a banded one is not."""
+
+    @staticmethod
+    def _descents(monkeypatch, n, p):
+        # (iterations, factorizations) of each descent of one solve
+        factors = [0]
+        factorized, descend = inner.factorized, inner._descend
+
+        def counting_factorized(A):
+            factors[0] += 1
+            return factorized(A)
+
+        def counting_descend(*args, **kwargs):
+            before = factors[0]
+            out = descend(*args, **kwargs)
+            runs.append((out[1], factors[0] - before))
+            return out
+
+        runs = []
+        monkeypatch.setattr(inner, "factorized", counting_factorized)
+        monkeypatch.setattr(inner, "_descend", counting_descend)
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        grid = build_grid(spec, n)
+        inverse_iterate(spec, n, p, PositiveConstant(), grid=grid)
+        return grid, runs
+
+    def test_superlu_factor_kept_while_contracting(self, monkeypatch):
+        grid, runs = self._descents(monkeypatch, 24, 16.0)
+        assert grid.bandwidth == 23 > inner.BAND_MAX
+        # the first descent starts from zero on the p=2 stand-in, which is
+        # replaced at 20 iterations
+        iters, factors = runs[0]
+        assert iters > 20 and factors >= 2
+        assert any(iters > 20 and factors < math.ceil(iters / 20)
+                   for iters, factors in runs)
+
+    def test_banded_factor_every_20(self, monkeypatch):
+        grid, runs = self._descents(monkeypatch, 16, 16.0)
+        assert grid.bandwidth == 15 <= inner.BAND_MAX
+        assert all(factors == math.ceil(iters / 20) for iters, factors
+                   in runs)
+        assert sum(factors for _, factors in runs) == 27
+
+
 class TestGeneralP:
     @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
     def test_residual_below_tolerance(self, small_interval, p):
