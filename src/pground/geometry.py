@@ -146,7 +146,12 @@ class Grid:
       * `weighted_assembly`, the pattern and scatter of the inner solve's
         lagged-diffusivity operator G^T diag(w) G (built for p != 2 only),
         and `bandwidth`, that pattern's bandwidth;
-      * `laplacian_solve`, the inner solve's factored p=2 operator G^T G.
+      * `laplacian_solve`, the inner solve's factored p=2 operator G^T G;
+      * on grids of bandwidth above `pground.inner.BAND_MAX`, which SuperLU
+        factors: `fill_order`, the minimum-degree order SuperLU chose for
+        the Laplacian, and `ordered_assembly`, the lagged operator's pattern
+        and scatter in that order.  G^T G and every G^T diag(w) G share one
+        pattern, so one order serves every factorization on the grid.
     """
 
     spec: DomainSpec = field(repr=False)
@@ -209,8 +214,10 @@ class Grid:
 
     @functools.cached_property
     def bandwidth(self) -> int:
-        """Largest |i - j| over the entries of `weighted_assembly`'s pattern,
-        which is what `pground.inner.factorized` picks its back end by."""
+        """Largest |i - j| over the entries of `weighted_assembly`'s pattern
+        in the natural node order, which is what `pground.inner.factorized`
+        picks its back end by: LAPACK's banded Cholesky up to
+        `pground.inner.BAND_MAX`, SuperLU beyond."""
         _, indices, indptr = self.weighted_assembly
         cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         return int(np.abs(cols - indices).max(initial=0))
@@ -222,6 +229,32 @@ class Grid:
         (looked up at call time, so every factorization goes through it)."""
         from . import inner
         return inner.factorized((self.GT @ self.G).sorted_indices())
+
+    @functools.cached_property
+    def fill_order(self) -> np.ndarray:
+        """The order q = argsort(perm_c) of the SuperLU factor of
+        `laplacian_solve` (minimum degree on A^T + A; SuperLU grids only), in
+        which (G^T G)[q][:, q] and every lagged operator so permuted factor
+        as given with the same fill.  A cold start has built that factor
+        for its first preconditioner; a solve that starts warm on a fresh
+        grid (a `Custom` init) pays one extra factorization here."""
+        return np.argsort(self.laplacian_solve.perm_c)
+
+    @functools.cached_property
+    def ordered_assembly(self):
+        """`weighted_assembly` permuted by `fill_order` q, as (S, indices,
+        indptr): the CSC matrix with data S @ w on that pattern is
+        A(w)[q][:, q]."""
+        S, indices, indptr = self.weighted_assembly
+        n = indptr.size - 1
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.fill_order] = np.arange(n)
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        key = rank[cols] * n + rank[indices]  # column-major slot key
+        slot = np.argsort(key)
+        key = key[slot]
+        return (S[slot], (key % n).astype(np.intc),
+                np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc))
 
 
 def _gradient_operators(grid: Grid):

@@ -228,6 +228,7 @@ class TestFactorized:
     @staticmethod
     def _splu_solve(A):
         return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    panel_size=1, relax=1,
                     options={"SymmetricMode": True}).solve
 
     @pytest.mark.parametrize("kind, n, band", [
@@ -247,7 +248,52 @@ class TestFactorized:
         A = self._lagged_matrix(Rectangle(0.0, 1.0, 0.0, 1.0), 20)
         assert self._bandwidth(A) == 19 > inner.BAND_MAX
         b = np.random.default_rng(47).uniform(-1.0, 1.0, A.shape[0])
-        assert np.array_equal(inner.factorized(A)(b), self._splu_solve(A)(b))
+        x = inner.factorized(A)(b)
+        assert np.array_equal(x, self._splu_solve(A)(b))
+        direct = spsolve(A, b)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("kind, n, band", [
+        ("square", 20, 19), ("l_shape", 32, 31), ("rectangle", 20, 19)])
+    def test_superlu_grid_solves(self, kind, n, band, l_mask):
+        # the lagged solve runs in the grid's fill order, the Laplacian
+        # solve is the factor that order is read from
+        spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
+                "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
+        g = build_grid(spec, n)
+        assert g.bandwidth == band > inner.BAND_MAX
+        S, indices, indptr = g.weighted_assembly
+        w = np.random.default_rng(59).uniform(0.01, 1.0, S.shape[1])
+        A = sparse.csc_matrix((S @ w, indices, indptr),
+                              shape=(g.num_interior,) * 2)
+        q = g.fill_order
+        Sq, indices_q, indptr_q = g.ordered_assembly
+        Aq = sparse.csc_matrix((Sq @ w, indices_q, indptr_q), shape=A.shape)
+        assert (Aq != A[q][:, q]).nnz == 0
+        b = np.random.default_rng(61).uniform(-1.0, 1.0, g.num_interior)
+        for solve, M in ((inner._lagged_solver(g, w), A),
+                         (g.laplacian_solve, g.GT @ g.G)):
+            direct = spsolve(M.tocsc(), b)
+            assert np.linalg.norm(solve(b) - direct) <= \
+                1e-12 * np.linalg.norm(direct)
+
+    def test_one_ordering_per_grid(self, monkeypatch):
+        # over one whole solve on a fresh SuperLU grid only the Laplacian
+        # factor is ordered; every lagged factor reuses its order
+        specs = []
+        splu_ = inner.splu
+
+        def counting_splu(A, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu_(A, **kwargs)
+
+        monkeypatch.setattr(inner, "splu", counting_splu)
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        grid = build_grid(spec, 24)
+        assert grid.bandwidth == 23 > inner.BAND_MAX
+        inverse_iterate(spec, 24, 3.0, PositiveConstant(), grid=grid)
+        assert specs.count("MMD_AT_PLUS_A") == 1
+        assert len(specs) == 9  # the factorizations of the same solve
 
     def test_long_interval(self):
         A = self._lagged_matrix(Interval(0.0, 1.0), 20000)
@@ -330,6 +376,14 @@ class TestSolverCaches:
             built = "laplacian_solve" if k % 2 else "weighted_assembly"
             assert built in vars(grid)
             refs += [weakref.ref(grid), weakref.ref(grid.G)]
+        # a SuperLU grid also keeps its fill order and permuted scatter
+        for _ in range(3):
+            grid = build_grid(spec, 20)
+            assert grid.bandwidth > inner.BAND_MAX
+            inverse_iterate(spec, 20, 3.0, PositiveConstant(), grid=grid)
+            assert {"fill_order", "ordered_assembly"} <= vars(grid).keys()
+            refs += [weakref.ref(grid), weakref.ref(grid.fill_order),
+                     weakref.ref(grid.ordered_assembly[0])]
         del grid
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -345,9 +399,9 @@ class TestRelag:
         factors = [0]
         factorized, descend = inner.factorized, inner._descend
 
-        def counting_factorized(A):
+        def counting_factorized(A, **kwargs):
             factors[0] += 1
-            return factorized(A)
+            return factorized(A, **kwargs)
 
         def counting_descend(*args, **kwargs):
             before = factors[0]
