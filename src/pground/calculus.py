@@ -7,12 +7,14 @@ p-Dirichlet energy is convex and exactly differentiable, which is what the
 iteration's monotonicity arguments need.
 
 Every cell gradient here is the grid's own operator applied to the interior
-node values, `grid.G @ x`, and `_energy` / `_nodal_gradient` are the one
+node values, `grid.apply_G(x)` (G x by SciPy's compiled kernel on the grid's
+G, without the sparse matrix's per-call dispatch, which on the small grids
+cost more than the kernel), and `_energy` / `_nodal_gradient` are the one
 kernel for the inner objective and its gradient, shared by the inner solve,
 `functional_value` / `functional_gradient` and the brute-force oracle.
-`report_and_quotient` takes one cell gradient of an iterate for both its
-`energy_report` and its Rayleigh quotient, the pair the outer iteration
-records per step.
+`report_and_quotient` takes one cell gradient of an iterate and one log-sum
+of each p-integral for both its `energy_report` and its Rayleigh quotient,
+the pair the outer iteration records per step.
 
 Energy sums factor out the largest cell gradient before exponentiation so
 that large exponents (p up to 64 and beyond) stay inside double range.
@@ -88,7 +90,7 @@ def gradient_field(u: GridFunction) -> np.ndarray:
     Cells outside the domain report zero.
     """
     g = u.grid
-    c = (g.G @ u.values[g.interior]).reshape(g.dim, -1)
+    c = g.apply_G(u.values[g.interior]).reshape(g.dim, -1)
     out = np.zeros((g.dim,) + g.cell_mask.shape)
     for k in range(g.dim):  # one component at a time: a 2D mask is fast
         out[k][g.cell_mask] = c[k]
@@ -112,9 +114,9 @@ def _log_pow_sum(base_sq: np.ndarray, p: float) -> float:
     return 0.5 * p * math.log(m2) + math.log(np.sum((base_sq / m2) ** (p / 2)))
 
 
-def _stable_pow_sum(base_sq: np.ndarray, p: float, weight: float) -> float:
-    """weight * sum(base_sq ** (p/2)), +inf past exp(700)."""
-    log_val = _log_pow_sum(base_sq, p) + math.log(weight)
+def _weighted_exp(log_sum: float, weight: float) -> float:
+    """weight * exp(log_sum), +inf past exp(700)."""
+    log_val = log_sum + math.log(weight)
     if log_val > 700.0:
         return math.inf
     return math.exp(log_val)
@@ -123,14 +125,15 @@ def _stable_pow_sum(base_sq: np.ndarray, p: float, weight: float) -> float:
 def p_dirichlet_energy(u: GridFunction, p: float) -> float:
     """Rectangle-rule value of the integral of |grad u|^p."""
     _require_p(p)
-    return _stable_pow_sum(_cell_grad_sq(u), p, u.grid.h ** u.grid.dim)
+    return _weighted_exp(_log_pow_sum(_cell_grad_sq(u), p),
+                         u.grid.h ** u.grid.dim)
 
 
 def p_norm_pow(u: GridFunction, p: float) -> float:
     """Rectangle-rule value of the integral of |u|^p (p-th power of the norm)."""
     _require_p(p)
     vi = u.values[u.grid.interior]
-    return _stable_pow_sum(vi * vi, p, u.grid.h ** u.grid.dim)
+    return _weighted_exp(_log_pow_sum(vi * vi, p), u.grid.h ** u.grid.dim)
 
 
 def p_norm(u: GridFunction, p: float) -> float:
@@ -140,17 +143,22 @@ def p_norm(u: GridFunction, p: float) -> float:
 def rayleigh_quotient(u: GridFunction, p: float) -> float:
     """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
     _require_p(p)
-    return _quotient(u, _cell_grad_sq(u), p)
+    return _quotient(*_log_sums(u, _cell_grad_sq(u), p))
 
 
-def _quotient(u: GridFunction, gsq: np.ndarray, p: float) -> float:
-    """Rayleigh quotient of u from its squared cell gradient gsq."""
+def _log_sums(u: GridFunction, gsq: np.ndarray, p: float):
+    """(log sum |grad u|^p over cells, log sum |u|^p over the interior
+    nodes), the logs of the two p-integrals without their h^d, from the
+    squared cell gradient gsq; both sums can overflow for large p."""
     vi = u.values[u.grid.interior]
-    # work in logs: both sums can individually overflow for large p
-    log_den = _log_pow_sum(vi * vi, p)
-    if log_den == -math.inf:
+    return _log_pow_sum(gsq, p), _log_pow_sum(vi * vi, p)
+
+
+def _quotient(log_grad: float, log_norm: float) -> float:
+    """Rayleigh quotient from the `_log_sums` of u."""
+    if log_norm == -math.inf:
         raise DegenerateFunction("Rayleigh quotient of the zero function")
-    return math.exp(_log_pow_sum(gsq, p) - log_den)
+    return math.exp(log_grad - log_norm)
 
 
 def sup_norm(u: GridFunction) -> float:
@@ -163,22 +171,27 @@ def grad_sup(u: GridFunction) -> float:
 
 def energy_report(u: GridFunction, p: float) -> EnergyReport:
     _require_p(p)
-    return _report(u, _cell_grad_sq(u), p)
+    gsq = _cell_grad_sq(u)
+    return _report(u, gsq, *_log_sums(u, gsq, p))
 
 
 def report_and_quotient(u: GridFunction, p: float):
     """(energy_report(u, p), rayleigh_quotient(u, p)) from one cell
-    gradient of u."""
+    gradient of u and one log-sum of each p-integral."""
     _require_p(p)
     gsq = _cell_grad_sq(u)
-    return _report(u, gsq, p), _quotient(u, gsq, p)
+    logs = _log_sums(u, gsq, p)
+    return _report(u, gsq, *logs), _quotient(*logs)
 
 
-def _report(u: GridFunction, gsq: np.ndarray, p: float) -> EnergyReport:
-    """EnergyReport of u from its squared cell gradient gsq."""
+def _report(u: GridFunction, gsq: np.ndarray, log_grad: float,
+            log_norm: float) -> EnergyReport:
+    """EnergyReport of u from its squared cell gradient gsq and its
+    `_log_sums`."""
+    hd = u.grid.h ** u.grid.dim
     return EnergyReport(
-        dirichlet_p=_stable_pow_sum(gsq, p, u.grid.h ** u.grid.dim),
-        norm_p=p_norm_pow(u, p),
+        dirichlet_p=_weighted_exp(log_grad, hd),
+        norm_p=_weighted_exp(log_norm, hd),
         sup_norm=sup_norm(u),
         grad_sup=float(np.sqrt(gsq.max())),
     )
@@ -209,7 +222,7 @@ def _energy(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     """(J, c, w): the inner objective J = h^d w.a / p - fh.x at the interior
     vector x (+inf on overflow), from c = G x, a = |c|^2 + eps^2 per cell
     and w = a^(p/2-1); fh is f h^d on the interior nodes."""
-    c = grid.G @ x
+    c = grid.apply_G(x)
     a = (c * c).reshape(grid.dim, -1).sum(axis=0) + eps * eps
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = a ** (p / 2 - 1)
@@ -224,7 +237,7 @@ def _nodal_gradient(grid: Grid, c: np.ndarray, w: np.ndarray,
     """Gradient h^d G^T (w c) - fh of the inner objective on the interior
     nodes, from the (c, w) of one `_energy` call."""
     flux = (c.reshape(grid.dim, -1) * w).ravel()
-    return grid.h ** grid.dim * (grid.GT @ flux) - fh
+    return grid.h ** grid.dim * grid.apply_GT(flux) - fh
 
 
 def _require_p(p: float) -> None:

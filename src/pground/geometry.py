@@ -19,6 +19,9 @@ from typing import Union
 
 import numpy as np
 from scipy import ndimage, sparse
+# the compiled kernels SciPy's sparse products call; private to SciPy, so
+# tests pin Grid.apply_G / apply_GT bit-equal to those products
+from scipy.sparse import _sparsetools
 
 
 class DomainError(ValueError):
@@ -142,11 +145,16 @@ class Grid:
       * `G`, the cell gradient of the interior node values, through which
         the calculus (energies, gradient field, objective and its
         gradient), the inner solve and the brute-force oracle all go;
-      * `GT`, its transpose, for the objective's nodal gradient;
+        `apply_G` and `apply_GT` are the products of G and G^T with a
+        vector, by SciPy's compiled kernels on G's arrays without the
+        sparse matrix's per-call dispatch;
       * `weighted_assembly`, the pattern and scatter of the inner solve's
         lagged-diffusivity operator G^T diag(w) G (built for p != 2 only),
         and `bandwidth`, that pattern's bandwidth;
       * `laplacian_solve`, the inner solve's factored p=2 operator G^T G;
+      * on grids of bandwidth up to `pground.inner.BAND_MAX`, which LAPACK's
+        banded Cholesky factors: `band_scatter`, the map of the lagged
+        operator's weights straight to its band storage;
       * on grids of bandwidth above `pground.inner.BAND_MAX`, which SuperLU
         factors: `fill_order`, the minimum-degree order SuperLU chose for
         the Laplacian, and `ordered_assembly`, the lagged operator's pattern
@@ -183,9 +191,25 @@ class Grid:
         return sparse.vstack(_gradient_operators(self), format="csr")
 
     @functools.cached_property
-    def GT(self) -> sparse.csc_matrix:
-        """G^T, a CSC view sharing G's arrays."""
-        return self.G.T
+    def _G_arrays(self) -> tuple:
+        """(rows, cols, indptr, indices, data) of G, the kernels' arguments."""
+        G = self.G
+        return G.shape + (G.indptr, G.indices, G.data)
+
+    def apply_G(self, x: np.ndarray) -> np.ndarray:
+        """G @ x, by the kernel SciPy's product calls, on G's arrays."""
+        rows, cols, indptr, indices, data = self._G_arrays
+        out = np.zeros(rows)
+        _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, out)
+        return out
+
+    def apply_GT(self, y: np.ndarray) -> np.ndarray:
+        """G^T @ y, by the kernel SciPy's product with the CSC view G.T
+        calls, on G's arrays."""
+        rows, cols, indptr, indices, data = self._G_arrays
+        out = np.zeros(cols)
+        _sparsetools.csc_matvec(cols, rows, indptr, indices, data, y, out)
+        return out
 
     @functools.cached_property
     def weighted_assembly(self):
@@ -219,8 +243,25 @@ class Grid:
         picks its back end by: LAPACK's banded Cholesky up to
         `pground.inner.BAND_MAX`, SuperLU beyond."""
         _, indices, indptr = self.weighted_assembly
-        cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        return int(np.abs(cols - indices).max(initial=0))
+        return band_layout(indices, indptr)[0]
+
+    @functools.cached_property
+    def band_scatter(self) -> sparse.csr_matrix:
+        """The scatter B of the weights to the LAPACK upper band storage of
+        A(w) = G^T diag(w) G: (B @ w).reshape(b + 1, n), b the bandwidth,
+        holds A[i, j] (i <= j) at [b + i - j, j] and zeros elsewhere.  Each
+        row of B is the row of `weighted_assembly`'s S for its entry, so
+        B @ w has the values of S @ w.  For grids that
+        `pground.inner.factorized` factors banded."""
+        S, indices, indptr = self.weighted_assembly
+        b, upper, place = band_layout(indices, indptr)
+        order = np.argsort(place)
+        rows = S[upper[order]]
+        count = np.zeros((b + 1) * (indptr.size - 1), dtype=rows.indptr.dtype)
+        count[place[order]] = np.diff(rows.indptr)
+        indptr_b = np.concatenate(([0], np.cumsum(count))).astype(count.dtype)
+        return sparse.csr_matrix((rows.data, rows.indices, indptr_b),
+                                 shape=(count.size, S.shape[1]))
 
     @functools.cached_property
     def laplacian_solve(self):
@@ -228,7 +269,7 @@ class Grid:
         quadratic energy induces, factored by `pground.inner.factorized`
         (looked up at call time, so every factorization goes through it)."""
         from . import inner
-        return inner.factorized((self.GT @ self.G).sorted_indices())
+        return inner.factorized((self.G.T @ self.G).sorted_indices())
 
     @functools.cached_property
     def fill_order(self) -> np.ndarray:
@@ -237,8 +278,12 @@ class Grid:
         which (G^T G)[q][:, q] and every lagged operator so permuted factor
         as given with the same fill.  A cold start has built that factor
         for its first preconditioner; a solve that starts warm on a fresh
-        grid (a `Custom` init) pays one extra factorization here."""
-        return np.argsort(self.laplacian_solve.perm_c)
+        grid (a `Custom` init) factors the Laplacian here for its order
+        alone and does not keep the factor."""
+        solve = vars(self).get("laplacian_solve")
+        if solve is None:
+            solve = Grid.laplacian_solve.func(self)
+        return np.argsort(solve.perm_c)
 
     @functools.cached_property
     def ordered_assembly(self):
@@ -255,6 +300,19 @@ class Grid:
         key = key[slot]
         return (S[slot], (key % n).astype(np.intc),
                 np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc))
+
+
+def band_layout(indices: np.ndarray, indptr: np.ndarray):
+    """(b, upper, place) of the CSC pattern (indices, indptr) of a symmetric
+    n x n matrix A: its bandwidth b, the positions `upper` of its stored
+    entries (i, j) with i <= j, and their places (b + i - j) n + j in
+    LAPACK's upper band storage of A, shape (b + 1, n), flattened."""
+    n = indptr.size - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    offset = cols - indices  # j - i of each stored entry (i, j)
+    b = int(np.abs(offset).max(initial=0))
+    upper = np.flatnonzero(offset >= 0)
+    return b, upper, (b - offset[upper]) * n + cols[upper]
 
 
 def _gradient_operators(grid: Grid):

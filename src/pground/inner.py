@@ -5,8 +5,10 @@ functions.
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
 backtracking on the interior node values, preconditioned by the
 lagged-diffusivity operator G^T diag(w) G (Huang, Li & Liu, J. Sci. Comput.
-2007).  The grid owns G, the operator's sparse pattern and scatter, and the
-factored p=2 operator G^T G, each built once per grid and collected with it.
+2007).  The grid owns G and its products, the operator's sparse pattern and
+scatter (on a banded grid also the map of the weights straight to LAPACK
+band storage), and the factored p=2 operator G^T G, each built once per
+grid and collected with it, so a banded factorization does no pattern work.
 One calculus kernel per trial point, `_energy`, returns the objective with
 the cell gradients and weights it was computed from, which the gradient
 (`_nodal_gradient`) and the next re-lag reuse.
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from scipy.linalg import LinAlgError, lapack
 from scipy.sparse.linalg import splu
 
 from .calculus import GridFunction, _energy, _nodal_gradient
-from .geometry import Grid
+from .geometry import Grid, band_layout
 
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
@@ -183,9 +186,19 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
     return v, total_iters
 
 
+class Banded(NamedTuple):
+    """A symmetric matrix in LAPACK upper band storage, A[i, j] with i <= j
+    at ab[b + i - j, j], b the bandwidth; nnz counts its stored entries in
+    both triangles, as a sparse matrix's nnz does."""
+
+    ab: np.ndarray
+    nnz: int
+
+
 def factorized(A, ordered: bool = False):
-    """Solve callable for the sparse SPD matrix A (the p=2 Laplacian or the
-    lagged-diffusivity operator G^T diag(w) G with w > 0).
+    """Solve callable for the SPD matrix A (the p=2 Laplacian or the
+    lagged-diffusivity operator G^T diag(w) G with w > 0), a sparse matrix
+    or, from a banded grid's `Grid.band_scatter`, a `Banded`.
 
     The back end follows A's bandwidth b, the largest |i - j| over the
     stored entries.  The 3/5-point stencils in the grid's natural node
@@ -218,26 +231,27 @@ def factorized(A, ordered: bool = False):
     a grid.  One factorization of the lagged operator on the square n=256
     (3.38M nonzeros in L+U, one BLAS thread, 2-core Xeon VM, best of 3)
     takes 314 ms with SciPy's panels and a fresh ordering, 223 ms with
-    one-column panels and 184 ms with the grid's order as well."""
-    A = A.tocsc()
-    n = A.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(A.indptr))
-    offset = cols - A.indices  # j - i of each stored entry (i, j)
-    b = int(np.abs(offset).max(initial=0))
-    if ordered or b > BAND_MAX:
-        lu = splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, panel_size=1, relax=1,
-                  options={"SymmetricMode": True})
+    one-column panels and 184 ms with the grid's order as well.
 
-        def solve(rhs):
-            return lu.solve(rhs)
-        solve.perm_c = lu.perm_c
-        return solve
-    # LAPACK upper band storage: A[i, j] (i <= j) at ab[b + i - j, j]
-    upper = offset >= 0
-    ab = np.zeros((b + 1, n))
-    ab[b - offset[upper], cols[upper]] = A.data[upper]
-    chol, info = lapack.dpbtrf(ab, overwrite_ab=True)
+    A `Banded` A is factored by dpbtrf as given: its storage came from the
+    grid's per-grid map, so the factorization reads no pattern."""
+    if not isinstance(A, Banded):
+        A = A.tocsc()
+        n = A.shape[0]
+        b, upper, place = band_layout(A.indices, A.indptr)
+        if ordered or b > BAND_MAX:
+            lu = splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, panel_size=1, relax=1,
+                      options={"SymmetricMode": True})
+
+            def solve(rhs):
+                return lu.solve(rhs)
+            solve.perm_c = lu.perm_c
+            return solve
+        ab = np.zeros((b + 1) * n)
+        ab[place] = A.data[upper]
+        A = Banded(ab.reshape(b + 1, n), A.nnz)
+    chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
     if info != 0:
         raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info})")
 
@@ -252,19 +266,20 @@ def _lagged_solver(grid: Grid, w: np.ndarray):
     vanishes; None if max(w) is not positive and finite (the start from zero
     at p != 2), where the caller stands the p=2 stencil in.
 
-    On a grid of bandwidth above BAND_MAX the operator is assembled in the
-    grid's `fill_order` q, factored as given, and the solve maps the
-    right-hand side and the solution through q."""
+    On a grid of bandwidth up to BAND_MAX the weights go through the grid's
+    `band_scatter` straight to band storage.  Beyond it the operator is
+    assembled in the grid's `fill_order` q, factored as given, and the solve
+    maps the right-hand side and the solution through q."""
     wmax = float(w.max()) if w.size else 1.0
     if not (wmax > 0 and math.isfinite(wmax)):
         return None
-    superlu = grid.bandwidth > BAND_MAX
-    S, indices, indptr = (grid.ordered_assembly if superlu
-                          else grid.weighted_assembly)
-    A = sparse.csc_matrix((S @ np.maximum(w, 1e-10 * wmax), indices, indptr),
+    w = np.maximum(w, 1e-10 * wmax)
+    if grid.bandwidth <= BAND_MAX:
+        ab = (grid.band_scatter @ w).reshape(grid.bandwidth + 1, -1)
+        return factorized(Banded(ab, grid.weighted_assembly[1].size))
+    S, indices, indptr = grid.ordered_assembly
+    A = sparse.csc_matrix((S @ w, indices, indptr),
                           shape=(indptr.size - 1,) * 2)
-    if not superlu:
-        return factorized(A)
     q = grid.fill_order
     solve_q = factorized(A, ordered=True)
 

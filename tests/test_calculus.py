@@ -127,8 +127,9 @@ class TestScaleBehavior:
         # double range for the raw sums but fine for the quotient
         assert math.log(R) == pytest.approx(200.0 * math.log(2.0), rel=0.05)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 200.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 64.0, 200.0])
     def test_report_and_quotient_share_one_gradient(self, square_grid, p):
+        # one log-sum per p-integral serves both results, bit for bit
         rng = np.random.default_rng(5)
         u = GridFunction.from_interior(
             square_grid, rng.standard_normal(square_grid.num_interior))
@@ -137,6 +138,16 @@ class TestScaleBehavior:
         assert repr(R) == repr(rayleigh_quotient(u, p))
         with pytest.raises(DegenerateFunction):
             report_and_quotient(GridFunction.zero(square_grid), p)
+
+    def test_report_and_quotient_steep(self, square_grid):
+        # the energy is past double range, the quotient is not
+        rng = np.random.default_rng(7)
+        u = GridFunction.from_interior(
+            square_grid, 1e5 * rng.standard_normal(square_grid.num_interior))
+        report, R = report_and_quotient(u, 64.0)
+        assert report == energy_report(u, 64.0)
+        assert repr(R) == repr(rayleigh_quotient(u, 64.0))
+        assert report.dirichlet_p == math.inf and math.isfinite(R)
 
     def test_p_at_most_one_rejected(self, interval_grid):
         u = hat_function(interval_grid)

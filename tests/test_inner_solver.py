@@ -17,7 +17,7 @@ from pground.geometry import Interval, Rectangle, _gradient_operators, \
     build_grid
 from pground.inner import (NonConvergence, SolverConfig, signed_power,
                            solve_step, solve_step_with_stats)
-from pground.iteration import PositiveConstant, inverse_iterate
+from pground.iteration import Custom, PositiveConstant, inverse_iterate
 from pground.oracles import dirichlet_laplacian_matrix
 
 from conftest import loop_gradient_field, loop_objective
@@ -272,7 +272,7 @@ class TestFactorized:
         assert (Aq != A[q][:, q]).nnz == 0
         b = np.random.default_rng(61).uniform(-1.0, 1.0, g.num_interior)
         for solve, M in ((inner._lagged_solver(g, w), A),
-                         (g.laplacian_solve, g.GT @ g.G)):
+                         (g.laplacian_solve, g.G.T @ g.G)):
             direct = spsolve(M.tocsc(), b)
             assert np.linalg.norm(solve(b) - direct) <= \
                 1e-12 * np.linalg.norm(direct)
@@ -295,6 +295,23 @@ class TestFactorized:
         assert specs.count("MMD_AT_PLUS_A") == 1
         assert len(specs) == 9  # the factorizations of the same solve
 
+    def test_warm_start_keeps_no_order_factor(self):
+        # a Custom-init solve on a fresh SuperLU grid factors the Laplacian
+        # only for its order, and drops that factor; the order, and with it
+        # the solve, is the one a kept Laplacian factor gives
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        ground = Custom(inverse_iterate(spec, 24, 3.0,
+                                        PositiveConstant()).final)
+        fresh, kept = build_grid(spec, 24), build_grid(spec, 24)
+        kept.laplacian_solve
+        traces = [inverse_iterate(spec, 24, 3.0, ground, grid=g)
+                  for g in (fresh, kept)]
+        assert "fill_order" in vars(fresh)
+        assert "laplacian_solve" not in vars(fresh)
+        assert np.array_equal(fresh.fill_order, kept.fill_order)
+        assert repr(traces[0].lambda_R) == repr(traces[1].lambda_R)
+        assert repr(traces[0].lambda_Q) == repr(traces[1].lambda_Q)
+
     def test_long_interval(self):
         A = self._lagged_matrix(Interval(0.0, 1.0), 20000)
         b = np.random.default_rng(53).uniform(-1.0, 1.0, A.shape[0])
@@ -307,6 +324,49 @@ class TestFactorized:
                          format="csc")
         with pytest.raises(LinAlgError):
             inner.factorized(A)
+
+
+class TestGridKernels:
+    """The grid's G and G^T products and its banded grids' map to LAPACK
+    band storage, against SciPy's products and the assembled operator."""
+
+    @staticmethod
+    def _grid(kind, l_mask):
+        spec, n = {"interval": (Interval(0.0, 1.0), 38),
+                   "square": (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                   "l_shape": (l_mask, 16),
+                   "rectangle": (Rectangle(0.0, 2.0, 0.0, 1.0), 20),
+                   "square64": (Rectangle(0.0, 1.0, 0.0, 1.0), 64)}[kind]
+        return build_grid(spec, n)
+
+    @pytest.mark.parametrize(
+        "kind", ["interval", "square", "l_shape", "rectangle", "square64"])
+    def test_products_equal_scipy(self, kind, l_mask):
+        g = self._grid(kind, l_mask)
+        rng = np.random.default_rng(67)
+        x = rng.uniform(-1.0, 1.0, g.G.shape[1])
+        y = rng.uniform(-1.0, 1.0, g.G.shape[0])
+        assert np.array_equal(g.apply_G(x), g.G @ x)
+        assert np.array_equal(g.apply_GT(y), g.G.T @ y)
+
+    @pytest.mark.parametrize("kind", ["interval", "square", "l_shape"])
+    def test_band_scatter_gives_upper_band(self, kind, l_mask):
+        g = self._grid(kind, l_mask)
+        b = g.bandwidth
+        assert b <= inner.BAND_MAX
+        rng = np.random.default_rng(71)
+        w = rng.uniform(0.01, 1.0, int(np.count_nonzero(g.cell_mask)))
+        A = TestWeightedPreconditioner._assembled(g, w).toarray()
+        ref = np.zeros((b + 1, g.num_interior))
+        for i, j in zip(*np.nonzero(np.triu(A))):
+            ref[b + i - j, j] = A[i, j]
+        ab = (g.band_scatter @ w).reshape(b + 1, -1)
+        assert np.array_equal(ab, ref)
+        rhs = rng.uniform(-1.0, 1.0, g.num_interior)
+        x = inner._lagged_solver(g, w)(rhs)
+        assert np.array_equal(x, inner.factorized(sparse.csc_matrix(A))(rhs))
+        direct = spsolve(sparse.csc_matrix(A), rhs)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 class TestEnergyKernel:
@@ -373,8 +433,14 @@ class TestSolverCaches:
             grid = build_grid(spec, 16)
             inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
                             PositiveConstant(), grid=grid)
-            built = "laplacian_solve" if k % 2 else "weighted_assembly"
-            assert built in vars(grid)
+            if k % 2:
+                assert "laplacian_solve" in vars(grid)
+            else:
+                # a banded grid maps the weights straight to band storage
+                assert grid.bandwidth <= inner.BAND_MAX
+                assert {"weighted_assembly", "band_scatter"} <= \
+                    vars(grid).keys()
+                refs.append(weakref.ref(grid.band_scatter))
             refs += [weakref.ref(grid), weakref.ref(grid.G)]
         # a SuperLU grid also keeps its fill order and permuted scatter
         for _ in range(3):
