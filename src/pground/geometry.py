@@ -12,7 +12,6 @@ built from, together with the operators derived from it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -148,18 +147,8 @@ class Grid:
         `apply_G` and `apply_GT` are the products of G and G^T with a
         vector, by SciPy's compiled kernels on G's arrays without the
         sparse matrix's per-call dispatch;
-      * `weighted_assembly`, the pattern and scatter of the inner solve's
-        lagged-diffusivity operator G^T diag(w) G (built for p != 2 only),
-        and `bandwidth`, that pattern's bandwidth;
-      * `laplacian_solve`, the inner solve's factored p=2 operator G^T G;
-      * on grids of bandwidth up to `pground.inner.BAND_MAX`, which LAPACK's
-        banded Cholesky factors: `band_scatter`, the map of the lagged
-        operator's weights straight to its band storage;
-      * on grids of bandwidth above `pground.inner.BAND_MAX`, which SuperLU
-        factors: `fill_order`, the minimum-degree order SuperLU chose for
-        the Laplacian, and `ordered_assembly`, the lagged operator's pattern
-        and scatter in that order.  G^T G and every G^T diag(w) G share one
-        pattern, so one order serves every factorization on the grid.
+      * `solver_state`, where the inner solve keeps its factorizations of
+        the operators built from G.
     """
 
     spec: DomainSpec = field(repr=False)
@@ -212,107 +201,10 @@ class Grid:
         return out
 
     @functools.cached_property
-    def weighted_assembly(self):
-        """Fixed CSC pattern (indices, indptr) of A(w) = G^T diag(w) G and the
-        scatter S with A(w).data == S @ w, as (S, indices, indptr): S holds
-        G[r, i] G[r, j] in the column of row r's cell at the slot of (i, j)."""
-        G = self.G
-        n, ncell = G.shape[1], G.shape[0] // self.dim
-        count = np.diff(G.indptr)
-        keys, cells, vals = [], [], []
-        # every ordered pair (a, b) of the stored entries of one row of G
-        for da, db in itertools.product(range(count.max()), repeat=2):
-            row = np.nonzero(count > max(da, db))[0]
-            a, b = G.indptr[row] + da, G.indptr[row] + db
-            # column-major slot key; int64 since n^2 overflows int32 at n=256
-            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
-            cells.append(row % ncell)
-            vals.append(G.data[a] * G.data[b])
-        pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        S = sparse.csr_matrix(
-            (np.concatenate(vals), (slot, np.concatenate(cells))),
-            shape=(pattern.size, ncell))
-        indices = (pattern % n).astype(np.intc)
-        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
-        return S, indices, indptr
-
-    @functools.cached_property
-    def bandwidth(self) -> int:
-        """Largest |i - j| over the entries of `weighted_assembly`'s pattern
-        in the natural node order, which is what `pground.inner.factorized`
-        picks its back end by: LAPACK's banded Cholesky up to
-        `pground.inner.BAND_MAX`, SuperLU beyond."""
-        _, indices, indptr = self.weighted_assembly
-        return band_layout(indices, indptr)[0]
-
-    @functools.cached_property
-    def band_scatter(self) -> sparse.csr_matrix:
-        """The scatter B of the weights to the LAPACK upper band storage of
-        A(w) = G^T diag(w) G: (B @ w).reshape(b + 1, n), b the bandwidth,
-        holds A[i, j] (i <= j) at [b + i - j, j] and zeros elsewhere.  Each
-        row of B is the row of `weighted_assembly`'s S for its entry, so
-        B @ w has the values of S @ w.  For grids that
-        `pground.inner.factorized` factors banded."""
-        S, indices, indptr = self.weighted_assembly
-        b, upper, place = band_layout(indices, indptr)
-        order = np.argsort(place)
-        rows = S[upper[order]]
-        count = np.zeros((b + 1) * (indptr.size - 1), dtype=rows.indptr.dtype)
-        count[place[order]] = np.diff(rows.indptr)
-        indptr_b = np.concatenate(([0], np.cumsum(count))).astype(count.dtype)
-        return sparse.csr_matrix((rows.data, rows.indices, indptr_b),
-                                 shape=(count.size, S.shape[1]))
-
-    @functools.cached_property
-    def laplacian_solve(self):
-        """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
-        quadratic energy induces, factored by `pground.inner.factorized`
-        (looked up at call time, so every factorization goes through it)."""
-        from . import inner
-        return inner.factorized((self.G.T @ self.G).sorted_indices())
-
-    @functools.cached_property
-    def fill_order(self) -> np.ndarray:
-        """The order q = argsort(perm_c) of the SuperLU factor of
-        `laplacian_solve` (minimum degree on A^T + A; SuperLU grids only), in
-        which (G^T G)[q][:, q] and every lagged operator so permuted factor
-        as given with the same fill.  A cold start has built that factor
-        for its first preconditioner; a solve that starts warm on a fresh
-        grid (a `Custom` init) factors the Laplacian here for its order
-        alone and does not keep the factor."""
-        solve = vars(self).get("laplacian_solve")
-        if solve is None:
-            solve = Grid.laplacian_solve.func(self)
-        return np.argsort(solve.perm_c)
-
-    @functools.cached_property
-    def ordered_assembly(self):
-        """`weighted_assembly` permuted by `fill_order` q, as (S, indices,
-        indptr): the CSC matrix with data S @ w on that pattern is
-        A(w)[q][:, q]."""
-        S, indices, indptr = self.weighted_assembly
-        n = indptr.size - 1
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.fill_order] = np.arange(n)
-        cols = np.repeat(np.arange(n), np.diff(indptr))
-        key = rank[cols] * n + rank[indices]  # column-major slot key
-        slot = np.argsort(key)
-        key = key[slot]
-        return (S[slot], (key % n).astype(np.intc),
-                np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc))
-
-
-def band_layout(indices: np.ndarray, indptr: np.ndarray):
-    """(b, upper, place) of the CSC pattern (indices, indptr) of a symmetric
-    n x n matrix A: its bandwidth b, the positions `upper` of its stored
-    entries (i, j) with i <= j, and their places (b + i - j) n + j in
-    LAPACK's upper band storage of A, shape (b + 1, n), flattened."""
-    n = indptr.size - 1
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    offset = cols - indices  # j - i of each stored entry (i, j)
-    b = int(np.abs(offset).max(initial=0))
-    upper = np.flatnonzero(offset >= 0)
-    return b, upper, (b - offset[upper]) * n + cols[upper]
+    def solver_state(self) -> dict:
+        """Per-grid state of the inner solve, which `pground.inner` keeps
+        here (its `Factors`) so that it is freed with the grid."""
+        return {}
 
 
 def _gradient_operators(grid: Grid):

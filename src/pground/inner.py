@@ -4,42 +4,27 @@ functions.
 
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
 backtracking on the interior node values, preconditioned by the
-lagged-diffusivity operator G^T diag(w) G (Huang, Li & Liu, J. Sci. Comput.
-2007).  The grid owns G and its products, the operator's sparse pattern and
-scatter (on a banded grid also the map of the weights straight to LAPACK
-band storage), and the factored p=2 operator G^T G, each built once per
-grid and collected with it, so a banded factorization does no pattern work.
-One calculus kernel per trial point, `_energy`, returns the objective with
-the cell gradients and weights it was computed from, which the gradient
-(`_nodal_gradient`) and the next re-lag reuse.
-Below the objective's floating-point resolution a step is accepted by the
-derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
-2005).  Both SPD preconditioners, this one and the p=2 Laplacian, are
-factored by `factorized`, which picks the back end from the bandwidth b of
-the operator in the grid's natural node order: LAPACK's banded Cholesky
-(dpbtrf) for b <= BAND_MAX = 16, which covers the interval and the small 2D
-grids, and SuperLU with one-column panels and no pivoting (X. S. Li, ACM
-TOMS 2005) beyond.  The cut-off is where OpenBLAS starts threading dpbtrf's
-updates, which makes wider bands slower than SuperLU under the default BLAS
-threads.  On a SuperLU grid the p=2 factor's minimum-degree ordering of
-A^T + A is the grid's `fill_order`: the Laplacian and every lagged operator
-share one pattern, so each lagged operator is assembled in that order and
-factored without ordering it again.
+lagged-diffusivity operator A(w) = G^T diag(w) G (Huang, Li & Liu, J. Sci.
+Comput. 2007).  One calculus kernel per trial point, `_energy`, returns the
+objective with the cell gradients and weights it was computed from, which
+the gradient (`_nodal_gradient`) and the next re-lag reuse.  Below the
+objective's floating-point resolution a step is accepted by the derivative
+form of the Armijo condition (Hager & Zhang, SIAM J. Optim. 2005).
 
-A descent factors the lagged operator on its first iteration and checks
-the factor every 20 iterations after.  A banded factor costs about one
-iteration and is rebuilt at each check.  A SuperLU factor costs several
-and is kept for another 20 while the best gradient sup-norm has fallen to
-at most 0.3 of its value at the previous check, and rebuilt otherwise.  No
-factor outlives its descent, so every outer step and every eps stage starts
-on a fresh one: carried across outer steps, a stale factor left N off by
-about 1e-8 on the square n=256 at p=3, and claim (b) failed there.
-
-For p < 2 the integrand is regularized and eps is driven down a
-continuation schedule, from 16 h^2 to h^2/4096 by default.  A solve runs
-every stage of the schedule it is given, from any start; `inverse_iterate`
-gives its warm-started outer steps (every step after the first, and the
-first from a `Custom` init) the last stage only.
+One object owns every factorization on a grid, the grid's `Factors`.  It
+picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
+bandwidth up to BAND_MAX = 16, which covers the interval and the small 2D
+grids, and SuperLU beyond.  The cut-off is where OpenBLAS starts threading
+dpbtrf's updates, which makes wider bands slower than SuperLU under the
+default BLAS threads.  It keeps that back end's storage map and the p=2
+Laplacian (on a SuperLU grid only until the first lagged factor), and hands
+each matrix to `factorized`, the one factorization site.  A banded factor
+costs about one descent iteration and is rebuilt at every re-lag check; a
+SuperLU factor costs several and is kept while it still contracts the
+residual.  No lagged factor outlives its descent, so every outer step and
+every eps stage starts on a fresh one: carried across outer steps, a stale
+factor left N off by about 1e-8 on the square n=256 at p=3, and claim (b)
+failed there.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -49,6 +34,8 @@ stage ends above tol.  The floors are listed with `_descend`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,11 +48,11 @@ from scipy.linalg import LinAlgError, lapack
 from scipy.sparse.linalg import splu
 
 from .calculus import GridFunction, _energy, _nodal_gradient
-from .geometry import Grid, band_layout
+from .geometry import Grid
 
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
-BAND_MAX = 16     # widest band `factorized` hands to LAPACK's dpbtrf
+BAND_MAX = 16     # widest band `Factors` hands to LAPACK's dpbtrf
 
 
 class NonConvergence(RuntimeError):
@@ -196,23 +183,13 @@ class Banded(NamedTuple):
 
 
 def factorized(A, ordered: bool = False):
-    """Solve callable for the SPD matrix A (the p=2 Laplacian or the
-    lagged-diffusivity operator G^T diag(w) G with w > 0), a sparse matrix
-    or, from a banded grid's `Grid.band_scatter`, a `Banded`.
+    """Solve callable for the SPD matrix A, the one factorization site of
+    the inner solve.  A `Banded` is factored by LAPACK's banded Cholesky
+    (dpbtrf, solves by dpbtrs), which skips SuperLU's ordering, symbolic
+    analysis and allocation, the bulk of the cost on small grids; a failed
+    factor (A not positive definite) raises scipy.linalg.LinAlgError.
 
-    The back end follows A's bandwidth b, the largest |i - j| over the
-    stored entries.  The 3/5-point stencils in the grid's natural node
-    order have b = 1 on the interval and b = (interior nodes per column) in
-    2D.  For b <= BAND_MAX, A's upper band (A is symmetric, so the lower
-    one is not read) is factored by LAPACK's banded Cholesky (dpbtrf,
-    solves by dpbtrs), which skips SuperLU's ordering, symbolic analysis
-    and allocation, the bulk of the cost on small grids.  A failed factor
-    (A not positive definite) raises scipy.linalg.LinAlgError.  BAND_MAX
-    is where OpenBLAS's dpbtrf starts threading its updates: beyond it the
-    banded factor under the default BLAS threads is slower than SuperLU on
-    the large grids, though faster on one thread.
-
-    Wider A goes to SuperLU with a minimum-degree ordering of A^T + A and
+    A sparse A goes to SuperLU with a minimum-degree ordering of A^T + A and
     the diagonal taken as pivot throughout, as SuperLU recommends for a
     symmetric pattern with a stable diagonal (X. S. Li, ACM TOMS 2005).  A
     is symmetric positive definite, so symmetrically permuted LU without
@@ -221,73 +198,169 @@ def factorized(A, ordered: bool = False):
     one-column panels and no relaxed supernodes (panel_size=1, relax=1),
     which on these 5-point operators is faster than SciPy's multi-column
     panels at the same fill.  The returned callable carries the column
-    order SuperLU chose as `perm_c`; the grid keeps its argsort as
-    `Grid.fill_order`.
+    order SuperLU chose as `perm_c`.  ordered=True says A is already in a
+    fill-reducing order and is factored as given (permc_spec NATURAL)."""
+    if isinstance(A, Banded):
+        chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
+        if info != 0:
+            raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info})")
 
-    ordered=True says A is already in a fill-reducing order, a grid's
-    lagged operator assembled in its `fill_order` (`Grid.ordered_assembly`),
-    and SuperLU factors it as given (permc_spec NATURAL) with the same fill,
-    skipping the minimum-degree ordering of a pattern that never changes on
-    a grid.  One factorization of the lagged operator on the square n=256
-    (3.38M nonzeros in L+U, one BLAS thread, 2-core Xeon VM, best of 3)
-    takes 314 ms with SciPy's panels and a fresh ordering, 223 ms with
-    one-column panels and 184 ms with the grid's order as well.
-
-    A `Banded` A is factored by dpbtrf as given: its storage came from the
-    grid's per-grid map, so the factorization reads no pattern."""
-    if not isinstance(A, Banded):
-        A = A.tocsc()
-        n = A.shape[0]
-        b, upper, place = band_layout(A.indices, A.indptr)
-        if ordered or b > BAND_MAX:
-            lu = splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, panel_size=1, relax=1,
-                      options={"SymmetricMode": True})
-
-            def solve(rhs):
-                return lu.solve(rhs)
-            solve.perm_c = lu.perm_c
-            return solve
-        ab = np.zeros((b + 1) * n)
-        ab[place] = A.data[upper]
-        A = Banded(ab.reshape(b + 1, n), A.nnz)
-    chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
-    if info != 0:
-        raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info})")
+        def solve(rhs):
+            return lapack.dpbtrs(chol, rhs)[0]
+        return solve
+    lu = splu(A.tocsc(), permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, panel_size=1, relax=1,
+              options={"SymmetricMode": True})
 
     def solve(rhs):
-        return lapack.dpbtrs(chol, rhs)[0]
+        return lu.solve(rhs)
+    solve.perm_c = lu.perm_c
     return solve
 
 
-def _lagged_solver(grid: Grid, w: np.ndarray):
-    """Factorized solve with the lagged-diffusivity operator G^T diag(w) G,
-    w floored at 1e-10 max(w) to keep it positive definite where the gradient
-    vanishes; None if max(w) is not positive and finite (the start from zero
-    at p != 2), where the caller stands the p=2 stencil in.
+class Factors:
+    """The inner solve's factorizations on one grid, built from its cell
+    gradient G alone (dim components per cell) and kept in the grid's
+    `solver_state` by `Factors.of`.  Nothing here refers back to the grid,
+    so reference counting frees it with the grid.
 
-    On a grid of bandwidth up to BAND_MAX the weights go through the grid's
-    `band_scatter` straight to band storage.  Beyond it the operator is
-    assembled in the grid's `fill_order` q, factored as given, and the solve
-    maps the right-hand side and the solution through q."""
-    wmax = float(w.max()) if w.size else 1.0
-    if not (wmax > 0 and math.isfinite(wmax)):
-        return None
-    w = np.maximum(w, 1e-10 * wmax)
-    if grid.bandwidth <= BAND_MAX:
-        ab = (grid.band_scatter @ w).reshape(grid.bandwidth + 1, -1)
-        return factorized(Banded(ab, grid.weighted_assembly[1].size))
-    S, indices, indptr = grid.ordered_assembly
-    A = sparse.csc_matrix((S @ w, indices, indptr),
-                          shape=(indptr.size - 1,) * 2)
-    q = grid.fill_order
-    solve_q = factorized(A, ordered=True)
+    The back end is fixed once, by the bandwidth b of the lagged operator
+    A(w) = G^T diag(w) G in the grid's natural node order.  A row of G
+    couples at most two interior nodes, so b is the widest such pair: 1 on
+    the interval, the interior nodes per column in 2D.  A `banded` grid
+    (b <= BAND_MAX) maps the weights straight to LAPACK band storage for
+    dpbtrf, and its p=2 Laplacian G^T G is A(1) through the same map.  On
+    the others SuperLU factors the Laplacian in its own minimum-degree
+    order, and every A(w), which shares its pattern, is assembled in that
+    `fill_order` and factored without ordering it again."""
 
-    def solve(rhs):
-        x = np.empty_like(rhs)
-        x[q] = solve_q(rhs[q])
-        return x
-    return solve
+    def __init__(self, G: sparse.csr_matrix, dim: int):
+        self._G = G
+        self._cells = G.shape[0] // dim
+        pairs = np.flatnonzero(np.diff(G.indptr) == 2)
+        first = G.indptr[pairs]
+        span = G.indices[first + 1] - G.indices[first]
+        self._b = int(np.abs(span).max(initial=0))
+        self.banded = self._b <= BAND_MAX
+
+    @classmethod
+    def of(cls, grid: Grid) -> Factors:
+        """The grid's Factors, built on first use."""
+        state = grid.solver_state
+        if "factors" not in state:
+            state["factors"] = cls(grid.G, grid.dim)
+        return state["factors"]
+
+    def lagged(self, w: np.ndarray):
+        """Factorized solve with A(w), w floored at 1e-10 max(w) to keep it
+        positive definite where the gradient vanishes; None if max(w) is not
+        positive and finite (the start from zero at p != 2), where the
+        caller stands the Laplacian in.  On a SuperLU grid the solve maps the
+        right-hand side and the solution through the fill order q."""
+        wmax = float(w.max()) if w.size else 1.0
+        if not (wmax > 0 and math.isfinite(wmax)):
+            return None
+        w = np.maximum(w, 1e-10 * wmax)
+        if self.banded:
+            B, nnz = self._band
+            return factorized(Banded((B @ w).reshape(self._b + 1, -1), nnz))
+        S, indices, indptr = self._ordered
+        solve_q = factorized(
+            sparse.csc_matrix((S @ w, indices, indptr),
+                              shape=(indptr.size - 1,) * 2), ordered=True)
+        q = self.fill_order
+
+        def solve(rhs):
+            x = np.empty_like(rhs)
+            x[q] = solve_q(rhs[q])
+            return x
+        return solve
+
+    @functools.cached_property
+    def laplacian(self):
+        """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
+        quadratic energy induces."""
+        if self.banded:
+            return self.lagged(np.ones(self._cells))
+        return factorized((self._G.T @ self._G).sorted_indices())
+
+    @functools.cached_property
+    def fill_order(self) -> np.ndarray:
+        """The order q = argsort(perm_c) of the SuperLU factor of the
+        Laplacian, in which (G^T G)[q][:, q] and every A(w)[q][:, q] factor
+        as given with the same fill.  It is read when the first lagged
+        operator is factored, and the Laplacian factor is dropped then:
+        a cold start has built it as its first preconditioner, which the
+        lagged factors replace, so it would only add its memory to theirs;
+        a solve that starts warm on a fresh grid (a `Custom` init) factors
+        the Laplacian here for its order alone."""
+        solve = vars(self).pop("laplacian", None)
+        if solve is None:
+            solve = Factors.laplacian.func(self)
+        return np.argsort(solve.perm_c)
+
+    def _assembly(self):
+        """Fixed CSC pattern (indices, indptr) of A(w) in the natural node
+        order and the scatter S with A(w).data == S @ w, as (S, indices,
+        indptr): S holds G[r, i] G[r, j] in the column of row r's cell at
+        the slot of (i, j).  Built once per grid, for the one map that the
+        back end keeps."""
+        G = self._G
+        n, ncell = G.shape[1], self._cells
+        count = np.diff(G.indptr)
+        keys, cells, vals = [], [], []
+        # every ordered pair (a, b) of the stored entries of one row of G
+        for da, db in itertools.product(range(count.max()), repeat=2):
+            row = np.nonzero(count > max(da, db))[0]
+            a, b = G.indptr[row] + da, G.indptr[row] + db
+            # column-major slot key; int64 since n^2 overflows int32 at n=256
+            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
+            cells.append(row % ncell)
+            vals.append(G.data[a] * G.data[b])
+        pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        S = sparse.csr_matrix(
+            (np.concatenate(vals), (slot, np.concatenate(cells))),
+            shape=(pattern.size, ncell))
+        indices = (pattern % n).astype(np.intc)
+        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
+        return S, indices, indptr
+
+    @functools.cached_property
+    def _band(self):
+        """(B, nnz): the scatter B of the weights to the upper band storage
+        of A(w), (B @ w).reshape(b + 1, n) holding A[i, j] (i <= j) at
+        [b + i - j, j] and zeros elsewhere, each row of B the row of S for
+        its entry; nnz counts A's stored entries in both triangles."""
+        S, indices, indptr = self._assembly()
+        b, n = self._b, indptr.size - 1
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        offset = cols - indices  # j - i of each stored entry (i, j)
+        upper = np.flatnonzero(offset >= 0)
+        place = (b - offset[upper]) * n + cols[upper]
+        order = np.argsort(place)
+        rows = S[upper[order]]
+        count = np.zeros((b + 1) * n, dtype=rows.indptr.dtype)
+        count[place[order]] = np.diff(rows.indptr)
+        indptr_b = np.concatenate(([0], np.cumsum(count))).astype(count.dtype)
+        return (sparse.csr_matrix((rows.data, rows.indices, indptr_b),
+                                  shape=(count.size, S.shape[1])),
+                indices.size)
+
+    @functools.cached_property
+    def _ordered(self):
+        """The assembly permuted by `fill_order` q, as (S, indices, indptr):
+        the CSC matrix with data S @ w on that pattern is A(w)[q][:, q]."""
+        q = self.fill_order
+        S, indices, indptr = self._assembly()
+        n = indptr.size - 1
+        rank = np.empty(n, dtype=np.int64)
+        rank[q] = np.arange(n)
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        key = rank[cols] * n + rank[indices]  # column-major slot key
+        slot = np.argsort(key)
+        key = key[slot]
+        return (S[slot], (key % n).astype(np.intc),
+                np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc))
 
 
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
@@ -306,7 +379,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     The direction is the inverse lagged-diffusivity operator (the p=2
     stencil when p == 2) applied to the gradient, factored at the current
     iterate's weights on the first iteration and checked every 20 after: a
-    factor on a grid of bandwidth above BAND_MAX (SuperLU) is kept for
+    SuperLU factor (a grid that is not `Factors.banded`) is kept for
     another 20 while the best gradient sup-norm fell to at most 0.3 of its
     value at the last check, and re-lagged otherwise; a banded factor, and
     the p=2 stencil standing in for weights without a positive finite max
@@ -325,7 +398,8 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     J, c, w = _energy(grid, x, fh, p, eps)
     g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
-    superlu = p != 2 and grid.bandwidth > BAND_MAX
+    factors = Factors.of(grid)
+    superlu = p != 2 and not factors.banded
     precond = None
     it = last_gain = since_refresh = 0
     best_gsup, mark_J = gsup, J
@@ -340,10 +414,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             # exact at p=2, a stand-in where the weights give no factor.
             # The new metric resets BB history, and 1/h^d is the exact
             # first step for p=2
-            precond = None if p == 2 else _lagged_solver(grid, w)
+            precond = None if p == 2 else factors.lagged(w)
             stand_in = precond is None
             if stand_in:
-                precond = grid.laplacian_solve
+                precond = factors.laplacian
             prev = None  # (t, g, d) of the last accepted step
             t = 1.0 / hd
             since_refresh, lag_gsup = 0, best_gsup

@@ -149,7 +149,8 @@ class TestWeightedPreconditioner:
     def _lagged(grid, v, p):
         # the solve's own path: `_energy` weights of the node array v
         x = v[grid.interior]
-        return inner._lagged_solver(grid, _energy(grid, x, 0 * x, p, 0.0)[2])
+        w = _energy(grid, x, 0 * x, p, 0.0)[2]
+        return inner.Factors.of(grid).lagged(w)
 
     @staticmethod
     def _grid(kind, l_mask):
@@ -161,7 +162,7 @@ class TestWeightedPreconditioner:
 
     @staticmethod
     def _assembled(grid, w):
-        S, indices, indptr = grid.weighted_assembly
+        S, indices, indptr = inner.Factors.of(grid)._assembly()
         n = grid.num_interior
         return sparse.csc_matrix((S @ w, indices, indptr), shape=(n, n))
 
@@ -190,6 +191,7 @@ class TestWeightedPreconditioner:
         assert np.abs(A.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
 
     def test_pattern_built_once_per_grid(self):
+        # the banded grid's map of the weights to band storage
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
         rng = np.random.default_rng(29)
         b = rng.uniform(-1.0, 1.0, g.num_interior)
@@ -198,7 +200,7 @@ class TestWeightedPreconditioner:
             v = np.zeros(g.shape)
             v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
             x = self._lagged(g, v, 3.0)(b)
-            entries.append(g.weighted_assembly)
+            entries.append(inner.Factors.of(g)._band[0])
             w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** 0.5
             w = np.maximum(w, 1e-10 * w.max())
             A = sum(G.T @ sparse.diags(w) @ G for G in _gradient_operators(g))
@@ -209,16 +211,18 @@ class TestWeightedPreconditioner:
 
 
 class TestFactorized:
-    """`factorized` on both back ends: LAPACK's banded Cholesky for
-    bandwidth <= BAND_MAX, SuperLU beyond."""
+    """The grid's `Factors` on both back ends: LAPACK's banded Cholesky
+    for bandwidth <= BAND_MAX, SuperLU beyond."""
 
     @staticmethod
     def _lagged_matrix(spec, n, seed=41):
+        # (the grid's Factors, weights w, A(w) assembled as a CSC matrix)
         g = build_grid(spec, n)
-        S, indices, indptr = g.weighted_assembly
+        factors = inner.Factors.of(g)
+        S, indices, indptr = factors._assembly()
         w = np.random.default_rng(seed).uniform(0.01, 1.0, S.shape[1])
-        return sparse.csc_matrix((S @ w, indices, indptr),
-                                 shape=(g.num_interior,) * 2)
+        return factors, w, sparse.csc_matrix((S @ w, indices, indptr),
+                                             shape=(g.num_interior,) * 2)
 
     @staticmethod
     def _bandwidth(A):
@@ -237,16 +241,18 @@ class TestFactorized:
         spec = {"interval": Interval(0.0, 1.0),
                 "square": Rectangle(0.0, 1.0, 0.0, 1.0),
                 "l_shape": l_mask}[kind]
-        A = self._lagged_matrix(spec, n)
+        factors, w, A = self._lagged_matrix(spec, n)
         assert self._bandwidth(A) == band <= inner.BAND_MAX
+        assert factors.banded
         b = np.random.default_rng(43).uniform(-1.0, 1.0, A.shape[0])
-        x = inner.factorized(A)(b)
+        x = factors.lagged(w)(b)
         direct = self._splu_solve(A)(b)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
     def test_wide_band_keeps_superlu(self):
-        A = self._lagged_matrix(Rectangle(0.0, 1.0, 0.0, 1.0), 20)
+        factors, _, A = self._lagged_matrix(Rectangle(0.0, 1.0, 0.0, 1.0), 20)
         assert self._bandwidth(A) == 19 > inner.BAND_MAX
+        assert not factors.banded
         b = np.random.default_rng(47).uniform(-1.0, 1.0, A.shape[0])
         x = inner.factorized(A)(b)
         assert np.array_equal(x, self._splu_solve(A)(b))
@@ -256,23 +262,20 @@ class TestFactorized:
     @pytest.mark.parametrize("kind, n, band", [
         ("square", 20, 19), ("l_shape", 32, 31), ("rectangle", 20, 19)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask):
-        # the lagged solve runs in the grid's fill order, the Laplacian
-        # solve is the factor that order is read from
+        # the lagged solve runs in the grid's fill order, which is read from
+        # the Laplacian's own minimum-degree factor
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
                 "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
-        g = build_grid(spec, n)
-        assert g.bandwidth == band > inner.BAND_MAX
-        S, indices, indptr = g.weighted_assembly
-        w = np.random.default_rng(59).uniform(0.01, 1.0, S.shape[1])
-        A = sparse.csc_matrix((S @ w, indices, indptr),
-                              shape=(g.num_interior,) * 2)
-        q = g.fill_order
-        Sq, indices_q, indptr_q = g.ordered_assembly
+        factors, w, A = self._lagged_matrix(spec, n, seed=59)
+        assert self._bandwidth(A) == band > inner.BAND_MAX
+        assert not factors.banded
+        q = factors.fill_order
+        Sq, indices_q, indptr_q = factors._ordered
         Aq = sparse.csc_matrix((Sq @ w, indices_q, indptr_q), shape=A.shape)
         assert (Aq != A[q][:, q]).nnz == 0
-        b = np.random.default_rng(61).uniform(-1.0, 1.0, g.num_interior)
-        for solve, M in ((inner._lagged_solver(g, w), A),
-                         (g.laplacian_solve, g.G.T @ g.G)):
+        b = np.random.default_rng(61).uniform(-1.0, 1.0, A.shape[0])
+        G = factors._G
+        for solve, M in ((factors.lagged(w), A), (factors.laplacian, G.T @ G)):
             direct = spsolve(M.tocsc(), b)
             assert np.linalg.norm(solve(b) - direct) <= \
                 1e-12 * np.linalg.norm(direct)
@@ -290,7 +293,7 @@ class TestFactorized:
         monkeypatch.setattr(inner, "splu", counting_splu)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         grid = build_grid(spec, 24)
-        assert grid.bandwidth == 23 > inner.BAND_MAX
+        assert not inner.Factors.of(grid).banded  # bandwidth 23
         inverse_iterate(spec, 24, 3.0, PositiveConstant(), grid=grid)
         assert specs.count("MMD_AT_PLUS_A") == 1
         assert len(specs) == 9  # the factorizations of the same solve
@@ -298,32 +301,35 @@ class TestFactorized:
     def test_warm_start_keeps_no_order_factor(self):
         # a Custom-init solve on a fresh SuperLU grid factors the Laplacian
         # only for its order, and drops that factor; the order, and with it
-        # the solve, is the one a kept Laplacian factor gives
+        # the solve, is the one a Laplacian factored before the solve gives
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         ground = Custom(inverse_iterate(spec, 24, 3.0,
                                         PositiveConstant()).final)
         fresh, kept = build_grid(spec, 24), build_grid(spec, 24)
-        kept.laplacian_solve
+        inner.Factors.of(kept).laplacian
         traces = [inverse_iterate(spec, 24, 3.0, ground, grid=g)
                   for g in (fresh, kept)]
+        fresh, kept = inner.Factors.of(fresh), inner.Factors.of(kept)
         assert "fill_order" in vars(fresh)
-        assert "laplacian_solve" not in vars(fresh)
+        assert "laplacian" not in vars(fresh)
+        assert "laplacian" not in vars(kept)
         assert np.array_equal(fresh.fill_order, kept.fill_order)
         assert repr(traces[0].lambda_R) == repr(traces[1].lambda_R)
         assert repr(traces[0].lambda_Q) == repr(traces[1].lambda_Q)
 
     def test_long_interval(self):
-        A = self._lagged_matrix(Interval(0.0, 1.0), 20000)
+        factors, w, A = self._lagged_matrix(Interval(0.0, 1.0), 20000)
+        assert factors.banded
         b = np.random.default_rng(53).uniform(-1.0, 1.0, A.shape[0])
-        x = inner.factorized(A)(b)
+        x = factors.lagged(w)(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_indefinite_raises(self):
-        # symmetric tridiagonal, eigenvalues 1 + 4 cos(k pi / 9) of both signs
-        A = sparse.diags([2.0, 1.0, 2.0], [-1, 0, 1], shape=(8, 8),
-                         format="csc")
+        # symmetric tridiagonal with 1 on the diagonal and 2 beside it, in
+        # upper band storage; eigenvalues 1 + 4 cos(k pi / 9) of both signs
+        ab = np.array([[0.0] + [2.0] * 7, [1.0] * 8])
         with pytest.raises(LinAlgError):
-            inner.factorized(A)
+            inner.factorized(inner.Banded(ab, 22))
 
 
 class TestGridKernels:
@@ -352,19 +358,21 @@ class TestGridKernels:
     @pytest.mark.parametrize("kind", ["interval", "square", "l_shape"])
     def test_band_scatter_gives_upper_band(self, kind, l_mask):
         g = self._grid(kind, l_mask)
-        b = g.bandwidth
-        assert b <= inner.BAND_MAX
+        factors = inner.Factors.of(g)
+        b = factors._b
+        assert factors.banded and b <= inner.BAND_MAX
         rng = np.random.default_rng(71)
         w = rng.uniform(0.01, 1.0, int(np.count_nonzero(g.cell_mask)))
         A = TestWeightedPreconditioner._assembled(g, w).toarray()
         ref = np.zeros((b + 1, g.num_interior))
         for i, j in zip(*np.nonzero(np.triu(A))):
             ref[b + i - j, j] = A[i, j]
-        ab = (g.band_scatter @ w).reshape(b + 1, -1)
-        assert np.array_equal(ab, ref)
+        B, nnz = factors._band
+        assert np.array_equal((B @ w).reshape(b + 1, -1), ref)
+        assert nnz == np.count_nonzero(A)
         rhs = rng.uniform(-1.0, 1.0, g.num_interior)
-        x = inner._lagged_solver(g, w)(rhs)
-        assert np.array_equal(x, inner.factorized(sparse.csc_matrix(A))(rhs))
+        x = factors.lagged(w)(rhs)
+        assert np.array_equal(x, inner.factorized(inner.Banded(ref, nnz))(rhs))
         direct = spsolve(sparse.csc_matrix(A), rhs)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -426,33 +434,40 @@ class TestEnergyKernel:
 
 class TestSolverCaches:
     def test_entries_leave_with_their_grid(self):
-        # the grid owns its operators, so they are freed with it
+        # the grid owns its Factors, and nothing in them refers back to the
+        # grid, so reference counting alone frees both: the cyclic GC is off
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         refs = []
-        for k in range(30):
-            grid = build_grid(spec, 16)
-            inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
-                            PositiveConstant(), grid=grid)
-            if k % 2:
-                assert "laplacian_solve" in vars(grid)
-            else:
-                # a banded grid maps the weights straight to band storage
-                assert grid.bandwidth <= inner.BAND_MAX
-                assert {"weighted_assembly", "band_scatter"} <= \
-                    vars(grid).keys()
-                refs.append(weakref.ref(grid.band_scatter))
-            refs += [weakref.ref(grid), weakref.ref(grid.G)]
-        # a SuperLU grid also keeps its fill order and permuted scatter
-        for _ in range(3):
-            grid = build_grid(spec, 20)
-            assert grid.bandwidth > inner.BAND_MAX
-            inverse_iterate(spec, 20, 3.0, PositiveConstant(), grid=grid)
-            assert {"fill_order", "ordered_assembly"} <= vars(grid).keys()
-            refs += [weakref.ref(grid), weakref.ref(grid.fill_order),
-                     weakref.ref(grid.ordered_assembly[0])]
-        del grid
         gc.collect()
-        assert all(ref() is None for ref in refs)
+        gc.disable()
+        try:
+            for k in range(30):
+                grid = build_grid(spec, 16)
+                inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
+                                PositiveConstant(), grid=grid)
+                factors = inner.Factors.of(grid)
+                # a banded grid maps the weights straight to band storage,
+                # the p=2 Laplacian's unit weights too
+                assert factors.banded
+                assert {"laplacian", "_band"} <= vars(factors).keys()
+                refs += [weakref.ref(grid), weakref.ref(grid.G),
+                         weakref.ref(factors), weakref.ref(factors._band[0])]
+            # a SuperLU grid keeps its fill order and permuted scatter, and
+            # drops the Laplacian factor it read the order from
+            for _ in range(3):
+                grid = build_grid(spec, 20)
+                inverse_iterate(spec, 20, 3.0, PositiveConstant(), grid=grid)
+                factors = inner.Factors.of(grid)
+                assert not factors.banded
+                assert {"fill_order", "_ordered"} <= vars(factors).keys()
+                assert "laplacian" not in vars(factors)
+                refs += [weakref.ref(grid), weakref.ref(factors),
+                         weakref.ref(factors.fill_order),
+                         weakref.ref(factors._ordered[0])]
+            del grid, factors
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestRelag:
@@ -481,11 +496,11 @@ class TestRelag:
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         grid = build_grid(spec, n)
         inverse_iterate(spec, n, p, PositiveConstant(), grid=grid)
-        return grid, runs
+        return inner.Factors.of(grid), runs
 
     def test_superlu_factor_kept_while_contracting(self, monkeypatch):
-        grid, runs = self._descents(monkeypatch, 24, 16.0)
-        assert grid.bandwidth == 23 > inner.BAND_MAX
+        back, runs = self._descents(monkeypatch, 24, 16.0)
+        assert back._b == 23 and not back.banded
         # the first descent starts from zero on the p=2 stand-in, which is
         # replaced at 20 iterations
         iters, factors = runs[0]
@@ -494,11 +509,46 @@ class TestRelag:
                    for iters, factors in runs)
 
     def test_banded_factor_every_20(self, monkeypatch):
-        grid, runs = self._descents(monkeypatch, 16, 16.0)
-        assert grid.bandwidth == 15 <= inner.BAND_MAX
+        back, runs = self._descents(monkeypatch, 16, 16.0)
+        assert back._b == 15 and back.banded
         assert all(factors == math.ceil(iters / 20) for iters, factors
                    in runs)
         assert sum(factors for _, factors in runs) == 27
+
+
+class TestFactorizeBoundary:
+    """`factorized` is the one site at which the solve factors: the
+    benchmark's tracer times `inner.factorize` there and sums each
+    argument's nnz, so a factorization that bypassed it would read 0."""
+
+    @pytest.mark.parametrize("n, banded", [(16, True), (24, False)])
+    def test_every_factorization_goes_through_factorized(self, monkeypatch,
+                                                          n, banded):
+        calls = {"factorized": 0, "backend": 0}
+        nnz = []
+        factorized, splu_, dpbtrf = (inner.factorized, inner.splu,
+                                     inner.lapack.dpbtrf)
+
+        def counting_factorized(A, **kwargs):
+            calls["factorized"] += 1
+            nnz.append(A.nnz)
+            return factorized(A, **kwargs)
+
+        def counting(backend):
+            def call(*args, **kwargs):
+                calls["backend"] += 1
+                return backend(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(inner, "factorized", counting_factorized)
+        monkeypatch.setattr(inner, "splu", counting(splu_))
+        monkeypatch.setattr(inner.lapack, "dpbtrf", counting(dpbtrf))
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        grid = build_grid(spec, n)
+        assert inner.Factors.of(grid).banded is banded
+        inverse_iterate(spec, n, 3.0, PositiveConstant(), grid=grid)
+        assert calls["factorized"] == calls["backend"] > 0
+        assert all(isinstance(k, (int, np.integer)) and k > 0 for k in nnz)
 
 
 class TestGeneralP:

@@ -60,7 +60,9 @@ class TestInitPolicies:
         tr = inverse_iterate(l_mask, 16, 3.0, Custom(u), grid=lgrid)
         assert tr.final.grid is lgrid
         ref = inverse_iterate(l_mask, 16, 3.0, PositiveConstant(), grid=lgrid)
-        assert tr.lambda_R == ref.lambda_R
+        # a warm first step against the start from zero: two inner paths
+        # that meet at the fixed point, to the outer tolerance's digits
+        assert tr.lambda_R == pytest.approx(ref.lambda_R, rel=1e-12)
 
 
 class TestIteration:
