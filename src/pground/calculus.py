@@ -6,15 +6,17 @@ corner.  Both p-integrals use the rectangle rule.  The resulting discrete
 p-Dirichlet energy is convex and exactly differentiable, which is what the
 iteration's monotonicity arguments need.
 
-Every cell gradient here is the grid's own operator applied to the interior
-node values, `grid.apply_G(x)` (G x by SciPy's compiled kernel on the grid's
-G, without the sparse matrix's per-call dispatch, which on the small grids
-cost more than the kernel), and `_energy` / `_nodal_gradient` are the one
-kernel for the inner objective and its gradient, shared by the inner solve,
-`functional_value` / `functional_gradient` and the brute-force oracle.
-`report_and_quotient` takes one cell gradient of an iterate and one log-sum
-of each p-integral for both its `energy_report` and its Rayleigh quotient,
-the pair the outer iteration records per step.
+The kernels work on interior node vectors x, and each takes the cell
+gradient as the grid's own operator, `grid.apply_G(x)` (G x by SciPy's
+compiled kernel on the grid's G, without the sparse matrix's per-call
+dispatch, which on the small grids cost more than the kernel).
+`_energy` / `_nodal_gradient` are the inner objective and its gradient,
+shared by the inner solve, `functional_value` / `functional_gradient` and
+the brute-force oracle.  `_report_logs` gives the `EnergyReport` and the
+log-sums of both p-integrals from one cell gradient; the outer iteration
+records it and the Rayleigh quotient per step.  The public functions take
+`GridFunction`s and adapt them to these kernels; `gradient_field` lays the
+cell gradient out on the full cell grid.
 
 Energy sums factor out the largest cell gradient before exponentiation so
 that large exponents (p up to 64 and beyond) stay inside double range.
@@ -97,14 +99,6 @@ def gradient_field(u: GridFunction) -> np.ndarray:
     return out[0] if g.dim == 1 else np.moveaxis(out, 0, -1)
 
 
-def _cell_grad_sq(u: GridFunction) -> np.ndarray:
-    """Squared Euclidean norm of the cell gradient, zero off-domain."""
-    f = gradient_field(u)
-    if u.grid.dim == 1:
-        return f * f
-    return f[..., 0] ** 2 + f[..., 1] ** 2
-
-
 def _log_pow_sum(base_sq: np.ndarray, p: float) -> float:
     """log sum(base_sq ** (p/2)), -inf when base_sq is empty or zero; the
     max is factored out so that large p stays inside double range."""
@@ -122,79 +116,64 @@ def _weighted_exp(log_sum: float, weight: float) -> float:
     return math.exp(log_val)
 
 
+def _report_logs(grid: Grid, x: np.ndarray, p: float):
+    """(EnergyReport, log_grad, log_norm) of the interior vector x from one
+    cell gradient G x; log_grad and log_norm, the logs of the two
+    p-integrals without their h^d, are what `_quotient` takes."""
+    _require_p(p)
+    c = grid.apply_G(x)
+    gsq = (c * c).reshape(grid.dim, -1).sum(axis=0)
+    log_grad, log_norm = _log_pow_sum(gsq, p), _log_pow_sum(x * x, p)
+    hd = grid.h ** grid.dim
+    report = EnergyReport(dirichlet_p=_weighted_exp(log_grad, hd),
+                          norm_p=_weighted_exp(log_norm, hd),
+                          sup_norm=float(np.abs(x).max(initial=0.0)),
+                          grad_sup=float(np.sqrt(gsq.max(initial=0.0))))
+    return report, log_grad, log_norm
+
+
+def _quotient(log_grad: float, log_norm: float) -> float:
+    """Rayleigh quotient from the log-sums of `_report_logs`."""
+    if log_norm == -math.inf:
+        raise DegenerateFunction("Rayleigh quotient of the zero function")
+    return math.exp(log_grad - log_norm)
+
+
+def _norm_pow(grid: Grid, x: np.ndarray, p: float) -> float:
+    """`p_norm_pow` of the function with interior node values x."""
+    return _weighted_exp(_log_pow_sum(x * x, p), grid.h ** grid.dim)
+
+
+def energy_report(u: GridFunction, p: float) -> EnergyReport:
+    return _report_logs(u.grid, u.values[u.grid.interior], p)[0]
+
+
+def rayleigh_quotient(u: GridFunction, p: float) -> float:
+    """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
+    return _quotient(*_report_logs(u.grid, u.values[u.grid.interior], p)[1:])
+
+
 def p_dirichlet_energy(u: GridFunction, p: float) -> float:
     """Rectangle-rule value of the integral of |grad u|^p."""
-    _require_p(p)
-    return _weighted_exp(_log_pow_sum(_cell_grad_sq(u), p),
-                         u.grid.h ** u.grid.dim)
+    return energy_report(u, p).dirichlet_p
+
+
+def grad_sup(u: GridFunction) -> float:
+    return energy_report(u, 2.0).grad_sup
 
 
 def p_norm_pow(u: GridFunction, p: float) -> float:
     """Rectangle-rule value of the integral of |u|^p (p-th power of the norm)."""
     _require_p(p)
-    vi = u.values[u.grid.interior]
-    return _weighted_exp(_log_pow_sum(vi * vi, p), u.grid.h ** u.grid.dim)
+    return _norm_pow(u.grid, u.values[u.grid.interior], p)
 
 
 def p_norm(u: GridFunction, p: float) -> float:
     return p_norm_pow(u, p) ** (1.0 / p)
 
 
-def rayleigh_quotient(u: GridFunction, p: float) -> float:
-    """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
-    _require_p(p)
-    return _quotient(*_log_sums(u, _cell_grad_sq(u), p))
-
-
-def _log_sums(u: GridFunction, gsq: np.ndarray, p: float):
-    """(log sum |grad u|^p over cells, log sum |u|^p over the interior
-    nodes), the logs of the two p-integrals without their h^d, from the
-    squared cell gradient gsq; both sums can overflow for large p."""
-    vi = u.values[u.grid.interior]
-    return _log_pow_sum(gsq, p), _log_pow_sum(vi * vi, p)
-
-
-def _quotient(log_grad: float, log_norm: float) -> float:
-    """Rayleigh quotient from the `_log_sums` of u."""
-    if log_norm == -math.inf:
-        raise DegenerateFunction("Rayleigh quotient of the zero function")
-    return math.exp(log_grad - log_norm)
-
-
 def sup_norm(u: GridFunction) -> float:
     return float(np.abs(u.values).max())
-
-
-def grad_sup(u: GridFunction) -> float:
-    return float(np.sqrt(_cell_grad_sq(u).max()))
-
-
-def energy_report(u: GridFunction, p: float) -> EnergyReport:
-    _require_p(p)
-    gsq = _cell_grad_sq(u)
-    return _report(u, gsq, *_log_sums(u, gsq, p))
-
-
-def report_and_quotient(u: GridFunction, p: float):
-    """(energy_report(u, p), rayleigh_quotient(u, p)) from one cell
-    gradient of u and one log-sum of each p-integral."""
-    _require_p(p)
-    gsq = _cell_grad_sq(u)
-    logs = _log_sums(u, gsq, p)
-    return _report(u, gsq, *logs), _quotient(*logs)
-
-
-def _report(u: GridFunction, gsq: np.ndarray, log_grad: float,
-            log_norm: float) -> EnergyReport:
-    """EnergyReport of u from its squared cell gradient gsq and its
-    `_log_sums`."""
-    hd = u.grid.h ** u.grid.dim
-    return EnergyReport(
-        dirichlet_p=_weighted_exp(log_grad, hd),
-        norm_p=_weighted_exp(log_norm, hd),
-        sup_norm=sup_norm(u),
-        grad_sup=float(np.sqrt(gsq.max())),
-    )
 
 
 def functional_value(v: GridFunction, f: GridFunction, p: float,

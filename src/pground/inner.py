@@ -129,37 +129,43 @@ class SolverConfig:
 
 def signed_power(u: GridFunction, p: float) -> GridFunction:
     """Nodewise |u|^(p-2) u, with 0 mapped to 0."""
+    return GridFunction(u.grid, _signed_power(u.values, p))
+
+
+def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    a = np.abs(u.values)
+    a = np.abs(v)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(a > 0, a ** (p - 2) * u.values, 0.0)
-    return GridFunction(u.grid, out)
+        return np.where(a > 0, a ** (p - 2) * v, 0.0)
 
 
 def solve_step(f: GridFunction, cfg: SolverConfig,
                initial: GridFunction | None = None,
                verbose: bool = False) -> GridFunction:
     """Minimizer of the inner objective for right-hand side f."""
-    v, _ = solve_step_with_stats(f, cfg, initial=initial, verbose=verbose)
-    return v
+    grid = f.grid
+    x, _ = solve_step_with_stats(
+        grid, f.values[grid.interior], cfg, verbose=verbose,
+        initial=None if initial is None else initial.values[grid.interior])
+    return GridFunction.from_interior(grid, x)
 
 
-def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
-                          initial: GridFunction | None = None,
+def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
+                          initial: np.ndarray | None = None,
                           verbose: bool = False):
-    """Like solve_step but also returns the total inner iteration count.
+    """Like solve_step on interior node vectors (the right-hand side f, the
+    start, zero if None, and the minimizer x) and also returns the total
+    inner iteration count, as (x, iterations).
 
     Every eps stage runs, each from the previous stage's last iterate and
     with what is left of max_inner_iters; NonConvergence, carrying the last
-    iterate, is raised when the last stage ends above the tolerance."""
-    grid = f.grid
-    f_sup = float(np.abs(f.values).max(initial=0.0))
-    tol = cfg.resolved_tol(f_sup)
+    iterate as a GridFunction, is raised when the last stage ends above the
+    tolerance."""
+    tol = cfg.resolved_tol(float(np.abs(f).max(initial=0.0)))
     eps_stages = cfg.resolved_eps(grid.h)
-    fh = f.values[grid.interior] * grid.h ** grid.dim
-    x = (np.zeros(grid.num_interior) if initial is None
-         else initial.values[grid.interior])
+    fh = f * grid.h ** grid.dim
+    x = np.zeros(grid.num_interior) if initial is None else initial
     total_iters = 0
     for stage, eps in enumerate(eps_stages):
         stage_tol = tol if stage == len(eps_stages) - 1 else 100 * tol
@@ -167,10 +173,10 @@ def solve_step_with_stats(f: GridFunction, cfg: SolverConfig,
                                      cfg.max_inner_iters - total_iters,
                                      verbose)
         total_iters += used
-    v = GridFunction.from_interior(grid, x)
     if not residual <= tol:
-        raise NonConvergence(residual, tol, total_iters, v)
-    return v, total_iters
+        raise NonConvergence(residual, tol, total_iters,
+                             GridFunction.from_interior(grid, x))
+    return x, total_iters
 
 
 class Banded(NamedTuple):
@@ -301,29 +307,34 @@ class Factors:
 
     def _assembly(self):
         """Fixed CSC pattern (indices, indptr) of A(w) in the natural node
-        order and the scatter S with A(w).data == S @ w, as (S, indices,
-        indptr): S holds G[r, i] G[r, j] in the column of row r's cell at
-        the slot of (i, j).  Built once per grid, for the one map that the
-        back end keeps."""
+        order, that of G^T G, and the scatter S with A(w).data == S @ w, as
+        (S, indices, indptr): S holds G[r, i] G[r, j] in the column of row
+        r's cell at the slot of (i, j), which a binary search finds in the
+        pattern.  Built once per grid, for the one map that the back end
+        keeps."""
         G = self._G
         n, ncell = G.shape[1], self._cells
+        L = (G.T @ G).sorted_indices()
+        # column-major slot keys; int64 since n^2 overflows int32 at n=256
+        pattern = (np.repeat(np.arange(n, dtype=np.int64) * n,
+                             np.diff(L.indptr)) + L.indices)
         count = np.diff(G.indptr)
-        keys, cells, vals = [], [], []
+        slots, cells, vals = [], [], []
         # every ordered pair (a, b) of the stored entries of one row of G
         for da, db in itertools.product(range(count.max()), repeat=2):
             row = np.nonzero(count > max(da, db))[0]
             a, b = G.indptr[row] + da, G.indptr[row] + db
-            # column-major slot key; int64 since n^2 overflows int32 at n=256
-            keys.append(G.indices[b].astype(np.int64) * n + G.indices[a])
-            cells.append(row % ncell)
+            key = G.indices[b].astype(np.int64) * n + G.indices[a]
+            slot = np.searchsorted(pattern, key)
+            if not np.array_equal(pattern.take(slot, mode="clip"), key):
+                raise RuntimeError("G^T G lacks a pair of G's entries")
+            slots.append(slot.astype(np.int32))
+            cells.append((row % ncell).astype(np.int32))
             vals.append(G.data[a] * G.data[b])
-        pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        S = sparse.csr_matrix(
-            (np.concatenate(vals), (slot, np.concatenate(cells))),
-            shape=(pattern.size, ncell))
-        indices = (pattern % n).astype(np.intc)
-        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.intc)
-        return S, indices, indptr
+        del pattern  # with the lists (rebound below), before S is built
+        vals, slots, cells = map(np.concatenate, (vals, slots, cells))
+        S = sparse.csr_matrix((vals, (slots, cells)), shape=(L.nnz, ncell))
+        return S, L.indices, L.indptr
 
     @functools.cached_property
     def _band(self):

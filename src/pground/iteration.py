@@ -4,7 +4,9 @@ Each step solves the p-Laplace problem whose right-hand side is the signed
 (p-1)-power of the previous iterate, records the norm ratio, and renormalizes
 to unit L^p norm.  Renormalization is legitimate because the step map is
 positively 1-homogeneous; the un-normalized sequence (and all quantities
-defined on it) is reconstructed from the stored norm factors.
+defined on it) is reconstructed from the stored norm factors.  The iterate
+is carried as its interior node vector from the start to `trace.final`,
+the one `GridFunction` the iteration builds after its start.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import Union
 
 import numpy as np
 
-from .calculus import (EnergyReport, GridFunction, p_norm_pow,
-                       report_and_quotient)
+from .calculus import (EnergyReport, GridFunction, _norm_pow, _quotient,
+                       _report_logs)
 from .geometry import DomainSpec, Grid, Rectangle, build_grid
-from .inner import SolverConfig, signed_power, solve_step_with_stats
+from .inner import SolverConfig, _signed_power, solve_step_with_stats
 
 
 class DegenerateIterate(RuntimeError):
@@ -155,44 +157,44 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     if grid is None:
         grid = build_grid(spec, n)
 
-    u = make_initial(grid, init)
-    norm0 = p_norm_pow(u, p) ** (1.0 / p)
+    x = make_initial(grid, init).values[grid.interior]
+    norm0 = _norm_pow(grid, x, p) ** (1.0 / p)
     if not (norm0 > 0 and math.isfinite(norm0)):
         raise DegenerateIterate("initial function has zero or non-finite L^p norm")
-    u = u.scaled(1.0 / norm0)
+    x = (1.0 / norm0) * x
 
     trace = IterationTrace(p=p, h=grid.h)
     trace.tol_grad = cfg.resolved_tol(1.0)
-    report, R = report_and_quotient(u, p)
+    report, *logs = _report_logs(grid, x, p)
+    R = _quotient(*logs)
     trace.steps.append(TraceStep(
         k=0, report=report, R=R, N=math.nan, Q=math.nan, norm_factor=1.0,
         inner_iters=0))
-    trace.barrier_bound = float(barrier_sup_bound(grid, p)
-                                * np.abs(u.values).max())
+    trace.barrier_bound = barrier_sup_bound(grid, p) * report.sup_norm
 
     # the config of the warm-started steps: the last eps stage only
     warm_cfg = replace(cfg, eps_schedule=cfg.resolved_eps(grid.h)[-1:])
     cold_first = not isinstance(init, Custom)
     for k in range(1, K_max + 1):
-        f = signed_power(u, p)
         # warm start at the expected scale of the raw next iterate
         R_prev = R
         scale = R_prev ** (-1.0 / (p - 1)) if math.isfinite(R_prev) else 1.0
         step_cfg, guess = ((cfg, None) if k == 1 and cold_first
-                           else (warm_cfg, u.scaled(scale)))
-        raw, iters = solve_step_with_stats(f, step_cfg, initial=guess,
-                                           verbose=verbose)
-        c = p_norm_pow(raw, p) ** (1.0 / p)
+                           else (warm_cfg, scale * x))
+        x, iters = solve_step_with_stats(grid, _signed_power(x, p), step_cfg,
+                                         initial=guess, verbose=verbose)
+        c = _norm_pow(grid, x, p) ** (1.0 / p)
         if not (c > 0 and math.isfinite(c)):
             raise DegenerateIterate(f"iterate {k} has L^p norm {c}")
         N = math.exp(-p * math.log(c))  # previous iterate is normalized
-        u = raw.scaled(1.0 / c)
-        report, R = report_and_quotient(u, p)
+        x = (1.0 / c) * x
+        report, *logs = _report_logs(grid, x, p)
+        R = _quotient(*logs)
         trace.steps.append(TraceStep(
             k=k, report=report, R=R, N=N,
             Q=N ** (1 - 1 / p), norm_factor=c, inner_iters=iters))
         if k == 1:
-            trace.first_step_sup = float(c * np.abs(u.values).max())
+            trace.first_step_sup = c * report.sup_norm
         if verbose:
             print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}",
                   file=sys.stderr)
@@ -204,7 +206,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     trace.lambda_R = last.R
     trace.lambda_Q = last.Q
     trace.mu = trace.lambda_R ** (1.0 / (p - 1))
-    trace.final = u
+    trace.final = GridFunction.from_interior(grid, x)
     return trace
 
 

@@ -132,9 +132,11 @@ def write_gridfunction_csv(path, u: GridFunction) -> None:
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
-    """Read node values for an existing grid; coordinates must match grid
-    nodes to within 1e-9 of the spacing."""
+    """Read node values for an existing grid, one row for each node that
+    `write_gridfunction_csv` writes (interior and boundary); coordinates
+    must match grid nodes to within 1e-9 of the spacing."""
     vals = np.zeros(grid.shape)
+    seen = np.zeros(grid.shape, dtype=int)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -154,5 +156,9 @@ def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
                     raise ValueError(f"{path}: {pos} is not a grid node")
                 idx.append(i)
             vals[tuple(idx)] = float(row[-1])
+            seen[tuple(idx)] += 1
+    if not np.array_equal(seen, grid.interior | grid.boundary):
+        raise ValueError(f"{path}: each interior and boundary node must "
+                         "appear exactly once")
     vals[~grid.interior] = 0.0
     return GridFunction(grid, vals)

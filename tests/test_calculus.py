@@ -8,8 +8,8 @@ from pground.calculus import (DegenerateFunction, GridFunction,
                               energy_report, functional_gradient,
                               functional_value, gradient_field, grad_sup,
                               p_dirichlet_energy, p_norm, p_norm_pow,
-                              rayleigh_quotient, report_and_quotient,
-                              sup_norm)
+                              rayleigh_quotient, sup_norm, _quotient,
+                              _report_logs)
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.oracles import dirichlet_laplacian_matrix
 
@@ -129,22 +129,32 @@ class TestScaleBehavior:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 64.0, 200.0])
     def test_report_and_quotient_share_one_gradient(self, square_grid, p):
-        # one log-sum per p-integral serves both results, bit for bit
+        # one log-sum per p-integral serves the report and the quotient,
+        # bit for bit, from the interior vector
         rng = np.random.default_rng(5)
-        u = GridFunction.from_interior(
-            square_grid, rng.standard_normal(square_grid.num_interior))
-        report, R = report_and_quotient(u, p)
+        x = rng.standard_normal(square_grid.num_interior)
+        u = GridFunction.from_interior(square_grid, x)
+        report, *logs = _report_logs(square_grid, x, p)
+        R = _quotient(*logs)
         assert report == energy_report(u, p)
         assert repr(R) == repr(rayleigh_quotient(u, p))
+        cells = gradient_field(u)
+        assert report.grad_sup == np.sqrt((cells * cells).sum(-1).max())
+        assert report.sup_norm == np.abs(u.values).max()
+        if p < 64:
+            assert R == pytest.approx(report.dirichlet_p / report.norm_p,
+                                      rel=1e-13)
+        zero = np.zeros(square_grid.num_interior)
         with pytest.raises(DegenerateFunction):
-            report_and_quotient(GridFunction.zero(square_grid), p)
+            _quotient(*_report_logs(square_grid, zero, p)[1:])
 
     def test_report_and_quotient_steep(self, square_grid):
         # the energy is past double range, the quotient is not
         rng = np.random.default_rng(7)
-        u = GridFunction.from_interior(
-            square_grid, 1e5 * rng.standard_normal(square_grid.num_interior))
-        report, R = report_and_quotient(u, 64.0)
+        x = 1e5 * rng.standard_normal(square_grid.num_interior)
+        u = GridFunction.from_interior(square_grid, x)
+        report, *logs = _report_logs(square_grid, x, 64.0)
+        R = _quotient(*logs)
         assert report == energy_report(u, 64.0)
         assert repr(R) == repr(rayleigh_quotient(u, 64.0))
         assert report.dirichlet_p == math.inf and math.isfinite(R)

@@ -94,6 +94,18 @@ class TestSolve:
                                "--init", f"file:{u_path}", "--out", prefix)
         assert code == 0
 
+    def test_file_init_on_another_grid(self, tmp_path, capsys,
+                                       interval_grid):
+        # written on n=31, it leaves 32 of the 63 interior nodes unset
+        u_path = tmp_path / "init.csv"
+        traceio.write_gridfunction_csv(u_path, hat_function(interval_grid))
+        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "63", "--p", "2",
+                               "--init", f"file:{u_path}",
+                               "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "exactly once" in err
+
     def test_file_init_from_ground_state_checks(self, tmp_path, capsys):
         # a start at the fixed point converges at once; the trace still has
         # the 3 steps `check` needs

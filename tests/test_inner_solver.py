@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,8 +11,8 @@ from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import splu, spsolve
 
 from pground import inner
-from pground.calculus import (GridFunction, _cell_grad_sq, _energy,
-                              _nodal_gradient, functional_gradient,
+from pground.calculus import (GridFunction, _energy, _nodal_gradient,
+                              functional_gradient,
                               functional_value, gradient_field)
 from pground.geometry import Interval, Rectangle, _gradient_operators, \
     build_grid
@@ -26,6 +27,21 @@ from conftest import loop_gradient_field, loop_objective
 @pytest.fixture
 def small_interval():
     return build_grid(Interval(0.0, 1.0), 15)
+
+
+def cell_grad_sq(grid, v):
+    """Squared cell gradient norms of the node array v on the domain's
+    cells, by the loop reference, in G's cell order."""
+    cells = loop_gradient_field(grid, v).reshape(grid.cell_mask.shape + (-1,))
+    return (cells * cells).sum(-1)[grid.cell_mask]
+
+
+def solve_stats(f, cfg):
+    """`solve_step_with_stats` on f's interior values, its minimizer as a
+    GridFunction."""
+    g = f.grid
+    x, iters = solve_step_with_stats(g, f.values[g.interior], cfg)
+    return GridFunction.from_interior(g, x), iters
 
 
 def random_rhs(grid, seed, nonneg=False):
@@ -135,7 +151,7 @@ class TestWeightedPreconditioner:
         v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
         v[: g.shape[0] // 2] = 0.0  # flat half: zero weights, floored
         p = 3.0
-        w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** (p / 2 - 1)
+        w = cell_grad_sq(g, v) ** (p / 2 - 1)
         floor = 1e-10 * w.max()
         assert np.any(w < floor)
         W = sparse.diags(np.maximum(w, floor))
@@ -190,6 +206,21 @@ class TestWeightedPreconditioner:
         assert np.array_equal(A.indptr, L.indptr)
         assert np.abs(A.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
 
+    def test_assembly_peak_memory(self):
+        # the scatter build's transient arrays stay a small multiple of
+        # what it keeps (4.7x with an np.unique over all pair keys)
+        factors = inner.Factors.of(build_grid(Rectangle(0.0, 1.0, 0.0, 1.0),
+                                              64))
+        factors._assembly()  # not traced: first-call set-up
+        tracemalloc.start()
+        try:
+            kept_arrays = factors._assembly()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept_arrays[0].nnz > 0
+        assert peak <= 3.5 * kept
+
     def test_pattern_built_once_per_grid(self):
         # the banded grid's map of the weights to band storage
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
@@ -201,7 +232,7 @@ class TestWeightedPreconditioner:
             v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
             x = self._lagged(g, v, 3.0)(b)
             entries.append(inner.Factors.of(g)._band[0])
-            w = _cell_grad_sq(GridFunction(g, v))[g.cell_mask] ** 0.5
+            w = cell_grad_sq(g, v) ** 0.5
             w = np.maximum(w, 1e-10 * w.max())
             A = sum(G.T @ sparse.diags(w) @ G for G in _gradient_operators(g))
             direct = spsolve(A.tocsc(), b)
@@ -556,7 +587,7 @@ class TestGeneralP:
     def test_residual_below_tolerance(self, small_interval, p):
         f = random_rhs(small_interval, 5)
         cfg = SolverConfig(p=p)
-        v, iters = solve_step_with_stats(f, cfg)
+        v, iters = solve_stats(f, cfg)
         tol = cfg.resolved_tol(float(np.abs(f.values).max()))
         # for p < 2 the solve targets the final regularized objective
         eps = cfg.resolved_eps(small_interval.h)[-1]
@@ -651,12 +682,11 @@ class TestFailureModes:
         f = GridFunction.constant(g, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonConvergence) as exc_info:
-                solve_step_with_stats(
-                    f, SolverConfig(p=1.5, eps_schedule=(0.0,)))
+                solve_stats(f, SolverConfig(p=1.5, eps_schedule=(0.0,)))
             assert exc_info.value.iterations == 0
             for schedule in [(0.01, 0.0), None]:
                 cfg = SolverConfig(p=1.5, eps_schedule=schedule)
-                v, iters = solve_step_with_stats(f, cfg)
+                v, iters = solve_stats(f, cfg)
                 eps = cfg.resolved_eps(g.h)[-1]
                 res = functional_gradient(v, f, 1.5, eps).values
                 assert iters > 0
@@ -669,7 +699,7 @@ class TestFailureModes:
         g = build_grid(Interval(0.0, 1.0), 15)
         cfg = SolverConfig(p=1.5, max_inner_iters=3)
         with pytest.raises(NonConvergence) as exc_info:
-            solve_step_with_stats(GridFunction.constant(g, 1.0), cfg)
+            solve_stats(GridFunction.constant(g, 1.0), cfg)
         exc = exc_info.value
         assert isinstance(exc.best, GridFunction) and exc.best.grid is g
         assert exc.iterations == 3

@@ -8,12 +8,14 @@ import pground.calculus
 import pground.inner
 import pground.iteration
 from pground.calculus import GridFunction
-from pground.geometry import Interval, MaskDomain, Rectangle, build_grid
+from pground.geometry import (Grid, Interval, MaskDomain, Rectangle,
+                              build_grid)
 from pground.inner import SolverConfig, signed_power, solve_step
-from pground.iteration import (Custom, PositiveConstant, RandomPositive,
-                               barrier_sup_bound, check_barrier,
-                               check_monotonicity, consistency_estimators,
-                               inverse_iterate, make_initial, verify)
+from pground.iteration import (Custom, DegenerateIterate, PositiveConstant,
+                               RandomPositive, barrier_sup_bound,
+                               check_barrier, check_monotonicity,
+                               consistency_estimators, inverse_iterate,
+                               make_initial, verify)
 from pground.oracles import lambda2_reference
 
 
@@ -49,6 +51,11 @@ class TestInitPolicies:
         u = GridFunction.constant(square_grid, 1.0)
         with pytest.raises(ValueError):
             make_initial(interval_grid, Custom(u))
+
+    def test_zero_custom_raises(self, interval_grid):
+        with pytest.raises(DegenerateIterate):
+            inverse_iterate(Interval(0.0, 1.0), 31, 3.0,
+                            Custom(GridFunction.zero(interval_grid)))
 
     def test_custom_rebuilt_on_target_grid(self, square_grid, l_mask):
         # the L-shape grid has the square grid's node shape
@@ -122,17 +129,46 @@ class TestIteration:
             last.sup_norm)
 
     def test_one_cell_gradient_per_step(self, monkeypatch):
-        calls = [0]
-        raw = pground.calculus.gradient_field
+        # the report kernel takes one G product per recorded step
+        counts = {"reports": 0, "products": 0}
+        in_report = [False]
+        report, apply_G = pground.iteration._report_logs, Grid.apply_G
 
-        def counted(u):
-            calls[0] += 1
-            return raw(u)
+        def counted_report(*args):
+            counts["reports"] += 1
+            in_report[0] = True
+            try:
+                return report(*args)
+            finally:
+                in_report[0] = False
 
-        monkeypatch.setattr(pground.calculus, "gradient_field", counted)
+        def counted_apply_G(self, x):
+            counts["products"] += in_report[0]
+            return apply_G(self, x)
+
+        monkeypatch.setattr(pground.iteration, "_report_logs", counted_report)
+        monkeypatch.setattr(Grid, "apply_G", counted_apply_G)
         tr = inverse_iterate(Interval(0.0, 1.0), 63, 3.0, PositiveConstant())
         assert tr.num_steps >= 3
-        assert calls[0] == len(tr.steps)  # step 0 included
+        assert counts["reports"] == len(tr.steps)  # step 0 included
+        assert counts["products"] == len(tr.steps)
+
+    def test_grid_functions_only_at_the_boundary(self, monkeypatch):
+        # the start and trace.final, whatever the number of steps
+        built = [0]
+        post_init = GridFunction.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        for spec, n, p in [(Interval(0.0, 1.0), 63, 3.0),
+                           (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 1.5)]:
+            built[0] = 0
+            tr = inverse_iterate(spec, n, p, RandomPositive(seed=3))
+            assert tr.num_steps >= 3
+            assert built[0] <= 3
 
     def test_2d_converges(self):
         tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 12, 3.0,

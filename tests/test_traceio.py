@@ -6,7 +6,7 @@ import pytest
 
 from pground import traceio
 from pground.calculus import GridFunction
-from pground.geometry import Interval
+from pground.geometry import Interval, build_grid
 from pground.infinity import sweep
 from pground.iteration import PositiveConstant, check_monotonicity, \
     inverse_iterate
@@ -123,6 +123,25 @@ class TestGridFunctionCsv:
         path.write_text("x,value\n0.123456,1.0\n")
         with pytest.raises(ValueError):
             traceio.read_gridfunction_csv(path, interval_grid)
+
+    def test_missing_nodes_rejected(self, tmp_path, interval_grid):
+        # n=31 nodes are every other node of n=63; one row is one node
+        path = tmp_path / "u.csv"
+        traceio.write_gridfunction_csv(path, hat_function(interval_grid))
+        with pytest.raises(ValueError, match="exactly once"):
+            traceio.read_gridfunction_csv(path,
+                                          build_grid(Interval(0.0, 1.0), 63))
+        path.write_text("x,value\n0.5,1.0\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            traceio.read_gridfunction_csv(path, interval_grid)
+
+    def test_repeated_node_rejected(self, tmp_path, square_grid):
+        path = tmp_path / "u.csv"
+        traceio.write_gridfunction_csv(path, GridFunction.constant(square_grid))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[5]]) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            traceio.read_gridfunction_csv(path, square_grid)
 
     def test_seventeen_digit_floats(self, tmp_path, interval_grid):
         vals = np.zeros(interval_grid.shape)
