@@ -175,9 +175,19 @@ class Grid:
 
     @functools.cached_property
     def G(self) -> sparse.csr_matrix:
-        """Interior node values to per-cell gradients: the stacked
-        `_gradient_operators`, all x components first, then all y."""
-        return sparse.vstack(_gradient_operators(self), format="csr")
+        """Interior node values to per-cell gradients: one row per cell and
+        axis, all x components first, then all y, with -1/h at the cell's
+        lower node and 1/h at its upper node along that axis where those
+        are interior.  Built as CSR straight from the node pairs of
+        `_axis_pairs`; the stacked `_gradient_operators` are its reference."""
+        cols = np.concatenate([np.stack(pair, axis=1)
+                               for pair in _axis_pairs(self)])
+        ok = cols >= 0
+        inv_h = 1.0 / self.h
+        data = np.broadcast_to([-inv_h, inv_h], cols.shape)[ok]
+        indptr = np.concatenate(([0], np.cumsum(ok.sum(axis=1))))
+        return sparse.csr_matrix((data, cols[ok], indptr),
+                                 shape=(len(cols), self.num_interior))
 
     @functools.cached_property
     def _G_arrays(self) -> tuple:
@@ -207,20 +217,24 @@ class Grid:
         return {}
 
 
-def _gradient_operators(grid: Grid):
-    """Sparse per-axis difference operators: interior node values to per-cell
-    gradient components (divided by h)."""
+def _axis_pairs(grid: Grid) -> list:
+    """Per axis, the (lower, upper) interior indices of each domain cell's
+    two nodes along that axis, -1 where the node is not interior."""
     idx = -np.ones(grid.shape, dtype=np.int64)
     idx[grid.interior] = np.arange(grid.num_interior)
-    inv_h = 1.0 / grid.h
     if grid.dim == 1:
         cells = np.nonzero(grid.cell_mask)[0]
-        pairs = [(idx[cells], idx[cells + 1])]
-    else:
-        ci, cj = np.nonzero(grid.cell_mask)
-        pairs = [(idx[ci, cj], idx[ci + 1, cj]), (idx[ci, cj], idx[ci, cj + 1])]
+        return [(idx[cells], idx[cells + 1])]
+    ci, cj = np.nonzero(grid.cell_mask)
+    return [(idx[ci, cj], idx[ci + 1, cj]), (idx[ci, cj], idx[ci, cj + 1])]
+
+
+def _gradient_operators(grid: Grid):
+    """Sparse per-axis difference operators: interior node values to per-cell
+    gradient components (divided by h), each built through COO."""
+    inv_h = 1.0 / grid.h
     ops = []
-    for lo, hi in pairs:
+    for lo, hi in _axis_pairs(grid):
         ncell = lo.size
         rows = np.repeat(np.arange(ncell), 2)
         cols = np.stack([lo, hi], axis=1).ravel()

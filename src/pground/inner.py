@@ -3,11 +3,16 @@
 functions.
 
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
-backtracking on the interior node values, preconditioned by the
-lagged-diffusivity operator A(w) = G^T diag(w) G (Huang, Li & Liu, J. Sci.
-Comput. 2007).  One calculus kernel per trial point, `_energy`, returns the
+backtracking on the interior node values, preconditioned by a factor taken
+at an earlier iterate and refreshed every 20 iterations.  On banded grids
+that factor is the exact Hessian of the cell energy (a Newton-type
+preconditioner, Nocedal & Wright, Numerical Optimization, ch. 3 and 6); on
+SuperLU grids it is the lagged-diffusivity operator A(w) = G^T diag(w) G
+(Huang, Li & Liu, J. Sci. Comput. 2007), which drops the Hessian's rank-one
+term and with it a factor of up to p-1 in the curvature along the
+gradient.  One calculus kernel per trial point, `_energy`, returns the
 objective with the cell gradients and weights it was computed from, which
-the gradient (`_nodal_gradient`) and the next re-lag reuse.  Below the
+the gradient (`_nodal_gradient`) and the next refresh reuse.  Below the
 objective's floating-point resolution a step is accepted by the derivative
 form of the Armijo condition (Hager & Zhang, SIAM J. Optim. 2005).
 
@@ -16,15 +21,17 @@ picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
 bandwidth up to BAND_MAX = 16, which covers the interval and the small 2D
 grids, and SuperLU beyond.  The cut-off is where OpenBLAS starts threading
 dpbtrf's updates, which makes wider bands slower than SuperLU under the
-default BLAS threads.  It keeps that back end's storage map and the p=2
-Laplacian (on a SuperLU grid only until the first lagged factor), and hands
-each matrix to `factorized`, the one factorization site.  A banded factor
-costs about one descent iteration and is rebuilt at every re-lag check; a
-SuperLU factor costs several and is kept while it still contracts the
-residual.  No lagged factor outlives its descent, so every outer step and
-every eps stage starts on a fresh one: carried across outer steps, a stale
-factor left N off by about 1e-8 on the square n=256 at p=3, and claim (b)
-failed there.
+default BLAS threads.  The back end also fixes the preconditioner: the
+Hessian's cross term keeps a band's width but makes SuperLU's 5-point
+pattern a 7-point one, with about 1.6 times the fill.  `Factors` keeps that
+back end's storage map and the p=2 Laplacian (on a SuperLU grid only until
+the first lagged factor), and hands each matrix to `factorized`, the one
+factorization site.  A banded factor costs about one descent iteration and
+is rebuilt at every refresh check; a SuperLU factor costs several and is
+kept while it still contracts the residual.  No factor outlives its
+descent, so every outer step and every eps stage starts on a fresh one:
+carried across outer steps, a stale factor left N off by about 1e-8 on the
+square n=256 at p=3, and claim (b) failed there.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -95,10 +102,11 @@ class SolverConfig:
     eps_schedule: tuple | None = None
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.tol_grad is not None and not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if self.tol_grad is not None and not 0 < self.tol_grad < math.inf:
+            raise ValueError(
+                f"tol_grad must be positive and finite, got {self.tol_grad}")
         if not self.max_inner_iters >= 1:
             raise ValueError(
                 f"max_inner_iters must be at least 1, got "
@@ -107,8 +115,9 @@ class SolverConfig:
             sched = tuple(float(e) for e in self.eps_schedule)
             if not sched:
                 raise ValueError("eps schedule must not be empty")
-            if any(e < 0 for e in sched):
-                raise ValueError("eps entries must be nonnegative")
+            if not all(0 <= e < math.inf for e in sched):
+                raise ValueError(
+                    f"eps entries must be finite and nonnegative, got {sched}")
             if any(a < b for a, b in zip(sched, sched[1:])):
                 raise ValueError("eps schedule must be nonincreasing")
             object.__setattr__(self, "eps_schedule", sched)
@@ -230,24 +239,47 @@ class Factors:
     `solver_state` by `Factors.of`.  Nothing here refers back to the grid,
     so reference counting frees it with the grid.
 
-    The back end is fixed once, by the bandwidth b of the lagged operator
-    A(w) = G^T diag(w) G in the grid's natural node order.  A row of G
-    couples at most two interior nodes, so b is the widest such pair: 1 on
-    the interval, the interior nodes per column in 2D.  A `banded` grid
-    (b <= BAND_MAX) maps the weights straight to LAPACK band storage for
-    dpbtrf, and its p=2 Laplacian G^T G is A(1) through the same map.  On
-    the others SuperLU factors the Laplacian in its own minimum-degree
-    order, and every A(w), which shares its pattern, is assembled in that
-    `fill_order` and factored without ordering it again."""
+    The back end is fixed once, by the bandwidth b in the grid's natural
+    node order of an operator G^T H G with H block-diagonal per cell.  Such
+    an operator couples the interior nodes of each cell, so b is the widest
+    span of one cell's nodes: 1 on the interval, the interior nodes per
+    column in 2D.  The preconditioner that `preconditioner` factors depends
+    on the back end:
+
+    * A `banded` grid (b <= BAND_MAX) factors the exact Hessian of the cell
+      energy, up to its factor h^d: G^T H G with, per cell,
+      H = w_f I + (p-2) w u u^T, where u = c / sqrt(a) and w_f is the weight
+      w floored at 1e-10 max(w).  H is positive definite for every p > 1,
+      its eigenvalues being at least min(1, p-1) w_f.  Its band map takes
+      the per-cell entries [H_xx, H_xy, H_yy] (H alone in 1D) straight to
+      LAPACK band storage for dpbtrf.  The cross term H_xy couples the
+      nodes (i+1, j) and (i, j+1), one closer in the node order than (i, j)
+      and (i+1, j) where all are interior, so it adds entries but no width
+      to the band.  The p=2 Laplacian G^T G is the same map at H = I.
+    * The others keep the lagged-diffusivity operator A(w) = G^T diag(w_f) G,
+      which drops the rank-one term of H and so shares the 5-point pattern
+      of the Laplacian.  SuperLU factors the Laplacian in its own
+      minimum-degree order, and every A(w) is assembled in that
+      `fill_order` and factored without ordering it again.  The Hessian's
+      7-point pattern raises the fill of these factors about 1.6 times.
+    """
 
     def __init__(self, G: sparse.csr_matrix, dim: int):
         self._G = G
+        self._dim = dim
         self._cells = G.shape[0] // dim
-        pairs = np.flatnonzero(np.diff(G.indptr) == 2)
-        first = G.indptr[pairs]
-        span = G.indices[first + 1] - G.indices[first]
-        self._b = int(np.abs(span).max(initial=0))
+        # each row of G holds its cell's nodes along one axis, in increasing
+        # order; a cell spans from its rows' lowest node to their highest
+        count = np.diff(G.indptr)
+        first = G.indices[np.minimum(G.indptr[:-1], G.nnz - 1)]
+        low = np.where(count > 0, first, G.shape[1]).reshape(dim, -1)
+        high = np.where(count > 0, G.indices[G.indptr[1:] - 1], -1)
+        span = high.reshape(dim, -1).max(axis=0) - low.min(axis=0)
+        self._b = int(span.max(initial=0))
         self.banded = self._b <= BAND_MAX
+        # (rows, columns) of the stored components of a symmetric cell
+        # matrix: xx in 1D; xx, xy, yy in 2D, where [::2] are the diagonal
+        self._components = ([0], [0]) if dim == 1 else ([0, 0, 1], [0, 1, 1])
 
     @classmethod
     def of(cls, grid: Grid) -> Factors:
@@ -257,22 +289,30 @@ class Factors:
             state["factors"] = cls(grid.G, grid.dim)
         return state["factors"]
 
-    def lagged(self, w: np.ndarray):
-        """Factorized solve with A(w), w floored at 1e-10 max(w) to keep it
-        positive definite where the gradient vanishes; None if max(w) is not
-        positive and finite (the start from zero at p != 2), where the
-        caller stands the Laplacian in.  On a SuperLU grid the solve maps the
-        right-hand side and the solution through the fill order q."""
+    def preconditioner(self, c: np.ndarray, w: np.ndarray, p: float,
+                       eps: float):
+        """Factorized solve with the grid's preconditioner at the cell
+        gradients c and weights w = a^(p/2-1) of one `_energy` call (a =
+        |c|^2 + eps^2): the cell Hessian on a banded grid, A(w) on a SuperLU
+        grid.  None if max(w) is not positive and finite (the start from
+        zero at p != 2), where the caller stands the Laplacian in.  On a
+        SuperLU grid the solve maps the right-hand side and the solution
+        through the fill order q."""
         wmax = float(w.max()) if w.size else 1.0
         if not (wmax > 0 and math.isfinite(wmax)):
             return None
-        w = np.maximum(w, 1e-10 * wmax)
+        w_f = np.maximum(w, 1e-10 * wmax)
         if self.banded:
-            B, nnz = self._band
-            return factorized(Banded((B @ w).reshape(self._b + 1, -1), nnz))
+            c = c.reshape(self._dim, -1)
+            a = (c * c).sum(axis=0) + eps * eps
+            u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
+            i, j = self._components
+            H = ((p - 2) * w * u)[i] * u[j]
+            H[::2] += w_f
+            return self._band_factor(H.ravel())
         S, indices, indptr = self._ordered
         solve_q = factorized(
-            sparse.csc_matrix((S @ w, indices, indptr),
+            sparse.csc_matrix((S @ w_f, indices, indptr),
                               shape=(indptr.size - 1,) * 2), ordered=True)
         q = self.fill_order
 
@@ -282,12 +322,22 @@ class Factors:
             return x
         return solve
 
+    def _band_factor(self, H: np.ndarray):
+        """Banded factor of G^T H G from the per-cell entries H, in the
+        order of `_band`."""
+        place, column, value, nnz = self._band
+        b, n = self._b, self._G.shape[1]
+        ab = np.bincount(place, value * H[column], (b + 1) * n)
+        return factorized(Banded(ab.reshape(b + 1, n), nnz))
+
     @functools.cached_property
     def laplacian(self):
         """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
         quadratic energy induces."""
         if self.banded:
-            return self.lagged(np.ones(self._cells))
+            H = np.zeros((len(self._components[0]), self._cells))
+            H[::2] = 1.0
+            return self._band_factor(H.ravel())
         return factorized((self._G.T @ self._G).sorted_indices())
 
     @functools.cached_property
@@ -310,8 +360,7 @@ class Factors:
         order, that of G^T G, and the scatter S with A(w).data == S @ w, as
         (S, indices, indptr): S holds G[r, i] G[r, j] in the column of row
         r's cell at the slot of (i, j), which a binary search finds in the
-        pattern.  Built once per grid, for the one map that the back end
-        keeps."""
+        pattern.  Built once per SuperLU grid, for `_ordered`."""
         G = self._G
         n, ncell = G.shape[1], self._cells
         L = (G.T @ G).sorted_indices()
@@ -338,24 +387,39 @@ class Factors:
 
     @functools.cached_property
     def _band(self):
-        """(B, nnz): the scatter B of the weights to the upper band storage
-        of A(w), (B @ w).reshape(b + 1, n) holding A[i, j] (i <= j) at
-        [b + i - j, j] and zeros elsewhere, each row of B the row of S for
-        its entry; nnz counts A's stored entries in both triangles."""
-        S, indices, indptr = self._assembly()
-        b, n = self._b, indptr.size - 1
-        cols = np.repeat(np.arange(n), np.diff(indptr))
-        offset = cols - indices  # j - i of each stored entry (i, j)
-        upper = np.flatnonzero(offset >= 0)
-        place = (b - offset[upper]) * n + cols[upper]
-        order = np.argsort(place)
-        rows = S[upper[order]]
-        count = np.zeros((b + 1) * n, dtype=rows.indptr.dtype)
-        count[place[order]] = np.diff(rows.indptr)
-        indptr_b = np.concatenate(([0], np.cumsum(count))).astype(count.dtype)
-        return (sparse.csr_matrix((rows.data, rows.indices, indptr_b),
-                                  shape=(count.size, S.shape[1])),
-                indices.size)
+        """(place, column, value, nnz): the map of the per-cell entries H to
+        the upper band storage of G^T H G, whose flat (b + 1) * n array sums
+        value * H[column] at each place, which holds [i, j] (i <= j) at
+        row b + i - j, column j.  H lists one component of the symmetric
+        cell matrix for all cells, then the next: H_xx, H_xy, H_yy in 2D,
+        the one entry in 1D.  Each term is a product G[r, i] G[s, j] of the
+        stored entries of two rows r, s of one cell; nnz counts the stored
+        entries of G^T H G in both triangles, the 3- or 7-point pattern."""
+        G, dim, ncell = self._G, self._dim, self._cells
+        b, n = self._b, G.shape[1]
+        # each row's stored entries, padded with node -1 and value 0, as
+        # [entry, component, cell]
+        count = np.diff(G.indptr)
+        entry = np.arange(count.max())[:, None]
+        stored = entry < count
+        at = np.where(stored, G.indptr[:-1] + entry, 0)
+        node = np.where(stored, G.indices[at], -1).reshape(-1, dim, 1, 1,
+                                                           ncell)
+        data = np.where(stored, G.data[at], 0.0).reshape(node.shape)
+        # every pair of a row's entry (i) and a row's entry (j) of one cell,
+        # over [entry i, component i, entry j, component j, cell]
+        i, j = node, node.reshape(1, 1, -1, dim, ncell)
+        keep = (i >= 0) & (i <= j)
+        k = np.arange(dim)
+        # components (ka, kb) -> 0, 1, 2 for xx, xy or yx, yy: dim is 1 or 2
+        column = ((k.reshape(dim, 1, 1, 1) + k.reshape(dim, 1)) * ncell
+                  + np.arange(ncell))
+        place = ((b + i - j) * n + j)[keep]
+        column = np.broadcast_to(column, keep.shape)[keep]
+        value = (data * data.reshape(j.shape))[keep]
+        hit = np.bincount(place, minlength=(b + 1) * n) > 0
+        nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b * n:])
+        return place, column, value, int(nnz)
 
     @functools.cached_property
     def _ordered(self):
@@ -387,16 +451,20 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     or the objective by 1e-12 relative); it also stops when the line search
     finds no acceptable step.  All exits but the tolerance are floors.
 
-    The direction is the inverse lagged-diffusivity operator (the p=2
-    stencil when p == 2) applied to the gradient, factored at the current
-    iterate's weights on the first iteration and checked every 20 after: a
-    SuperLU factor (a grid that is not `Factors.banded`) is kept for
-    another 20 while the best gradient sup-norm fell to at most 0.3 of its
-    value at the last check, and re-lagged otherwise; a banded factor, and
-    the p=2 stencil standing in for weights without a positive finite max
-    (the start from zero), are re-lagged at every check.  A trial
-    point costs one `_energy` call; the gradient is formed from its (c, w)
-    only at the accepted trial and at trials below the resolution floor.
+    The direction is the grid's preconditioner (`Factors.preconditioner`:
+    the cell Hessian on a banded grid, A(w) on a SuperLU grid; the p=2
+    stencil when p == 2) applied to the gradient.  It is factored at the
+    current iterate's cell gradients c and weights w on the first iteration
+    and checked every 20 after: a SuperLU factor is kept for another 20
+    while the best gradient sup-norm fell to at most 0.3 of its value at
+    the last check, and re-lagged otherwise; a banded factor, and the p=2
+    stencil standing in for weights without a positive finite max (the
+    start from zero), are re-lagged at every check.  After each re-lag the
+    first trial step is 1/h^d, Newton's step with the banded grids' Hessian
+    and the exact step at p=2.  A trial point costs one `_energy` call; the
+    gradient is formed from its (c, w) only at the accepted trial and at
+    trials below the resolution floor, and the accepted trial's (c, w) is
+    kept for the next re-lag.
 
     A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
     c t g.d while that decrease is resolvable (above 1e-15 |J|); below it,
@@ -421,11 +489,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             else:
                 precond = None  # released before the next is built
         if precond is None:
-            # (re-)lag at the current weights, or take the p=2 stencil:
+            # (re-)lag at the current (c, w), or take the p=2 stencil:
             # exact at p=2, a stand-in where the weights give no factor.
             # The new metric resets BB history, and 1/h^d is the exact
-            # first step for p=2
-            precond = None if p == 2 else factors.lagged(w)
+            # first step for p=2 and Newton's with the cell Hessian
+            precond = (None if p == 2
+                       else factors.preconditioner(c, w, p, eps))
             stand_in = precond is None
             if stand_in:
                 precond = factors.laplacian
@@ -468,7 +537,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
         if not accepted:
             break  # at the numerical floor for this eps
         prev = (t, g, d)
-        x, J, w = trial, min(Jt, J), wt
+        x, J, c, w = trial, min(Jt, J), ct, wt
         g = _nodal_gradient(grid, ct, wt, fh) if trial_g is None else trial_g
         gsup = float(np.abs(g).max())
         it += 1

@@ -205,6 +205,18 @@ class TestUsageErrors:
                                "--p", "2", "--out", "/tmp/x")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance(self, capsys, tol):
+        # a bad setting is a usage error, not a solver failure: with
+        # inf the solve ran no inner iteration and reported a degenerate
+        # iterate
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", "3", "--tol-grad", tol,
+                                 "--out", "/tmp/x")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol_grad")
+
     def test_missing_mask_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain",
                                "mask:/nonexistent.mask", "--n", "8",

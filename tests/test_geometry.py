@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy import sparse
+
 from pground.geometry import (DomainError, Interval, MaskDomain, Rectangle,
-                              build_grid, inradius, read_mask_file,
-                              write_mask_file)
+                              _gradient_operators, build_grid, inradius,
+                              read_mask_file, write_mask_file)
 
 
 class TestBuildGrid:
@@ -59,6 +61,24 @@ class TestBuildGrid:
         ii, jj = np.nonzero(g.interior)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert present[ii + di, jj + dj].all()
+
+
+class TestGradientOperator:
+    @pytest.mark.parametrize("kind, n", [("interval", 63), ("square", 16),
+                                         ("l_shape", 16), ("square", 24)])
+    def test_csr_equals_stacked_reference(self, kind, n, l_mask):
+        # G is built as CSR from the cells' node pairs; the reference stacks
+        # the per-axis operators built through COO (square n=24 is a
+        # SuperLU-factored grid)
+        spec = {"interval": Interval(0.0, 1.0),
+                "square": Rectangle(0.0, 1.0, 0.0, 1.0),
+                "l_shape": l_mask}[kind]
+        g = build_grid(spec, n)
+        ref = sparse.vstack(_gradient_operators(g), format="csr")
+        assert g.G.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g.G, name), getattr(ref, name))
+            assert getattr(g.G, name).dtype == getattr(ref, name).dtype
 
 
 class TestMaskFile:

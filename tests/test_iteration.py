@@ -10,6 +10,7 @@ import pground.iteration
 from pground.calculus import GridFunction
 from pground.geometry import (Grid, Interval, MaskDomain, Rectangle,
                               build_grid)
+from pground.infinity import sweep
 from pground.inner import SolverConfig, signed_power, solve_step
 from pground.iteration import (Custom, DegenerateIterate, PositiveConstant,
                                RandomPositive, barrier_sup_bound,
@@ -350,6 +351,33 @@ class TestDefaultConfigConvergence:
 
 
 L_SHAPE = MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5)
+
+
+class TestPreconditionerPins:
+    """Banded grids precondition with the cell Hessian, SuperLU grids with
+    the lagged diffusivity A(w)."""
+
+    def test_superlu_solve_unchanged(self):
+        # square n=24 (bandwidth 23) is a SuperLU grid; its per-step inner
+        # iterations and lambda_R are those of the solver that preconditioned
+        # every grid with A(w)
+        tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 24, 3.0,
+                             PositiveConstant())
+        assert [s.inner_iters for s in tr.steps] == \
+            [0, 25, 20, 11, 9, 8, 7, 6, 5]
+        assert repr(tr.lambda_R) == "62.671607887504656"
+
+    @pytest.mark.parametrize("spec, n", [(Interval(0.0, 1.0), 63),
+                                         (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                                         (L_SHAPE, 16)])
+    def test_large_p_sweeps_pass_verify(self, spec, n):
+        # banded grids, where the Hessian solve stops closest to the claims'
+        # slack at large p
+        result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
+        for entry, trace in zip(result.entries, result.traces):
+            assert entry.converged
+            report = verify(trace)
+            assert report.all_passed, f"p={entry.p}\n{report}"
 
 
 def _eps_per_solve(monkeypatch):
