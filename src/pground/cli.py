@@ -142,6 +142,9 @@ def cmd_sweep(args) -> int:
     try:
         result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
                            tol_outer=args.tol, verbose=args.verbose)
+    except DegenerateIterate as exc:
+        print(f"error: degenerate iterate: {exc}", file=sys.stderr)
+        return 2
     except OverflowError as exc:
         return _overflow(exc)
     traceio.write_sweep_csv(args.out + ".sweep.csv", result)

@@ -18,10 +18,15 @@ form of the Armijo condition (Hager & Zhang, SIAM J. Optim. 2005).
 
 One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
-bandwidth up to BAND_MAX = 16, which covers the interval and the small 2D
-grids, and SuperLU beyond.  The cut-off is where OpenBLAS starts threading
-dpbtrf's updates, which makes wider bands slower than SuperLU under the
-default BLAS threads.  The back end also fixes the preconditioner: the
+bandwidth up to BAND_MAX = 64, which covers the interval and the 2D grids
+up to the square n=65, and SuperLU beyond.  The cut-off is the measured
+crossover (2-core Xeon VM, BLAS on 1 thread, p=3, best of 25 factors and
+101 solves in each of three runs): on the square n=64 (bandwidth 63) a
+banded factor of the cell Hessian takes 3.6-3.7 ms and a solve with it
+0.18-0.20 ms, against 3.8-4.1 and 0.18-0.19 ms for SuperLU's factor of
+A(w); on the square n=128 (bandwidth 127) the band takes 30-34 and
+1.5-2.1 ms against SuperLU's 21-32 and 0.94-1.08 ms, so that grid stays
+on SuperLU.  The back end also fixes the preconditioner: the
 Hessian's cross term keeps a band's width but makes SuperLU's 5-point
 pattern a 7-point one, with about 1.6 times the fill.  `Factors` keeps that
 back end's storage map and the p=2 Laplacian (on a SuperLU grid only until
@@ -36,7 +41,10 @@ square n=256 at p=3, and claim (b) failed there.
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
 iterate on; the solve raises NonConvergence at one place, when the last
-stage ends above tol.  The floors are listed with `_descend`.
+stage ends above tol.  A last stage preconditioned by the cell Hessian also
+descends until its Newton decrement is small, which bounds the iterate's
+relative error (`_descend`); that test never raises.  The floors are
+listed with `_descend`.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from .geometry import Grid
 
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
-BAND_MAX = 16     # widest band `Factors` hands to LAPACK's dpbtrf
+BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 
 
 class NonConvergence(RuntimeError):
@@ -86,6 +94,9 @@ class SolverConfig:
     tol_grad is the absolute stopping threshold on the sup-norm of the
     objective gradient; when None it defaults to 1e-10 * max(1, sup|f|),
     which keeps the test invariant under rescaling of the right-hand side.
+    A last eps stage preconditioned by the cell Hessian also holds its
+    Newton decrement to the relative tolerance tau = 100 resolved_tol(1.0),
+    the slack `check_monotonicity` grants (`_descend`).
     eps_schedule None means: no regularization for p >= 2, and a quarter-ratio
     continuation from 16 h^2 down to h^2 / 4096 for p < 2.  Stopping the
     continuation at h^2 leaves a measurable bias in the converged Rayleigh
@@ -176,11 +187,15 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
     fh = f * grid.h ** grid.dim
     x = np.zeros(grid.num_interior) if initial is None else initial
     total_iters = 0
+    # the relative slack `verify` grants, which the last stage's Newton
+    # decrement is held to
+    tau = 100 * cfg.resolved_tol(1.0)
     for stage, eps in enumerate(eps_stages):
-        stage_tol = tol if stage == len(eps_stages) - 1 else 100 * tol
-        x, used, residual = _descend(grid, x, fh, cfg, eps, stage_tol,
+        last = stage == len(eps_stages) - 1
+        x, used, residual = _descend(grid, x, fh, cfg, eps,
+                                     tol if last else 100 * tol,
                                      cfg.max_inner_iters - total_iters,
-                                     verbose)
+                                     verbose, tau if last else None)
         total_iters += used
     if not residual <= tol:
         raise NonConvergence(residual, tol, total_iters,
@@ -324,11 +339,12 @@ class Factors:
 
     def _band_factor(self, H: np.ndarray):
         """Banded factor of G^T H G from the per-cell entries H, in the
-        order of `_band`."""
+        order of `_band`.  The band is built in Fortran order, which
+        dpbtrf factors in place, without a copy."""
         place, column, value, nnz = self._band
         b, n = self._b, self._G.shape[1]
         ab = np.bincount(place, value * H[column], (b + 1) * n)
-        return factorized(Banded(ab.reshape(b + 1, n), nnz))
+        return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
 
     @functools.cached_property
     def laplacian(self):
@@ -388,13 +404,14 @@ class Factors:
     @functools.cached_property
     def _band(self):
         """(place, column, value, nnz): the map of the per-cell entries H to
-        the upper band storage of G^T H G, whose flat (b + 1) * n array sums
-        value * H[column] at each place, which holds [i, j] (i <= j) at
-        row b + i - j, column j.  H lists one component of the symmetric
-        cell matrix for all cells, then the next: H_xx, H_xy, H_yy in 2D,
-        the one entry in 1D.  Each term is a product G[r, i] G[s, j] of the
-        stored entries of two rows r, s of one cell; nnz counts the stored
-        entries of G^T H G in both triangles, the 3- or 7-point pattern."""
+        the upper band storage of G^T H G, whose flat (b + 1) * n array in
+        column-major order sums value * H[column] at each place, which holds
+        [i, j] (i <= j) at row b + i - j, column j.  H lists one component
+        of the symmetric cell matrix for all cells, then the next: H_xx,
+        H_xy, H_yy in 2D, the one entry in 1D.  Each term is a product
+        G[r, i] G[s, j] of the stored entries of two rows r, s of one cell;
+        nnz counts the stored entries of G^T H G in both triangles, the 3-
+        or 7-point pattern."""
         G, dim, ncell = self._G, self._dim, self._cells
         b, n = self._b, G.shape[1]
         # each row's stored entries, padded with node -1 and value 0, as
@@ -414,11 +431,11 @@ class Factors:
         # components (ka, kb) -> 0, 1, 2 for xx, xy or yx, yy: dim is 1 or 2
         column = ((k.reshape(dim, 1, 1, 1) + k.reshape(dim, 1)) * ncell
                   + np.arange(ncell))
-        place = ((b + i - j) * n + j)[keep]
+        place = (j * (b + 1) + b + i - j)[keep]
         column = np.broadcast_to(column, keep.shape)[keep]
         value = (data * data.reshape(j.shape))[keep]
         hit = np.bincount(place, minlength=(b + 1) * n) > 0
-        nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b * n:])
+        nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b::b + 1])
         return place, column, value, int(nnz)
 
     @functools.cached_property
@@ -439,7 +456,8 @@ class Factors:
 
 
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
-             eps: float, tol: float, budget: int, verbose: bool):
+             eps: float, tol: float, budget: int, verbose: bool,
+             tau: float | None = None):
     """Monotone preconditioned descent with BB step scaling from the
     interior vector x; fh is f h^d on the interior nodes.  Returns
     (x, iterations, residual) where it stopped, the residual being the
@@ -450,6 +468,25 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     measurable progress (the gradient sup-norm fell below 0.99 of its best
     or the objective by 1e-12 relative); it also stops when the line search
     finds no acceptable step.  All exits but the tolerance are floors.
+
+    With tau given (the last eps stage) and the cell Hessian as the factor
+    (a banded grid at p != 2), the tolerance exit also asks the Newton
+    decrement to be small (Boyd & Vandenberghe, Convex Optimization, 9.5):
+    it ends at residual <= tol only once p^2 g.d <= (p-1) tau^2 h^d |fh.x|,
+    with d the preconditioned gradient of the loop.  The factor is the
+    Hessian over h^d, so g.d / h^d is about |x - x*|^2 in the Hessian norm,
+    and at the minimizer that norm of x* itself is (p-1) fh.x* (the
+    objective's Euler-Lagrange equation, at eps = 0).  The test thus asks
+    a relative error in that norm of at most tau / p, and N = c^(-p)
+    multiplies a relative error in the norm c by p, so N is off by at most
+    about tau, the relative slack `check_monotonicity` grants.  Unlike the
+    sup-norm, the test does not depend on the scale of the grid or of f.
+    d is the direction of the loop's next step, so when the test ends the
+    loop it has spent one solve, and a re-lag if one fell due there, and
+    no other work.  It only delays the tolerance exit, so it never makes a
+    solve fail.  A SuperLU grid's A(w) is no Hessian, and p = 2 keeps the
+    sup-norm exit alone, without that last solve; so does the p=2 stencil
+    standing in for the Hessian, after it.
 
     The direction is the grid's preconditioner (`Factors.preconditioner`:
     the cell Hessian on a banded grid, A(w) on a SuperLU grid; the p=2
@@ -479,10 +516,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     gsup = float(np.abs(g).max())
     factors = Factors.of(grid)
     superlu = p != 2 and not factors.banded
+    newton = tau is not None and p != 2 and factors.banded
     precond = None
     it = last_gain = since_refresh = 0
     best_gsup, mark_J = gsup, J
-    while tol < gsup < math.inf and it < budget and it - last_gain <= 300:
+    while ((newton or tol < gsup) and gsup < math.inf and it < budget
+           and it - last_gain <= 300):
         if p != 2 and since_refresh >= 20:
             if superlu and not stand_in and best_gsup <= 0.3 * lag_gsup:
                 since_refresh, lag_gsup = 0, best_gsup  # one more window
@@ -502,6 +541,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             t = 1.0 / hd
             since_refresh, lag_gsup = 0, best_gsup
         d = precond(g)
+        slope = float(np.dot(g, d))  # directional derivative along -d
+        if gsup <= tol and (stand_in or p * p * slope <= (p - 1) * tau * tau
+                            * hd * abs(float(np.dot(fh, x)))):
+            break  # a newton descent at tol: the decrement is small too
         if prev is not None:
             t_old, g_old, d_old = prev
             s_y = t_old * float(np.dot(d_old, g_old - g))
@@ -510,7 +553,6 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
                 t = t_old * t_old * float(np.dot(g_old, d_old)) / s_y
             else:
                 t = 2.0 * t_old
-        slope = float(np.dot(g, d))  # directional derivative along -d
         floor = 1e-15 * max(1.0, abs(J))  # resolvable objective decrease
         accepted = False
         trial_g = None

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import pground.infinity
 from pground import traceio
 from pground.cli import main
 from pground.geometry import Interval, Rectangle, write_mask_file
-from pground.iteration import (PositiveConstant, RandomPositive,
-                               inverse_iterate, verify)
+from pground.iteration import (DegenerateIterate, PositiveConstant,
+                               RandomPositive, inverse_iterate, verify)
 
 from conftest import hat_function
 
@@ -236,6 +237,23 @@ class TestSweep:
         with open(out + ".sweep.csv") as fh:
             assert fh.readline().strip() == \
                 "p,lambda_R,lambda_root,final_ratio,inradius_reciprocal,converged"
+
+    def test_degenerate_iterate_exit_code(self, tmp_path, capsys,
+                                          monkeypatch):
+        # sweep catches NonConvergence per exponent only; a degenerate
+        # iterate ends the sweep with an error line, as it ends a solve
+        def degenerate(*args, **kwargs):
+            raise DegenerateIterate("outer step 1: the iterate vanished")
+
+        monkeypatch.setattr(pground.infinity, "inverse_iterate", degenerate)
+        out = str(tmp_path / "sw")
+        code, stdout, err = run_cli(capsys, "sweep", "--domain", "interval",
+                                    "--n", "16", "--p-list", "4,8",
+                                    "--out", out)
+        assert code == 2
+        assert err.startswith("error: degenerate iterate:")
+        assert stdout == ""
+        assert not os.path.exists(out + ".sweep.csv")
 
     def test_rejects_bad_p_list(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--domain", "interval",

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -323,8 +324,8 @@ class TestFactorized:
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
     def test_wide_band_keeps_superlu(self):
-        factors, _, _, A = self._operator(Rectangle(0.0, 1.0, 0.0, 1.0), 20)
-        assert self._bandwidth(A) == 19 > inner.BAND_MAX
+        factors, _, _, A = self._operator(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
+        assert self._bandwidth(A) == 71 > inner.BAND_MAX
         assert not factors.banded
         b = np.random.default_rng(47).uniform(-1.0, 1.0, A.shape[0])
         x = inner.factorized(A)(b)
@@ -333,7 +334,7 @@ class TestFactorized:
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("kind, n, band", [
-        ("square", 20, 19), ("l_shape", 32, 31), ("rectangle", 20, 19)])
+        ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask):
         # the lagged solve runs in the grid's fill order, which is read from
         # the Laplacian's own minimum-degree factor
@@ -367,9 +368,9 @@ class TestFactorized:
 
         monkeypatch.setattr(inner, "splu", counting_splu)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
-        grid = build_grid(spec, 24)
-        assert not inner.Factors.of(grid).banded  # bandwidth 23
-        inverse_iterate(spec, 24, 3.0, PositiveConstant(), grid=grid)
+        grid = build_grid(spec, 72)
+        assert not inner.Factors.of(grid).banded  # bandwidth 71
+        inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
         assert specs.count("MMD_AT_PLUS_A") == 1
         assert len(specs) == 9  # the factorizations of the same solve
 
@@ -378,11 +379,11 @@ class TestFactorized:
         # only for its order, and drops that factor; the order, and with it
         # the solve, is the one a Laplacian factored before the solve gives
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
-        ground = Custom(inverse_iterate(spec, 24, 3.0,
+        ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
-        fresh, kept = build_grid(spec, 24), build_grid(spec, 24)
+        fresh, kept = build_grid(spec, 72), build_grid(spec, 72)
         inner.Factors.of(kept).laplacian
-        traces = [inverse_iterate(spec, 24, 3.0, ground, grid=g)
+        traces = [inverse_iterate(spec, 72, 3.0, ground, grid=g)
                   for g in (fresh, kept)]
         fresh, kept = inner.Factors.of(fresh), inner.Factors.of(kept)
         assert "fill_order" in vars(fresh)
@@ -640,8 +641,8 @@ class TestSolverCaches:
             # a SuperLU grid keeps its fill order and permuted scatter, and
             # drops the Laplacian factor it read the order from
             for _ in range(3):
-                grid = build_grid(spec, 20)
-                inverse_iterate(spec, 20, 3.0, PositiveConstant(), grid=grid)
+                grid = build_grid(spec, 72)
+                inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
                 factors = inner.Factors.of(grid)
                 assert not factors.banded
                 assert {"fill_order", "_ordered"} <= vars(factors).keys()
@@ -684,8 +685,8 @@ class TestRelag:
         return inner.Factors.of(grid), runs
 
     def test_superlu_factor_kept_while_contracting(self, monkeypatch):
-        back, runs = self._descents(monkeypatch, 24, 16.0)
-        assert back._b == 23 and not back.banded
+        back, runs = self._descents(monkeypatch, 72, 16.0)
+        assert back._b == 71 and not back.banded
         # the first descent starts from zero on the p=2 stand-in, which is
         # replaced at 20 iterations
         iters, factors = runs[0]
@@ -706,7 +707,7 @@ class TestFactorizeBoundary:
     benchmark's tracer times `inner.factorize` there and sums each
     argument's nnz, so a factorization that bypassed it would read 0."""
 
-    @pytest.mark.parametrize("n, banded", [(16, True), (24, False)])
+    @pytest.mark.parametrize("n, banded", [(16, True), (72, False)])
     def test_every_factorization_goes_through_factorized(self, monkeypatch,
                                                           n, banded):
         calls = {"factorized": 0, "backend": 0}
@@ -734,6 +735,75 @@ class TestFactorizeBoundary:
         inverse_iterate(spec, n, 3.0, PositiveConstant(), grid=grid)
         assert calls["factorized"] == calls["backend"] > 0
         assert all(isinstance(k, (int, np.integer)) and k > 0 for k in nnz)
+
+
+class TestNewtonDecrementStop:
+    """The last eps stage of a descent preconditioned by the cell Hessian (a
+    banded grid at p != 2) ends when the gradient sup-norm is at most tol
+    and the Newton decrement is small too: p^2 g.d <= (p-1) tau^2 h^d
+    |fh.x|, with d the preconditioned gradient and tau = 100 tol_grad.
+    SuperLU grids and p = 2 stop on the sup-norm alone."""
+
+    @staticmethod
+    def _solve(monkeypatch, spec, n, p):
+        # one solve from zero for a positive right-hand side; returns the
+        # grid, f, cfg, the minimizer x, its iterations, the solve callable
+        # of each factor in the order they were built, and the number of
+        # triangular solves made with them
+        built, count = [], [0]
+        factorized = inner.factorized
+
+        def counting_factorized(A, **kwargs):
+            solve = factorized(A, **kwargs)
+
+            @functools.wraps(solve)
+            def counted(rhs):
+                count[0] += 1
+                return solve(rhs)
+            built.append(solve)
+            return counted
+
+        monkeypatch.setattr(inner, "factorized", counting_factorized)
+        g = build_grid(spec, n)
+        f = random_rhs(g, 71, nonneg=True).values[g.interior]
+        cfg = SolverConfig(p=p)
+        x, iters = solve_step_with_stats(g, f, cfg)
+        return g, f, cfg, x, iters, built, count[0]
+
+    @pytest.mark.parametrize("p", [3.0, 64.0])
+    def test_newton_iterate_meets_decrement_bound(self, monkeypatch, p):
+        g, f, cfg, x, iters, built, solves = self._solve(
+            monkeypatch, Rectangle(0.0, 1.0, 0.0, 1.0), 16, p)
+        assert inner.Factors.of(g).banded
+        hd = g.h ** g.dim
+        fh = f * hd
+        _, c, w = _energy(g, x, fh, p, 0.0)
+        grad = _nodal_gradient(g, c, w, fh)
+        assert np.abs(grad).max() <= cfg.resolved_tol(float(f.max()))
+        # the decrement in the metric of the last factor, the cell Hessian
+        # the descent ended on
+        tau = 100 * cfg.resolved_tol(1.0)
+        slope = float(np.dot(grad, built[-1](grad)))
+        assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
+        assert solves == iters + 1  # the decrement's solve at the exit
+
+    @pytest.mark.parametrize("spec, n, p", [
+        (Rectangle(0.0, 1.0, 0.0, 1.0), 72, 3.0),
+        (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 2.0),
+        (Interval(0.0, 1.0), 63, 2.0)], ids=["superlu", "square-p2",
+                                             "interval-p2"])
+    def test_gradient_stop_unchanged(self, monkeypatch, spec, n, p):
+        # one triangular solve per iteration, none at the exit, and the
+        # same iterate as a descent without the decrement test
+        g, f, cfg, x, iters, _, solves = self._solve(monkeypatch, spec, n, p)
+        assert p == 2 or not inner.Factors.of(g).banded
+        assert solves == iters
+        descend = inner._descend
+        monkeypatch.setattr(inner, "_descend",
+                            lambda *args: descend(*args[:8]))
+        x0, iters0 = solve_step_with_stats(g, f, cfg)
+        assert iters0 == iters
+        assert np.array_equal(x0, x)
 
 
 class TestGeneralP:

@@ -358,21 +358,24 @@ class TestPreconditionerPins:
     the lagged diffusivity A(w)."""
 
     def test_superlu_solve_unchanged(self):
-        # square n=24 (bandwidth 23) is a SuperLU grid; its per-step inner
+        # square n=72 (bandwidth 71) is a SuperLU grid; its per-step inner
         # iterations and lambda_R are those of the solver that preconditioned
-        # every grid with A(w)
-        tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 24, 3.0,
+        # every grid with A(w) and had no Newton-decrement stop
+        tr = inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 72, 3.0,
                              PositiveConstant())
         assert [s.inner_iters for s in tr.steps] == \
-            [0, 25, 20, 11, 9, 8, 7, 6, 5]
-        assert repr(tr.lambda_R) == "62.671607887504656"
+            [0, 26, 25, 10, 8, 7, 6, 5, 4]
+        assert repr(tr.lambda_R) == "62.748266173881"
 
     @pytest.mark.parametrize("spec, n", [(Interval(0.0, 1.0), 63),
                                          (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
-                                         (L_SHAPE, 16)])
+                                         (L_SHAPE, 16),
+                                         (Rectangle(0.0, 1.0, 0.0, 1.0), 64)])
     def test_large_p_sweeps_pass_verify(self, spec, n):
         # banded grids, where the Hessian solve stops closest to the claims'
-        # slack at large p
+        # slack at large p; the square n=64 (bandwidth 63, the widest band)
+        # fails claim (c) at p=64 when the gradient sup-norm alone ends the
+        # solve, without the Newton-decrement stop
         result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
         for entry, trace in zip(result.entries, result.traces):
             assert entry.converged
