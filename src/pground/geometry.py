@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
+from scipy.sparse import csgraph
 # the compiled kernels SciPy's sparse products call; private to SciPy, so
 # tests pin Grid.apply_G / apply_GT bit-equal to those products
 from scipy.sparse import _sparsetools
@@ -71,7 +72,7 @@ class MaskDomain:
             raise DomainError("cell_size must be positive")
         if not cells.any():
             raise DomainError("mask has no interior cells")
-        _, ncomp = ndimage.label(cells)
+        ncomp = _count_components(cells)
         if ncomp != 1:
             raise DomainError(f"mask interior is not 4-connected ({ncomp} components)")
         object.__setattr__(self, "cells", cells)
@@ -91,6 +92,23 @@ class MaskDomain:
 
 
 DomainSpec = Union[Interval, Rectangle, MaskDomain]
+
+
+def _count_components(cells: np.ndarray) -> int:
+    """Number of 4-connected components of the True cells of a 2D mask:
+    the connected components of the graph whose edges join each pair of
+    inside cells that share a side."""
+    count = int(np.count_nonzero(cells))
+    idx = np.zeros(cells.shape, dtype=np.int64)
+    idx[cells] = np.arange(count)
+    along_x = cells[:-1, :] & cells[1:, :]
+    along_y = cells[:, :-1] & cells[:, 1:]
+    lo = np.concatenate([idx[:-1, :][along_x], idx[:, :-1][along_y]])
+    hi = np.concatenate([idx[1:, :][along_x], idx[:, 1:][along_y]])
+    graph = sparse.coo_matrix((np.ones(lo.size), (lo, hi)),
+                              shape=(count, count))
+    ncomp, _ = csgraph.connected_components(graph, directed=False)
+    return int(ncomp)
 
 
 def read_mask_file(path) -> MaskDomain:
@@ -311,6 +329,8 @@ def inradius(spec: DomainSpec, grid: Grid | None = None) -> float:
     if isinstance(spec, Rectangle):
         return 0.5 * min(spec.bx - spec.ax, spec.by - spec.ay)
     if isinstance(spec, MaskDomain):
+        # loaded here, off the solve path: no solve needs ndimage
+        from scipy import ndimage
         if grid is None:
             grid = build_grid(spec, 3 * min(spec.width, spec.height))
         dist = ndimage.distance_transform_edt(grid.interior, sampling=grid.h)

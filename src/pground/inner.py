@@ -29,9 +29,9 @@ A(w); on the square n=128 (bandwidth 127) the band takes 30-34 and
 on SuperLU.  The back end also fixes the preconditioner: the
 Hessian's cross term keeps a band's width but makes SuperLU's 5-point
 pattern a 7-point one, with about 1.6 times the fill.  `Factors` keeps that
-back end's storage map and the p=2 Laplacian (on a SuperLU grid only until
-the first lagged factor), and hands each matrix to `factorized`, the one
-factorization site.  A banded factor costs about one descent iteration and
+back end's storage map and the p=2 Laplacian (only until a lagged factor
+replaces it), and hands each matrix to `factorized`, the one factorization
+site.  A banded factor costs about one descent iteration and
 is rebuilt at every refresh check; a SuperLU factor costs several and is
 kept while it still contracts the residual.  No factor outlives its
 descent, so every outer step and every eps stage starts on a fresh one:
@@ -317,6 +317,12 @@ class Factors:
         if not (wmax > 0 and math.isfinite(wmax)):
             return None
         w_f = np.maximum(w, 1e-10 * wmax)
+        if not self.banded:
+            # the first call reads the fill order from the Laplacian factor
+            S, indices, indptr = self._ordered
+        # the lagged factors replace the Laplacian that a cold start stood
+        # in, so its factor is dropped before the first of them is built
+        vars(self).pop("laplacian", None)
         if self.banded:
             c = c.reshape(self._dim, -1)
             a = (c * c).sum(axis=0) + eps * eps
@@ -325,7 +331,6 @@ class Factors:
             H = ((p - 2) * w * u)[i] * u[j]
             H[::2] += w_f
             return self._band_factor(H.ravel())
-        S, indices, indptr = self._ordered
         solve_q = factorized(
             sparse.csc_matrix((S @ w_f, indices, indptr),
                               shape=(indptr.size - 1,) * 2), ordered=True)
@@ -349,7 +354,10 @@ class Factors:
     @functools.cached_property
     def laplacian(self):
         """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
-        quadratic energy induces."""
+        quadratic energy induces: the preconditioner at p=2 and the stand-in
+        of a cold start.  `preconditioner` drops it whenever it builds a
+        lagged factor, so that it adds no memory to theirs; the next cold
+        start factors it again."""
         if self.banded:
             H = np.zeros((len(self._components[0]), self._cells))
             H[::2] = 1.0
@@ -361,11 +369,10 @@ class Factors:
         """The order q = argsort(perm_c) of the SuperLU factor of the
         Laplacian, in which (G^T G)[q][:, q] and every A(w)[q][:, q] factor
         as given with the same fill.  It is read when the first lagged
-        operator is factored, and the Laplacian factor is dropped then:
-        a cold start has built it as its first preconditioner, which the
-        lagged factors replace, so it would only add its memory to theirs;
-        a solve that starts warm on a fresh grid (a `Custom` init) factors
-        the Laplacian here for its order alone."""
+        operator is factored, and the Laplacian factor is dropped then,
+        before the assembly of A(w) is built; a solve that starts warm on a
+        fresh grid (a `Custom` init) factors the Laplacian here for its
+        order alone."""
         solve = vars(self).pop("laplacian", None)
         if solve is None:
             solve = Factors.laplacian.func(self)

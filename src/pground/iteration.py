@@ -271,11 +271,21 @@ def check_monotonicity(trace: IterationTrace,
     (b) the norm-power ratios are nonincreasing,
     (c) both sequences stay above the limit values they converge to,
     (d) the scaled Dirichlet energies decay at least by the factor mu^p.
+
+    The relative slack defaults to 100 trace.tol_grad.  Both must be finite
+    and nonnegative (ValueError otherwise): an infinite slack would pass
+    every claim on any trace, and a NaN one fail them all.
     """
     if len(trace.steps) < 4:
         raise ValueError("trace needs at least 3 iteration steps")
     if slack is None:
+        if not 0 <= trace.tol_grad < math.inf:
+            raise ValueError(f"tol_grad must be finite and nonnegative, "
+                             f"got {trace.tol_grad}")
         slack = 100.0 * trace.tol_grad
+    if not 0 <= slack < math.inf:
+        raise ValueError(
+            f"slack must be finite and nonnegative, got {slack}")
     p = trace.p
     R = [s.R for s in trace.steps[1:]]
     N = [s.N for s in trace.steps[1:]]
@@ -328,7 +338,11 @@ def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
     """Every check a recorded trace supports: claims (a)-(d), mu against
     lambda_R^(1/(p-1)) to 1e-12 relative, the estimator gap of a converged
     trace, and the barrier bound if the trace records it.  A check that does
-    not apply has passed None and prints as SKIP."""
+    not apply has passed None and prints as SKIP.  gap_tol must be finite
+    and nonnegative (ValueError otherwise), as check_monotonicity's slack."""
+    if not 0 <= gap_tol < math.inf:
+        raise ValueError(
+            f"gap_tol must be finite and nonnegative, got {gap_tol}")
     claims = check_monotonicity(trace).claims  # raises on a short trace
     last = trace.num_steps
     mu_ref = trace.lambda_R ** (1.0 / (trace.p - 1))

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
 from scipy.sparse.linalg import eigsh
 
 from .calculus import (GridFunction, _energy, _nodal_gradient, p_norm_pow,
@@ -93,6 +91,9 @@ def _first_zero(p: float, lam: float, x_end: float = 3.0):
     The system is integrated in (u, s) with s the (p-1)-power of u'; s is
     smooth through critical points of u even for p < 2.
     """
+    # loaded here, off the solve path: `import pground` leaves
+    # scipy.integrate out
+    from scipy.integrate import solve_ivp
     q = p / (p - 1)
 
     def rhs(x, z):
@@ -160,6 +161,9 @@ def rayleigh_bruteforce(spec: DomainSpec, n: int, p: float,
                         grid: Grid | None = None) -> float:
     """Global minimum of the discrete Rayleigh quotient on a tiny grid by
     multistart local minimization over random sign patterns."""
+    # loaded here, off the solve path: `import pground` leaves
+    # scipy.optimize out
+    from scipy.optimize import minimize
     if grid is None:
         grid = build_grid(spec, n)
     m = grid.num_interior

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -333,6 +334,38 @@ class TestCheck:
         # an explicit flag still overrides the recorded tolerance
         code, _, _ = run_cli(capsys, "check", prefix, "--tol-grad", "1e-10")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-grad", "inf"), ("--tol-grad", "-1"), ("--tol-grad", "nan"),
+        ("--gap-tol", "inf"), ("--gap-tol", "-1"), ("--gap-tol", "nan")])
+    def test_bad_tolerance_is_usage_error(self, solved_prefix, capsys, flag,
+                                          value):
+        # an infinite slack passed every claim on any trace (exit 0), and a
+        # negative or NaN one was reported as failed claims (exit 3)
+        code, out, err = run_cli(capsys, "check", solved_prefix, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "finite and nonnegative" in err
+
+    @pytest.mark.parametrize("flag", ["--tol-grad", "--gap-tol"])
+    def test_zero_tolerance_is_valid(self, solved_prefix, capsys, flag):
+        code, out, _ = run_cli(capsys, "check", solved_prefix, flag, "0")
+        assert code in (0, 3)
+        assert "PASS  (a)" in out or "FAIL  (a)" in out
+
+    @pytest.mark.parametrize("value", [math.inf, -1.0, math.nan])
+    def test_bad_recorded_tol_grad_is_usage_error(self, solved_prefix, capsys,
+                                                  value):
+        # json writes these as Infinity, -1.0 and NaN
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        summary["tol_grad"] = value
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol_grad")
 
     def test_tampered_summary_fails(self, solved_prefix, capsys):
         summary = traceio.read_summary_json(solved_prefix + ".summary.json")

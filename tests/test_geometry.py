@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy import sparse
+from scipy import ndimage, sparse
 
 from pground.geometry import (DomainError, Interval, MaskDomain, Rectangle,
                               _gradient_operators, build_grid, inradius,
@@ -61,6 +61,55 @@ class TestBuildGrid:
         ii, jj = np.nonzero(g.interior)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert present[ii + di, jj + dj].all()
+
+
+class TestConnectivity:
+    """MaskDomain accepts exactly the masks that scipy.ndimage.label, with
+    its default 4-neighbour cross, counts as one component."""
+
+    @staticmethod
+    def _accepted(cells):
+        try:
+            MaskDomain(*cells.shape, cells, 1.0)
+        except DomainError:
+            return False
+        return True
+
+    @staticmethod
+    def _one_component(cells):
+        return ndimage.label(cells)[1] == 1
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(89)
+        verdicts = set()
+        for _ in range(500):
+            cells = rng.random(rng.integers(1, 9, 2)) < rng.uniform(0.3, 0.95)
+            verdict = self._accepted(cells)
+            assert verdict == self._one_component(cells), cells
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_masks(self, data):
+        w, h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        flat = data.draw(st.lists(st.booleans(), min_size=w * h,
+                                  max_size=w * h))
+        cells = np.array(flat, dtype=bool).reshape(w, h)
+        assert self._accepted(cells) == self._one_component(cells)
+
+    def test_diagonal_contact_rejected(self):
+        # a staircase whose cells touch only at corners: three components
+        cells = np.eye(3, dtype=bool)
+        assert ndimage.label(cells)[1] == 3
+        with pytest.raises(DomainError, match="3 components"):
+            MaskDomain(3, 3, cells, 1.0)
+
+    def test_ring_with_hole_accepted(self):
+        cells = np.ones((4, 3), dtype=bool)
+        cells[1:3, 1] = False
+        assert self._one_component(cells)
+        assert MaskDomain(4, 3, cells, 1.0).cells.sum() == 10
 
 
 class TestGradientOperator:
@@ -165,6 +214,17 @@ class TestInradius:
         gs2 = build_grid(small2, 12)
         assert inradius(small2, gs2) == pytest.approx(2 * inradius(small, gs),
                                                       abs=2 * gs2.h)
+
+    def test_mask_values_unchanged(self, l_mask):
+        # the exact distance transform, bit for bit as when the package
+        # loaded scipy.ndimage at import
+        ring = np.ones((3, 3), dtype=bool)
+        ring[1, 1] = False
+        ring = MaskDomain(3, 3, ring, 1.0)
+        assert inradius(l_mask) == 0.23570226039551584
+        assert inradius(l_mask, build_grid(l_mask, 64)) == 0.2872621298570349
+        assert inradius(ring) == 0.4714045207910317
+        assert inradius(ring, build_grid(ring, 20)) == 0.5714285714285714
 
     def test_refinement(self, l_mask):
         g1 = build_grid(l_mask, 32)

@@ -233,6 +233,38 @@ class TestMonotonicityChecks:
         with pytest.raises(ValueError):
             check_monotonicity(tr)
 
+    @pytest.mark.parametrize("slack", [math.inf, -1e-8, math.nan])
+    def test_bad_slack_rejected(self, p3_trace, slack):
+        # an infinite slack would pass every claim on any trace
+        with pytest.raises(ValueError, match="slack"):
+            check_monotonicity(p3_trace, slack=slack)
+
+    @pytest.mark.parametrize("tol_grad", [math.inf, -1e-10, math.nan])
+    def test_bad_recorded_tol_grad_rejected(self, p3_trace, tol_grad):
+        tr = copy.copy(p3_trace)
+        tr.tol_grad = tol_grad
+        with pytest.raises(ValueError, match="tol_grad"):
+            check_monotonicity(tr)
+        with pytest.raises(ValueError, match="tol_grad"):
+            verify(tr)
+
+    def test_zero_slack_valid(self, p3_trace):
+        report = check_monotonicity(p3_trace, slack=0.0)
+        assert len(report.claims) == 4
+        tr = copy.copy(p3_trace)
+        tr.tol_grad = 0.0
+        assert check_monotonicity(tr) == report
+
+    @pytest.mark.parametrize("gap_tol", [math.inf, -1e-6, math.nan])
+    def test_bad_gap_tol_rejected(self, p3_trace, gap_tol):
+        with pytest.raises(ValueError, match="gap_tol"):
+            verify(p3_trace, gap_tol=gap_tol)
+
+    def test_zero_gap_tol_valid(self, p3_trace):
+        gap = verify(p3_trace, gap_tol=0.0).claims[5]
+        assert gap.name == "estimator gap"
+        assert gap.passed is (p3_trace.lambda_R == p3_trace.lambda_Q)
+
     def test_report_string(self, p3_trace):
         text = str(check_monotonicity(p3_trace))
         assert "PASS" in text and "FAIL" not in text
