@@ -31,12 +31,21 @@ Hessian's cross term keeps a band's width but makes SuperLU's 5-point
 pattern a 7-point one, with about 1.6 times the fill.  `Factors` keeps that
 back end's storage map and the p=2 Laplacian (only until a lagged factor
 replaces it), and hands each matrix to `factorized`, the one factorization
-site.  A banded factor costs about one descent iteration and
-is rebuilt at every refresh check; a SuperLU factor costs several and is
-kept while it still contracts the residual.  No factor outlives its
-descent, so every outer step and every eps stage starts on a fresh one:
-carried across outer steps, a stale factor left N off by about 1e-8 on the
-square n=256 at p=3, and claim (b) failed there.
+site.  A factor costs several descent iterations (a banded one about 6 on
+the square n=64).  A banded factor is rebuilt at every refresh check; a
+SuperLU factor is kept while it still contracts the residual.
+
+Within one `inverse_iterate` call, the last eps stage of a banded grid at
+p != 2 starts on the cell-Hessian factor the previous outer step ended on,
+and replaces it at the first iteration that contracts the residual too
+little (a chord method, Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, ch. 5; `_descend`).  The factor passes from step to
+step through the `carry` list of `solve_step_with_stats`, a local of the
+call, so no solve depends on an earlier one: the first step, each sweep
+point and every standalone solve start fresh, and so does every eps stage
+before the last.  SuperLU grids do not carry their factor: they stop on the
+sup-norm alone, and there a factor carried across outer steps left N off by
+about 1e-8 on the square n=256 at p=3, and claim (b) failed.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -68,6 +77,7 @@ from .geometry import Grid
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
+KEEP = 0.3        # contraction of the gradient sup-norm that keeps a factor
 
 
 class NonConvergence(RuntimeError):
@@ -173,7 +183,7 @@ def solve_step(f: GridFunction, cfg: SolverConfig,
 
 def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
                           initial: np.ndarray | None = None,
-                          verbose: bool = False):
+                          verbose: bool = False, carry: list | None = None):
     """Like solve_step on interior node vectors (the right-hand side f, the
     start, zero if None, and the minimizer x) and also returns the total
     inner iteration count, as (x, iterations).
@@ -181,7 +191,13 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
     Every eps stage runs, each from the previous stage's last iterate and
     with what is left of max_inner_iters; NonConvergence, carrying the last
     iterate as a GridFunction, is raised when the last stage ends above the
-    tolerance."""
+    tolerance.
+
+    carry, a list that is empty or holds one factor, is handed to the last
+    stage: on a banded grid at p != 2 that stage starts on the factor in it
+    and leaves there the factor it ends on (`_descend`).  `inverse_iterate`
+    passes one list through the steps of one call; without it every solve
+    starts fresh."""
     tol = cfg.resolved_tol(float(np.abs(f).max(initial=0.0)))
     eps_stages = cfg.resolved_eps(grid.h)
     fh = f * grid.h ** grid.dim
@@ -195,7 +211,8 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
         x, used, residual = _descend(grid, x, fh, cfg, eps,
                                      tol if last else 100 * tol,
                                      cfg.max_inner_iters - total_iters,
-                                     verbose, tau if last else None)
+                                     verbose, tau if last else None,
+                                     carry if last else None)
         total_iters += used
     if not residual <= tol:
         raise NonConvergence(residual, tol, total_iters,
@@ -464,7 +481,7 @@ class Factors:
 
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
              eps: float, tol: float, budget: int, verbose: bool,
-             tau: float | None = None):
+             tau: float | None = None, carry: list | None = None):
     """Monotone preconditioned descent with BB step scaling from the
     interior vector x; fh is f h^d on the interior nodes.  Returns
     (x, iterations, residual) where it stopped, the residual being the
@@ -500,12 +517,29 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     stencil when p == 2) applied to the gradient.  It is factored at the
     current iterate's cell gradients c and weights w on the first iteration
     and checked every 20 after: a SuperLU factor is kept for another 20
-    while the best gradient sup-norm fell to at most 0.3 of its value at
-    the last check, and re-lagged otherwise; a banded factor, and the p=2
-    stencil standing in for weights without a positive finite max (the
-    start from zero), are re-lagged at every check.  After each re-lag the
-    first trial step is 1/h^d, Newton's step with the banded grids' Hessian
-    and the exact step at p=2.  A trial point costs one `_energy` call; the
+    while the best gradient sup-norm fell to at most KEEP = 0.3 of its
+    value at the last check, and re-lagged otherwise; a banded factor, and
+    the p=2 stencil standing in for weights without a positive finite max
+    (the start from zero), are re-lagged at every check.  After each re-lag,
+    and on a carried factor, the first trial step is 1/h^d, Newton's step
+    with the banded grids' Hessian and the exact step at p=2.
+
+    carry, a list that is empty or holds one factor, hands the cell Hessian
+    from one outer step to the next; `solve_step_with_stats` passes it to
+    the last eps stage.  A Hessian descent (the decrement test applies)
+    takes the factor out, if there is one, and starts on it in place of a
+    fresh one.  It re-lags as soon as an iteration on the carried factor
+    fails to cut the gradient sup-norm to KEEP of its value before that
+    iteration, and at the 20-iteration check if none does.  Both re-lags
+    release the carried factor before the next is built, so at most one is
+    alive.  The descent puts the factor it ends on into carry (not the p=2
+    stand-in).  The decrement test reads the carried factor as it reads any
+    lagged one.  KEEP is shared with the SuperLU window: on the interval
+    n=63, the square n=32 and n=64 and the L-shape n=32 and n=64 sweeps
+    over p = 4..128 (4..64 on the last three), 1/4 in its place gave 242
+    factors and 4,285 iterations against 231 and 4,271.
+
+    A trial point costs one `_energy` call; the
     gradient is formed from its (c, w) only at the accepted trial and at
     trials below the resolution floor, and the accepted trial's (c, w) is
     kept for the next re-lag.
@@ -524,26 +558,31 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     factors = Factors.of(grid)
     superlu = p != 2 and not factors.banded
     newton = tau is not None and p != 2 and factors.banded
-    precond = None
+    # a Hessian factor handed on by the last outer step; the list lets go
+    # of it, so that the re-lag that replaces it can release it first
+    precond = carry.pop() if newton and carry else None
+    carried, stand_in = precond is not None, False
     it = last_gain = since_refresh = 0
     best_gsup, mark_J = gsup, J
     while ((newton or tol < gsup) and gsup < math.inf and it < budget
            and it - last_gain <= 300):
         if p != 2 and since_refresh >= 20:
-            if superlu and not stand_in and best_gsup <= 0.3 * lag_gsup:
+            if superlu and not stand_in and best_gsup <= KEEP * lag_gsup:
                 since_refresh, lag_gsup = 0, best_gsup  # one more window
             else:
                 precond = None  # released before the next is built
-        if precond is None:
-            # (re-)lag at the current (c, w), or take the p=2 stencil:
-            # exact at p=2, a stand-in where the weights give no factor.
-            # The new metric resets BB history, and 1/h^d is the exact
-            # first step for p=2 and Newton's with the cell Hessian
-            precond = (None if p == 2
-                       else factors.preconditioner(c, w, p, eps))
-            stand_in = precond is None
-            if stand_in:
-                precond = factors.laplacian
+        if precond is None or it == 0:  # a new window
+            if precond is None:
+                # (re-)lag at the current (c, w), or take the p=2 stencil:
+                # exact at p=2, a stand-in where the weights give no factor
+                precond = (None if p == 2
+                           else factors.preconditioner(c, w, p, eps))
+                stand_in = precond is None
+                if stand_in:
+                    precond = factors.laplacian
+                carried = False
+            # a new metric resets BB history, and 1/h^d is the exact first
+            # step for p=2 and Newton's with the cell Hessian
             prev = None  # (t, g, d) of the last accepted step
             t = 1.0 / hd
             since_refresh, lag_gsup = 0, best_gsup
@@ -588,7 +627,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
         prev = (t, g, d)
         x, J, c, w = trial, min(Jt, J), ct, wt
         g = _nodal_gradient(grid, ct, wt, fh) if trial_g is None else trial_g
-        gsup = float(np.abs(g).max())
+        before, gsup = gsup, float(np.abs(g).max())
+        if carried and not gsup <= KEEP * before:
+            carried = False
+            precond = None  # released now, re-lagged at the loop's top
         it += 1
         since_refresh += 1
         if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
@@ -597,4 +639,6 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
         if verbose and it % 1000 == 0:
             print(f"    inner iter {it}: J={J:.12e} grad_sup={gsup:.3e}",
                   file=sys.stderr)
+    if newton and carry is not None and precond is not None and not stand_in:
+        carry.append(precond)
     return x, it, gsup

@@ -175,6 +175,9 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     # the config of the warm-started steps: the last eps stage only
     warm_cfg = replace(cfg, eps_schedule=cfg.resolved_eps(grid.h)[-1:])
     cold_first = not isinstance(init, Custom)
+    # the banded Hessian factor one step's last stage ended on, which the
+    # next starts on (`_descend`); it lives for this call only
+    carry = []
     for k in range(1, K_max + 1):
         # warm start at the expected scale of the raw next iterate
         R_prev = R
@@ -182,7 +185,8 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         step_cfg, guess = ((cfg, None) if k == 1 and cold_first
                            else (warm_cfg, scale * x))
         x, iters = solve_step_with_stats(grid, _signed_power(x, p), step_cfg,
-                                         initial=guess, verbose=verbose)
+                                         initial=guess, verbose=verbose,
+                                         carry=carry)
         c = _norm_pow(grid, x, p) ** (1.0 / p)
         if not (c > 0 and math.isfinite(c)):
             raise DegenerateIterate(f"iterate {k} has L^p norm {c}")

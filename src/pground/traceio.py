@@ -85,21 +85,62 @@ def read_summary_json(path) -> dict:
         return json.load(fh)
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _positive(v) -> bool:
+    return _real(v) and 0 < v < math.inf
+
+
+# summary key -> (default if the summary predates it, test, what it must be);
+# a barrier entry is nan when the run did not record it
+_SUMMARY_KEYS = {
+    "p": (None, lambda v: _real(v) and 1 < v < math.inf,
+          "a finite number above 1"),
+    "h": (None, _positive, "a positive finite number"),
+    "steps": (None, lambda v: _real(v) and isinstance(v, int) and v >= 0,
+              "a nonnegative integer"),
+    "lambda_R": (None, _positive, "a positive finite number"),
+    "lambda_Q": (None, _positive, "a positive finite number"),
+    "mu": (None, _positive, "a positive finite number"),
+    "converged": (None, lambda v: isinstance(v, bool), "true or false"),
+    "tol_grad": (1e-10, lambda v: _real(v) and 0 <= v < math.inf,
+                 "finite and nonnegative"),
+    "barrier_bound": (math.nan, lambda v: _real(v) and not v < 0,
+                      "a nonnegative number or NaN"),
+    "first_step_sup": (math.nan, lambda v: _real(v) and not v < 0,
+                       "a nonnegative number or NaN"),
+}
+
+
 def read_trace(prefix) -> IterationTrace:
     """Rebuild the trace that PREFIX.trace.csv and PREFIX.summary.json
     record.  A summary that predates a key reads as written with the default
-    inner tolerance (tol_grad 1e-10) and without the barrier record (nan)."""
+    inner tolerance (tol_grad 1e-10) and without the barrier record (nan).
+    A summary value of the wrong type or out of range (a null, a string, a
+    p at most 1, a negative tolerance) raises ValueError naming the key."""
     summary = read_summary_json(prefix + ".summary.json")
-    trace = read_trace_csv(prefix + ".trace.csv", p=summary["p"],
-                           h=summary["h"],
-                           tol_grad=summary.get("tol_grad", 1e-10))
-    if trace.num_steps != summary["steps"]:
+    if not isinstance(summary, dict):
+        raise ValueError(f"{prefix}: the summary is not a JSON object")
+    values = {}
+    for key, (default, valid, what) in _SUMMARY_KEYS.items():
+        if key not in summary and default is None:
+            raise ValueError(f"{prefix}: the summary lacks {key}")
+        value = summary.get(key, default)
+        if not valid(value):
+            raise ValueError(f"{key} must be {what}, got {value!r} in "
+                             f"{prefix}.summary.json")
+        values[key] = value
+    trace = read_trace_csv(prefix + ".trace.csv", p=values.pop("p"),
+                           h=values.pop("h"),
+                           tol_grad=values.pop("tol_grad"))
+    steps = values.pop("steps")
+    if trace.num_steps != steps:
         raise ValueError(f"{prefix}: the trace has {trace.num_steps} steps, "
-                         f"the summary records {summary['steps']}")
-    for key in ("lambda_R", "lambda_Q", "mu", "converged"):
-        setattr(trace, key, summary[key])
-    for key in ("barrier_bound", "first_step_sup"):
-        setattr(trace, key, summary.get(key, math.nan))
+                         f"the summary records {steps}")
+    for key, value in values.items():
+        setattr(trace, key, value)
     return trace
 
 

@@ -323,9 +323,12 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_uses_recorded_tol_grad(self, tmp_path, capsys):
+        # a tolerance loose enough that the trace fails the slack of
+        # --tol-grad 1e-10 by far, its claims (b)-(d) at least 1e-4 below
+        # it, and passes the slack of its own 1e-3 by about 0.1
         prefix = str(tmp_path / "loose")
         code, _, err = run_cli(capsys, "solve", "--domain", "interval",
-                               "--n", "63", "--p", "3", "--tol-grad", "1e-5",
+                               "--n", "63", "--p", "3", "--tol-grad", "1e-3",
                                "--out", prefix)
         assert code == 0, err
         code, out, err = run_cli(capsys, "check", prefix)
@@ -366,6 +369,34 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error: tol_grad")
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", None), ("h", "x"), ("steps", 2.5), ("lambda_R", None),
+        ("lambda_Q", "1.0"), ("mu", -1.0), ("converged", "yes"),
+        ("tol_grad", None), ("barrier_bound", None),
+        ("first_step_sup", [1.0])])
+    def test_bad_summary_value_is_usage_error(self, solved_prefix, capsys,
+                                              key, value):
+        # a null ended in a TypeError traceback, and "h": "x" or
+        # "converged": "yes" passed the check
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        summary[key] = value
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key} must be ")
+
+    def test_summary_missing_key_is_usage_error(self, solved_prefix, capsys):
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        del summary["lambda_R"]
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "lacks lambda_R" in err
 
     def test_tampered_summary_fails(self, solved_prefix, capsys):
         summary = traceio.read_summary_json(solved_prefix + ".summary.json")

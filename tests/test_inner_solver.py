@@ -661,7 +661,9 @@ class TestSolverCaches:
 
 class TestRelag:
     """Factorizations per descent: a SuperLU factor is kept past its 20
-    iterations while the residual still contracts, a banded one is not."""
+    iterations while the residual still contracts, a banded one is not,
+    and a banded descent after the first starts on the factor the last one
+    ended on."""
 
     @staticmethod
     def _descents(monkeypatch, n, p):
@@ -700,9 +702,87 @@ class TestRelag:
     def test_banded_factor_every_20(self, monkeypatch):
         back, runs = self._descents(monkeypatch, 16, 16.0)
         assert back._b == 15 and back.banded
-        assert all(factors == math.ceil(iters / 20) for iters, factors
-                   in runs)
-        assert sum(factors for _, factors in runs) == 20
+        # the first descent starts fresh and re-lags every 20 iterations
+        iters, factors = runs[0]
+        assert factors == math.ceil(iters / 20)
+        # the later ones start on a carried factor, re-lagged at the first
+        # iteration that cuts the residual too little and then every 20
+        assert all(factors <= math.ceil(iters / 20) for iters, factors
+                   in runs[1:])
+        assert any(factors == 0 < iters for iters, factors in runs[1:])
+        # a fresh factor per descent and every 20 iterations built 20
+        assert sum(factors for _, factors in runs) < 20
+
+
+class TestCarriedFactor:
+    """The banded Hessian factor an outer step ends on is the next step's
+    first factor, within one `inverse_iterate` call only."""
+
+    SPEC = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+    def test_repeated_iterate_on_one_grid_identical(self):
+        grid = build_grid(self.SPEC, 16)
+        a, b = (inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant(),
+                                grid=grid) for _ in range(2))
+        assert repr(a.steps) == repr(b.steps)
+        assert repr(a.lambda_R) == repr(b.lambda_R)
+        assert repr(a.lambda_Q) == repr(b.lambda_Q)
+        assert np.array_equal(a.final.values, b.final.values)
+
+    def test_solve_step_after_iterate_equals_fresh_grid(self):
+        used = build_grid(self.SPEC, 16)
+        inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant(), grid=used)
+        cfg = SolverConfig(p=16.0)
+        u, v = (solve_step(random_rhs(g, 73, nonneg=True), cfg)
+                for g in (used, build_grid(self.SPEC, 16)))
+        assert np.array_equal(u.values, v.values)
+
+    @pytest.mark.parametrize("p", [3.0, 16.0])
+    def test_poor_carried_factor_replaced(self, p):
+        g = build_grid(self.SPEC, 16)
+        f = random_rhs(g, 71, nonneg=True).values[g.interior]
+        cfg = SolverConfig(p=p)
+        x0, _ = solve_step_with_stats(g, f, cfg)
+        start = x0 * np.random.default_rng(5).uniform(0.8, 1.2, x0.size)
+        # the p=2 Laplacian is far from the cell Hessian at p=16
+        laplacian = inner.Factors.of(g).laplacian
+        calls = [0]
+
+        def poor(rhs):
+            calls[0] += 1
+            return laplacian(rhs)
+
+        carry = [poor]
+        x, iters = solve_step_with_stats(g, f, cfg, initial=start,
+                                         carry=carry)
+        assert 0 < calls[0] < iters
+        assert len(carry) == 1 and carry[0] is not poor
+        hd = g.h ** g.dim
+        fh = f * hd
+        _, c, w = _energy(g, x, fh, p, 0.0)
+        grad = _nodal_gradient(g, c, w, fh)
+        assert np.abs(grad).max() <= cfg.resolved_tol(float(f.max()))
+        # the decrement in the metric of the exact Hessian at the result
+        tau = 100 * cfg.resolved_tol(1.0)
+        hessian = inner.Factors.of(g).preconditioner(c, w, p, 0.0)
+        slope = float(np.dot(grad, hessian(grad)))
+        assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
+
+    def test_one_factor_alive(self, monkeypatch):
+        # the factor a re-lag replaces, carried or not, is released before
+        # the next is built
+        factorized = inner.factorized
+        built, alive = [], []
+
+        def counting_factorized(A, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            solve = factorized(A, **kwargs)
+            built.append(weakref.ref(solve))
+            return solve
+
+        monkeypatch.setattr(inner, "factorized", counting_factorized)
+        inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant())
+        assert len(alive) > 1 and max(alive) == 0
 
 
 class TestFactorizeBoundary:
