@@ -145,8 +145,6 @@ def cmd_sweep(args) -> int:
     except DegenerateIterate as exc:
         print(f"error: degenerate iterate: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        return _overflow(exc)
     traceio.write_sweep_csv(args.out + ".sweep.csv", result)
     for e in result.entries:
         print(f"p={e.p:g} lambda_R={e.lambda_R:.6e} "

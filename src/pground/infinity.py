@@ -38,7 +38,10 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
     """Run the inverse iteration for each exponent in p_list and collect
     the limit diagnostics.  The first exponent starts from the positive
     constant, each later one (continuation in p) from the final iterate of
-    the last exponent that converged, as a `Custom` init."""
+    the last exponent that converged, as a `Custom` init.  A point whose
+    solve raises NonConvergence, or OverflowError where a quantity exceeds
+    the float range (from about p = 1024 on), is recorded as not converged,
+    with NaN values and trace None."""
     p_list = tuple(float(p) for p in p_list)
     if any(p <= 2 for p in p_list):
         raise ValueError("sweep exponents must exceed 2")
@@ -64,7 +67,7 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 60,
                 ratio_sequence=ratios, final_ratio=ratios[-1],
                 converged=tr.converged))
             traces.append(tr)
-        except NonConvergence:
+        except (NonConvergence, OverflowError):
             entries.append(SweepEntry(p=p, lambda_R=math.nan,
                                       lambda_root=math.nan,
                                       ratio_sequence=(), final_ratio=math.nan,

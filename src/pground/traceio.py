@@ -41,7 +41,9 @@ def read_trace_csv(path, p: float, h: float,
                    tol_grad: float = 1e-10) -> IterationTrace:
     """Rebuild a trace (numeric columns only) from a CSV written by
     write_trace_csv; Dirichlet/norm entries of the per-step reports are not
-    stored in the CSV and read back as nan."""
+    stored in the CSV and read back as nan.  A row without one field per
+    column, or with a field that is no number of its column's type, raises
+    ValueError naming the file and the line."""
     trace = IterationTrace(p=p, h=h, tol_grad=tol_grad)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -49,13 +51,21 @@ def read_trace_csv(path, p: float, h: float,
         if header != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header}")
         for row in r:
-            k = int(row[0])
+            where = f"{path}, line {r.line_num}"
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} fields, expected "
+                                 f"{len(TRACE_COLUMNS)}")
+            try:
+                k, inner_iters = int(row[0]), int(row[7])
+                R, N, Q, sup_norm, grad_sup, norm_factor = map(float,
+                                                               row[1:7])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             rep = EnergyReport(dirichlet_p=math.nan, norm_p=math.nan,
-                               sup_norm=float(row[4]), grad_sup=float(row[5]))
+                               sup_norm=sup_norm, grad_sup=grad_sup)
             trace.steps.append(TraceStep(
-                k=k, report=rep, R=float(row[1]), N=float(row[2]),
-                Q=float(row[3]), norm_factor=float(row[6]),
-                inner_iters=int(row[7])))
+                k=k, report=rep, R=R, N=N, Q=Q, norm_factor=norm_factor,
+                inner_iters=inner_iters))
     return trace
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -241,8 +242,9 @@ class TestSweep:
 
     def test_degenerate_iterate_exit_code(self, tmp_path, capsys,
                                           monkeypatch):
-        # sweep catches NonConvergence per exponent only; a degenerate
-        # iterate ends the sweep with an error line, as it ends a solve
+        # sweep catches NonConvergence and OverflowError per exponent only;
+        # a degenerate iterate ends the sweep with an error line, as it ends
+        # a solve
         def degenerate(*args, **kwargs):
             raise DegenerateIterate("outer step 1: the iterate vanished")
 
@@ -268,9 +270,8 @@ class TestOverflow:
     """From the constant start R_0 is about (1/h)^p, past the float range at
     p = 256 on the interval n=63."""
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--p", "256"], ["sweep", "--p-list", "256,512"]],
-        ids=["solve", "sweep"])
+    @pytest.mark.parametrize("argv", [["solve", "--p", "256"]],
+                             ids=["solve"])
     def test_error_line_and_exit_code(self, tmp_path, argv):
         # a console process, so that an uncaught exception would print its
         # traceback on stderr
@@ -284,6 +285,22 @@ class TestOverflow:
         assert proc.stderr.startswith("error:")
         assert "overflow" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_sweep_records_overflow_as_not_converged(self, tmp_path, capsys):
+        # an overflowing point raised out of the sweep and lost the points
+        # before it; now it is a row that did not converge, and the sweep
+        # exits 2 as for a point that raised NonConvergence
+        out = str(tmp_path / "big")
+        code, stdout, err = run_cli(capsys, "sweep", "--domain", "interval",
+                                    "--n", "63", "--p-list", "64,128,1024",
+                                    "--out", out)
+        assert code == 2, err
+        assert err == ""
+        with open(out + ".sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["converged"] for row in rows] == ["1", "1", "0"]
+        assert all(float(row["lambda_R"]) > 0 for row in rows[:2])
+        assert math.isnan(float(rows[2]["lambda_R"]))
 
 
 class TestOracle:
@@ -455,6 +472,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", solved_prefix)
         assert code == 1
         assert "summary records" in err
+
+    def test_short_row_is_usage_error(self, solved_prefix, capsys):
+        # it ended in an IndexError traceback
+        path = solved_prefix + ".trace.csv"
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3])  # the k = 1 row
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "line 3" in err
 
     @pytest.mark.parametrize("domain, n, p, init", [
         ("interval", 31, 3.0, "const"),

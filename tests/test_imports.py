@@ -1,6 +1,7 @@
-"""`import pground` loads only what a solve runs on: numpy, scipy.sparse,
-scipy.sparse.linalg and scipy.linalg.  The SciPy subpackages that only the
-mask inradius and the oracles use are imported where those are called."""
+"""`import pground` loads only what a solve runs on: numpy (with numpy.fft,
+which the box grids' sine transforms use), scipy.sparse, scipy.sparse.linalg
+and scipy.linalg.  The SciPy subpackages that only the mask inradius and the
+oracles use are imported where those are called."""
 
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-OFF_SOLVE_PATH = ("scipy.ndimage", "scipy.integrate", "scipy.optimize")
+OFF_SOLVE_PATH = ("scipy.ndimage", "scipy.integrate", "scipy.optimize",
+                  "scipy.fft")
 
 
 def _loaded(code: str) -> list:
@@ -41,5 +43,6 @@ def test_oracles_and_inradius_load_their_subpackages():
         "assert pground.lambda_p_shooting_1d(2.0, tol=1e-6) > 0\n"
         "assert pground.rayleigh_bruteforce(pground.Interval(0.0, 1.0), 3, "
         "3.0, restarts=1) > 0")
+    # scipy.integrate and scipy.optimize import scipy.fft themselves
     assert {m.split(".")[1] for m in loaded} == {"ndimage", "integrate",
-                                                 "optimize"}
+                                                 "optimize", "fft"}

@@ -77,6 +77,20 @@ class TestContinuationInP:
             assert isinstance(init, Custom)
             assert init.function is result.traces[0].final
 
+    def test_overflow_recorded_as_not_converged(self):
+        # lambda_R overflows the float range near p = 1024; the point is
+        # recorded as a NonConvergence point is, and the earlier ones keep
+        # the values a sweep without it gives
+        spec = Interval(0.0, 1.0)
+        result = sweep(spec, 63, (64.0, 128.0, 1024.0))
+        alone = sweep(spec, 63, (64.0, 128.0))
+        assert result.entries[:2] == alone.entries
+        assert all(e.converged for e in result.entries[:2])
+        last = result.entries[2]
+        assert not last.converged
+        assert math.isnan(last.lambda_R) and math.isnan(last.lambda_root)
+        assert result.traces[2] is None
+
 
 class TestSweepValidation:
     def test_rejects_small_p(self):

@@ -336,29 +336,34 @@ class TestFactorized:
     @pytest.mark.parametrize("kind, n, band", [
         ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask):
-        # the lagged solve runs in the grid's fill order, which is read from
-        # the Laplacian's own minimum-degree factor
+        # the first lagged factor is ordered by SuperLU and fixes the grid's
+        # fill order; the next is assembled in that order
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
                 "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
         factors, c, w, A = self._operator(spec, n, seed=59)
         assert self._bandwidth(A) == band > inner.BAND_MAX
         assert not factors.banded
+        assert factors.fill_order is None
+        first = factors.preconditioner(c, w, 3.0, 0.0)
         q = factors.fill_order
+        assert np.array_equal(q, np.argsort(first.perm_c))
+        second = factors.preconditioner(c, w, 3.0, 0.0)
         Sq, indices_q, indptr_q = factors._ordered
         w_f = np.maximum(w, 1e-10 * w.max())
         Aq = sparse.csc_matrix((Sq @ w_f, indices_q, indptr_q), shape=A.shape)
         assert (Aq != A[q][:, q]).nnz == 0
         b = np.random.default_rng(61).uniform(-1.0, 1.0, A.shape[0])
         G = factors._G
-        for solve, M in ((factors.preconditioner(c, w, 3.0, 0.0), A),
+        for solve, M in ((first, A), (second, A),
                          (factors.laplacian, G.T @ G)):
             direct = spsolve(M.tocsc(), b)
             assert np.linalg.norm(solve(b) - direct) <= \
                 1e-12 * np.linalg.norm(direct)
 
     def test_one_ordering_per_grid(self, monkeypatch):
-        # over one whole solve on a fresh SuperLU grid only the Laplacian
-        # factor is ordered; every lagged factor reuses its order
+        # over one whole solve on a fresh box grid only the first lagged
+        # factor is ordered, every later one reuses its order, and the
+        # Laplacian of the cold start is no factor (a sine-transform solve)
         specs = []
         splu_ = inner.splu
 
@@ -371,22 +376,26 @@ class TestFactorized:
         grid = build_grid(spec, 72)
         assert not inner.Factors.of(grid).banded  # bandwidth 71
         inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
+        assert specs[0] == "MMD_AT_PLUS_A"
         assert specs.count("MMD_AT_PLUS_A") == 1
-        assert len(specs) == 9  # the factorizations of the same solve
+        assert len(specs) == 8  # the factorizations of the same solve
 
-    def test_warm_start_keeps_no_order_factor(self):
-        # a Custom-init solve on a fresh SuperLU grid factors the Laplacian
-        # only for its order, and drops that factor; the order, and with it
-        # the solve, is the one a Laplacian factored before the solve gives
-        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+    def test_warm_start_keeps_no_order_factor(self, l_mask):
+        # a Custom-init solve on a fresh SuperLU grid factors no Laplacian:
+        # its first lagged factor fixes the order.  Minimum degree sees the
+        # same pattern in the Laplacian, so the order, and with it the
+        # solve, is the one a Laplacian factored before the solve gives
+        spec = l_mask
         ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
         fresh, kept = build_grid(spec, 72), build_grid(spec, 72)
-        inner.Factors.of(kept).laplacian
+        laplacian = inner.Factors.of(kept).laplacian
+        assert np.array_equal(inner.Factors.of(kept).fill_order,
+                              np.argsort(laplacian.perm_c))
         traces = [inverse_iterate(spec, 72, 3.0, ground, grid=g)
                   for g in (fresh, kept)]
         fresh, kept = inner.Factors.of(fresh), inner.Factors.of(kept)
-        assert "fill_order" in vars(fresh)
+        assert fresh.fill_order is not None
         assert "laplacian" not in vars(fresh)
         assert "laplacian" not in vars(kept)
         assert np.array_equal(fresh.fill_order, kept.fill_order)
@@ -411,6 +420,72 @@ class TestFactorized:
         ab = np.array([[0.0] + [2.0] * 7, [1.0] * 8])
         with pytest.raises(LinAlgError):
             inner.factorized(inner.Banded(ab, 22))
+
+
+class TestBoxLaplacian:
+    """A SuperLU grid whose interior nodes fill their box solves its
+    Laplacian G^T G by sine transforms, and factors no Laplacian in any
+    solve; the other SuperLU grids keep a SuperLU factor of it."""
+
+    BOXES = {"square": Rectangle(0.0, 1.0, 0.0, 1.0),
+             "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0),
+             "full_mask": MaskDomain(2, 2, np.ones((2, 2), dtype=bool), 0.5)}
+
+    @pytest.mark.parametrize("kind", list(BOXES))
+    def test_dst_matches_direct_solve(self, kind, monkeypatch):
+        g = build_grid(self.BOXES[kind], 72)
+        factors = inner.Factors.of(g)
+        assert not factors.banded
+        calls = []
+        monkeypatch.setattr(inner, "factorized",
+                            lambda *args, **kwargs: calls.append(args))
+        solve = factors.laplacian
+        assert calls == []
+        b = np.random.default_rng(79).uniform(-1.0, 1.0, g.num_interior)
+        direct = spsolve((g.G.T @ g.G).tocsc(), b)
+        assert np.linalg.norm(solve(b) - direct) <= \
+            1e-12 * np.linalg.norm(direct)
+        assert factors.fill_order is None
+
+    def test_l_shape_keeps_superlu_laplacian(self, l_mask):
+        g = build_grid(l_mask, 72)
+        factors = inner.Factors.of(g)
+        assert not factors.banded
+        solve = factors.laplacian
+        assert np.array_equal(factors.fill_order, np.argsort(solve.perm_c))
+        b = np.random.default_rng(83).uniform(-1.0, 1.0, g.num_interior)
+        direct = spsolve((g.G.T @ g.G).tocsc(), b)
+        assert np.linalg.norm(solve(b) - direct) <= \
+            1e-12 * np.linalg.norm(direct)
+
+    def test_no_superlu_laplacian_in_solves(self, monkeypatch):
+        # p=2, a cold start at p=3 and a Custom warm start on fresh grids:
+        # no factor is the Laplacian, in the natural or the fill order
+        spec = self.BOXES["square"]
+        ground = Custom(inverse_iterate(spec, 72, 3.0,
+                                        PositiveConstant()).final)
+        factorized = inner.factorized
+        for p, init in ((2.0, PositiveConstant()), (3.0, PositiveConstant()),
+                        (3.0, ground)):
+            grid = build_grid(spec, 72)
+            built = []
+
+            def capture(A, **kwargs):
+                built.append((A.copy(), kwargs.get("ordered", False)))
+                return factorized(A, **kwargs)
+
+            monkeypatch.setattr(inner, "factorized", capture)
+            inverse_iterate(spec, 72, p, init, grid=grid)
+            monkeypatch.setattr(inner, "factorized", factorized)
+            assert (len(built) > 0) == (p != 2)
+            L = (grid.G.T @ grid.G).tocsc()
+            q = inner.Factors.of(grid).fill_order
+            for A, ordered in built:
+                M = L[q][:, q] if ordered else L
+                assert abs(A - M).max() > 0
+            # the first factor is the one that SuperLU orders
+            assert all(ordered == (k > 0) for k, (_, ordered)
+                       in enumerate(built))
 
 
 class TestGridKernels:
@@ -642,13 +717,14 @@ class TestSolverCaches:
                 refs += [weakref.ref(grid), weakref.ref(grid.G),
                          weakref.ref(factors), weakref.ref(factors._band[0])]
             # a SuperLU grid keeps its fill order and permuted scatter, and
-            # drops the Laplacian factor it read the order from
+            # drops the Laplacian the cold start stood in
             for _ in range(3):
                 grid = build_grid(spec, 72)
                 inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
                 factors = inner.Factors.of(grid)
                 assert not factors.banded
-                assert {"fill_order", "_ordered"} <= vars(factors).keys()
+                assert factors.fill_order is not None
+                assert factors._ordered is not None
                 assert "laplacian" not in vars(factors)
                 refs += [weakref.ref(grid), weakref.ref(factors),
                          weakref.ref(factors.fill_order),
@@ -871,7 +947,10 @@ class TestNewtonDecrementStop:
         assert solves == iters + 1  # the decrement's solve at the exit
 
     @pytest.mark.parametrize("spec, n, p", [
-        (Rectangle(0.0, 1.0, 0.0, 1.0), 72, 3.0),
+        # the L-shape, whose cold start stands a SuperLU factor in for the
+        # Laplacian, so that every solve goes through `factorized`
+        (MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5), 72,
+         3.0),
         (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 2.0),
         (Interval(0.0, 1.0), 63, 2.0)], ids=["superlu", "square-p2",
                                              "interval-p2"])

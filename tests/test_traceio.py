@@ -51,6 +51,25 @@ class TestTraceCsv:
         back.lambda_R = trace.lambda_R
         assert check_monotonicity(back).all_passed
 
+    @pytest.mark.parametrize("fields, message", [
+        (lambda row: row[:5], "5 fields, expected 8"),
+        (lambda row: ["x"] + row[1:], "invalid literal for int"),
+        (lambda row: row[:7] + ["2.5"], "invalid literal for int"),
+        (lambda row: row[:1] + ["R"] + row[2:], "could not convert")],
+        ids=["short", "k", "inner_iters", "R"])
+    def test_bad_row_names_file_and_line(self, tmp_path, trace, fields,
+                                         message):
+        # a short row ended in an IndexError, a bad field in a ValueError
+        # that named neither the file nor the line
+        path = tmp_path / "run.trace.csv"
+        traceio.write_trace_csv(path, trace)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(fields(lines[2].split(",")))  # the k = 1 row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"run\.trace\.csv, line 3: "
+                                             + message):
+            traceio.read_trace_csv(path, p=trace.p, h=trace.h)
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
