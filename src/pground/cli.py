@@ -83,6 +83,9 @@ def _apply_config(parser, args, argv):
     flag a string or a number."""
     with open(args.config) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise UsageError(f"config file {args.config}: expected a JSON "
+                         f"object, got {type(conf).__name__}")
     flags = set(vars(args)) - {"command", "func", "parser_ref", "config"}
     extra = []
     for key, value in conf.items():

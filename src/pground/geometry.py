@@ -34,8 +34,9 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError(f"interval needs a < b, got ({self.a}, {self.b})")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError(
+                f"interval needs finite a < b, got ({self.a}, {self.b})")
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class Rectangle:
     by: float
 
     def __post_init__(self):
-        if not (self.ax < self.bx and self.ay < self.by):
+        if not (-math.inf < self.ax < self.bx < math.inf
+                and -math.inf < self.ay < self.by < math.inf):
             raise DomainError(
-                f"rectangle needs ax < bx and ay < by, got "
+                f"rectangle needs finite ax < bx and ay < by, got "
                 f"({self.ax}, {self.bx}) x ({self.ay}, {self.by})"
             )
 
@@ -68,8 +70,9 @@ class MaskDomain:
             raise DomainError(
                 f"cells shape {cells.shape} != ({self.width}, {self.height})"
             )
-        if self.cell_size <= 0:
-            raise DomainError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise DomainError(
+                f"cell_size must be positive and finite, got {self.cell_size}")
         if not cells.any():
             raise DomainError("mask has no interior cells")
         ncomp = _count_components(cells)

@@ -10,7 +10,8 @@ preconditioner, Nocedal & Wright, Numerical Optimization, ch. 3 and 6); on
 SuperLU grids it is the lagged-diffusivity operator A(w) = G^T diag(w) G
 (Huang, Li & Liu, J. Sci. Comput. 2007), which drops the Hessian's rank-one
 term and with it a factor of up to p-1 in the curvature along the
-gradient.  One calculus kernel per trial point, `_energy`, returns the
+gradient, and which is factored and solved in single precision.  One
+calculus kernel per trial point, `_energy`, returns the
 objective with the cell gradients and weights it was computed from, which
 the gradient (`_nodal_gradient`) and the next refresh reuse.  Below the
 objective's floating-point resolution a step is accepted by the derivative
@@ -20,24 +21,25 @@ One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
 bandwidth up to BAND_MAX = 64, which covers the interval and the 2D grids
 up to the square n=65, and SuperLU beyond.  The cut-off is the measured
-crossover (2-core Xeon VM, BLAS on 1 thread, p=3, best of 25 factors and
-101 solves in each of three runs): on the square n=64 (bandwidth 63) a
-banded factor of the cell Hessian takes 3.6-3.7 ms and a solve with it
-0.18-0.20 ms, against 3.8-4.1 and 0.18-0.19 ms for SuperLU's factor of
-A(w); on the square n=128 (bandwidth 127) the band takes 30-34 and
-1.5-2.1 ms against SuperLU's 21-32 and 0.94-1.08 ms, so that grid stays
-on SuperLU.  The back end also fixes the preconditioner: the
-Hessian's cross term keeps a band's width but makes SuperLU's 5-point
-pattern a 7-point one, with about 1.6 times the fill.  `Factors` keeps that
-back end's storage map and the p=2 Laplacian (only until a lagged factor
-replaces it), and hands each matrix to `factorized`, the one factorization
-site.  The Laplacian has three solvers: the band factor on a banded grid,
-the fast Poisson solver (sine transforms, no factor) on a SuperLU grid
-whose interior nodes fill their box, and a SuperLU factor on the other
-SuperLU grids.  The first SuperLU factor a grid builds fixes the order of
-every later one.  A factor costs several descent iterations (a banded one
-about 6 on the square n=64).  A banded factor is rebuilt at every refresh
-check; a SuperLU factor is kept while it still contracts the residual.
+crossover (2-core Xeon VM, BLAS on 1 thread, p=3, best of 25 factors, each
+with its assembly, and 101 solves in each of three runs): on the square
+n=64 (bandwidth 63) a banded factor of the cell Hessian takes 3.4-4.0 ms
+and a solve with it 0.18-0.20 ms, against 3.6-4.3 and 0.19-0.20 ms for
+SuperLU's single-precision factor of A(w); on the square n=128 (bandwidth
+127) the band takes 31-32 and 1.5-1.7 ms against SuperLU's 16-20 and
+0.95-0.96 ms, so that grid stays on SuperLU.  The back end also fixes the
+preconditioner: the Hessian's cross term keeps a band's width but makes
+SuperLU's 5-point pattern a 7-point one, with about 1.6 times the fill.
+`Factors` keeps that back end's storage map and the p=2 Laplacian (only
+until a lagged factor replaces it), and hands each matrix to `factorized`,
+the one factorization site.  The Laplacian has three solvers: the band
+factor on a banded grid, the fast Poisson solver (sine transforms, no
+factor) on a SuperLU grid whose interior nodes fill their box, and a
+SuperLU factor on the other SuperLU grids.  The first SuperLU factor a grid
+builds fixes the order of every later one.  A factor costs several descent
+iterations (a banded one about 6 on the square n=64).  A banded factor is
+rebuilt at every refresh check; a SuperLU factor is kept while it still
+contracts the residual.
 
 Within one `inverse_iterate` call, the last eps stage of a banded grid at
 p != 2 starts on the cell-Hessian factor the previous outer step ended on,
@@ -58,6 +60,24 @@ stage ends above tol.  A last stage preconditioned by the cell Hessian also
 descends until its Newton decrement is small, which bounds the iterate's
 relative error (`_descend`); that test never raises.  The floors are
 listed with `_descend`.
+
+A(w) runs in single precision because it is only a lagged model of the
+Hessian: a double factor's rounding buys nothing a model off by up to p-1
+can use, and SuperLU's factor and triangular solves, bound by memory
+bandwidth, run faster on half the bytes.  This is the mixed-precision
+pattern of factoring low and keeping the residual high (Carson & Higham,
+SIAM J. Sci. Comput. 2018): the gradient, the direction handed back, the
+iterate, the objective and every stopping test stay in double.  Two scales
+keep float32 in range at any p (at p=64 a cell gradient of 5 gives the
+weight 2e43, one of 0.1 gives 1e-62): the weights are divided by max(w) and
+floored at W_FLOOR = 1e-7, about float32's unit roundoff, and the
+right-hand side is cast at sup-norm 1; both are undone in double.  The
+floor also bounds the factor's condition: at the banded grids' 1e-10 a p=64
+factor on the square n=128 had condition 2e12, and its single-precision
+solve returned no descent direction.  The Laplacian and the banded cell
+Hessian stay in double: the first is exact at p=2, and a single-precision
+band (spbtrf) took the square n=64 sweep from 245 to 283 inner iterations
+and was slower.
 """
 
 from __future__ import annotations
@@ -82,6 +102,7 @@ ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 KEEP = 0.3        # contraction of the gradient sup-norm that keeps a factor
+W_FLOOR = 1e-7    # least weight over max(w) in the single-precision A(w)
 
 
 class NonConvergence(RuntimeError):
@@ -250,7 +271,12 @@ def factorized(A, ordered: bool = False):
     which on these 5-point operators is faster than SciPy's multi-column
     panels at the same fill.  The returned callable carries the column
     order SuperLU chose as `perm_c`.  ordered=True says A is already in a
-    fill-reducing order and is factored as given (permc_spec NATURAL)."""
+    fill-reducing order and is factored as given (permc_spec NATURAL).
+
+    A sparse A in single precision is factored and solved in single
+    precision; its solve casts the right-hand side at sup-norm 1, which
+    neither overflows nor flushes to zero, and returns the solution in
+    double, scaled back.  The solve of any A returns float64."""
     if isinstance(A, Banded):
         chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
         if info != 0:
@@ -259,12 +285,17 @@ def factorized(A, ordered: bool = False):
         def solve(rhs):
             return lapack.dpbtrs(chol, rhs)[0]
         return solve
+    dtype = A.dtype
     lu = splu(A.tocsc(), permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, panel_size=1, relax=1,
               options={"SymmetricMode": True})
 
     def solve(rhs):
-        return lu.solve(rhs)
+        if dtype == np.float64:
+            return lu.solve(rhs)
+        scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
+        x = lu.solve((rhs / scale).astype(dtype))
+        return np.multiply(x, scale, dtype=np.float64)
     solve.perm_c = lu.perm_c
     return solve
 
@@ -293,10 +324,13 @@ class Factors:
       nodes (i+1, j) and (i, j+1), one closer in the node order than (i, j)
       and (i+1, j) where all are interior, so it adds entries but no width
       to the band.  The p=2 Laplacian G^T G is the same map at H = I.
-    * The others keep the lagged-diffusivity operator A(w) = G^T diag(w_f) G,
+    * The others keep the lagged-diffusivity operator A(w) = G^T diag(w) G,
       which drops the rank-one term of H and so shares the 5-point pattern
       of the Laplacian.  The Hessian's 7-point pattern raises the fill of
-      these factors about 1.6 times.
+      these factors about 1.6 times.  A(w) is assembled, factored and
+      solved in single precision as A(w_s) with w_s = w / max(w) floored
+      at W_FLOOR, its solution divided by max(w) in double; see the module
+      docstring.
 
     The first SuperLU factor a grid builds fixes its order: `fill_order`,
     None until then, is q = argsort(perm_c) of that factor, which SuperLU
@@ -365,16 +399,17 @@ class Factors:
         |c|^2 + eps^2): the cell Hessian on a banded grid, A(w) on a SuperLU
         grid.  None if max(w) is not positive and finite (the start from
         zero at p != 2), where the caller stands the Laplacian in.  On a
-        SuperLU grid the solve maps the right-hand side and the solution
-        through the fill order q."""
+        SuperLU grid A(w) is factored in single precision, and the solve
+        maps the right-hand side and the solution through the fill order q
+        and returns the solution in double."""
         wmax = float(w.max()) if w.size else 1.0
         if not (wmax > 0 and math.isfinite(wmax)):
             return None
-        w_f = np.maximum(w, 1e-10 * wmax)
         # the lagged factors replace the Laplacian that a cold start stood
         # in, so its solver is dropped before the first of them is built
         vars(self).pop("laplacian", None)
         if self.banded:
+            w_f = np.maximum(w, 1e-10 * wmax)
             c = c.reshape(self._dim, -1)
             a = (c * c).sum(axis=0) + eps * eps
             u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
@@ -391,20 +426,23 @@ class Factors:
             S, indices, indptr = self._natural or self._assembly()
             if self.fill_order is None:
                 self._natural = (S, indices, indptr)
-                return self._ordering_factor(sparse.csc_matrix(
-                    (S @ w_f, indices, indptr),
-                    shape=(indptr.size - 1,) * 2))
-            self._natural = None
-            self._ordered = self._permuted(S, indices, indptr)
-        S, indices, indptr = self._ordered
-        solve_q = factorized(
-            sparse.csc_matrix((S @ w_f, indices, indptr),
-                              shape=(indptr.size - 1,) * 2), ordered=True)
-        q = self.fill_order
+            else:
+                self._natural = None
+                self._ordered = self._permuted(S, indices, indptr)
+        # A(w) / max(w) in single precision, its weights in [W_FLOOR, 1] at
+        # any p; the first factor orders itself (q is then the identity)
+        S, indices, indptr = self._ordered or self._natural
+        w_s = np.maximum(w / wmax, W_FLOOR)
+        A = sparse.csc_matrix(((S @ w_s).astype(np.float32), indices, indptr),
+                              shape=(indptr.size - 1,) * 2)
+        if self._ordered is None:
+            solve_q, q = self._ordering_factor(A), slice(None)
+        else:
+            solve_q, q = factorized(A, ordered=True), self.fill_order
 
         def solve(rhs):
             x = np.empty_like(rhs)
-            x[q] = solve_q(rhs[q])
+            x[q] = solve_q(rhs[q]) / wmax
             return x
         return solve
 

@@ -185,6 +185,20 @@ class TestSolve:
         assert out == "" and err.startswith("error:")
         assert not (tmp_path / "x.summary.json").exists()
 
+    @pytest.mark.parametrize("conf", [[1, 2], "p", 3.0, None],
+                             ids=["list", "string", "number", "null"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, conf):
+        # a top level that is no JSON object is a usage error, not an
+        # AttributeError traceback
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", "3", "--config",
+                                 str(path), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+        assert "JSON object" in err
+
     def test_config_string_value_is_parsed(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"max_steps": "2", "tol": "1e-30"}))
@@ -219,6 +233,31 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: tol_grad")
+
+    @pytest.mark.parametrize("domain, bounds", [
+        ("rect", "0,inf,0,1"), ("rect", "-inf,1,0,1"), ("rect", "0,1,nan,1")])
+    def test_non_finite_bounds(self, capsys, domain, bounds):
+        # an infinite bound ended in an OverflowError traceback from
+        # build_grid
+        code, out, err = run_cli(capsys, "solve", "--domain", domain,
+                                 "--bounds", bounds, "--n", "8", "--p", "3",
+                                 "--out", "/tmp/x")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_non_finite_mask_cell_size(self, tmp_path, capsys, size):
+        # a NaN cell size reached the solver and exited 2 with a
+        # degenerate iterate, the code of a solver failure
+        path = tmp_path / "bad.mask"
+        path.write_text(f"2 2 {size}\n#.\n##\n")
+        code, out, err = run_cli(capsys, "solve", "--domain", f"mask:{path}",
+                                 "--n", "8", "--p", "3",
+                                 "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cell_size")
 
     def test_missing_mask_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain",

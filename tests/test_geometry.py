@@ -49,6 +49,25 @@ class TestBuildGrid:
             MaskDomain(width=2, height=2, cells=np.zeros((2, 2), bool),
                        cell_size=1.0)
 
+    @pytest.mark.parametrize("bounds", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_non_finite_interval(self, bounds):
+        with pytest.raises(DomainError):
+            Interval(*bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0),
+        (0.0, 1.0, 0.0, math.nan), (math.nan, 1.0, 0.0, 1.0)])
+    def test_rejects_non_finite_rectangle(self, bounds):
+        with pytest.raises(DomainError):
+            Rectangle(*bounds)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_cell_size(self, size):
+        with pytest.raises(DomainError, match="cell_size"):
+            MaskDomain(width=2, height=2, cells=np.ones((2, 2), bool),
+                       cell_size=size)
+
     def test_node_partition(self, square_grid):
         # every node is interior, boundary, or (for masks) outside
         both = square_grid.interior & square_grid.boundary

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import pground.infinity
@@ -138,6 +139,44 @@ class TestSweepResults:
         assert len(interval_sweep.traces) == len(interval_sweep.entries)
         for e, tr in zip(interval_sweep.entries, interval_sweep.traces):
             assert tr is not None and tr.p == e.p
+
+
+class TestInfinityGroundState:
+    """On the interval (0, 1) the infinity-Laplacian ground state is the
+    distance to the boundary scaled to max 1, the tent 1 - 2|x - 1/2|, and
+    the infinity eigenvalue is 1/inradius = 2.  The scheme's ground states
+    approach both as p grows."""
+
+    P_LIST = (64.0, 128.0, 256.0, 512.0)
+    # three times the sup-norm distances to the tent measured at these p
+    # (1.40e-4, 8.44e-6, 7.24e-8, 1.07e-11)
+    TENT_BOUNDS = (4.2e-4, 2.6e-5, 2.2e-7, 3.3e-11)
+
+    @pytest.fixture(scope="class")
+    def large_p_sweep(self):
+        return sweep(Interval(0.0, 1.0), 63, self.P_LIST)
+
+    def test_iterates_approach_the_tent(self, large_p_sweep):
+        dists = []
+        for entry, trace in zip(large_p_sweep.entries, large_p_sweep.traces):
+            assert entry.converged
+            u = trace.final
+            x = u.grid.node_coords()
+            tent = 1.0 - 2.0 * np.abs(x - 0.5)
+            dists.append(float(np.abs(u.values / np.abs(u.values).max()
+                                      - tent).max()))
+        assert all(a > b for a, b in zip(dists, dists[1:]))
+        for p, dist, bound in zip(self.P_LIST, dists, self.TENT_BOUNDS):
+            assert dist <= bound, f"p={p}: {dist:.3e} > {bound:.1e}"
+
+    def test_lambda_root_decreases_to_reciprocal_inradius(self,
+                                                         large_p_sweep):
+        # measured 2.126, 2.065, 2.033, 2.016: above 2 and about 8.4 / p
+        # away from it
+        assert large_p_sweep.inradius_reciprocal == pytest.approx(2.0)
+        roots = [e.lambda_root for e in large_p_sweep.entries]
+        assert all(a > b > 2.0 for a, b in zip(roots, roots[1:]))
+        assert roots[-1] - 2.0 <= 0.01 * 2.0
 
 
 class TestSupnormCheck:

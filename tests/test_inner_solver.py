@@ -19,7 +19,8 @@ from pground.geometry import Interval, MaskDomain, Rectangle, \
     _gradient_operators, build_grid
 from pground.inner import (NonConvergence, SolverConfig, signed_power,
                            solve_step, solve_step_with_stats)
-from pground.iteration import Custom, PositiveConstant, inverse_iterate
+from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
+                               verify)
 from pground.oracles import dirichlet_laplacian_matrix
 
 from conftest import loop_gradient_field, loop_objective
@@ -292,7 +293,7 @@ class TestFactorized:
         if factors.banded:
             return factors, c, w, M
         S, indices, indptr = factors._assembly()
-        w_f = np.maximum(w, 1e-10 * w.max())
+        w_f = np.maximum(w, inner.W_FLOOR * w.max())
         return factors, c, w, sparse.csc_matrix((S @ w_f, indices, indptr),
                                                 shape=M.shape)
 
@@ -335,30 +336,50 @@ class TestFactorized:
 
     @pytest.mark.parametrize("kind, n, band", [
         ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
-    def test_superlu_grid_solves(self, kind, n, band, l_mask):
+    def test_superlu_grid_solves(self, kind, n, band, l_mask, monkeypatch):
         # the first lagged factor is ordered by SuperLU and fixes the grid's
-        # fill order; the next is assembled in that order
+        # fill order; the next is assembled in that order.  Both factor
+        # A(w) / max(w), its weights floored at W_FLOOR, in single
+        # precision and return double directions with a normwise backward
+        # error of a few float32 units u (0.4 u measured), so a forward
+        # error of at most kappa(A) times that (kappa(A) 2e3 to 7e3 here,
+        # 1e-6 to 3e-6 measured)
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
                 "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
         factors, c, w, A = self._operator(spec, n, seed=59)
         assert self._bandwidth(A) == band > inner.BAND_MAX
         assert not factors.banded
         assert factors.fill_order is None
+        built = []
+        factorized = inner.factorized
+
+        def recorded(M, **kwargs):
+            built.append((M.dtype, factorized(M, **kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(inner, "factorized", recorded)
         first = factors.preconditioner(c, w, 3.0, 0.0)
         q = factors.fill_order
-        assert np.array_equal(q, np.argsort(first.perm_c))
+        assert np.array_equal(q, np.argsort(built[0][1].perm_c))
         second = factors.preconditioner(c, w, 3.0, 0.0)
+        assert [dtype for dtype, _ in built] == [np.float32] * 2
         Sq, indices_q, indptr_q = factors._ordered
-        w_f = np.maximum(w, 1e-10 * w.max())
+        w_f = np.maximum(w, inner.W_FLOOR * w.max())
         Aq = sparse.csc_matrix((Sq @ w_f, indices_q, indptr_q), shape=A.shape)
         assert (Aq != A[q][:, q]).nnz == 0
         b = np.random.default_rng(61).uniform(-1.0, 1.0, A.shape[0])
+        direct = spsolve(A, b)
+        u = np.finfo(np.float32).eps / 2
+        for solve in (first, second):
+            x = solve(b)
+            assert x.dtype == np.float64
+            assert np.linalg.norm(A @ x - b) <= \
+                8 * u * sparse.linalg.norm(A, 1) * np.linalg.norm(x)
+            assert np.linalg.norm(x - direct) <= 1e-4 * np.linalg.norm(direct)
         G = factors._G
-        for solve, M in ((first, A), (second, A),
-                         (factors.laplacian, G.T @ G)):
-            direct = spsolve(M.tocsc(), b)
-            assert np.linalg.norm(solve(b) - direct) <= \
-                1e-12 * np.linalg.norm(direct)
+        direct = spsolve((G.T @ G).tocsc(), b)
+        assert np.linalg.norm(factors.laplacian(b) - direct) <= \
+            1e-12 * np.linalg.norm(direct)
 
     def test_one_ordering_per_grid(self, monkeypatch):
         # over one whole solve on a fresh box grid only the first lagged
@@ -383,8 +404,12 @@ class TestFactorized:
     def test_warm_start_keeps_no_order_factor(self, l_mask):
         # a Custom-init solve on a fresh SuperLU grid factors no Laplacian:
         # its first lagged factor fixes the order.  Minimum degree sees the
-        # same pattern in the Laplacian, so the order, and with it the
-        # solve, is the one a Laplacian factored before the solve gives
+        # same pattern in the Laplacian, so the order is the one a Laplacian
+        # factored before the solve gives.  The first factors differ by
+        # rounding alone: SuperLU orders one itself and factors the other
+        # pre-permuted, which sums the column updates in another order
+        # (3.6e-7 apart in L in single precision), so lambda agrees to
+        # 1e-13 relative, not to the last digit
         spec = l_mask
         ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
@@ -399,8 +424,10 @@ class TestFactorized:
         assert "laplacian" not in vars(fresh)
         assert "laplacian" not in vars(kept)
         assert np.array_equal(fresh.fill_order, kept.fill_order)
-        assert repr(traces[0].lambda_R) == repr(traces[1].lambda_R)
-        assert repr(traces[0].lambda_Q) == repr(traces[1].lambda_Q)
+        assert math.isclose(traces[0].lambda_R, traces[1].lambda_R,
+                            rel_tol=1e-13)
+        assert math.isclose(traces[0].lambda_Q, traces[1].lambda_Q,
+                            rel_tol=1e-13)
 
     def test_long_interval(self):
         g = build_grid(Interval(0.0, 1.0), 20000)
@@ -420,6 +447,38 @@ class TestFactorized:
         ab = np.array([[0.0] + [2.0] * 7, [1.0] * 8])
         with pytest.raises(LinAlgError):
             inner.factorized(inner.Banded(ab, 22))
+
+
+class TestSinglePrecisionFactor:
+    """A SuperLU grid factors A(w) in single precision, after scaling the
+    weights by max(w) and the right-hand side by its sup-norm, so that no
+    range of weights leaves float32's range."""
+
+    def test_extreme_weight_scales(self):
+        # p=64 weights reach 1e115 here, far past float32's 3.4e38; scaled
+        # by 1e30 and 1e-30 they give the same direction, scaled back
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
+        factors = inner.Factors.of(g)
+        assert not factors.banded
+        x = np.random.default_rng(89).uniform(-1.0, 1.0, g.num_interior)
+        _, c, w = _energy(g, x, 0 * x, 64.0, 0.0)
+        assert w.max() > 1e100
+        factors.preconditioner(c, w, 64.0, 0.0)  # fixes the fill order
+        b = np.random.default_rng(97).uniform(-1.0, 1.0, g.num_interior)
+        d = factors.preconditioner(c, w, 64.0, 0.0)(b)
+        assert np.all(np.isfinite(d)) and np.dot(b, d) > 0
+        u = np.finfo(np.float32).eps / 2
+        for scale in (1e30, 1e-30):
+            ds = factors.preconditioner(scale * c, scale * w, 64.0, 0.0)(b)
+            assert np.all(np.isfinite(ds))
+            assert np.linalg.norm(scale * ds - d) <= u * np.linalg.norm(d)
+
+    def test_l_shape_large_p_passes_verify(self, l_mask):
+        # a mask that is no box, at the widest weight range of the sweeps
+        tr = inverse_iterate(l_mask, 72, 64.0, PositiveConstant())
+        assert tr.converged
+        report = verify(tr)
+        assert report.all_passed, str(report)
 
 
 class TestBoxLaplacian:
