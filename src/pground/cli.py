@@ -226,7 +226,7 @@ def build_parser() -> _Parser:
     pw = sub.add_parser("sweep", help="large-p sweep against the inradius")
     add_domain_flags(pw, need_p=False)
     pw.add_argument("--p-list", default="4,8,16,32,64")
-    pw.add_argument("--max-steps", type=int, default=60)
+    pw.add_argument("--max-steps", type=int, default=200)
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument("--out", required=True)
     pw.add_argument("--config", help="JSON config file; flags override it")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pground.infinity
-from pground.geometry import Interval, Rectangle, build_grid
+from pground.geometry import Interval, MaskDomain, Rectangle, build_grid
 from pground.infinity import monotone_supnorm_check, sweep
 from pground.inner import NonConvergence
 from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
@@ -91,6 +91,22 @@ class TestContinuationInP:
         assert not last.converged
         assert math.isnan(last.lambda_R) and math.isnan(last.lambda_root)
         assert result.traces[2] is None
+
+
+class TestDefaultSweepConverges:
+    """Under the default K_max every point of these sweeps converges; at
+    60 outer steps the L-shape's p=64 point (117 steps) and the 2x1
+    rectangle's p=32 and p=64 points (62 and 97) stopped unconverged."""
+
+    @pytest.mark.parametrize("spec, n", [
+        (MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5), 32),
+        (Rectangle(0.0, 2.0, 0.0, 1.0), 48)], ids=["l_shape", "rectangle"])
+    def test_every_point_converges(self, spec, n):
+        result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0, 64.0))
+        assert [e.converged for e in result.entries] == [True] * 5
+        for tr in result.traces:
+            report = verify(tr)
+            assert report.all_passed, f"p={tr.p}:\n{report}"
 
 
 class TestSweepValidation:

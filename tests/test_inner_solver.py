@@ -17,6 +17,7 @@ from pground.calculus import (GridFunction, _energy, _nodal_gradient,
                               functional_value, gradient_field)
 from pground.geometry import Interval, MaskDomain, Rectangle, \
     _gradient_operators, build_grid
+from pground.infinity import sweep
 from pground.inner import (NonConvergence, SolverConfig, signed_power,
                            solve_step, solve_step_with_stats)
 from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
@@ -1150,3 +1151,187 @@ class TestFailureModes:
         assert exc.iterations == 3
         assert exc.tol == cfg.resolved_tol(1.0)
         assert exc.tol < exc.residual < math.inf
+
+
+class TestLineSearch:
+    """A rejected Armijo trial is followed by the minimizer of the
+    quadratic through phi(0), phi'(0) and phi(t), clipped to [0.1 t,
+    0.5 t]; the step is halved where phi(t) is not finite and in the floor
+    regime."""
+
+    @given(t=st.floats(1e-8, 1e8), slope=st.floats(1e-12, 1e12),
+           excess=st.floats(1e-12, 1e300))
+    @settings(max_examples=200, deadline=None)
+    def test_step_within_safeguard(self, t, slope, excess):
+        # any rise the Armijo test rejects: above -c t slope
+        rise = -inner.ARMIJO_C * t * slope + excess
+        step = inner._backtrack(t, slope, rise)
+        assert 0.1 * t <= step <= 0.5 * t
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.101, 0.25, 1 / 3, 0.499])
+    def test_quadratic_minimizer(self, ratio):
+        # phi(s) = J - slope s + a s^2 with its minimizer at ratio t
+        t, slope, J = 3.7, 2.5, -1.25
+        a = slope / (2 * ratio * t)
+        rise = (J - slope * t + a * t * t) - J
+        step = inner._backtrack(t, slope, rise)
+        assert step == pytest.approx(max(ratio, 0.1) * t, rel=1e-12)
+
+    @staticmethod
+    def _steps(monkeypatch, scale, first_trial=None, laplacian_factor=1.0):
+        # one p=2 descent from zero on the square n=16 for f of sup-norm
+        # scale, the preconditioner the Laplacian times laplacian_factor;
+        # returns the trial steps t over 1/h^d (trial = -t d from zero, so
+        # each is exact up to one rounding), the Armijo decrease c t g.d of
+        # the first trial, the iterate and the exact minimizer.  first_trial maps the first
+        # trial's objective J to the value the line search sees.
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
+        hd = g.h ** g.dim
+        fh = scale * random_rhs(g, 79).values[g.interior] * hd
+        factors = inner.Factors.of(g)
+        exact = factors.laplacian(fh) / hd
+        laplacian = factors.laplacian
+        vars(factors)["laplacian"] = (
+            lambda rhs: laplacian_factor * laplacian(rhs))
+        d = factors.laplacian(-fh)  # the gradient at zero is -fh
+        trials, energy = [], inner._energy
+
+        def recording(grid, x, *args):
+            J, c, w = energy(grid, x, *args)
+            if np.any(x):
+                trials.append(float(np.dot(-x, d) / np.dot(d, d)) * hd)
+                if len(trials) == 1 and first_trial is not None:
+                    J = first_trial(J)
+            return J, c, w
+
+        monkeypatch.setattr(inner, "_energy", recording)
+        x, iters, _ = inner._descend(g, np.zeros(g.num_interior), fh,
+                                     SolverConfig(p=2.0), 0.0, 0.0, 1, False)
+        assert iters == 1
+        return trials, inner.ARMIJO_C * float(np.dot(-fh, d)) / hd, x, exact
+
+    def test_exact_step_on_quadratic(self, monkeypatch):
+        # p=2 is quadratic: three times the Newton direction overshoots
+        # at the first trial, and the interpolated step lands on the
+        # minimizer, where halving would accept t/2 and stop short of it
+        trials, _, x, exact = self._steps(monkeypatch, 1.0,
+                                          laplacian_factor=3.0)
+        assert trials[0] == pytest.approx(1.0, rel=1e-14)
+        assert trials[1] == pytest.approx(1 / 3, rel=1e-12)
+        assert len(trials) == 2
+        np.testing.assert_allclose(x, exact, rtol=1e-10,
+                                   atol=1e-12 * np.abs(exact).max())
+
+    def test_interpolates_after_finite_rejection(self, monkeypatch):
+        # a rise far above the quadratic model gives the lower clip
+        trials, *_ = self._steps(monkeypatch, 1.0, lambda J: J + 1.0)
+        assert trials[1] / trials[0] == pytest.approx(0.1, rel=1e-12)
+
+    def test_halves_after_overflow(self, monkeypatch):
+        trials, *_ = self._steps(monkeypatch, 1.0, lambda J: math.inf)
+        assert trials[1] / trials[0] == pytest.approx(0.5, rel=1e-12)
+
+    def test_halves_in_floor_regime(self, monkeypatch):
+        # f of sup-norm 1e-8: the Armijo decrease c t g.d at the first
+        # trial is below the floor 1e-15 max(1, |J|) = 1e-15 (J = 0 at
+        # zero), so the derivative-form test decides and a rejected trial,
+        # finite as it is, is halved
+        trials, decrease, *_ = self._steps(monkeypatch, 1e-8,
+                                           lambda J: J + 1.0)
+        assert decrease <= 1e-15
+        assert trials[1] / trials[0] == pytest.approx(0.5, rel=1e-12)
+
+    def test_square_sweep_energy_count(self, monkeypatch):
+        # the square n=64 sweep over p = 4..64 made 1,389 trial energies
+        # with halving alone and makes 907 with the interpolated step
+        calls, energy = [0], inner._energy
+
+        def counting(*args):
+            calls[0] += 1
+            return energy(*args)
+
+        monkeypatch.setattr(inner, "_energy", counting)
+        result = sweep(Rectangle(0.0, 1.0, 0.0, 1.0), 64,
+                       (4.0, 8.0, 16.0, 32.0, 64.0))
+        assert all(e.converged for e in result.entries)
+        assert calls[0] <= 1000
+
+
+class TestBlasThreads:
+    """`solve_step_with_stats` holds each bundled OpenBLAS to one thread
+    and restores the caller's count, on an exception too."""
+
+    @pytest.fixture
+    def two_threads(self):
+        controls = inner._blas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS with thread controls")
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        try:
+            yield controls
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+
+    @staticmethod
+    def _solve(p=3.0):
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
+        return solve_step_with_stats(g, random_rhs(g, 83).values[g.interior],
+                                     SolverConfig(p=p))[0]
+
+    def test_one_thread_inside_caller_count_after(self, monkeypatch,
+                                                  two_threads):
+        seen, factorized = [], inner.factorized
+
+        def recording(A, **kwargs):
+            seen.append([get() for get, _ in two_threads])
+            return factorized(A, **kwargs)
+
+        monkeypatch.setattr(inner, "factorized", recording)
+        self._solve()
+        assert seen and all(counts == [1] * len(two_threads)
+                            for counts in seen)
+        assert [get() for get, _ in two_threads] == [2] * len(two_threads)
+
+    def test_count_restored_on_exception(self, monkeypatch, two_threads):
+        def failing(A, **kwargs):
+            raise LinAlgError("factor failed")
+
+        monkeypatch.setattr(inner, "factorized", failing)
+        with pytest.raises(LinAlgError):
+            self._solve()
+        assert [get() for get, _ in two_threads] == [2] * len(two_threads)
+
+    def test_set_only_where_not_one(self, monkeypatch):
+        calls = []
+
+        def control(name, count):
+            return (lambda: count,
+                    lambda n: calls.append((name, n)))
+
+        monkeypatch.setattr(inner, "_blas_thread_controls", lambda: (
+            control("one", 1), control("four", 4)))
+        self._solve()
+        assert calls == [("four", 1), ("four", 4)]
+
+    def test_absent_symbols_leave_solve_unchanged(self, monkeypatch):
+        class NoSymbols:
+            def __init__(self, *args, **kwargs):
+                pass
+
+        pinned = self._solve()
+        with monkeypatch.context() as m:
+            m.setattr(inner.ctypes, "CDLL", NoSymbols)
+            controls = inner._blas_thread_controls.__wrapped__()
+        assert controls == ()
+        monkeypatch.setattr(inner, "_blas_thread_controls", lambda: controls)
+        assert np.array_equal(self._solve(), pinned)
+
+    def test_absent_libraries_give_no_controls(self, monkeypatch):
+        def missing(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(inner.os, "listdir", missing)
+        assert inner._blas_thread_controls.__wrapped__() == ()
