@@ -3,89 +3,69 @@
 functions.
 
 Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
-backtracking on the interior node values, preconditioned by a factor taken
-at an earlier iterate and refreshed every 20 iterations.  A rejected trial
-step is followed by the minimizer of the quadratic through the objective and
-its slope at the iterate and the objective at the trial, kept within 0.1 and
-0.5 of the rejected step (Dennis & Schnabel, Numerical Methods for
-Unconstrained Optimization, 6.3.2; Nocedal & Wright, 3.5); the step is
-halved instead where the trial objective overflows and below the
-objective's floating-point resolution.  On the square n=64 sweep over
-p = 4..64 this took the trial energies from 1,389 to 907 and the inner
-iterations from 644 to 601 against halving alone.  On banded grids
-that factor is the exact Hessian of the cell energy (a Newton-type
-preconditioner, Nocedal & Wright, Numerical Optimization, ch. 3 and 6); on
-SuperLU grids it is the lagged-diffusivity operator A(w) = G^T diag(w) G
-(Huang, Li & Liu, J. Sci. Comput. 2007), which drops the Hessian's rank-one
-term and with it a factor of up to p-1 in the curvature along the
-gradient, and which is factored and solved in single precision.  One
-calculus kernel per trial point, `_energy`, returns the
-objective with the cell gradients and weights it was computed from, which
-the gradient (`_nodal_gradient`) and the next refresh reuse.  Below the
-objective's floating-point resolution a step is accepted by the derivative
-form of the Armijo condition (Hager & Zhang, SIAM J. Optim. 2005).
+backtracking on the interior node values, preconditioned by the exact
+Hessian of the cell energy (a Newton-type preconditioner, Nocedal & Wright,
+Numerical Optimization, ch. 3 and 6) taken at an earlier iterate and
+refreshed every 20 iterations.  A rejected trial step is followed by the
+minimizer of the quadratic through the objective and its slope at the
+iterate and the objective at the trial, kept within 0.1 and 0.5 of the
+rejected step (Dennis & Schnabel, Numerical Methods for Unconstrained
+Optimization, 6.3.2; Nocedal & Wright, 3.5); the step is halved instead
+where the trial objective overflows and below the objective's
+floating-point resolution.  One calculus kernel per trial point, `_energy`,
+returns the objective with the cell gradients and weights it was computed
+from, which the gradient (`_nodal_gradient`) and the next refresh reuse.
+Below the objective's floating-point resolution a step is accepted by the
+derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
+2005).
 
 One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
 bandwidth up to BAND_MAX = 64, which covers the interval and the 2D grids
-up to the square n=65, and SuperLU beyond.  The cut-off is the measured
-crossover (2-core Xeon VM, BLAS on 1 thread, p=3, best of 25 factors, each
-with its assembly, and 101 solves in each of three runs): on the square
-n=64 (bandwidth 63) a banded factor of the cell Hessian takes 3.4-4.0 ms
-and a solve with it 0.18-0.20 ms, against 3.6-4.3 and 0.19-0.20 ms for
-SuperLU's single-precision factor of A(w); on the square n=128 (bandwidth
-127) the band takes 31-32 and 1.5-1.7 ms against SuperLU's 16-20 and
-0.95-0.96 ms, so that grid stays on SuperLU.  The back end also fixes the
-preconditioner: the Hessian's cross term keeps a band's width but makes
-SuperLU's 5-point pattern a 7-point one, with about 1.6 times the fill.
-`Factors` keeps that back end's storage map and the p=2 Laplacian (only
-until a lagged factor replaces it), and hands each matrix to `factorized`,
-the one factorization site.  The Laplacian has three solvers: the band
-factor on a banded grid, the fast Poisson solver (sine transforms, no
-factor) on a SuperLU grid whose interior nodes fill their box, and a
-SuperLU factor on the other SuperLU grids.  The first SuperLU factor a grid
-builds fixes the order of every later one.  A factor costs several descent
-iterations (a banded one about 6 on the square n=64).  A banded factor is
-rebuilt at every refresh check; a SuperLU factor is kept while it still
-contracts the residual.
+up to the square n=65, and SuperLU beyond.  Both back ends factor the same
+cell Hessian from the same per-cell enumeration of its terms; the back end
+decides only storage and precision: a band in double, or a sparse matrix
+of the 7-point pattern in single precision.  `Factors` keeps that back
+end's storage map and the p=2 Laplacian (only until a lagged factor
+replaces it), and hands each matrix to `factorized`, the one factorization
+site.  The Laplacian has three solvers: the band factor on a banded grid,
+the fast Poisson solver (sine transforms, no factor) on a SuperLU grid whose
+interior nodes fill their box, and a SuperLU factor on the other SuperLU
+grids.
 
-Within one `inverse_iterate` call, the last eps stage of a banded grid at
-p != 2 starts on the cell-Hessian factor the previous outer step ended on,
-and replaces it at the first iteration that contracts the residual too
-little (a chord method, Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995, ch. 5; `_descend`).  The factor passes from step to
-step through the `carry` list of `solve_step_with_stats`, a local of the
-call, so no solve depends on an earlier one: the first step, each sweep
-point and every standalone solve start fresh, and so does every eps stage
-before the last.  SuperLU grids do not carry their factor: they stop on the
-sup-norm alone, and there a factor carried across outer steps left N off by
-about 1e-8 on the square n=256 at p=3, and claim (b) failed.
+Within one `inverse_iterate` call, the last eps stage at p != 2 starts on
+the cell-Hessian factor the previous outer step ended on, and replaces it
+at the first iteration that contracts the residual too little (a chord
+method, Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, ch. 5; `_descend`).  The factor passes from step to step through the
+`carry` list of `solve_step_with_stats`, a local of the call, so no solve
+depends on an earlier one: the first step, each sweep point and every
+standalone solve start fresh, and so does every eps stage before the last.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
 iterate on; the solve raises NonConvergence at one place, when the last
-stage ends above tol.  A last stage preconditioned by the cell Hessian also
-descends until its Newton decrement is small, which bounds the iterate's
-relative error (`_descend`); that test never raises.  The floors are
-listed with `_descend`.
+stage ends above tol.  A last stage at p != 2 also descends until its
+Newton decrement is small, which bounds the iterate's relative error
+(`_descend`); that test never raises.  The floors are listed with
+`_descend`.
 
-A(w) runs in single precision because it is only a lagged model of the
-Hessian: a double factor's rounding buys nothing a model off by up to p-1
-can use, and SuperLU's factor and triangular solves, bound by memory
-bandwidth, run faster on half the bytes.  This is the mixed-precision
-pattern of factoring low and keeping the residual high (Carson & Higham,
-SIAM J. Sci. Comput. 2018): the gradient, the direction handed back, the
-iterate, the objective and every stopping test stay in double.  Two scales
-keep float32 in range at any p (at p=64 a cell gradient of 5 gives the
-weight 2e43, one of 0.1 gives 1e-62): the weights are divided by max(w) and
-floored at W_FLOOR = 1e-7, about float32's unit roundoff, and the
-right-hand side is cast at sup-norm 1; both are undone in double.  The
-floor also bounds the factor's condition: at the banded grids' 1e-10 a p=64
-factor on the square n=128 had condition 2e12, and its single-precision
-solve returned no descent direction.  The Laplacian and the banded cell
-Hessian stay in double: the first is exact at p=2, and a single-precision
-band (spbtrf) took the square n=64 sweep from 245 to 283 inner iterations
-and was slower.
+A SuperLU grid's factor runs in single precision because it is a lagged
+model of the Hessian, taken up to 20 iterations or an outer step earlier:
+a double factor's rounding buys nothing that lag can use, and SuperLU's
+factor and triangular solves, bound by memory bandwidth, run faster on half
+the bytes.  This is the mixed-precision pattern of factoring low and keeping
+the residual high (Carson & Higham, SIAM J. Sci. Comput. 2018): the
+gradient, the direction handed back, the iterate, the objective and every
+stopping test stay in double.  Two scales keep float32 in range at any p
+(at p=64 a cell gradient of 5 gives the weight 2e43, one of 0.1 gives
+1e-62): the Hessian is divided by max(w), its weights floored at W_FLOOR =
+1e-7, about float32's unit roundoff, and the right-hand side is cast at
+sup-norm 1; both are undone in double.  The floor also bounds the factor's
+condition, which single precision cannot carry far: at a floor of 1e-9 a
+large-p solve of the square n=128 sweep stalled.  The Laplacian and the
+banded Hessian stay in double: the first is exact at p=2, and a
+single-precision band (spbtrf) took more iterations and was slower.
 """
 
 from __future__ import annotations
@@ -113,8 +93,9 @@ ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # largest step-length factor per rejected trial
 BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
-KEEP = 0.3        # contraction of the gradient sup-norm that keeps a factor
-W_FLOOR = 1e-7    # least weight over max(w) in the single-precision A(w)
+KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
+W_FLOOR = 1e-7    # least weight over max(w) in a single-precision factor
+BAND_W_FLOOR = 1e-10  # least weight over max(w) in a banded (double) factor
 
 
 class NonConvergence(RuntimeError):
@@ -231,10 +212,9 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
     tolerance.
 
     carry, a list that is empty or holds one factor, is handed to the last
-    stage: on a banded grid at p != 2 that stage starts on the factor in it
-    and leaves there the factor it ends on (`_descend`).  `inverse_iterate`
-    passes one list through the steps of one call; without it every solve
-    starts fresh.
+    stage: at p != 2 that stage starts on the factor in it and leaves there
+    the factor it ends on (`_descend`).  `inverse_iterate` passes one list
+    through the steps of one call; without it every solve starts fresh.
 
     The solve runs with BLAS on one thread (`_one_blas_thread`), whatever
     the caller's count, which it restores."""
@@ -268,13 +248,9 @@ def _one_blas_thread():
     too; a library already on one thread is left alone.  The count is
     process-wide, so solves in concurrent threads would share it.
 
-    One thread is what the back ends were calibrated on (module docstring)
-    and what makes results independent of the machine: SuperLU's kernels
-    and NumPy's dot products sum in another order on several threads.  On
-    a 2-core Xeon VM, with the thread count left to OpenBLAS's default of 2,
-    the square n=64 sweep over p = 4..64 took 0.80-1.12 s against
-    0.42-0.55 s on one thread, and the square n=128 sweep's inner
-    iterations per p differed from those on one thread."""
+    One thread is what the back ends were calibrated on, and what makes
+    results independent of the machine: SuperLU's kernels and NumPy's dot
+    products sum in another order on several threads."""
     restore = []
     try:
         for get, set_ in _blas_thread_controls():
@@ -335,7 +311,7 @@ class Banded(NamedTuple):
     nnz: int
 
 
-def factorized(A, ordered: bool = False):
+def factorized(A):
     """Solve callable for the SPD matrix A, the one factorization site of
     the inner solve.  A `Banded` is factored by LAPACK's banded Cholesky
     (dpbtrf, solves by dpbtrs), which skips SuperLU's ordering, symbolic
@@ -349,10 +325,8 @@ def factorized(A, ordered: bool = False):
     pivoting is stable, and the symmetric ordering keeps about half the fill
     of the general-matrix COLAMD ordering.  The factor is built with
     one-column panels and no relaxed supernodes (panel_size=1, relax=1),
-    which on these 5-point operators is faster than SciPy's multi-column
-    panels at the same fill.  The returned callable carries the column
-    order SuperLU chose as `perm_c`.  ordered=True says A is already in a
-    fill-reducing order and is factored as given (permc_spec NATURAL).
+    which on these 5- and 7-point operators is faster than SciPy's
+    multi-column panels at the same fill.
 
     A sparse A in single precision is factored and solved in single
     precision; its solve casts the right-hand side at sup-norm 1, which
@@ -367,9 +341,8 @@ def factorized(A, ordered: bool = False):
             return lapack.dpbtrs(chol, rhs)[0]
         return solve
     dtype = A.dtype
-    lu = splu(A.tocsc(), permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, panel_size=1, relax=1,
-              options={"SymmetricMode": True})
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              panel_size=1, relax=1, options={"SymmetricMode": True})
 
     def solve(rhs):
         if dtype == np.float64:
@@ -377,7 +350,6 @@ def factorized(A, ordered: bool = False):
         scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
         x = lu.solve((rhs / scale).astype(dtype))
         return np.multiply(x, scale, dtype=np.float64)
-    solve.perm_c = lu.perm_c
     return solve
 
 
@@ -388,40 +360,34 @@ class Factors:
     Nothing here refers back to the grid, so reference counting frees it
     with the grid.
 
-    The back end is fixed once, by the bandwidth b in the grid's natural
-    node order of an operator G^T H G with H block-diagonal per cell.  Such
-    an operator couples the interior nodes of each cell, so b is the widest
-    span of one cell's nodes: 1 on the interval, the interior nodes per
-    column in 2D.  The preconditioner that `preconditioner` factors depends
-    on the back end:
+    `preconditioner` factors the exact Hessian of the cell energy, up to its
+    factor h^d: G^T H G with, per cell, H = w_f I + (p-2) w u u^T, where
+    u = c / sqrt(a) and w_f is the weight w floored at a fraction of max(w).
+    H is positive definite for every p > 1, its eigenvalues being at least
+    min(1, p-1) w_f.  The per-cell entries [H_xx, H_xy, H_yy] (H alone in
+    1D) reach the matrix through one enumeration of its terms (`_pairs`).
+    The cross term H_xy couples the nodes (i+1, j) and (i, j+1), which makes
+    the Laplacian's 5-point pattern a 7-point one.
 
-    * A `banded` grid (b <= BAND_MAX) factors the exact Hessian of the cell
-      energy, up to its factor h^d: G^T H G with, per cell,
-      H = w_f I + (p-2) w u u^T, where u = c / sqrt(a) and w_f is the weight
-      w floored at 1e-10 max(w).  H is positive definite for every p > 1,
-      its eigenvalues being at least min(1, p-1) w_f.  Its band map takes
-      the per-cell entries [H_xx, H_xy, H_yy] (H alone in 1D) straight to
-      LAPACK band storage for dpbtrf.  The cross term H_xy couples the
-      nodes (i+1, j) and (i, j+1), one closer in the node order than (i, j)
+    The back end is fixed once, by the bandwidth b in the grid's natural
+    node order of such an operator, which couples the interior nodes of
+    each cell, so b is the widest span of one cell's nodes: 1 on the
+    interval, the interior nodes per column in 2D.  It decides only how the
+    Hessian is stored and in what precision:
+
+    * A `banded` grid (b <= BAND_MAX) maps the terms to LAPACK band storage
+      (`_band`) and factors H in double, w_f floored at BAND_W_FLOOR max(w).
+      The cross term couples nodes one closer in the node order than (i, j)
       and (i+1, j) where all are interior, so it adds entries but no width
       to the band.  The p=2 Laplacian G^T G is the same map at H = I.
-    * The others keep the lagged-diffusivity operator A(w) = G^T diag(w) G,
-      which drops the rank-one term of H and so shares the 5-point pattern
-      of the Laplacian.  The Hessian's 7-point pattern raises the fill of
-      these factors about 1.6 times.  A(w) is assembled, factored and
-      solved in single precision as A(w_s) with w_s = w / max(w) floored
-      at W_FLOOR, its solution divided by max(w) in double; see the module
-      docstring.
-
-    The first SuperLU factor a grid builds fixes its order: `fill_order`,
-    None until then, is q = argsort(perm_c) of that factor, which SuperLU
-    orders by minimum degree from the natural node order.  That factor is
-    the Laplacian's where a cold start on a grid that is no box comes
-    first, and the first lagged A(w)'s otherwise (a box grid, a warm
-    start); both have the same pattern, so minimum degree gives both the
-    same order.  Every later A(w) is assembled in that order, in which
-    A(w)[q][:, q] factors as given with the same fill, and is factored
-    without ordering it again.
+    * The other grids map the terms to the slots of a CSC matrix with both
+      triangles (`_csc`) and factor H / max(w), w_f floored at W_FLOOR, in
+      single precision with SuperLU, each factor in its own minimum-degree
+      order; the solution is divided by max(w) in double (module
+      docstring).  The map keeps only each term's slot, and each factor
+      enumerates the terms again (`_pairs`): keeping their columns and
+      values too would take the map from 6 to 20 MB on the square n=256,
+      where the factor itself takes about 35 MB.
 
     The Laplacian has three solvers (`laplacian`): the band map on a banded
     grid; on a SuperLU grid whose interior nodes fill their box (a
@@ -430,11 +396,9 @@ class Factors:
     sine basis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); and a
     SuperLU factor on the other grids.  box, which `Factors.of` reads from
     the grid, gives the interior nodes per axis of such a box, else None.
-    A box grid thus factors no Laplacian in any solve.  On a 2-core Xeon VM
-    (best of 5 x 2000 calls) a sine-transform solve takes 41 us on the
-    interval n=63 and 105 us on the square n=16, against band solves of
-    1.9 and 7.4 us, so banded grids keep the band; on the square n=256 it
-    replaces a 0.33 s SuperLU factor.
+    A box grid thus factors no Laplacian in any solve.  A sine-transform
+    solve costs more than a band solve on the small grids, so banded grids
+    keep the band.
     """
 
     def __init__(self, G: sparse.csr_matrix, dim: int, box: tuple | None):
@@ -456,10 +420,6 @@ class Factors:
         # the interior nodes per axis of a SuperLU grid whose interior nodes
         # fill their box, the last axis fastest in the node order
         self._box = None if self.banded else box
-        self.fill_order = None  # set by the first SuperLU factor
-        # the assembly of A(w) permuted to the fill order; before that, the
-        # natural one that the order-fixing lagged factor was built from
-        self._ordered = self._natural = None
 
     @classmethod
     def of(cls, grid: Grid) -> Factors:
@@ -475,76 +435,64 @@ class Factors:
 
     def preconditioner(self, c: np.ndarray, w: np.ndarray, p: float,
                        eps: float):
-        """Factorized solve with the grid's preconditioner at the cell
-        gradients c and weights w = a^(p/2-1) of one `_energy` call (a =
-        |c|^2 + eps^2): the cell Hessian on a banded grid, A(w) on a SuperLU
-        grid.  None if max(w) is not positive and finite (the start from
-        zero at p != 2), where the caller stands the Laplacian in.  On a
-        SuperLU grid A(w) is factored in single precision, and the solve
-        maps the right-hand side and the solution through the fill order q
-        and returns the solution in double."""
+        """Factorized solve with the cell Hessian at the cell gradients c and
+        weights w = a^(p/2-1) of one `_energy` call (a = |c|^2 + eps^2).
+        None if max(w) is not positive and finite (the start from zero at
+        p != 2), where the caller stands the Laplacian in.  Every solve
+        returns the solution in double."""
         wmax = float(w.max()) if w.size else 1.0
         if not (wmax > 0 and math.isfinite(wmax)):
             return None
         # the lagged factors replace the Laplacian that a cold start stood
         # in, so its solver is dropped before the first of them is built
         vars(self).pop("laplacian", None)
+        # a band at the weights' own scale; a single-precision factor at
+        # max(w) = 1, its weights in [W_FLOOR, 1] at any p
         if self.banded:
-            w_f = np.maximum(w, 1e-10 * wmax)
-            c = c.reshape(self._dim, -1)
-            a = (c * c).sum(axis=0) + eps * eps
-            u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
-            i, j = self._components
-            H = ((p - 2) * w * u)[i] * u[j]
-            H[::2] += w_f
-            return self._band_factor(H.ravel())
-        if self._ordered is None:
-            # the assembly is built in the natural order; where this is the
-            # grid's first SuperLU factor, which fixes the order, it is
-            # permuted to that order only at the next factor, once the
-            # descent has released this one, so that the permutation's
-            # arrays never add to a factor's memory
-            S, indices, indptr = self._natural or self._assembly()
-            if self.fill_order is None:
-                self._natural = (S, indices, indptr)
-            else:
-                self._natural = None
-                self._ordered = self._permuted(S, indices, indptr)
-        # A(w) / max(w) in single precision, its weights in [W_FLOOR, 1] at
-        # any p; the first factor orders itself (q is then the identity)
-        S, indices, indptr = self._ordered or self._natural
-        w_s = np.maximum(w / wmax, W_FLOOR)
-        A = sparse.csc_matrix(((S @ w_s).astype(np.float32), indices, indptr),
-                              shape=(indptr.size - 1,) * 2)
-        if self._ordered is None:
-            solve_q, q = self._ordering_factor(A), slice(None)
-        else:
-            solve_q, q = factorized(A, ordered=True), self.fill_order
+            return self._band_factor(self._cell_entries(c, w, p, eps,
+                                                        BAND_W_FLOOR * wmax))
+        solve_s = factorized(self._sparse_matrix(
+            self._cell_entries(c, w / wmax, p, eps, W_FLOOR)).astype(
+                np.float32, copy=False))
 
         def solve(rhs):
-            x = np.empty_like(rhs)
-            x[q] = solve_q(rhs[q]) / wmax
-            return x
+            return solve_s(rhs) / wmax
         return solve
 
-    def _ordering_factor(self, A):
-        """`factorized` A, a sparse matrix in the natural node order, in
-        SuperLU's minimum-degree order; the grid's first SuperLU factor
-        fixes `fill_order` = argsort(perm_c), the order in which every
-        later A(w) factors as given with the same fill."""
-        solve = factorized(A)
-        if self.fill_order is None:
-            self.fill_order = np.argsort(solve.perm_c)
-        return solve
+    def _cell_entries(self, c, w, p, eps, w_min):
+        """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
+        max(w, w_min), in the order `_pairs` reads them."""
+        c = c.reshape(self._dim, -1)
+        a = (c * c).sum(axis=0) + eps * eps
+        u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
+        i, j = self._components
+        H = ((p - 2) * w * u)[i] * u[j]
+        H[::2] += np.maximum(w, w_min)
+        return H.ravel()
 
     def _band_factor(self, H: np.ndarray):
-        """Banded factor of G^T H G from the per-cell entries H, in the
-        order of `_band`.  The band is built in Fortran order, which
-        dpbtrf factors in place, without a copy."""
+        """Banded factor of G^T H G from the per-cell entries H.  The band
+        is built in Fortran order, which dpbtrf factors in place, without a
+        copy."""
         place, column, value, nnz = self._band
         b, n = self._b, self._G.shape[1]
         ab = np.bincount(place, value * H[column], (b + 1) * n)
         return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
+
+    def _sparse_matrix(self, H: np.ndarray) -> sparse.csc_matrix:
+        """G^T H G from the per-cell entries H as a CSC matrix, its terms
+        summed in the order `_pairs` yields them, each off-diagonal one then
+        again at its mirror."""
+        slot, indices, indptr = self._csc
+        data = np.zeros(indices.size)
+        start = 0
+        for i, j, column, value in self._pairs():
+            term = value * H[column]
+            for part in (term, term[i != j]):
+                np.add.at(data, slot[start:start + part.size], part)
+                start += part.size
+        return sparse.csc_matrix((data, indices, indptr),
+                                 shape=(indptr.size - 1,) * 2)
 
     @functools.cached_property
     def laplacian(self):
@@ -552,16 +500,17 @@ class Factors:
         quadratic energy induces: the preconditioner at p=2 and the stand-in
         of a cold start.  A banded grid factors it by the band map, a box
         grid solves it by sine transforms (`_dst_solver`), and the other
-        SuperLU grids factor it in minimum-degree order.  `preconditioner`
-        drops it whenever it builds a lagged factor, so that it adds no
-        memory to theirs; the next cold start builds it again."""
+        SuperLU grids factor it in its own minimum-degree order.
+        `preconditioner` drops it whenever it builds a lagged factor, so
+        that it adds no memory to theirs; the next cold start builds it
+        again."""
         if self.banded:
             H = np.zeros((len(self._components[0]), self._cells))
             H[::2] = 1.0
             return self._band_factor(H.ravel())
         if self._box is not None:
             return self._dst_solver()
-        return self._ordering_factor((self._G.T @ self._G).sorted_indices())
+        return factorized((self._G.T @ self._G).sorted_indices())
 
     def _dst_solver(self):
         """Solve callable for G^T G on a box of m_1 x ... interior nodes,
@@ -590,86 +539,71 @@ class Factors:
             return y.reshape(-1)
         return solve
 
-    def _assembly(self):
-        """Fixed CSC pattern (indices, indptr) of A(w) in the natural node
-        order, that of G^T G, and the scatter S with A(w).data == S @ w, as
-        (S, indices, indptr): S holds G[r, i] G[r, j] in the column of row
-        r's cell at the slot of (i, j), which a binary search finds in the
-        pattern.  Built once per SuperLU grid, for `_permuted`."""
-        G = self._G
-        n, ncell = G.shape[1], self._cells
-        L = (G.T @ G).sorted_indices()
-        # column-major slot keys; int64 since n^2 overflows int32 at n=256
-        pattern = (np.repeat(np.arange(n, dtype=np.int64) * n,
-                             np.diff(L.indptr)) + L.indices)
-        count = np.diff(G.indptr)
-        slots, cells, vals = [], [], []
-        # every ordered pair (a, b) of the stored entries of one row of G
-        for da, db in itertools.product(range(count.max()), repeat=2):
-            row = np.nonzero(count > max(da, db))[0]
-            a, b = G.indptr[row] + da, G.indptr[row] + db
-            key = G.indices[b].astype(np.int64) * n + G.indices[a]
-            slot = np.searchsorted(pattern, key)
-            if not np.array_equal(pattern.take(slot, mode="clip"), key):
-                raise RuntimeError("G^T G lacks a pair of G's entries")
-            slots.append(slot.astype(np.int32))
-            cells.append((row % ncell).astype(np.int32))
-            vals.append(G.data[a] * G.data[b])
-        del pattern  # with the lists (rebound below), before S is built
-        vals, slots, cells = map(np.concatenate, (vals, slots, cells))
-        S = sparse.csr_matrix((vals, (slots, cells)), shape=(L.nnz, ncell))
-        return S, L.indices, L.indptr
+    def _pairs(self):
+        """The terms of G^T H G on and above its diagonal, in groups of
+        (i, j, column, value): term k adds value[k] * H[column[k]] at
+        [i[k], j[k]] (i <= j, nodes in the natural order).  H lists one
+        component of the symmetric cell matrix for all cells, then the next:
+        H_xx, H_xy, H_yy in 2D, the one entry in 1D.  Each term is a product
+        G[r, i] G[s, j] of the stored entries of two rows r, s of one cell;
+        a group holds one pair of entry positions in r and s, over the cells
+        that store both, so that no group is larger than the grid."""
+        G, dim, ncell = self._G, self._dim, self._cells
+        # row k * ncell + e of G holds component k of cell e
+        count = np.diff(G.indptr).reshape(dim, ncell)
+        start = G.indptr[:-1].reshape(dim, ncell)
+        entries = [(e, k) for e in range(int(count.max())) for k in range(dim)]
+        for (ea, ka), (eb, kb) in itertools.product(entries, repeat=2):
+            cell = np.nonzero((count[ka] > ea) & (count[kb] > eb))[0]
+            a, b = start[ka, cell] + ea, start[kb, cell] + eb
+            i, j = G.indices[a], G.indices[b]
+            keep = i <= j
+            a, b = a[keep], b[keep]
+            # components (ka, kb) -> 0, 1, 2 for xx, xy or yx, yy
+            column = ((ka + kb) * ncell + cell[keep]).astype(np.int32)
+            yield i[keep], j[keep], column, G.data[a] * G.data[b]
 
     @functools.cached_property
     def _band(self):
-        """(place, column, value, nnz): the map of the per-cell entries H to
-        the upper band storage of G^T H G, whose flat (b + 1) * n array in
-        column-major order sums value * H[column] at each place, which holds
-        [i, j] (i <= j) at row b + i - j, column j.  H lists one component
-        of the symmetric cell matrix for all cells, then the next: H_xx,
-        H_xy, H_yy in 2D, the one entry in 1D.  Each term is a product
-        G[r, i] G[s, j] of the stored entries of two rows r, s of one cell;
-        nnz counts the stored entries of G^T H G in both triangles, the 3-
-        or 7-point pattern."""
-        G, dim, ncell = self._G, self._dim, self._cells
-        b, n = self._b, G.shape[1]
-        # each row's stored entries, padded with node -1 and value 0, as
-        # [entry, component, cell]
-        count = np.diff(G.indptr)
-        entry = np.arange(count.max())[:, None]
-        stored = entry < count
-        at = np.where(stored, G.indptr[:-1] + entry, 0)
-        node = np.where(stored, G.indices[at], -1).reshape(-1, dim, 1, 1,
-                                                           ncell)
-        data = np.where(stored, G.data[at], 0.0).reshape(node.shape)
-        # every pair of a row's entry (i) and a row's entry (j) of one cell,
-        # over [entry i, component i, entry j, component j, cell]
-        i, j = node, node.reshape(1, 1, -1, dim, ncell)
-        keep = (i >= 0) & (i <= j)
-        k = np.arange(dim)
-        # components (ka, kb) -> 0, 1, 2 for xx, xy or yx, yy: dim is 1 or 2
-        column = ((k.reshape(dim, 1, 1, 1) + k.reshape(dim, 1)) * ncell
-                  + np.arange(ncell))
-        place = (j * (b + 1) + b + i - j)[keep]
-        column = np.broadcast_to(column, keep.shape)[keep]
-        value = (data * data.reshape(j.shape))[keep]
+        """(place, column, value, nnz): the `_pairs` terms in the upper band
+        storage of G^T H G, whose flat (b + 1) * n array in column-major
+        order sums value * H[column] at each place, which holds [i, j]
+        (i <= j) at row b + i - j, column j; nnz counts the stored entries
+        of G^T H G in both triangles, the 3- or 7-point pattern."""
+        b, n = self._b, self._G.shape[1]
+        i, j, column, value = map(np.concatenate, zip(*self._pairs()))
+        place = j * (b + 1) + b + i - j
         hit = np.bincount(place, minlength=(b + 1) * n) > 0
         nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b::b + 1])
         return place, column, value, int(nnz)
 
-    def _permuted(self, S, indices, indptr):
-        """The assembly (S, indices, indptr) permuted by `fill_order` q: the
-        CSC matrix with data S @ w on the pattern returned is A(w)[q][:, q]."""
-        q = self.fill_order
-        n = indptr.size - 1
-        rank = np.empty(n, dtype=np.int64)
-        rank[q] = np.arange(n)
-        cols = np.repeat(np.arange(n), np.diff(indptr))
-        key = rank[cols] * n + rank[indices]  # column-major slot key
-        slot = np.argsort(key)
-        key = key[slot]
-        return (S[slot], (key % n).astype(np.intc),
-                np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc))
+    @functools.cached_property
+    def _csc(self):
+        """(slot, indices, indptr): the CSC pattern (indices, indptr) of
+        G^T H G with both triangles, in the natural node order, and the slot
+        of each `_pairs` term in it, in the order `_sparse_matrix` reads
+        them.  The pattern pairs every two nodes of a cell: it is that of
+        B^T B, where B is the incidence of cells and their nodes."""
+        G, n = self._G, self._G.shape[1]
+        cell = np.repeat(np.arange(G.shape[0]) % self._cells,
+                         np.diff(G.indptr))
+        B = sparse.csr_matrix((np.ones(G.nnz, dtype=np.int8),
+                               (cell, G.indices)), shape=(self._cells, n))
+        P = (B.T @ B).tocsc()
+        P.sort_indices()
+        del cell, B
+        # column-major slot keys; int64 since n^2 overflows int32 at n=256
+        key = (np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(P.indptr))
+               + P.indices)
+        slots = []
+        for i, j, _, _ in self._pairs():
+            i, j = i.astype(np.int64), j.astype(np.int64)
+            off = i != j
+            for row, col in ((i, j), (j[off], i[off])):
+                slots.append(np.searchsorted(key, col * n + row).astype(
+                    np.int32))
+        return (np.concatenate(slots), P.indices.astype(np.intc),
+                P.indptr.astype(np.intc))
 
 
 def _dst(a: np.ndarray, axis: int) -> np.ndarray:
@@ -713,56 +647,45 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     or the objective by 1e-12 relative); it also stops when the line search
     finds no acceptable step.  All exits but the tolerance are floors.
 
-    With tau given (the last eps stage) and the cell Hessian as the factor
-    (a banded grid at p != 2), the tolerance exit also asks the Newton
-    decrement to be small (Boyd & Vandenberghe, Convex Optimization, 9.5):
-    it ends at residual <= tol only once p^2 g.d <= (p-1) tau^2 h^d |fh.x|,
-    with d the preconditioned gradient of the loop.  The factor is the
-    Hessian over h^d, so g.d / h^d is about |x - x*|^2 in the Hessian norm,
-    and at the minimizer that norm of x* itself is (p-1) fh.x* (the
-    objective's Euler-Lagrange equation, at eps = 0).  The test thus asks
-    a relative error in that norm of at most tau / p, and N = c^(-p)
-    multiplies a relative error in the norm c by p, so N is off by at most
-    about tau, the relative slack `check_monotonicity` grants.  Unlike the
-    sup-norm, the test does not depend on the scale of the grid or of f.
+    With tau given (the last eps stage) at p != 2, the tolerance exit also
+    asks the Newton decrement to be small (Boyd & Vandenberghe, Convex
+    Optimization, 9.5): it ends at residual <= tol only once p^2 g.d <=
+    (p-1) tau^2 h^d |fh.x|, with d the preconditioned gradient of the loop.
+    The factor is the Hessian over h^d, so g.d / h^d is about |x - x*|^2 in
+    the Hessian norm, and at the minimizer that norm of x* itself is (p-1)
+    fh.x* (the objective's Euler-Lagrange equation, at eps = 0).  The test
+    thus asks a relative error in that norm of at most tau / p, and N =
+    c^(-p) multiplies a relative error in the norm c by p, so N is off by at
+    most about tau, the relative slack `check_monotonicity` grants.  Unlike
+    the sup-norm, the test does not depend on the scale of the grid or of f.
     d is the direction of the loop's next step, so when the test ends the
-    loop it has spent one solve, and a re-lag if one fell due there, and
-    no other work.  It only delays the tolerance exit, so it never makes a
-    solve fail.  A SuperLU grid's A(w) is no Hessian, and p = 2 keeps the
-    sup-norm exit alone, without that last solve; so does the p=2 stencil
-    standing in for the Hessian, after it.
+    loop it has spent one solve, and a re-lag if one fell due there, and no
+    other work.  It only delays the tolerance exit, so it never makes a
+    solve fail.  p = 2 keeps the sup-norm exit alone, without that last
+    solve; so does the p=2 stencil standing in for the Hessian, after it.
 
-    The direction is the grid's preconditioner (`Factors.preconditioner`:
-    the cell Hessian on a banded grid, A(w) on a SuperLU grid; the p=2
+    The direction is the cell Hessian (`Factors.preconditioner`; the p=2
     stencil when p == 2) applied to the gradient.  It is factored at the
     current iterate's cell gradients c and weights w on the first iteration
-    and checked every 20 after: a SuperLU factor is kept for another 20
-    while the best gradient sup-norm fell to at most KEEP = 0.3 of its
-    value at the last check, and re-lagged otherwise; a banded factor, and
-    the p=2 stencil standing in for weights without a positive finite max
-    (the start from zero), are re-lagged at every check.  After each re-lag,
-    and on a carried factor, the first trial step is 1/h^d, Newton's step
-    with the banded grids' Hessian and the exact step at p=2.
+    and re-lagged every 20 after, and so is the p=2 stencil standing in for
+    weights without a positive finite max (the start from zero).  After
+    each re-lag, and on a carried factor, the first trial step is 1/h^d,
+    Newton's step with the Hessian and the exact step at p=2.
 
     carry, a list that is empty or holds one factor, hands the cell Hessian
     from one outer step to the next; `solve_step_with_stats` passes it to
-    the last eps stage.  A Hessian descent (the decrement test applies)
-    takes the factor out, if there is one, and starts on it in place of a
-    fresh one.  It re-lags as soon as an iteration on the carried factor
-    fails to cut the gradient sup-norm to KEEP of its value before that
-    iteration, and at the 20-iteration check if none does.  Both re-lags
-    release the carried factor before the next is built, so at most one is
-    alive.  The descent puts the factor it ends on into carry (not the p=2
-    stand-in).  The decrement test reads the carried factor as it reads any
-    lagged one.  KEEP is shared with the SuperLU window: on the interval
-    n=63, the square n=32 and n=64 and the L-shape n=32 and n=64 sweeps
-    over p = 4..128 (4..64 on the last three), 1/4 in its place gave 242
-    factors and 4,285 iterations against 231 and 4,271.
+    the last eps stage.  A descent the decrement test applies to takes the
+    factor out, if there is one, and starts on it in place of a fresh one.
+    It re-lags as soon as an iteration on the carried factor fails to cut
+    the gradient sup-norm to KEEP of its value before that iteration, and at
+    the 20-iteration check if none does.  Both re-lags release the carried
+    factor before the next is built, so at most one is alive.  The descent
+    puts the factor it ends on into carry (not the p=2 stand-in).  The
+    decrement test reads the carried factor as it reads any lagged one.
 
-    A trial point costs one `_energy` call; the
-    gradient is formed from its (c, w) only at the accepted trial and at
-    trials below the resolution floor, and the accepted trial's (c, w) is
-    kept for the next re-lag.
+    A trial point costs one `_energy` call; the gradient is formed from its
+    (c, w) only at the accepted trial and at trials below the resolution
+    floor, and the accepted trial's (c, w) is kept for the next re-lag.
 
     A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
     c t g.d while that decrease is resolvable (above 1e-15 |J|); below it,
@@ -776,17 +699,14 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     (`_backtrack`).  Two cases keep plain halving: a trial objective that
     is not finite (the energy overflows at large p), where the quadratic has
     no value to go on, and the floor regime, where phi(t) - phi(0) is
-    rounding and the quadratic would be fitted to noise.  At p=64 on the
-    square n=64 the sweep made 1.7 trial energies per inner iteration, where
-    halving took 2.8."""
+    rounding and the quadratic would be fitted to noise."""
     p = cfg.p
     hd = grid.h ** grid.dim
     J, c, w = _energy(grid, x, fh, p, eps)
     g = _nodal_gradient(grid, c, w, fh)
     gsup = float(np.abs(g).max())
     factors = Factors.of(grid)
-    superlu = p != 2 and not factors.banded
-    newton = tau is not None and p != 2 and factors.banded
+    newton = tau is not None and p != 2
     # a Hessian factor handed on by the last outer step; the list lets go
     # of it, so that the re-lag that replaces it can release it first
     precond = carry.pop() if newton and carry else None
@@ -796,10 +716,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     while ((newton or tol < gsup) and gsup < math.inf and it < budget
            and it - last_gain <= 300):
         if p != 2 and since_refresh >= 20:
-            if superlu and not stand_in and best_gsup <= KEEP * lag_gsup:
-                since_refresh, lag_gsup = 0, best_gsup  # one more window
-            else:
-                precond = None  # released before the next is built
+            precond = None  # released before the next is built
         if precond is None or it == 0:  # a new window
             if precond is None:
                 # (re-)lag at the current (c, w), or take the p=2 stencil:
@@ -814,7 +731,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             # step for p=2 and Newton's with the cell Hessian
             prev = None  # (t, g, d) of the last accepted step
             t = 1.0 / hd
-            since_refresh, lag_gsup = 0, best_gsup
+            since_refresh = 0
         d = precond(g)
         slope = float(np.dot(g, d))  # directional derivative along -d
         if gsup <= tol and (stand_in or p * p * slope <= (p - 1) * tau * tau

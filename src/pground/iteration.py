@@ -175,7 +175,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     # the config of the warm-started steps: the last eps stage only
     warm_cfg = replace(cfg, eps_schedule=cfg.resolved_eps(grid.h)[-1:])
     cold_first = not isinstance(init, Custom)
-    # the banded Hessian factor one step's last stage ended on, which the
+    # the cell-Hessian factor one step's last stage ended on, which the
     # next starts on (`_descend`); it lives for this call only
     carry = []
     for k in range(1, K_max + 1):

@@ -47,16 +47,16 @@ def solve_stats(f, cfg):
     return GridFunction.from_interior(g, x), iters
 
 
-def cell_hessian(grid, x, p, eps=0.0):
+def cell_hessian(grid, x, p, eps=0.0, floor=inner.BAND_W_FLOOR):
     """(c, w, M): the cell gradients and weights of `_energy` at the
     interior vector x, and the Hessian G^T H G of the cell energy without
     its factor h^d, H = w_f I + (p-2) (w/a) c c^T per cell with w_f the
-    weight floored at 1e-10 max(w), as a CSC matrix from sparse products
-    of the per-axis operators."""
+    weight floored at floor max(w) (the banded factor's floor by default),
+    as a CSC matrix from sparse products of the per-axis operators."""
     _, c, w = _energy(grid, x, 0 * x, p, eps)
     cells = c.reshape(grid.dim, -1)
     a = (cells * cells).sum(axis=0) + eps * eps
-    w_f = np.maximum(w, 1e-10 * w.max())
+    w_f = np.maximum(w, floor * w.max())
     rank_one = (p - 2) * np.divide(w, a, out=np.zeros_like(w), where=a > 0)
     ops = _gradient_operators(grid)
     M = sum(Gk.T @ sparse.diags(w_f * (k == m) + rank_one * cells[k] * cells[m])
@@ -191,7 +191,7 @@ class TestWeightedPreconditioner:
         v[: g.shape[0] // 2] = 0.0  # flat half: zero weights, floored
         p = 3.0
         w = cell_grad_sq(g, v) ** (p / 2 - 1)
-        floor = 1e-10 * w.max()
+        floor = inner.BAND_W_FLOOR * w.max()
         assert np.any(w < floor)
         A = cell_hessian(g, v[g.interior], p)[2]
         b = rng.uniform(-1.0, 1.0, g.num_interior)
@@ -216,49 +216,74 @@ class TestWeightedPreconditioner:
         return build_grid(spec, n)
 
     @staticmethod
-    def _assembled(grid, w):
-        S, indices, indptr = inner.Factors.of(grid)._assembly()
-        n = grid.num_interior
-        return sparse.csc_matrix((S @ w, indices, indptr), shape=(n, n))
+    def _assembled(grid, H):
+        # the sparse back end's scatter of the per-cell entries H, listed as
+        # [H_xx, H_xy, H_yy] (H in 1D), before its cast to single precision
+        return inner.Factors.of(grid)._sparse_matrix(H.ravel())
+
+    @staticmethod
+    def _cell_entries(grid, seed):
+        # random symmetric positive definite cell matrices, half of them
+        # 1e-10 times smaller, as the floor leaves them
+        rng = np.random.default_rng(seed)
+        ncell = int(np.count_nonzero(grid.cell_mask))
+        H = rng.uniform(1.0, 2.0, (2 * grid.dim - 1, ncell))
+        if grid.dim == 2:
+            H[1] -= 1.5  # |H_xy| < 1 <= H_xx, H_yy
+        H[:, : ncell // 2] *= 1e-10
+        return H
 
     @pytest.mark.parametrize("kind",
                              ["interval", "square", "l_shape", "rectangle"])
     def test_scatter_matches_products(self, kind, l_mask):
+        # G^T H G = sum over axes k, m of G_k^T diag(H_km) G_m
         g = self._grid(kind, l_mask)
-        rng = np.random.default_rng(23)
-        w = rng.uniform(0.0, 1.0, int(np.count_nonzero(g.cell_mask)))
-        w[: w.size // 2] = 0.0
-        w = np.maximum(w, 1e-10 * w.max())  # half the weights at the floor
-        ref = sum(G.T @ sparse.diags(w) @ G for G in _gradient_operators(g))
-        A = self._assembled(g, w)
+        H = self._cell_entries(g, 23)
+        comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+        ops = _gradient_operators(g)
+        ref = sum(Gk.T @ sparse.diags(H[comp[k, m]]) @ Gm
+                  for k, Gk in enumerate(ops)
+                  for m, Gm in enumerate(ops)).tocsc()
+        A = self._assembled(g, H)
+        assert A.has_sorted_indices
         assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+        # the 3-point pattern in 1D, 7 points in 2D
+        assert A.nnz == np.count_nonzero(ref.toarray())
 
     @pytest.mark.parametrize("kind",
                              ["interval", "square", "l_shape", "rectangle"])
     def test_unit_weights_give_laplacian(self, kind, l_mask):
-        # at p = 2 the lagged operator is the 3/5-point Laplacian, slot for
-        # slot; the values agree to rounding of 1/h^2 against (1/h)^2
+        # at H = I the scatter is the 3/5-point Laplacian, slot for slot
+        # once the cross term's zeros are dropped; the values agree to
+        # rounding of 1/h^2 against (1/h)^2
         g = self._grid(kind, l_mask)
-        A = self._assembled(g, np.ones(int(np.count_nonzero(g.cell_mask))))
+        H = np.zeros((2 * g.dim - 1, int(np.count_nonzero(g.cell_mask))))
+        H[::2] = 1.0
+        A = self._assembled(g, H)
         L = dirichlet_laplacian_matrix(g)
+        assert A.nnz == L.nnz if g.dim == 1 else A.nnz > L.nnz
+        A.eliminate_zeros()
         assert np.array_equal(A.indices, L.indices)
         assert np.array_equal(A.indptr, L.indptr)
         assert np.abs(A.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
 
     def test_assembly_peak_memory(self):
-        # the scatter build's transient arrays stay a small multiple of
-        # what it keeps (4.7x with an np.unique over all pair keys)
-        factors = inner.Factors.of(build_grid(Rectangle(0.0, 1.0, 0.0, 1.0),
-                                              64))
-        factors._assembly()  # not traced: first-call set-up
-        tracemalloc.start()
-        try:
-            kept_arrays = factors._assembly()
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kept_arrays[0].nnz > 0
-        assert peak <= 3.5 * kept
+        # the scatter map's build, and each assembly from it, hold at most
+        # a small multiple of what they return (2.9x measured for both)
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 64)
+        H = self._cell_entries(g, 37).ravel()
+        inner.Factors(g.G, g.dim, None)._sparse_matrix(H)  # first-call set-up
+        factors = inner.Factors(g.G, g.dim, None)
+        for build in (lambda: factors._csc,
+                      lambda: factors._sparse_matrix(H)):
+            tracemalloc.start()
+            try:
+                kept_arrays = build()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept > 0
+            assert peak <= 3.5 * kept
 
     def test_pattern_built_once_per_grid(self):
         # the banded grid's map of the cell entries to band storage
@@ -275,6 +300,18 @@ class TestWeightedPreconditioner:
             assert np.linalg.norm(x - direct) <= \
                 1e-10 * np.linalg.norm(direct)
         assert entries[0] is entries[1]
+        # a SuperLU grid's map to CSC slots
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
+        factors = inner.Factors.of(g)
+        assert not factors.banded
+        slots = []
+        for _ in range(2):
+            v = np.zeros(g.shape)
+            v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
+            self._preconditioner(g, v, 3.0)
+            slots.append(factors._csc[0])
+        assert slots[0] is slots[1]
+        assert "_band" not in vars(factors)
 
 
 class TestFactorized:
@@ -284,19 +321,14 @@ class TestFactorized:
     @staticmethod
     def _operator(spec, n, seed=41, p=3.0):
         # (the grid's Factors, the cell gradients c and weights w of a
-        # random interior vector, and the matrix its preconditioner factors
-        # at (c, w) as a CSC matrix: the cell Hessian on a banded grid,
-        # A(w) from the natural-order scatter on a SuperLU grid)
+        # random interior vector, and the cell Hessian its preconditioner
+        # factors at (c, w), as a CSC matrix from sparse products, with the
+        # weight floor of the grid's back end)
         g = build_grid(spec, n)
         factors = inner.Factors.of(g)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, g.num_interior)
-        c, w, M = cell_hessian(g, x, p)
-        if factors.banded:
-            return factors, c, w, M
-        S, indices, indptr = factors._assembly()
-        w_f = np.maximum(w, inner.W_FLOOR * w.max())
-        return factors, c, w, sparse.csc_matrix((S @ w_f, indices, indptr),
-                                                shape=M.shape)
+        floor = inner.BAND_W_FLOOR if factors.banded else inner.W_FLOOR
+        return (factors, *cell_hessian(g, x, p, floor=floor))
 
     @staticmethod
     def _bandwidth(A):
@@ -338,39 +370,35 @@ class TestFactorized:
     @pytest.mark.parametrize("kind, n, band", [
         ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask, monkeypatch):
-        # the first lagged factor is ordered by SuperLU and fixes the grid's
-        # fill order; the next is assembled in that order.  Both factor
-        # A(w) / max(w), its weights floored at W_FLOOR, in single
-        # precision and return double directions with a normwise backward
-        # error of a few float32 units u (0.4 u measured), so a forward
-        # error of at most kappa(A) times that (kappa(A) 2e3 to 7e3 here,
-        # 1e-6 to 3e-6 measured)
+        # each lagged factor is the cell Hessian over max(w), its weights
+        # floored at W_FLOOR, in single precision, rounded once from double;
+        # its solve returns double directions with a normwise backward
+        # error of a few float32 units u, so a forward error of at most
+        # kappa(A) times that
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
                 "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
         factors, c, w, A = self._operator(spec, n, seed=59)
         assert self._bandwidth(A) == band > inner.BAND_MAX
         assert not factors.banded
-        assert factors.fill_order is None
-        built = []
+        built_matrices = []
         factorized = inner.factorized
 
-        def recorded(M, **kwargs):
-            built.append((M.dtype, factorized(M, **kwargs)))
-            return built[-1][1]
+        def recorded(M):
+            built_matrices.append(M.copy())
+            return factorized(M)
 
         monkeypatch.setattr(inner, "factorized", recorded)
         first = factors.preconditioner(c, w, 3.0, 0.0)
-        q = factors.fill_order
-        assert np.array_equal(q, np.argsort(built[0][1].perm_c))
         second = factors.preconditioner(c, w, 3.0, 0.0)
-        assert [dtype for dtype, _ in built] == [np.float32] * 2
-        Sq, indices_q, indptr_q = factors._ordered
-        w_f = np.maximum(w, inner.W_FLOOR * w.max())
-        Aq = sparse.csc_matrix((Sq @ w_f, indices_q, indptr_q), shape=A.shape)
-        assert (Aq != A[q][:, q]).nnz == 0
+        assert [M.dtype for M in built_matrices] == [np.float32] * 2
+        u = np.finfo(np.float32).eps / 2
+        ref = A / w.max()
+        for M in built_matrices:
+            assert M.nnz == np.count_nonzero(ref.toarray())  # 7 points
+            assert abs(M.astype(np.float64) - ref).max() <= \
+                2 * u * abs(ref).max()
         b = np.random.default_rng(61).uniform(-1.0, 1.0, A.shape[0])
         direct = spsolve(A, b)
-        u = np.finfo(np.float32).eps / 2
         for solve in (first, second):
             x = solve(b)
             assert x.dtype == np.float64
@@ -382,10 +410,11 @@ class TestFactorized:
         assert np.linalg.norm(factors.laplacian(b) - direct) <= \
             1e-12 * np.linalg.norm(direct)
 
-    def test_one_ordering_per_grid(self, monkeypatch):
-        # over one whole solve on a fresh box grid only the first lagged
-        # factor is ordered, every later one reuses its order, and the
-        # Laplacian of the cold start is no factor (a sine-transform solve)
+    def test_one_ordering_per_factor(self, monkeypatch):
+        # over one whole solve on a fresh box grid each lagged factor is
+        # ordered by minimum degree, and the Laplacian of the cold start is
+        # no factor (a sine-transform solve); the factors are carried
+        # across the outer steps
         specs = []
         splu_ = inner.splu
 
@@ -398,37 +427,29 @@ class TestFactorized:
         grid = build_grid(spec, 72)
         assert not inner.Factors.of(grid).banded  # bandwidth 71
         inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
-        assert specs[0] == "MMD_AT_PLUS_A"
-        assert specs.count("MMD_AT_PLUS_A") == 1
-        assert len(specs) == 8  # the factorizations of the same solve
+        assert specs == ["MMD_AT_PLUS_A"] * 3
 
-    def test_warm_start_keeps_no_order_factor(self, l_mask):
-        # a Custom-init solve on a fresh SuperLU grid factors no Laplacian:
-        # its first lagged factor fixes the order.  Minimum degree sees the
-        # same pattern in the Laplacian, so the order is the one a Laplacian
-        # factored before the solve gives.  The first factors differ by
-        # rounding alone: SuperLU orders one itself and factors the other
-        # pre-permuted, which sums the column updates in another order
-        # (3.6e-7 apart in L in single precision), so lambda agrees to
-        # 1e-13 relative, not to the last digit
+    def test_warm_start_keeps_no_order_factor(self, l_mask, monkeypatch):
+        # a Custom-init solve on a fresh SuperLU grid factors no Laplacian,
+        # and a Laplacian factored before the solve is dropped by its first
+        # lagged factor and changes nothing: both grids give the same trace
         spec = l_mask
         ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
         fresh, kept = build_grid(spec, 72), build_grid(spec, 72)
-        laplacian = inner.Factors.of(kept).laplacian
-        assert np.array_equal(inner.Factors.of(kept).fill_order,
-                              np.argsort(laplacian.perm_c))
+        inner.Factors.of(kept).laplacian
+        factorized, built = inner.factorized, []
+        monkeypatch.setattr(inner, "factorized", lambda A: built.append(
+            A.dtype) or factorized(A))
         traces = [inverse_iterate(spec, 72, 3.0, ground, grid=g)
                   for g in (fresh, kept)]
+        assert set(built) == {np.dtype(np.float32)}  # no Laplacian factor
         fresh, kept = inner.Factors.of(fresh), inner.Factors.of(kept)
-        assert fresh.fill_order is not None
         assert "laplacian" not in vars(fresh)
         assert "laplacian" not in vars(kept)
-        assert np.array_equal(fresh.fill_order, kept.fill_order)
-        assert math.isclose(traces[0].lambda_R, traces[1].lambda_R,
-                            rel_tol=1e-13)
-        assert math.isclose(traces[0].lambda_Q, traces[1].lambda_Q,
-                            rel_tol=1e-13)
+        assert repr(traces[0].steps) == repr(traces[1].steps)
+        assert repr(traces[0].lambda_R) == repr(traces[1].lambda_R)
+        assert repr(traces[0].lambda_Q) == repr(traces[1].lambda_Q)
 
     def test_long_interval(self):
         g = build_grid(Interval(0.0, 1.0), 20000)
@@ -451,9 +472,9 @@ class TestFactorized:
 
 
 class TestSinglePrecisionFactor:
-    """A SuperLU grid factors A(w) in single precision, after scaling the
-    weights by max(w) and the right-hand side by its sup-norm, so that no
-    range of weights leaves float32's range."""
+    """A SuperLU grid factors the cell Hessian in single precision, after
+    scaling it by max(w) and the right-hand side by its sup-norm, so that
+    no range of weights leaves float32's range."""
 
     def test_extreme_weight_scales(self):
         # p=64 weights reach 1e115 here, far past float32's 3.4e38; scaled
@@ -505,14 +526,12 @@ class TestBoxLaplacian:
         direct = spsolve((g.G.T @ g.G).tocsc(), b)
         assert np.linalg.norm(solve(b) - direct) <= \
             1e-12 * np.linalg.norm(direct)
-        assert factors.fill_order is None
 
     def test_l_shape_keeps_superlu_laplacian(self, l_mask):
         g = build_grid(l_mask, 72)
         factors = inner.Factors.of(g)
         assert not factors.banded
         solve = factors.laplacian
-        assert np.array_equal(factors.fill_order, np.argsort(solve.perm_c))
         b = np.random.default_rng(83).uniform(-1.0, 1.0, g.num_interior)
         direct = spsolve((g.G.T @ g.G).tocsc(), b)
         assert np.linalg.norm(solve(b) - direct) <= \
@@ -520,7 +539,8 @@ class TestBoxLaplacian:
 
     def test_no_superlu_laplacian_in_solves(self, monkeypatch):
         # p=2, a cold start at p=3 and a Custom warm start on fresh grids:
-        # no factor is the Laplacian, in the natural or the fill order
+        # no factor is the Laplacian; every factor is the single-precision
+        # Hessian, of the 7-point pattern
         spec = self.BOXES["square"]
         ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
@@ -530,22 +550,18 @@ class TestBoxLaplacian:
             grid = build_grid(spec, 72)
             built = []
 
-            def capture(A, **kwargs):
-                built.append((A.copy(), kwargs.get("ordered", False)))
-                return factorized(A, **kwargs)
+            def capture(A):
+                built.append(A.copy())
+                return factorized(A)
 
             monkeypatch.setattr(inner, "factorized", capture)
             inverse_iterate(spec, 72, p, init, grid=grid)
             monkeypatch.setattr(inner, "factorized", factorized)
             assert (len(built) > 0) == (p != 2)
             L = (grid.G.T @ grid.G).tocsc()
-            q = inner.Factors.of(grid).fill_order
-            for A, ordered in built:
-                M = L[q][:, q] if ordered else L
-                assert abs(A - M).max() > 0
-            # the first factor is the one that SuperLU orders
-            assert all(ordered == (k > 0) for k, (_, ordered)
-                       in enumerate(built))
+            for A in built:
+                assert abs(A - L).max() > 0
+                assert A.dtype == np.float32 and A.nnz > L.nnz
 
 
 class TestGridKernels:
@@ -776,19 +792,17 @@ class TestSolverCaches:
                 assert ("laplacian" in vars(factors)) == (k % 2 == 1)
                 refs += [weakref.ref(grid), weakref.ref(grid.G),
                          weakref.ref(factors), weakref.ref(factors._band[0])]
-            # a SuperLU grid keeps its fill order and permuted scatter, and
-            # drops the Laplacian the cold start stood in
+            # a SuperLU grid keeps its map to CSC slots, and drops the
+            # Laplacian the cold start stood in
             for _ in range(3):
                 grid = build_grid(spec, 72)
                 inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
                 factors = inner.Factors.of(grid)
                 assert not factors.banded
-                assert factors.fill_order is not None
-                assert factors._ordered is not None
+                assert "_csc" in vars(factors)
                 assert "laplacian" not in vars(factors)
                 refs += [weakref.ref(grid), weakref.ref(factors),
-                         weakref.ref(factors.fill_order),
-                         weakref.ref(factors._ordered[0])]
+                         weakref.ref(factors._csc[0])]
             del grid, factors
             assert all(ref() is None for ref in refs)
         finally:
@@ -796,10 +810,10 @@ class TestSolverCaches:
 
 
 class TestRelag:
-    """Factorizations per descent: a SuperLU factor is kept past its 20
-    iterations while the residual still contracts, a banded one is not,
-    and a banded descent after the first starts on the factor the last one
-    ended on."""
+    """Factorizations per descent, the same on both back ends: a factor is
+    re-lagged every 20 iterations, and a descent after the first starts on
+    the factor the last one ended on, kept while each iteration still
+    contracts the residual."""
 
     @staticmethod
     def _descents(monkeypatch, n, p):
@@ -829,7 +843,8 @@ class TestRelag:
         back, runs = self._descents(monkeypatch, 72, 16.0)
         assert back._b == 71 and not back.banded
         # the first descent starts from zero on the p=2 stand-in, which is
-        # replaced at 20 iterations
+        # replaced at 20 iterations; a later one, on a carried factor, goes
+        # past 20 iterations with fewer factors than one per 20
         iters, factors = runs[0]
         assert iters > 20 and factors >= 2
         assert any(iters > 20 and factors < math.ceil(iters / 20)
@@ -957,20 +972,21 @@ class TestFactorizeBoundary:
 
 
 class TestNewtonDecrementStop:
-    """The last eps stage of a descent preconditioned by the cell Hessian (a
-    banded grid at p != 2) ends when the gradient sup-norm is at most tol
-    and the Newton decrement is small too: p^2 g.d <= (p-1) tau^2 h^d
+    """The last eps stage of a descent preconditioned by the cell Hessian
+    (p != 2, on either back end) ends when the gradient sup-norm is at most
+    tol and the Newton decrement is small too: p^2 g.d <= (p-1) tau^2 h^d
     |fh.x|, with d the preconditioned gradient and tau = 100 tol_grad.
-    SuperLU grids and p = 2 stop on the sup-norm alone."""
+    p = 2 stops on the sup-norm alone."""
 
     @staticmethod
     def _solve(monkeypatch, spec, n, p):
         # one solve from zero for a positive right-hand side; returns the
         # grid, f, cfg, the minimizer x, its iterations, the solve callable
-        # of each factor in the order they were built, and the number of
-        # triangular solves made with them
+        # of each cell-Hessian factor in the order they were built, and the
+        # number of triangular solves made with any factor
         built, count = [], [0]
         factorized = inner.factorized
+        preconditioner = inner.Factors.preconditioner
 
         def counting_factorized(A, **kwargs):
             solve = factorized(A, **kwargs)
@@ -979,10 +995,14 @@ class TestNewtonDecrementStop:
             def counted(rhs):
                 count[0] += 1
                 return solve(rhs)
-            built.append(solve)
             return counted
 
+        def recorded(self, *args):
+            built.append(preconditioner(self, *args))
+            return built[-1]
+
         monkeypatch.setattr(inner, "factorized", counting_factorized)
+        monkeypatch.setattr(inner.Factors, "preconditioner", recorded)
         g = build_grid(spec, n)
         f = random_rhs(g, 71, nonneg=True).values[g.interior]
         cfg = SolverConfig(p=p)
@@ -994,6 +1014,20 @@ class TestNewtonDecrementStop:
         g, f, cfg, x, iters, built, solves = self._solve(
             monkeypatch, Rectangle(0.0, 1.0, 0.0, 1.0), 16, p)
         assert inner.Factors.of(g).banded
+        self._check_decrement(g, f, cfg, x, iters, built, solves, p)
+
+    @pytest.mark.parametrize("p", [3.0, 64.0])
+    def test_superlu_iterate_meets_decrement_bound(self, monkeypatch, p,
+                                                   l_mask):
+        # the L-shape, whose cold start stands a SuperLU factor in for the
+        # Laplacian; the last factor is the single-precision Hessian
+        g, f, cfg, x, iters, built, solves = self._solve(
+            monkeypatch, l_mask, 72, p)
+        assert not inner.Factors.of(g).banded
+        self._check_decrement(g, f, cfg, x, iters, built, solves, p)
+
+    @staticmethod
+    def _check_decrement(g, f, cfg, x, iters, built, solves, p):
         hd = g.h ** g.dim
         fh = f * hd
         _, c, w = _energy(g, x, fh, p, 0.0)
@@ -1007,10 +1041,10 @@ class TestNewtonDecrementStop:
         assert solves == iters + 1  # the decrement's solve at the exit
 
     @pytest.mark.parametrize("spec, n, p", [
-        # the L-shape, whose cold start stands a SuperLU factor in for the
-        # Laplacian, so that every solve goes through `factorized`
+        # the L-shape, whose p=2 Laplacian is a SuperLU factor, so that
+        # every solve goes through `factorized`
         (MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5), 72,
-         3.0),
+         2.0),
         (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 2.0),
         (Interval(0.0, 1.0), 63, 2.0)], ids=["superlu", "square-p2",
                                              "interval-p2"])
