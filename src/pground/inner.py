@@ -61,11 +61,10 @@ stopping test stay in double.  Two scales keep float32 in range at any p
 (at p=64 a cell gradient of 5 gives the weight 2e43, one of 0.1 gives
 1e-62): the Hessian is divided by max(w), its weights floored at W_FLOOR =
 1e-7, about float32's unit roundoff, and the right-hand side is cast at
-sup-norm 1; both are undone in double.  The floor also bounds the factor's
-condition, which single precision cannot carry far: at a floor of 1e-9 a
-large-p solve of the square n=128 sweep stalled.  The Laplacian and the
-banded Hessian stay in double: the first is exact at p=2, and a
-single-precision band (spbtrf) took more iterations and was slower.
+sup-norm 1; both are undone in double.  The floor also bounds the
+condition of the factor, which single precision has to carry.  The
+Laplacian and the banded Hessian stay in double: the first is exact at p=2,
+and a single-precision band (spbtrf) took more iterations and was slower.
 """
 
 from __future__ import annotations
