@@ -23,15 +23,16 @@ One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
 bandwidth up to BAND_MAX = 64, which covers the interval and the 2D grids
 up to the square n=65, and SuperLU beyond.  Both back ends factor the same
-cell Hessian from the same per-cell enumeration of its terms; the back end
-decides only storage and precision: a band in double, or a sparse matrix
-of the 7-point pattern in single precision.  `Factors` keeps that back
-end's storage map and the p=2 Laplacian (only until a lagged factor
-replaces it), and hands each matrix to `factorized`, the one factorization
-site.  The Laplacian has three solvers: the band factor on a banded grid,
-the fast Poisson solver (sine transforms, no factor) on a SuperLU grid whose
-interior nodes fill their box, and a SuperLU factor on the other SuperLU
-grids.
+cell Hessian from the same per-cell terms; the back end decides only
+storage and precision: a band in double, or a sparse matrix of the 7-point
+pattern in single precision, in one nested-dissection order of the grid's
+nodes (George, SIAM J. Numer. Anal. 1973) that every factor on the grid
+takes as it is.  `Factors` keeps that back end's storage map and the p=2
+Laplacian (only until a lagged factor replaces it), and hands each matrix
+to `factorized`, the one factorization site.  The Laplacian has three
+solvers: the band factor on a banded grid, the fast Poisson solver (sine
+transforms, no factor) on a SuperLU grid whose interior nodes fill their
+box, and a SuperLU factor on the other SuperLU grids.
 
 Within one `inverse_iterate` call, the last eps stage at p != 2 starts on
 the cell-Hessian factor the previous outer step ended on, and replaces it
@@ -94,6 +95,7 @@ BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
 W_FLOOR = 1e-7    # least weight over max(w) in a single-precision factor
+ND_LEAF = 4       # widest box side left undivided by `_dissection`
 BAND_W_FLOOR = 1e-10  # least weight over max(w) in a banded (double) factor
 
 
@@ -310,22 +312,26 @@ class Banded(NamedTuple):
     nnz: int
 
 
-def factorized(A):
+def factorized(A, order=None):
     """Solve callable for the SPD matrix A, the one factorization site of
     the inner solve.  A `Banded` is factored by LAPACK's banded Cholesky
     (dpbtrf, solves by dpbtrs), which skips SuperLU's ordering, symbolic
     analysis and allocation, the bulk of the cost on small grids; a failed
     factor (A not positive definite) raises scipy.linalg.LinAlgError.
 
-    A sparse A goes to SuperLU with a minimum-degree ordering of A^T + A and
-    the diagonal taken as pivot throughout, as SuperLU recommends for a
-    symmetric pattern with a stable diagonal (X. S. Li, ACM TOMS 2005).  A
-    is symmetric positive definite, so symmetrically permuted LU without
-    pivoting is stable, and the symmetric ordering keeps about half the fill
-    of the general-matrix COLAMD ordering.  The factor is built with
-    one-column panels and no relaxed supernodes (panel_size=1, relax=1),
-    which on these 5- and 7-point operators is faster than SciPy's
-    multi-column panels at the same fill.
+    A sparse A goes to SuperLU with the diagonal taken as pivot throughout,
+    as SuperLU recommends for a symmetric pattern with a stable diagonal
+    (X. S. Li, ACM TOMS 2005).  A is symmetric positive definite, so
+    symmetrically permuted LU without pivoting is stable.  Without an order
+    A is factored in a minimum-degree ordering of A^T + A, which keeps about
+    half the fill of the general-matrix COLAMD ordering.  With one, A is the
+    operator's rows and columns taken in that order (A[k, l] its entry at
+    nodes order[k], order[l]), already fill-reducing, and is factored as it
+    is; the solve takes the right-hand side into that order and the
+    solution out of it.  The factor is built with one-column panels and no
+    relaxed supernodes (panel_size=1, relax=1), which on these 5- and
+    7-point operators is faster than SciPy's multi-column panels at the
+    same fill.
 
     A sparse A in single precision is factored and solved in single
     precision; its solve casts the right-hand side at sup-norm 1, which
@@ -340,15 +346,24 @@ def factorized(A):
             return lapack.dpbtrs(chol, rhs)[0]
         return solve
     dtype = A.dtype
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              panel_size=1, relax=1, options={"SymmetricMode": True})
+    lu = splu(A.tocsc(),
+              permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+              diag_pivot_thresh=0.0, panel_size=1, relax=1,
+              options={"SymmetricMode": True})
 
     def solve(rhs):
+        b = rhs if order is None else rhs[order]
         if dtype == np.float64:
-            return lu.solve(rhs)
-        scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
-        x = lu.solve((rhs / scale).astype(dtype))
-        return np.multiply(x, scale, dtype=np.float64)
+            x = lu.solve(b)
+        else:
+            scale = float(np.abs(b).max(initial=0.0)) or 1.0
+            x = np.multiply(lu.solve((b / scale).astype(dtype)), scale,
+                            dtype=np.float64)
+        if order is None:
+            return x
+        out = np.empty_like(x)
+        out[order] = x
+        return out
     return solve
 
 
@@ -364,9 +379,9 @@ class Factors:
     u = c / sqrt(a) and w_f is the weight w floored at a fraction of max(w).
     H is positive definite for every p > 1, its eigenvalues being at least
     min(1, p-1) w_f.  The per-cell entries [H_xx, H_xy, H_yy] (H alone in
-    1D) reach the matrix through one enumeration of its terms (`_pairs`).
-    The cross term H_xy couples the nodes (i+1, j) and (i, j+1), which makes
-    the Laplacian's 5-point pattern a 7-point one.
+    1D) reach the matrix as terms G[r, i] H_rs G[s, j], r and s rows of one
+    cell.  The cross term H_xy couples the nodes (i+1, j) and (i, j+1),
+    which makes the Laplacian's 5-point pattern a 7-point one.
 
     The back end is fixed once, by the bandwidth b in the grid's natural
     node order of such an operator, which couples the interior nodes of
@@ -379,28 +394,37 @@ class Factors:
       The cross term couples nodes one closer in the node order than (i, j)
       and (i+1, j) where all are interior, so it adds entries but no width
       to the band.  The p=2 Laplacian G^T G is the same map at H = I.
-    * The other grids map the terms to the slots of a CSC matrix with both
-      triangles (`_csc`) and factor H / max(w), w_f floored at W_FLOOR, in
-      single precision with SuperLU, each factor in its own minimum-degree
-      order; the solution is divided by max(w) in double (module
-      docstring).  The map keeps only each term's slot, and each factor
-      enumerates the terms again (`_pairs`): keeping their columns and
-      values too would take the map from 6 to 20 MB on the square n=256,
-      where the factor itself takes about 35 MB.
+    * The other grids factor H / max(w), w_f floored at W_FLOOR, in single
+      precision with SuperLU, every factor in the grid's one
+      nested-dissection order (`_dissection`), built once with the map;
+      the solution is divided by max(w) in double (module docstring).  The
+      map (`_csc`) holds the CSC pattern of both triangles in that order,
+      and a table per cell: the slot of each ordered pair of the cell's
+      stored G entries, and those entries.  A matrix is then summed from
+      the pairs' products with H (`_sparse_matrix`), with no walk over the
+      terms.  On the square n=256 the map takes 8.9 MB (4.2 MB of int32
+      slots, 2.1 MB of entries, 2.1 MB of pattern, 0.5 MB of order), and
+      an assembly adds its 3.6 MB of sums and a value per cell while it
+      runs, against about 40 MB for the factor.  Against SuperLU's minimum
+      degree on the natural order, the order cuts the factor's entries
+      from 5.49M to 4.97M there.
 
     The Laplacian has three solvers (`laplacian`): the band map on a banded
     grid; on a SuperLU grid whose interior nodes fill their box (a
     rectangle, or a mask with every cell inside) the fast Poisson solver,
     since there G^T G is the 5-point Dirichlet Laplacian, diagonal in the
     sine basis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); and a
-    SuperLU factor on the other grids.  box, which `Factors.of` reads from
-    the grid, gives the interior nodes per axis of such a box, else None.
-    A box grid thus factors no Laplacian in any solve.  A sine-transform
-    solve costs more than a band solve on the small grids, so banded grids
-    keep the band.
+    SuperLU factor on the other grids, in its own minimum-degree order: for
+    the 5-point pattern nested dissection leaves more fill (2.09M against
+    3.23M entries on the L-shape n=256).  interior, which `Factors.of`
+    reads from the grid, marks the interior nodes over their bounding box,
+    the last axis fastest in the node order; a box grid is one where it is
+    all true.  A box grid thus factors no Laplacian in any solve.  A
+    sine-transform solve costs more than a band solve on the small grids,
+    so banded grids keep the band.
     """
 
-    def __init__(self, G: sparse.csr_matrix, dim: int, box: tuple | None):
+    def __init__(self, G: sparse.csr_matrix, dim: int, interior: np.ndarray):
         self._G = G
         self._dim = dim
         self._cells = G.shape[0] // dim
@@ -416,9 +440,11 @@ class Factors:
         # (rows, columns) of the stored components of a symmetric cell
         # matrix: xx in 1D; xx, xy, yy in 2D, where [::2] are the diagonal
         self._components = ([0], [0]) if dim == 1 else ([0, 0, 1], [0, 1, 1])
+        self._interior = interior
         # the interior nodes per axis of a SuperLU grid whose interior nodes
-        # fill their box, the last axis fastest in the node order
-        self._box = None if self.banded else box
+        # fill their box
+        self._box = None if self.banded or not interior.all() else \
+            interior.shape
 
     @classmethod
     def of(cls, grid: Grid) -> Factors:
@@ -426,10 +452,8 @@ class Factors:
         state = grid.solver_state
         if "factors" not in state:
             nodes = np.nonzero(grid.interior)
-            box = tuple(int(i.max() - i.min()) + 1 for i in nodes)
-            state["factors"] = cls(
-                grid.G, grid.dim,
-                box if math.prod(box) == grid.num_interior else None)
+            box = tuple(slice(i.min(), i.max() + 1) for i in nodes)
+            state["factors"] = cls(grid.G, grid.dim, grid.interior[box])
         return state["factors"]
 
     def preconditioner(self, c: np.ndarray, w: np.ndarray, p: float,
@@ -451,8 +475,8 @@ class Factors:
             return self._band_factor(self._cell_entries(c, w, p, eps,
                                                         BAND_W_FLOOR * wmax))
         solve_s = factorized(self._sparse_matrix(
-            self._cell_entries(c, w / wmax, p, eps, W_FLOOR)).astype(
-                np.float32, copy=False))
+            self._cell_entries(c, w / wmax, p, eps, W_FLOOR), np.float32),
+            order=self._csc.order)
 
         def solve(rhs):
             return solve_s(rhs) / wmax
@@ -460,7 +484,8 @@ class Factors:
 
     def _cell_entries(self, c, w, p, eps, w_min):
         """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
-        max(w, w_min), in the order `_pairs` reads them."""
+        max(w, w_min): H_xx for all cells, then H_xy and H_yy (H alone in
+        1D), as `_pairs` and `_csc` read them."""
         c = c.reshape(self._dim, -1)
         a = (c * c).sum(axis=0) + eps * eps
         u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
@@ -478,20 +503,25 @@ class Factors:
         ab = np.bincount(place, value * H[column], (b + 1) * n)
         return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
 
-    def _sparse_matrix(self, H: np.ndarray) -> sparse.csc_matrix:
-        """G^T H G from the per-cell entries H as a CSC matrix, its terms
-        summed in the order `_pairs` yields them, each off-diagonal one then
-        again at its mirror."""
-        slot, indices, indptr = self._csc
-        data = np.zeros(indices.size)
-        start = 0
-        for i, j, column, value in self._pairs():
-            term = value * H[column]
-            for part in (term, term[i != j]):
-                np.add.at(data, slot[start:start + part.size], part)
-                start += part.size
-        return sparse.csc_matrix((data, indices, indptr),
-                                 shape=(indptr.size - 1,) * 2)
+    def _sparse_matrix(self, H: np.ndarray,
+                       dtype=np.float64) -> sparse.csc_matrix:
+        """G^T H G from the per-cell entries H as a CSC matrix in the order
+        of `_csc`, each ordered pair of a cell's G entries adding their
+        product with the pair's component of H at its slot, one pair of
+        entry positions at a time, so that no temporary is larger than one
+        value per cell.  The sums are cast to dtype; the matrix shares its
+        index arrays with the map."""
+        m = self._csc
+        H = H.reshape(-1, self._cells)
+        data = np.zeros(m.indices.size)
+        term = np.empty(self._cells)
+        for a, b in itertools.product(range(len(m.entry)), repeat=2):
+            np.multiply(m.entry[a], m.entry[b], out=term)
+            term *= H[m.component[a] + m.component[b]]
+            np.add.at(data, m.slot[a, b], term)
+        return sparse.csc_matrix((data.astype(dtype, copy=False), m.indices,
+                                  m.indptr),
+                                 shape=(m.indptr.size - 1,) * 2)
 
     @functools.cached_property
     def laplacian(self):
@@ -577,32 +607,91 @@ class Factors:
         return place, column, value, int(nnz)
 
     @functools.cached_property
-    def _csc(self):
-        """(slot, indices, indptr): the CSC pattern (indices, indptr) of
-        G^T H G with both triangles, in the natural node order, and the slot
-        of each `_pairs` term in it, in the order `_sparse_matrix` reads
-        them.  The pattern pairs every two nodes of a cell: it is that of
-        B^T B, where B is the incidence of cells and their nodes."""
-        G, n = self._G, self._G.shape[1]
-        cell = np.repeat(np.arange(G.shape[0]) % self._cells,
-                         np.diff(G.indptr))
+    def _csc(self) -> _SparseMap:
+        """The map of `_sparse_matrix`: the CSC pattern of G^T H G with
+        both triangles, in the nested-dissection order of `_dissection`, and
+        per cell its stored G entries, row by row, and the slot in that
+        pattern of each ordered pair of them.  The pattern pairs every two
+        nodes of a cell: it is that of B^T B, where B is the incidence of
+        cells and their nodes.  A cell that stores fewer entries than the
+        widest row (nodes off the interior) has zero entries at node 0 in
+        their place, whose pairs add zero to the slot they find, or to slot
+        0 where the pattern has no entry for them."""
+        G, dim, ncell, n = self._G, self._dim, self._cells, self._G.shape[1]
+        order = _dissection(self._interior)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        # row k * ncell + e of G holds component k of cell e
+        count = np.diff(G.indptr).reshape(dim, ncell)
+        start = G.indptr[:-1].reshape(dim, ncell)
+        width = int(count.max(initial=0))
+        node = np.zeros((dim * width, ncell), dtype=np.int64)
+        entry = np.zeros((dim * width, ncell))
+        for k, e in itertools.product(range(dim), range(width)):
+            stored = count[k] > e
+            at = start[k, stored] + e
+            node[k * width + e, stored] = rank[G.indices[at]]
+            entry[k * width + e, stored] = G.data[at]
+        cell = np.repeat(np.arange(G.shape[0]) % ncell, np.diff(G.indptr))
         B = sparse.csr_matrix((np.ones(G.nnz, dtype=np.int8),
-                               (cell, G.indices)), shape=(self._cells, n))
+                               (cell, rank[G.indices])), shape=(ncell, n))
         P = (B.T @ B).tocsc()
         P.sort_indices()
         del cell, B
-        # column-major slot keys; int64 since n^2 overflows int32 at n=256
-        key = (np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(P.indptr))
-               + P.indices)
-        slots = []
-        for i, j, _, _ in self._pairs():
-            i, j = i.astype(np.int64), j.astype(np.int64)
-            off = i != j
-            for row, col in ((i, j), (j[off], i[off])):
-                slots.append(np.searchsorted(key, col * n + row).astype(
-                    np.int32))
-        return (np.concatenate(slots), P.indices.astype(np.intc),
-                P.indptr.astype(np.intc))
+        # P's CSC arrays read as CSR hold P^T, whose entry [j, i] is here
+        # the slot of P[i, j]
+        slots = sparse.csr_array((np.arange(P.nnz, dtype=np.int32),
+                                  P.indices, P.indptr), shape=(n, n))
+        slot = np.empty((len(node),) * 2 + (ncell,), dtype=np.int32)
+        for a, b in itertools.product(range(len(node)), repeat=2):
+            slot[a, b] = slots[node[b], node[a]]
+        return _SparseMap(slot, entry, np.arange(dim).repeat(width),
+                          P.indices.astype(np.intc), P.indptr.astype(np.intc),
+                          order)
+
+
+class _SparseMap(NamedTuple):
+    """`Factors._csc`: slot[a, b, e] is the CSC slot to which the ordered
+    pair (a, b) of cell e's stored G entries adds entry[a, e] entry[b, e]
+    times the cell's H component component[a] + component[b] (xx, xy, yy;
+    xx alone in 1D); (indices, indptr) is the pattern and order the nodes
+    in its order."""
+
+    slot: np.ndarray
+    entry: np.ndarray
+    component: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    order: np.ndarray
+
+
+def _dissection(interior: np.ndarray) -> np.ndarray:
+    """A geometric nested-dissection order (George, SIAM J. Numer. Anal.
+    1973) of the nodes marked in interior, numbered in its row-major order:
+    the box is cut across its longest side at the middle line, the two
+    halves are ordered first, each in this order, and the line after them.
+    Boxes of at most ND_LEAF nodes per side keep the row-major order.  A
+    line couples nothing across it in the 3-, 5- or 7-point pattern, so
+    the factor of a half fills nothing in the other.  Returns order, the
+    node at each position."""
+    index = np.full(interior.shape, -1, dtype=np.intp)
+    index[interior] = np.arange(np.count_nonzero(interior))
+    parts = []
+
+    def dissect(box):
+        side = max(box.shape)
+        if side <= ND_LEAF:
+            parts.append(box.ravel())
+            return
+        axis, m = box.shape.index(side), side // 2
+        cut = (slice(None),) * axis
+        dissect(box[cut + (slice(m),)])
+        dissect(box[cut + (slice(m + 1, None),)])
+        parts.append(box[cut + (m,)].ravel())
+
+    dissect(index)
+    order = np.concatenate(parts)
+    return order[order >= 0]
 
 
 def _dst(a: np.ndarray, axis: int) -> np.ndarray:
@@ -671,6 +760,14 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     each re-lag, and on a carried factor, the first trial step is 1/h^d,
     Newton's step with the Hessian and the exact step at p=2.
 
+    A factor whose direction d gives no descent (g.d not positive and
+    finite, which rounding in single precision can bring about where the
+    weight floor lets the condition grow) is released at once.  A factor
+    lagged from an earlier iterate, or carried, is re-lagged at the current
+    one; a factor built at the current iterate gets the p=2 stencil standing
+    in for it, until the next re-lag.  Without this the line search would
+    fail on such a d and end the eps stage at its floor.
+
     carry, a list that is empty or holds one factor, hands the cell Hessian
     from one outer step to the next; `solve_step_with_stats` passes it to
     the last eps stage.  A descent the decrement test applies to takes the
@@ -709,7 +806,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     # a Hessian factor handed on by the last outer step; the list lets go
     # of it, so that the re-lag that replaces it can release it first
     precond = carry.pop() if newton and carry else None
-    carried, stand_in = precond is not None, False
+    carried, stand_in, no_descent = precond is not None, False, False
     it = last_gain = since_refresh = 0
     best_gsup, mark_J = gsup, J
     while ((newton or tol < gsup) and gsup < math.inf and it < budget
@@ -720,12 +817,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             if precond is None:
                 # (re-)lag at the current (c, w), or take the p=2 stencil:
                 # exact at p=2, a stand-in where the weights give no factor
-                precond = (None if p == 2
+                precond = (None if p == 2 or no_descent
                            else factors.preconditioner(c, w, p, eps))
                 stand_in = precond is None
                 if stand_in:
                     precond = factors.laplacian
-                carried = False
+                carried = no_descent = False
             # a new metric resets BB history, and 1/h^d is the exact first
             # step for p=2 and Newton's with the cell Hessian
             prev = None  # (t, g, d) of the last accepted step
@@ -733,6 +830,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
             since_refresh = 0
         d = precond(g)
         slope = float(np.dot(g, d))  # directional derivative along -d
+        if not (slope > 0 or stand_in or gsup == 0):
+            # no descent direction: a lagged factor is released and re-lagged
+            # here, and one built here gets the p=2 stencil standing in
+            no_descent = since_refresh == 0 and not carried
+            precond = None
+            continue
         if gsup <= tol and (stand_in or p * p * slope <= (p - 1) * tau * tau
                             * hd * abs(float(np.dot(fh, x)))):
             break  # a newton descent at tol: the decrement is small too

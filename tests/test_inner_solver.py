@@ -64,6 +64,16 @@ def cell_hessian(grid, x, p, eps=0.0, floor=inner.BAND_W_FLOOR):
     return c, w, M.tocsc()
 
 
+def in_order(factors, M):
+    """M with its rows and columns taken in the order of a grid's sparse
+    back end (its `Factors._csc`, nested dissection), as a CSC matrix with
+    sorted indices."""
+    order = factors._csc.order
+    M = sparse.csc_matrix(M)[order][:, order].tocsc()
+    M.sort_indices()
+    return M
+
+
 def random_rhs(grid, seed, nonneg=False):
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.0 if nonneg else -1.0, 1.0, grid.num_interior)
@@ -218,7 +228,8 @@ class TestWeightedPreconditioner:
     @staticmethod
     def _assembled(grid, H):
         # the sparse back end's scatter of the per-cell entries H, listed as
-        # [H_xx, H_xy, H_yy] (H in 1D), before its cast to single precision
+        # [H_xx, H_xy, H_yy] (H in 1D), before its cast to single precision;
+        # its rows and columns are in the grid's nested-dissection order
         return inner.Factors.of(grid)._sparse_matrix(H.ravel())
 
     @staticmethod
@@ -241,9 +252,10 @@ class TestWeightedPreconditioner:
         H = self._cell_entries(g, 23)
         comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
         ops = _gradient_operators(g)
-        ref = sum(Gk.T @ sparse.diags(H[comp[k, m]]) @ Gm
-                  for k, Gk in enumerate(ops)
-                  for m, Gm in enumerate(ops)).tocsc()
+        ref = in_order(inner.Factors.of(g),
+                       sum(Gk.T @ sparse.diags(H[comp[k, m]]) @ Gm
+                           for k, Gk in enumerate(ops)
+                           for m, Gm in enumerate(ops)))
         A = self._assembled(g, H)
         assert A.has_sorted_indices
         assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
@@ -253,14 +265,14 @@ class TestWeightedPreconditioner:
     @pytest.mark.parametrize("kind",
                              ["interval", "square", "l_shape", "rectangle"])
     def test_unit_weights_give_laplacian(self, kind, l_mask):
-        # at H = I the scatter is the 3/5-point Laplacian, slot for slot
-        # once the cross term's zeros are dropped; the values agree to
-        # rounding of 1/h^2 against (1/h)^2
+        # at H = I the scatter is the 3/5-point Laplacian in the grid's
+        # order, slot for slot once the cross term's zeros are dropped; the
+        # values agree to rounding of 1/h^2 against (1/h)^2
         g = self._grid(kind, l_mask)
         H = np.zeros((2 * g.dim - 1, int(np.count_nonzero(g.cell_mask))))
         H[::2] = 1.0
         A = self._assembled(g, H)
-        L = dirichlet_laplacian_matrix(g)
+        L = in_order(inner.Factors.of(g), dirichlet_laplacian_matrix(g))
         assert A.nnz == L.nnz if g.dim == 1 else A.nnz > L.nnz
         A.eliminate_zeros()
         assert np.array_equal(A.indices, L.indices)
@@ -269,11 +281,12 @@ class TestWeightedPreconditioner:
 
     def test_assembly_peak_memory(self):
         # the scatter map's build, and each assembly from it, hold at most
-        # a small multiple of what they return (2.9x measured for both)
+        # a small multiple of what they return (1.7x and 1.3x measured)
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 64)
         H = self._cell_entries(g, 37).ravel()
-        inner.Factors(g.G, g.dim, None)._sparse_matrix(H)  # first-call set-up
-        factors = inner.Factors(g.G, g.dim, None)
+        interior = g.interior[1:-1, 1:-1]
+        inner.Factors(g.G, g.dim, interior)._sparse_matrix(H)  # first call
+        factors = inner.Factors(g.G, g.dim, interior)
         for build in (lambda: factors._csc,
                       lambda: factors._sparse_matrix(H)):
             tracemalloc.start()
@@ -300,17 +313,22 @@ class TestWeightedPreconditioner:
             assert np.linalg.norm(x - direct) <= \
                 1e-10 * np.linalg.norm(direct)
         assert entries[0] is entries[1]
-        # a SuperLU grid's map to CSC slots
+        # a SuperLU grid's map to CSC slots, in its one order
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
         factors = inner.Factors.of(g)
         assert not factors.banded
-        slots = []
+        maps = []
         for _ in range(2):
             v = np.zeros(g.shape)
             v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
-            self._preconditioner(g, v, 3.0)
-            slots.append(factors._csc[0])
-        assert slots[0] is slots[1]
+            b = rng.uniform(-1.0, 1.0, g.num_interior)
+            x = self._preconditioner(g, v, 3.0)(b)
+            maps.append(factors._csc)
+            A = cell_hessian(g, v[g.interior], 3.0, floor=inner.W_FLOOR)[2]
+            direct = spsolve(A, b)
+            assert np.linalg.norm(x - direct) <= \
+                1e-4 * np.linalg.norm(direct)
+        assert maps[0] is maps[1]
         assert "_band" not in vars(factors)
 
 
@@ -371,8 +389,9 @@ class TestFactorized:
         ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask, monkeypatch):
         # each lagged factor is the cell Hessian over max(w), its weights
-        # floored at W_FLOOR, in single precision, rounded once from double;
-        # its solve returns double directions with a normwise backward
+        # floored at W_FLOOR, in single precision, rounded once from double,
+        # in the grid's nested-dissection order; its solve returns double
+        # directions in the grid's node order with a normwise backward
         # error of a few float32 units u, so a forward error of at most
         # kappa(A) times that
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
@@ -380,19 +399,21 @@ class TestFactorized:
         factors, c, w, A = self._operator(spec, n, seed=59)
         assert self._bandwidth(A) == band > inner.BAND_MAX
         assert not factors.banded
-        built_matrices = []
+        built_matrices, orders = [], []
         factorized = inner.factorized
 
-        def recorded(M):
+        def recorded(M, order=None):
             built_matrices.append(M.copy())
-            return factorized(M)
+            orders.append(order)
+            return factorized(M, order=order)
 
         monkeypatch.setattr(inner, "factorized", recorded)
         first = factors.preconditioner(c, w, 3.0, 0.0)
         second = factors.preconditioner(c, w, 3.0, 0.0)
         assert [M.dtype for M in built_matrices] == [np.float32] * 2
+        assert orders[0] is orders[1] is factors._csc.order
         u = np.finfo(np.float32).eps / 2
-        ref = A / w.max()
+        ref = in_order(factors, A / w.max())
         for M in built_matrices:
             assert M.nnz == np.count_nonzero(ref.toarray())  # 7 points
             assert abs(M.astype(np.float64) - ref).max() <= \
@@ -410,24 +431,31 @@ class TestFactorized:
         assert np.linalg.norm(factors.laplacian(b) - direct) <= \
             1e-12 * np.linalg.norm(direct)
 
-    def test_one_ordering_per_factor(self, monkeypatch):
-        # over one whole solve on a fresh box grid each lagged factor is
-        # ordered by minimum degree, and the Laplacian of the cold start is
-        # no factor (a sine-transform solve); the factors are carried
-        # across the outer steps
-        specs = []
-        splu_ = inner.splu
+    def test_one_ordering_per_grid(self, monkeypatch):
+        # over one whole solve on a fresh box grid the nested-dissection
+        # order is built once, and each lagged factor takes its matrix in
+        # that order as it is; the Laplacian of the cold start is no factor
+        # (a sine-transform solve); the factors are carried across the
+        # outer steps
+        specs, orders = [], []
+        splu_, dissection = inner.splu, inner._dissection
 
         def counting_splu(A, **kwargs):
             specs.append(kwargs["permc_spec"])
             return splu_(A, **kwargs)
 
+        def counting_dissection(interior):
+            orders.append(dissection(interior))
+            return orders[-1]
+
         monkeypatch.setattr(inner, "splu", counting_splu)
+        monkeypatch.setattr(inner, "_dissection", counting_dissection)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         grid = build_grid(spec, 72)
         assert not inner.Factors.of(grid).banded  # bandwidth 71
         inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
-        assert specs == ["MMD_AT_PLUS_A"] * 3
+        assert specs == ["NATURAL"] * 3
+        assert len(orders) == 1
 
     def test_warm_start_keeps_no_order_factor(self, l_mask, monkeypatch):
         # a Custom-init solve on a fresh SuperLU grid factors no Laplacian,
@@ -439,8 +467,9 @@ class TestFactorized:
         fresh, kept = build_grid(spec, 72), build_grid(spec, 72)
         inner.Factors.of(kept).laplacian
         factorized, built = inner.factorized, []
-        monkeypatch.setattr(inner, "factorized", lambda A: built.append(
-            A.dtype) or factorized(A))
+        monkeypatch.setattr(inner, "factorized",
+                            lambda A, order=None: built.append(A.dtype)
+                            or factorized(A, order=order))
         traces = [inverse_iterate(spec, 72, 3.0, ground, grid=g)
                   for g in (fresh, kept)]
         assert set(built) == {np.dtype(np.float32)}  # no Laplacian factor
@@ -550,18 +579,83 @@ class TestBoxLaplacian:
             grid = build_grid(spec, 72)
             built = []
 
-            def capture(A):
+            def capture(A, order=None):
                 built.append(A.copy())
-                return factorized(A)
+                return factorized(A, order=order)
 
             monkeypatch.setattr(inner, "factorized", capture)
             inverse_iterate(spec, 72, p, init, grid=grid)
             monkeypatch.setattr(inner, "factorized", factorized)
             assert (len(built) > 0) == (p != 2)
-            L = (grid.G.T @ grid.G).tocsc()
+            L = in_order(inner.Factors.of(grid), grid.G.T @ grid.G)
             for A in built:
                 assert abs(A - L).max() > 0
                 assert A.dtype == np.float32 and A.nnz > L.nnz
+
+
+class TestDissectionOrder:
+    """A SuperLU grid factors its cell Hessian in one nested-dissection
+    order of its interior nodes (`inner._dissection`), built with its map."""
+
+    GRIDS = {"square": (Rectangle(0.0, 1.0, 0.0, 1.0), 72),
+             "rectangle": (Rectangle(0.0, 2.0, 0.0, 1.0), 72)}
+
+    def _grid(self, kind, l_mask):
+        spec, n = self.GRIDS.get(kind, (l_mask, 72))
+        grid = build_grid(spec, n)
+        assert not inner.Factors.of(grid).banded
+        return grid
+
+    @pytest.mark.parametrize("kind", ["square", "rectangle", "l_shape"])
+    def test_permutation_of_interior(self, kind, l_mask):
+        grid = self._grid(kind, l_mask)
+        order = inner.Factors.of(grid)._csc.order
+        assert np.array_equal(np.sort(order), np.arange(grid.num_interior))
+
+    @pytest.mark.parametrize("kind", ["square", "rectangle", "l_shape"])
+    def test_top_separator_splits_pattern(self, kind, l_mask):
+        # the first cut is the middle line across the longest side of the
+        # interior nodes' box; the order lists the nodes below it, then
+        # those above it, then the line, and no entry of the 7-point
+        # pattern couples the two halves
+        grid = self._grid(kind, l_mask)
+        coords = np.nonzero(grid.interior)
+        side = [int(i.max() - i.min()) + 1 for i in coords]
+        axis = side.index(max(side))
+        at = coords[axis] - coords[axis].min() - max(side) // 2
+        low, high, line = (np.nonzero(part)[0]
+                           for part in (at < 0, at > 0, at == 0))
+        assert low.size and high.size and line.size
+        order = inner.Factors.of(grid)._csc.order
+        assert set(order[:low.size]) == set(low)
+        assert set(order[low.size:-line.size]) == set(high)
+        assert np.array_equal(order[-line.size:], line)
+        x = np.random.default_rng(101).uniform(-1.0, 1.0, grid.num_interior)
+        A = cell_hessian(grid, x, 3.0, floor=inner.W_FLOOR)[2]
+        assert np.count_nonzero(A.toarray()) > 5 * grid.num_interior
+        assert A[low][:, high].nnz == 0
+
+    @pytest.mark.parametrize("spec, n", [(Rectangle(0.0, 1.0, 0.0, 1.0), 128),
+                                         (Rectangle(0.0, 2.0, 0.0, 1.0), 96)])
+    def test_fill_below_minimum_degree(self, spec, n):
+        # nnz(L + U) of the single-precision Hessian factor in the grid's
+        # order against SuperLU's minimum degree on the natural order
+        # (999,096 against 1,045,770 on the square n=128; 1,106,774
+        # against 1,130,148 on the 2x1 rectangle n=96)
+        grid = build_grid(spec, n)
+        factors = inner.Factors.of(grid)
+        x = np.random.default_rng(103).uniform(-1.0, 1.0, grid.num_interior)
+        _, c, w = _energy(grid, x, 0 * x, 3.0, 0.0)
+        A = factors._sparse_matrix(factors._cell_entries(
+            c, w / w.max(), 3.0, 0.0, inner.W_FLOOR)).astype(np.float32)
+        rank = np.argsort(factors._csc.order)
+        natural = A[rank][:, rank].tocsc()
+        options = dict(diag_pivot_thresh=0.0, panel_size=1, relax=1,
+                       options={"SymmetricMode": True})
+        fill = [(lu.L.nnz + lu.U.nnz) for lu in (
+            splu(A, permc_spec="NATURAL", **options),
+            splu(natural, permc_spec="MMD_AT_PLUS_A", **options))]
+        assert fill[0] < fill[1]
 
 
 class TestGridKernels:
@@ -934,6 +1028,52 @@ class TestCarriedFactor:
         monkeypatch.setattr(inner, "factorized", counting_factorized)
         inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant())
         assert len(alive) > 1 and max(alive) == 0
+
+
+class TestNoDescentDirection:
+    """A factor whose direction gives no descent (g.d not positive and
+    finite) is released at its first such direction: a lagged one is
+    re-lagged at the current iterate, and one built there gets the p=2
+    stencil standing in."""
+
+    @pytest.mark.parametrize("bad, first_bad", [
+        ("negated", 1), ("negated", 0), ("nan", 0)])
+    def test_solve_recovers(self, monkeypatch, bad, first_bad):
+        # the first Hessian factor of the square n=72 at p=3 gives bad
+        # directions from its solve number first_bad on: 1 is a lagged
+        # factor going bad, 0 a factor bad where it was built
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        factorized, dst_solver = inner.factorized, inner.Factors._dst_solver
+        calls, bad_calls, laplacians = [], [], []
+
+        def flipping(A, **kwargs):
+            solve = factorized(A, **kwargs)
+            if calls:
+                return solve
+            calls.append(0)
+
+            def flipped(rhs):
+                calls[0] += 1
+                if calls[0] <= first_bad:
+                    return solve(rhs)
+                bad_calls.append(1)
+                return -solve(rhs) if bad == "negated" else rhs * np.nan
+            return flipped
+
+        def counting_dst(self):
+            laplacians.append(1)
+            return dst_solver(self)
+
+        monkeypatch.setattr(inner, "factorized", flipping)
+        monkeypatch.setattr(inner.Factors, "_dst_solver", counting_dst)
+        tr = inverse_iterate(spec, 72, 3.0, PositiveConstant())
+        assert tr.converged
+        report = verify(tr)
+        assert report.all_passed, str(report)
+        assert len(bad_calls) == 1
+        # the cold start's stand-in, and one more where the factor built at
+        # the iterate gave no descent
+        assert len(laplacians) == (2 if first_bad == 0 else 1)
 
 
 class TestFactorizeBoundary:
