@@ -673,24 +673,34 @@ def _dissection(interior: np.ndarray) -> np.ndarray:
     Boxes of at most ND_LEAF nodes per side keep the row-major order.  A
     line couples nothing across it in the 3-, 5- or 7-point pattern, so
     the factor of a half fills nothing in the other.  Returns order, the
-    node at each position."""
+    node at each position.
+
+    The order of a box depends on its shape alone, and the boxes of one
+    level differ by at most one node per side, so each shape is ordered
+    once (13 shapes on the square n=256, against 8,191 boxes)."""
     index = np.full(interior.shape, -1, dtype=np.intp)
     index[interior] = np.arange(np.count_nonzero(interior))
-    parts = []
+    orders = {}
 
-    def dissect(box):
-        side = max(box.shape)
-        if side <= ND_LEAF:
-            parts.append(box.ravel())
-            return
-        axis, m = box.shape.index(side), side // 2
-        cut = (slice(None),) * axis
-        dissect(box[cut + (slice(m),)])
-        dissect(box[cut + (slice(m + 1, None),)])
-        parts.append(box[cut + (m,)].ravel())
+    def box_order(shape):
+        # the row-major positions of a box of this shape, in its order
+        if shape not in orders:
+            flat = np.arange(math.prod(shape)).reshape(shape)
+            side = max(shape)
+            if side <= ND_LEAF:
+                orders[shape] = flat.ravel()
+            else:
+                axis, m = shape.index(side), side // 2
+                cut = (slice(None),) * axis
+                low = flat[cut + (slice(m),)]
+                high = flat[cut + (slice(m + 1, None),)]
+                orders[shape] = np.concatenate((
+                    low.ravel()[box_order(low.shape)],
+                    high.ravel()[box_order(high.shape)],
+                    flat[cut + (m,)].ravel()))
+        return orders[shape]
 
-    dissect(index)
-    order = np.concatenate(parts)
+    order = index.ravel()[box_order(index.shape)]
     return order[order >= 0]
 
 
