@@ -65,7 +65,10 @@ class MaskDomain:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=bool)
+        # a read-only copy: the mask keys the grids shared per (spec, n), so
+        # its hash must not change under the caller's later writes
+        cells = np.array(self.cells, dtype=bool)
+        cells.flags.writeable = False
         if cells.shape != (self.width, self.height):
             raise DomainError(
                 f"cells shape {cells.shape} != ({self.width}, {self.height})"
@@ -159,6 +162,9 @@ class Grid:
     `boundary` partition the nodes that belong to the closed domain; nodes in
     neither set lie outside a mask domain and never carry values.  `cell_mask`
     marks lattice cells inside the domain; energies sum over these cells.
+    `build_grid` makes the three masks read-only: the solver entry points
+    share one grid per (spec, n) between calls (`shared_grid`), and hand it
+    back to their callers with each result.
 
     The grid owns its discrete operators, each built on first use and
     collected with the grid:
@@ -268,11 +274,13 @@ def _gradient_operators(grid: Grid):
 
 
 def build_grid(spec: DomainSpec, n: int) -> Grid:
-    """Discretize `spec` with n interior nodes (interval) or n cells along the
-    shorter side (rectangle / mask)."""
+    """A new grid discretizing `spec` with n interior nodes (interval) or n
+    cells along the shorter side (rectangle / mask).  Its node and cell
+    masks are read-only, as a grid may serve many callers (`shared_grid`)."""
     if n < 3:
         raise DomainError(f"resolution n must be >= 3, got {n}")
     if isinstance(spec, Interval):
+        dim, origin = 1, (spec.a,)
         h = (spec.b - spec.a) / (n + 1)
         shape = (n + 2,)
         interior = np.zeros(shape, dtype=bool)
@@ -280,9 +288,8 @@ def build_grid(spec: DomainSpec, n: int) -> Grid:
         boundary = np.zeros(shape, dtype=bool)
         boundary[0] = boundary[-1] = True
         cell_mask = np.ones(n + 1, dtype=bool)
-        return Grid(spec, 1, h, (spec.a,), shape, interior, boundary, cell_mask)
-
-    if isinstance(spec, Rectangle):
+    elif isinstance(spec, Rectangle):
+        dim, origin = 2, (spec.ax, spec.ay)
         lx, ly = spec.bx - spec.ax, spec.by - spec.ay
         h = min(lx, ly) / n
         nx, ny = lx / h, ly / h
@@ -297,10 +304,8 @@ def build_grid(spec: DomainSpec, n: int) -> Grid:
         interior[1:-1, 1:-1] = True
         boundary = ~interior
         cell_mask = np.ones((nx, ny), dtype=bool)
-        return Grid(spec, 2, h, (spec.ax, spec.ay), shape, interior, boundary,
-                    cell_mask)
-
-    if isinstance(spec, MaskDomain):
+    elif isinstance(spec, MaskDomain):
+        dim, origin = 2, (0.0, 0.0)
         short = min(spec.width, spec.height)
         m = max(1, math.ceil(n / short))  # subdivisions per mask cell
         h = spec.cell_size / m
@@ -315,9 +320,29 @@ def build_grid(spec: DomainSpec, n: int) -> Grid:
                     + padded[:-1, 1:] + padded[1:, 1:])
         interior = incident == 4
         boundary = (incident > 0) & ~interior
-        return Grid(spec, 2, h, (0.0, 0.0), shape, interior, boundary, cell_mask)
+    else:
+        raise TypeError(f"unknown domain spec {type(spec).__name__}")
+    for mask in (interior, boundary, cell_mask):
+        mask.flags.writeable = False
+    return Grid(spec, dim, h, origin, shape, interior, boundary, cell_mask)
 
-    raise TypeError(f"unknown domain spec {type(spec).__name__}")
+
+# the grids `shared_grid` keeps: all of a workload on a few discretizations,
+# where a square n=256 grid holds about 13 MB after a p=3 solve (G and the
+# SuperLU factor map)
+SHARED_GRIDS = 4
+
+
+@functools.lru_cache(maxsize=SHARED_GRIDS)
+def shared_grid(spec: DomainSpec, n: int) -> Grid:
+    """The process's one grid for (spec, n), which `inverse_iterate` and
+    `sweep` take when given no grid: built by `build_grid` on first use and
+    kept, with the operators and factorizations it builds up, among the
+    SHARED_GRIDS most recently used, so that repeated solves on a few
+    discretizations pay for the grid once.  A grid that leaves is freed by
+    reference counting once its callers let go of it.  Sharing changes no
+    result (`inverse_iterate`)."""
+    return build_grid(spec, n)
 
 
 def inradius(spec: DomainSpec, grid: Grid | None = None) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import DomainSpec, build_grid, inradius
+from .geometry import DomainSpec, inradius, shared_grid
 from .inner import NonConvergence, SolverConfig
 from .iteration import (Custom, IterationTrace, PositiveConstant,
                         inverse_iterate)
@@ -43,13 +43,15 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
     the float range (from about p = 1024 on), is recorded as not converged,
     with NaN values and trace None.  The default K_max of 200 outer steps
     lets large-p points converge where R contracts slowly: on the L-shape
-    n=32 at p=64 by about 0.83 a step, converging at step 117."""
+    n=32 at p=64 by about 0.83 a step, converging at step 117.  Every
+    point runs on the process's shared grid for (spec, n)
+    (`geometry.shared_grid`), as `inverse_iterate` without a grid does."""
     p_list = tuple(float(p) for p in p_list)
     if any(p <= 2 for p in p_list):
         raise ValueError("sweep exponents must exceed 2")
     if list(p_list) != sorted(set(p_list)):
         raise ValueError("p_list must be strictly increasing")
-    grid = build_grid(spec, n)
+    grid = shared_grid(spec, n)
     rho = 1.0 / inradius(spec, grid)
     entries, traces = [], []
     init = PositiveConstant()

@@ -387,7 +387,8 @@ class Factors:
     node order of such an operator, which couples the interior nodes of
     each cell, so b is the widest span of one cell's nodes: 1 on the
     interval, the interior nodes per column in 2D.  It decides only how the
-    Hessian is stored and in what precision:
+    Hessian is stored and in what precision, and both storage maps are
+    built from one table of each cell's stored G entries (`_cell_table`):
 
     * A `banded` grid (b <= BAND_MAX) maps the terms to LAPACK band storage
       (`_band`) and factors H in double, w_f floored at BAND_W_FLOOR max(w).
@@ -485,7 +486,7 @@ class Factors:
     def _cell_entries(self, c, w, p, eps, w_min):
         """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
         max(w, w_min): H_xx for all cells, then H_xy and H_yy (H alone in
-        1D), as `_pairs` and `_csc` read them."""
+        1D), as `_band` and `_csc` read them."""
         c = c.reshape(self._dim, -1)
         a = (c * c).sum(axis=0) + eps * eps
         u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
@@ -568,70 +569,74 @@ class Factors:
             return y.reshape(-1)
         return solve
 
-    def _pairs(self):
-        """The terms of G^T H G on and above its diagonal, in groups of
-        (i, j, column, value): term k adds value[k] * H[column[k]] at
-        [i[k], j[k]] (i <= j, nodes in the natural order).  H lists one
-        component of the symmetric cell matrix for all cells, then the next:
-        H_xx, H_xy, H_yy in 2D, the one entry in 1D.  Each term is a product
-        G[r, i] G[s, j] of the stored entries of two rows r, s of one cell;
-        a group holds one pair of entry positions in r and s, over the cells
-        that store both, so that no group is larger than the grid."""
+    def _cell_table(self):
+        """(node, entry, component), per cell the stored entries of its rows
+        of G, the table both maps are built from: row e * dim + k holds, for
+        every cell, the e-th stored entry of the cell's row along axis k,
+        entry its value, node its column and component k.  A cell that
+        stores fewer entries than the widest row (nodes off the interior)
+        has zero entries at node 0 in their place, so each term they make
+        is zero."""
         G, dim, ncell = self._G, self._dim, self._cells
-        # row k * ncell + e of G holds component k of cell e
+        # row k * ncell + c of G holds component k of cell c
         count = np.diff(G.indptr).reshape(dim, ncell)
         start = G.indptr[:-1].reshape(dim, ncell)
-        entries = [(e, k) for e in range(int(count.max())) for k in range(dim)]
-        for (ea, ka), (eb, kb) in itertools.product(entries, repeat=2):
-            cell = np.nonzero((count[ka] > ea) & (count[kb] > eb))[0]
-            a, b = start[ka, cell] + ea, start[kb, cell] + eb
-            i, j = G.indices[a], G.indices[b]
-            keep = i <= j
-            a, b = a[keep], b[keep]
-            # components (ka, kb) -> 0, 1, 2 for xx, xy or yx, yy
-            column = ((ka + kb) * ncell + cell[keep]).astype(np.int32)
-            yield i[keep], j[keep], column, G.data[a] * G.data[b]
+        width = int(count.max(initial=0))
+        node = np.zeros((width * dim, ncell), dtype=G.indices.dtype)
+        entry = np.zeros((width * dim, ncell))
+        for e, k in itertools.product(range(width), range(dim)):
+            stored = count[k] > e
+            at = start[k, stored] + e
+            node[e * dim + k, stored] = G.indices[at]
+            entry[e * dim + k, stored] = G.data[at]
+        return node, entry, np.tile(np.arange(dim, dtype=np.int32), width)
 
     @functools.cached_property
     def _band(self):
-        """(place, column, value, nnz): the `_pairs` terms in the upper band
-        storage of G^T H G, whose flat (b + 1) * n array in column-major
-        order sums value * H[column] at each place, which holds [i, j]
-        (i <= j) at row b + i - j, column j; nnz counts the stored entries
-        of G^T H G in both triangles, the 3- or 7-point pattern."""
-        b, n = self._b, self._G.shape[1]
-        i, j, column, value = map(np.concatenate, zip(*self._pairs()))
+        """(place, column, value, nnz): the terms of G^T H G on and above
+        its diagonal in its upper band storage, whose flat (b + 1) * n array
+        in column-major order sums value * H[column] at each place.  H lists
+        one component of the symmetric cell matrix for all cells, then the
+        next: H_xx, H_xy, H_yy in 2D, the one entry in 1D.  Each term is the
+        product G[r, i] G[s, j] of two stored entries of one cell, added at
+        [i, j] (i <= j), which place holds at row b + i - j, column j.  The
+        terms run over the ordered pairs of `_cell_table` rows, the first
+        row slowest, then over the cells, which is the order they sum in.
+        nnz counts the stored entries of G^T H G in both triangles, the 3-
+        or 7-point pattern."""
+        b, n, ncell = self._b, self._G.shape[1], self._cells
+        node, entry, component = self._cell_table()
+        value = entry[:, None] * entry[None, :]
+        keep = (node[:, None] <= node[None, :]) & (value != 0)
+        i = np.broadcast_to(node[:, None], keep.shape)[keep]
+        j = np.broadcast_to(node[None, :], keep.shape)[keep]
+        # components (k, m) -> 0, 1, 2 for xx, xy or yx, yy
+        pair = component[:, None] + component[None, :]
+        column = pair[..., None] * ncell + np.arange(ncell, dtype=np.int32)
         place = j * (b + 1) + b + i - j
         hit = np.bincount(place, minlength=(b + 1) * n) > 0
         nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b::b + 1])
-        return place, column, value, int(nnz)
+        return place, column[keep], value[keep], int(nnz)
 
     @functools.cached_property
     def _csc(self) -> _SparseMap:
         """The map of `_sparse_matrix`: the CSC pattern of G^T H G with
         both triangles, in the nested-dissection order of `_dissection`, and
-        per cell its stored G entries, row by row, and the slot in that
-        pattern of each ordered pair of them.  The pattern pairs every two
-        nodes of a cell: it is that of B^T B, where B is the incidence of
-        cells and their nodes.  A cell that stores fewer entries than the
-        widest row (nodes off the interior) has zero entries at node 0 in
-        their place, whose pairs add zero to the slot they find, or to slot
-        0 where the pattern has no entry for them."""
-        G, dim, ncell, n = self._G, self._dim, self._cells, self._G.shape[1]
+        the cell table (`_cell_table`, its rows taken axis by axis) with the
+        slot in that pattern of each ordered pair of a cell's entries.  The
+        pattern pairs every two nodes of a cell: it is that of B^T B, where
+        B is the incidence of cells and their nodes.  The zero entries of a
+        cell that stores fewer than the widest row add zero to the slot
+        their pairs find, or to slot 0 where the pattern has no entry for
+        them."""
+        G, ncell, n = self._G, self._cells, self._G.shape[1]
         order = _dissection(self._interior)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        # row k * ncell + e of G holds component k of cell e
-        count = np.diff(G.indptr).reshape(dim, ncell)
-        start = G.indptr[:-1].reshape(dim, ncell)
-        width = int(count.max(initial=0))
-        node = np.zeros((dim * width, ncell), dtype=np.int64)
-        entry = np.zeros((dim * width, ncell))
-        for k, e in itertools.product(range(dim), range(width)):
-            stored = count[k] > e
-            at = start[k, stored] + e
-            node[k * width + e, stored] = rank[G.indices[at]]
-            entry[k * width + e, stored] = G.data[at]
+        node, entry, component = self._cell_table()
+        # the rows axis by axis, the order in which the assembly sums
+        rows = np.argsort(component, kind="stable")
+        node, entry, component = rank[node[rows]], entry[rows], component[rows]
         cell = np.repeat(np.arange(G.shape[0]) % ncell, np.diff(G.indptr))
         B = sparse.csr_matrix((np.ones(G.nnz, dtype=np.int8),
                                (cell, rank[G.indices])), shape=(ncell, n))
@@ -645,7 +650,7 @@ class Factors:
         slot = np.empty((len(node),) * 2 + (ncell,), dtype=np.int32)
         for a, b in itertools.product(range(len(node)), repeat=2):
             slot[a, b] = slots[node[b], node[a]]
-        return _SparseMap(slot, entry, np.arange(dim).repeat(width),
+        return _SparseMap(slot, entry, component,
                           P.indices.astype(np.intc), P.indptr.astype(np.intc),
                           order)
 

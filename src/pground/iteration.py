@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import (EnergyReport, GridFunction, _norm_pow, _quotient,
                        _report_logs)
-from .geometry import DomainSpec, Grid, Rectangle, build_grid
+from .geometry import DomainSpec, Grid, Rectangle, shared_grid
 from .inner import SolverConfig, _signed_power, solve_step_with_stats
 
 
@@ -143,7 +143,14 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     scaled by R^(-1/(p-1)), close to its minimizer, and solves at the last
     eps only: the strictly convex inner problem's minimizer does not depend
     on the start, and the continuation would walk the start away from it
-    and back.  At p >= 2 the schedule is the single eps = 0."""
+    and back.  At p >= 2 the schedule is the single eps = 0.
+
+    Without a grid the call takes the process's shared grid for (spec, n)
+    (`geometry.shared_grid`), with the operators and factorizations earlier
+    calls left on it; `trace.final.grid` is that grid.  The result is the
+    same as on a new grid: the factor handed from step to step lives for
+    this call only, and a Laplacian factor left on the grid is the matrix a
+    cold start would build."""
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     if tol_outer <= 0:
@@ -155,7 +162,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     elif cfg.p != p:
         raise ValueError(f"cfg.p={cfg.p} disagrees with p={p}")
     if grid is None:
-        grid = build_grid(spec, n)
+        grid = shared_grid(spec, n)
 
     x = make_initial(grid, init).values[grid.interior]
     norm0 = _norm_pow(grid, x, p) ** (1.0 / p)

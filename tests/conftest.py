@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pground.geometry import Interval, MaskDomain, Rectangle, build_grid
+from pground.geometry import (Interval, MaskDomain, Rectangle, build_grid,
+                              shared_grid)
+
+
+@pytest.fixture(autouse=True)
+def no_shared_grids():
+    """Each test starts without the grids that the solver entry points
+    share per (spec, n), so that a test counting factorizations or
+    sine-transform builds sees a new grid, whichever tests ran before."""
+    shared_grid.cache_clear()
 
 
 @pytest.fixture

@@ -35,6 +35,31 @@ class TestBuildGrid:
         assert np.array_equal(gm.interior, gr.interior)
         assert np.array_equal(gm.boundary, gr.boundary)
 
+    @pytest.mark.parametrize("kind", ["interval", "square", "l_shape"])
+    def test_masks_read_only(self, kind, l_mask):
+        # a grid may serve many callers, so no caller may write its masks
+        spec = {"interval": Interval(0.0, 1.0),
+                "square": Rectangle(0.0, 1.0, 0.0, 1.0),
+                "l_shape": l_mask}[kind]
+        g = build_grid(spec, 8)
+        for mask in (g.interior, g.boundary, g.cell_mask):
+            with pytest.raises(ValueError):
+                mask[(0,) * g.dim] = True
+
+    def test_mask_domain_keeps_its_own_cells(self):
+        # the mask keys the shared grids, so a write to the caller's array
+        # must change neither its cells nor its hash
+        cells = np.array([[True, True], [True, False]])
+        mask = MaskDomain(2, 2, cells, 0.5)
+        key = hash(mask)
+        cells[1, 1] = True
+        assert not mask.cells[1, 1]
+        assert hash(mask) == key
+        assert mask == MaskDomain(2, 2, np.array([[True, True],
+                                                  [True, False]]), 0.5)
+        with pytest.raises(ValueError):
+            mask.cells[1, 1] = True
+
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
             build_grid(Interval(0.0, 1.0), 2)

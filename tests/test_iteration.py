@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pground.calculus
 import pground.inner
 import pground.iteration
 from pground.calculus import GridFunction
-from pground.geometry import (Grid, Interval, MaskDomain, Rectangle,
-                              build_grid)
+from pground.geometry import (SHARED_GRIDS, Grid, Interval, MaskDomain,
+                              Rectangle, build_grid, shared_grid)
 from pground.infinity import sweep
 from pground.inner import SolverConfig, signed_power, solve_step
 from pground.iteration import (Custom, DegenerateIterate, PositiveConstant,
@@ -176,6 +178,70 @@ class TestIteration:
                              PositiveConstant())
         assert tr.converged
         assert tr.lambda_R > 0
+
+
+def _trace_key(tr):
+    """What a run computes: the estimators, every step and the final
+    iterate, as one string."""
+    return repr((tr.lambda_R, tr.lambda_Q, tr.mu, tr.converged, tr.steps,
+                 tr.barrier_bound, tr.first_step_sup,
+                 tr.final.values.tolist()))
+
+
+class TestSharedGrid:
+    """Without a grid, `inverse_iterate` and `sweep` take the process's one
+    grid for (spec, n), and keep SHARED_GRIDS of them."""
+
+    def test_calls_share_one_grid(self):
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        a = inverse_iterate(spec, 16, 2.0, RandomPositive(seed=3))
+        b = inverse_iterate(Rectangle(0, 1, 0, 1), 16, 3.0,
+                            RandomPositive(seed=4))
+        grid = shared_grid(spec, 16)
+        assert a.final.grid is b.final.grid is grid
+        assert sweep(spec, 16, (4.0, 8.0)).traces[0].final.grid is grid
+        # a grid of its own for each (spec, n), and a new one from
+        # build_grid
+        assert inverse_iterate(spec, 12, 2.0, PositiveConstant()) \
+            .final.grid is not grid
+        assert build_grid(spec, 16) is not grid
+
+    @pytest.mark.parametrize("n", [16, 72])  # banded, SuperLU
+    def test_same_traces_as_new_grids(self, n):
+        # a p=2 solve leaves its Laplacian on the shared grid, where the
+        # p=3 cold start stands it in; on new grids each builds its own
+        spec = Rectangle(0.0, 1.0, 0.0, 1.0)
+        runs = [(2.0, RandomPositive(seed=5)), (3.0, RandomPositive(seed=6))]
+        shared = []
+        for p, init in runs:
+            shared.append(inverse_iterate(spec, n, p, init))
+            if p == 2.0:
+                factors = pground.inner.Factors.of(shared[0].final.grid)
+                assert "laplacian" in vars(factors)
+        assert shared[0].final.grid is shared[1].final.grid
+        for tr, (p, init) in zip(shared, runs):
+            new = inverse_iterate(spec, n, p, init, grid=build_grid(spec, n))
+            assert verify(tr).all_passed
+            assert _trace_key(tr) == _trace_key(new)
+
+    def test_least_recent_grid_freed(self):
+        # the grid, and the factors it keeps, leave by reference counting
+        # once SHARED_GRIDS later keys have been used: the cyclic GC is off
+        spec = Interval(0.0, 1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            tr = inverse_iterate(spec, 15, 3.0, PositiveConstant())
+            refs = [weakref.ref(tr.final.grid),
+                    weakref.ref(pground.inner.Factors.of(tr.final.grid))]
+            del tr
+            for n in range(16, 15 + SHARED_GRIDS):
+                inverse_iterate(spec, n, 3.0, PositiveConstant())
+            assert all(ref() is not None for ref in refs)
+            inverse_iterate(spec, 15 + SHARED_GRIDS, 3.0, PositiveConstant())
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestMonotonicityChecks:
