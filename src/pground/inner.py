@@ -51,6 +51,13 @@ Newton decrement is small, which bounds the iterate's relative error
 (`_descend`); that test never raises.  The floors are listed with
 `_descend`.
 
+Every cell-Hessian factor floors the weights at W_FLOOR = 1e-10 of max(w):
+at p > 2 a cell where the iterate is flat has w = 0, and only the floor
+keeps H positive definite there.  A floor that low keeps the factor close
+to the Hessian where most weights are tiny (large p), and float32 may then
+round a factor into one that gives no descent; `_descend` releases such a
+factor at once.
+
 A SuperLU grid's factor runs in single precision because it is a lagged
 model of the Hessian, taken up to 20 iterations or an outer step earlier:
 a double factor's rounding buys nothing that lag can use, and SuperLU's
@@ -60,12 +67,10 @@ the residual high (Carson & Higham, SIAM J. Sci. Comput. 2018): the
 gradient, the direction handed back, the iterate, the objective and every
 stopping test stay in double.  Two scales keep float32 in range at any p
 (at p=64 a cell gradient of 5 gives the weight 2e43, one of 0.1 gives
-1e-62): the Hessian is divided by max(w), its weights floored at W_FLOOR =
-1e-7, about float32's unit roundoff, and the right-hand side is cast at
-sup-norm 1; both are undone in double.  The floor also bounds the
-condition of the factor, which single precision has to carry.  The
-Laplacian and the banded Hessian stay in double: the first is exact at p=2,
-and a single-precision band (spbtrf) took more iterations and was slower.
+1e-62): the Hessian is divided by max(w) and the right-hand side is cast at
+sup-norm 1; both are undone in double.  The Laplacian and the banded
+Hessian stay in double: the first is exact at p=2, and a single-precision
+band (spbtrf) took more iterations and was slower.
 """
 
 from __future__ import annotations
@@ -94,9 +99,8 @@ BACKTRACK = 0.5   # largest step-length factor per rejected trial
 BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
-W_FLOOR = 1e-7    # least weight over max(w) in a single-precision factor
+W_FLOOR = 1e-10   # least weight over max(w) in a cell-Hessian factor
 ND_LEAF = 4       # widest box side left undivided by `_dissection`
-BAND_W_FLOOR = 1e-10  # least weight over max(w) in a banded (double) factor
 
 
 class NonConvergence(RuntimeError):
@@ -376,7 +380,7 @@ class Factors:
 
     `preconditioner` factors the exact Hessian of the cell energy, up to its
     factor h^d: G^T H G with, per cell, H = w_f I + (p-2) w u u^T, where
-    u = c / sqrt(a) and w_f is the weight w floored at a fraction of max(w).
+    u = c / sqrt(a) and w_f is the weight w floored at W_FLOOR max(w).
     H is positive definite for every p > 1, its eigenvalues being at least
     min(1, p-1) w_f.  The per-cell entries [H_xx, H_xy, H_yy] (H alone in
     1D) reach the matrix as terms G[r, i] H_rs G[s, j], r and s rows of one
@@ -387,28 +391,24 @@ class Factors:
     node order of such an operator, which couples the interior nodes of
     each cell, so b is the widest span of one cell's nodes: 1 on the
     interval, the interior nodes per column in 2D.  It decides only how the
-    Hessian is stored and in what precision, and both storage maps are
-    built from one table of each cell's stored G entries (`_cell_table`):
+    Hessian is stored and in what precision, and both storage maps read one
+    table of each cell's stored G entries (`_cell_table`) in its own row
+    order:
 
     * A `banded` grid (b <= BAND_MAX) maps the terms to LAPACK band storage
-      (`_band`) and factors H in double, w_f floored at BAND_W_FLOOR max(w).
-      The cross term couples nodes one closer in the node order than (i, j)
-      and (i+1, j) where all are interior, so it adds entries but no width
-      to the band.  The p=2 Laplacian G^T G is the same map at H = I.
-    * The other grids factor H / max(w), w_f floored at W_FLOOR, in single
-      precision with SuperLU, every factor in the grid's one
-      nested-dissection order (`_dissection`), built once with the map;
-      the solution is divided by max(w) in double (module docstring).  The
-      map (`_csc`) holds the CSC pattern of both triangles in that order,
-      and a table per cell: the slot of each ordered pair of the cell's
-      stored G entries, and those entries.  A matrix is then summed from
-      the pairs' products with H (`_sparse_matrix`), with no walk over the
-      terms.  On the square n=256 the map takes 8.9 MB (4.2 MB of int32
-      slots, 2.1 MB of entries, 2.1 MB of pattern, 0.5 MB of order), and
-      an assembly adds its 3.6 MB of sums and a value per cell while it
-      runs, against about 40 MB for the factor.  Against SuperLU's minimum
-      degree on the natural order, the order cuts the factor's entries
-      from 5.49M to 4.97M there.
+      (`_band`) and factors H in double.  The cross term couples nodes one
+      closer in the node order than (i, j) and (i+1, j) where all are
+      interior, so it adds entries but no width to the band.  The p=2
+      Laplacian G^T G is the same map at H = I.
+    * The other grids factor H / max(w) in single precision with SuperLU,
+      every factor in the grid's one nested-dissection order
+      (`_dissection`), built once with the map; the solution is divided by
+      max(w) in double (module docstring).  The map (`_csc`) holds the CSC
+      pattern of both triangles in that order, and the table with the slot
+      of each ordered pair of a cell's stored G entries.  A matrix is then
+      summed from the pairs' products with H (`_sparse_matrix`), with no
+      walk over the terms; the map and an assembly's sums are a fraction of
+      the factor's memory.
 
     The Laplacian has three solvers (`laplacian`): the band map on a banded
     grid; on a SuperLU grid whose interior nodes fill their box (a
@@ -470,29 +470,27 @@ class Factors:
         # the lagged factors replace the Laplacian that a cold start stood
         # in, so its solver is dropped before the first of them is built
         vars(self).pop("laplacian", None)
-        # a band at the weights' own scale; a single-precision factor at
-        # max(w) = 1, its weights in [W_FLOOR, 1] at any p
         if self.banded:
-            return self._band_factor(self._cell_entries(c, w, p, eps,
-                                                        BAND_W_FLOOR * wmax))
+            return self._band_factor(self._cell_entries(c, w, p, eps))
+        # float32 holds the Hessian at max(w) = 1, at any p
         solve_s = factorized(self._sparse_matrix(
-            self._cell_entries(c, w / wmax, p, eps, W_FLOOR), np.float32),
+            self._cell_entries(c, w / wmax, p, eps), np.float32),
             order=self._csc.order)
 
         def solve(rhs):
             return solve_s(rhs) / wmax
         return solve
 
-    def _cell_entries(self, c, w, p, eps, w_min):
+    def _cell_entries(self, c, w, p, eps):
         """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
-        max(w, w_min): H_xx for all cells, then H_xy and H_yy (H alone in
-        1D), as `_band` and `_csc` read them."""
+        max(w, W_FLOOR max(w)): H_xx for all cells, then H_xy and H_yy (H
+        alone in 1D), as `_band` and `_csc` read them."""
         c = c.reshape(self._dim, -1)
         a = (c * c).sum(axis=0) + eps * eps
         u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
         i, j = self._components
         H = ((p - 2) * w * u)[i] * u[j]
-        H[::2] += np.maximum(w, w_min)
+        H[::2] += np.maximum(w, W_FLOOR * w.max(initial=0.0))
         return H.ravel()
 
     def _band_factor(self, H: np.ndarray):
@@ -622,21 +620,18 @@ class Factors:
     def _csc(self) -> _SparseMap:
         """The map of `_sparse_matrix`: the CSC pattern of G^T H G with
         both triangles, in the nested-dissection order of `_dissection`, and
-        the cell table (`_cell_table`, its rows taken axis by axis) with the
-        slot in that pattern of each ordered pair of a cell's entries.  The
-        pattern pairs every two nodes of a cell: it is that of B^T B, where
-        B is the incidence of cells and their nodes.  The zero entries of a
-        cell that stores fewer than the widest row add zero to the slot
-        their pairs find, or to slot 0 where the pattern has no entry for
-        them."""
+        the cell table (`_cell_table`) with the slot in that pattern of each
+        ordered pair of a cell's entries.  The pattern pairs every two nodes
+        of a cell: it is that of B^T B, where B is the incidence of cells
+        and their nodes.  The zero entries of a cell that stores fewer than
+        the widest row add zero to the slot their pairs find, or to slot 0
+        where the pattern has no entry for them."""
         G, ncell, n = self._G, self._cells, self._G.shape[1]
         order = _dissection(self._interior)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         node, entry, component = self._cell_table()
-        # the rows axis by axis, the order in which the assembly sums
-        rows = np.argsort(component, kind="stable")
-        node, entry, component = rank[node[rows]], entry[rows], component[rows]
+        node = rank[node]
         cell = np.repeat(np.arange(G.shape[0]) % ncell, np.diff(G.indptr))
         B = sparse.csr_matrix((np.ones(G.nnz, dtype=np.int8),
                                (cell, rank[G.indices])), shape=(ncell, n))
@@ -682,7 +677,7 @@ def _dissection(interior: np.ndarray) -> np.ndarray:
 
     The order of a box depends on its shape alone, and the boxes of one
     level differ by at most one node per side, so each shape is ordered
-    once (13 shapes on the square n=256, against 8,191 boxes)."""
+    once."""
     index = np.full(interior.shape, -1, dtype=np.intp)
     index[interior] = np.arange(np.count_nonzero(interior))
     orders = {}

@@ -41,13 +41,13 @@ def read_trace_csv(path, p: float, h: float,
                    tol_grad: float = 1e-10) -> IterationTrace:
     """Rebuild a trace (numeric columns only) from a CSV written by
     write_trace_csv; Dirichlet/norm entries of the per-step reports are not
-    stored in the CSV and read back as nan.  A row without one field per
-    column, or with a field that is no number of its column's type, raises
-    ValueError naming the file and the line."""
+    stored in the CSV and read back as nan.  An empty file, a row without
+    one field per column, or a field that is no number of its column's type
+    raises ValueError naming the file and the line."""
     trace = IterationTrace(p=p, h=h, tol_grad=tol_grad)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = _header(r, path)
         if header != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header}")
         for row in r:
@@ -67,6 +67,15 @@ def read_trace_csv(path, p: float, h: float,
                 k=k, report=rep, R=R, N=N, Q=Q, norm_factor=norm_factor,
                 inner_iters=inner_iters))
     return trace
+
+
+def _header(reader, path) -> list:
+    """The first row of a CSV reader; ValueError naming the file if it has
+    none."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    return header
 
 
 def trace_summary(trace: IterationTrace) -> dict:
@@ -185,12 +194,14 @@ def write_gridfunction_csv(path, u: GridFunction) -> None:
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
     """Read node values for an existing grid, one row for each node that
     `write_gridfunction_csv` writes (interior and boundary); coordinates
-    must match grid nodes to within 1e-9 of the spacing."""
+    must match grid nodes to within 1e-9 of the spacing.  An empty file, a
+    row without one field per column, or a field that is no number raises
+    ValueError naming the file and the line."""
     vals = np.zeros(grid.shape)
     seen = np.zeros(grid.shape, dtype=int)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = _header(r, path)
         if header not in (["x", "value"], ["x", "y", "value"]):
             raise ValueError(f"{path}: unexpected header {header}")
         expect_dim = 1 if header == ["x", "value"] else 2
@@ -198,15 +209,22 @@ def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
             raise ValueError(f"{path}: dimension {expect_dim} != grid {grid.dim}")
         tol = 1e-9 * grid.h
         for row in r:
-            pos = [float(c) for c in row[:-1]]
+            where = f"{path}, line {r.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, expected "
+                                 f"{len(header)}")
+            try:
+                *pos, value = map(float, row)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             idx = []
             for d, x in enumerate(pos):
                 fi = (x - grid.origin[d]) / grid.h
                 i = int(round(fi))
                 if abs(fi - i) * grid.h > tol or not 0 <= i < grid.shape[d]:
-                    raise ValueError(f"{path}: {pos} is not a grid node")
+                    raise ValueError(f"{where}: {pos} is not a grid node")
                 idx.append(i)
-            vals[tuple(idx)] = float(row[-1])
+            vals[tuple(idx)] = value
             seen[tuple(idx)] += 1
     if not np.array_equal(seen, grid.interior | grid.boundary):
         raise ValueError(f"{path}: each interior and boundary node must "

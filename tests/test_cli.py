@@ -109,6 +109,17 @@ class TestSolve:
         assert code == 1
         assert "exactly once" in err
 
+    def test_file_init_empty_file(self, tmp_path, capsys):
+        # an empty file ended in a StopIteration traceback
+        u_path = tmp_path / "init.csv"
+        u_path.write_text("")
+        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "31", "--p", "2",
+                               "--init", f"file:{u_path}",
+                               "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error: ") and "empty file" in err
+
     def test_file_init_from_ground_state_checks(self, tmp_path, capsys):
         # a start at the fixed point converges at once; the trace still has
         # the 3 steps `check` needs
@@ -453,6 +464,14 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "lacks lambda_R" in err
+
+    def test_empty_trace_csv_is_usage_error(self, solved_prefix, capsys):
+        # an empty trace CSV ended in a StopIteration traceback
+        Path(solved_prefix + ".trace.csv").write_text("")
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "empty file" in err
 
     def test_tampered_summary_fails(self, solved_prefix, capsys):
         summary = traceio.read_summary_json(solved_prefix + ".summary.json")

@@ -47,16 +47,16 @@ def solve_stats(f, cfg):
     return GridFunction.from_interior(g, x), iters
 
 
-def cell_hessian(grid, x, p, eps=0.0, floor=inner.BAND_W_FLOOR):
+def cell_hessian(grid, x, p, eps=0.0):
     """(c, w, M): the cell gradients and weights of `_energy` at the
     interior vector x, and the Hessian G^T H G of the cell energy without
     its factor h^d, H = w_f I + (p-2) (w/a) c c^T per cell with w_f the
-    weight floored at floor max(w) (the banded factor's floor by default),
-    as a CSC matrix from sparse products of the per-axis operators."""
+    weight floored at W_FLOOR max(w), as a CSC matrix from sparse products
+    of the per-axis operators."""
     _, c, w = _energy(grid, x, 0 * x, p, eps)
     cells = c.reshape(grid.dim, -1)
     a = (cells * cells).sum(axis=0) + eps * eps
-    w_f = np.maximum(w, floor * w.max())
+    w_f = np.maximum(w, inner.W_FLOOR * w.max())
     rank_one = (p - 2) * np.divide(w, a, out=np.zeros_like(w), where=a > 0)
     ops = _gradient_operators(grid)
     M = sum(Gk.T @ sparse.diags(w_f * (k == m) + rank_one * cells[k] * cells[m])
@@ -201,7 +201,7 @@ class TestWeightedPreconditioner:
         v[: g.shape[0] // 2] = 0.0  # flat half: zero weights, floored
         p = 3.0
         w = cell_grad_sq(g, v) ** (p / 2 - 1)
-        floor = inner.BAND_W_FLOOR * w.max()
+        floor = inner.W_FLOOR * w.max()
         assert np.any(w < floor)
         A = cell_hessian(g, v[g.interior], p)[2]
         b = rng.uniform(-1.0, 1.0, g.num_interior)
@@ -324,7 +324,7 @@ class TestWeightedPreconditioner:
             b = rng.uniform(-1.0, 1.0, g.num_interior)
             x = self._preconditioner(g, v, 3.0)(b)
             maps.append(factors._csc)
-            A = cell_hessian(g, v[g.interior], 3.0, floor=inner.W_FLOOR)[2]
+            A = cell_hessian(g, v[g.interior], 3.0)[2]
             direct = spsolve(A, b)
             assert np.linalg.norm(x - direct) <= \
                 1e-4 * np.linalg.norm(direct)
@@ -340,13 +340,10 @@ class TestFactorized:
     def _operator(spec, n, seed=41, p=3.0):
         # (the grid's Factors, the cell gradients c and weights w of a
         # random interior vector, and the cell Hessian its preconditioner
-        # factors at (c, w), as a CSC matrix from sparse products, with the
-        # weight floor of the grid's back end)
+        # factors at (c, w), as a CSC matrix from sparse products)
         g = build_grid(spec, n)
-        factors = inner.Factors.of(g)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, g.num_interior)
-        floor = inner.BAND_W_FLOOR if factors.banded else inner.W_FLOOR
-        return (factors, *cell_hessian(g, x, p, floor=floor))
+        return (inner.Factors.of(g), *cell_hessian(g, x, p))
 
     @staticmethod
     def _bandwidth(A):
@@ -631,7 +628,7 @@ class TestDissectionOrder:
         assert set(order[low.size:-line.size]) == set(high)
         assert np.array_equal(order[-line.size:], line)
         x = np.random.default_rng(101).uniform(-1.0, 1.0, grid.num_interior)
-        A = cell_hessian(grid, x, 3.0, floor=inner.W_FLOOR)[2]
+        A = cell_hessian(grid, x, 3.0)[2]
         assert np.count_nonzero(A.toarray()) > 5 * grid.num_interior
         assert A[low][:, high].nnz == 0
 
@@ -647,7 +644,7 @@ class TestDissectionOrder:
         x = np.random.default_rng(103).uniform(-1.0, 1.0, grid.num_interior)
         _, c, w = _energy(grid, x, 0 * x, 3.0, 0.0)
         A = factors._sparse_matrix(factors._cell_entries(
-            c, w / w.max(), 3.0, 0.0, inner.W_FLOOR)).astype(np.float32)
+            c, w / w.max(), 3.0, 0.0)).astype(np.float32)
         rank = np.argsort(factors._csc.order)
         natural = A[rank][:, rank].tocsc()
         options = dict(diag_pivot_thresh=0.0, panel_size=1, relax=1,
@@ -724,9 +721,9 @@ class TestGridKernels:
 
 
 class TestCellHessian:
-    """A banded grid factors the exact Hessian of the cell energy, G^T H G
-    with H = w_f I + (p-2) (w/a) c c^T per cell, and its p=2 Laplacian
-    through the same band map at H = I."""
+    """Both back ends factor the exact Hessian of the cell energy, G^T H G
+    with H = w_f I + (p-2) (w/a) c c^T per cell and one weight floor, and a
+    banded grid its p=2 Laplacian through the same band map at H = I."""
 
     @staticmethod
     def _captured(monkeypatch):
@@ -776,6 +773,38 @@ class TestCellHessian:
         # grows with the floor's condition number
         norm = np.linalg.norm
         assert norm(A @ y - b) <= 1e-13 * (norm(A, 2) * norm(y) + norm(b))
+
+    @pytest.mark.parametrize("n", [16, 72])
+    def test_back_ends_factor_one_floored_hessian(self, n, monkeypatch):
+        # p=16 with a block of flat cells, where w = 0 and only the floor
+        # keeps H > 0: the band (square n=16) and the float32 SuperLU matrix
+        # (square n=72), multiplied back by max(w), are the same Hessian,
+        # each entry to rounding in double and in float32 respectively
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), n)
+        factors = inner.Factors.of(g)
+        assert factors.banded == (n == 16)
+        v = np.zeros(g.shape)
+        v[g.interior] = np.random.default_rng(107).uniform(
+            -1.0, 1.0, g.num_interior)
+        v[: g.shape[0] // 2] = 0.0
+        c, w, A = cell_hessian(g, v[g.interior], 16.0)
+        assert np.any(w == 0.0)
+        captured = []
+        factorized = inner.factorized
+
+        def capture(M, **kwargs):
+            captured.append(M._replace(ab=M.ab.copy()) if factors.banded
+                            else M.astype(np.float64) * w.max())
+            return factorized(M, **kwargs)
+
+        monkeypatch.setattr(inner, "factorized", capture)
+        factors.preconditioner(c, w, 16.0, 0.0)
+        (M,) = captured
+        if factors.banded:
+            M, rel = sparse.csc_matrix(self._dense(M)), 1e-13
+        else:
+            A, rel = in_order(factors, A), np.finfo(np.float32).eps
+        assert (abs(M - A) - rel * abs(A)).max() <= 1e-15 * abs(A).max()
 
     def test_band_spans_cross_term(self, monkeypatch):
         # a 3x3 mask without two opposite corner cells, one node per cell

@@ -76,6 +76,13 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             traceio.read_trace_csv(path, p=2.0, h=0.1)
 
+    def test_empty_file_names_file(self, tmp_path):
+        # an empty file ended in a StopIteration from the header read
+        path = tmp_path / "run.trace.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"run\.trace\.csv: empty file"):
+            traceio.read_trace_csv(path, p=2.0, h=0.1)
+
 
 class TestSummaryJson:
     def test_round_trip(self, tmp_path, trace):
@@ -161,6 +168,24 @@ class TestGridFunctionCsv:
         path.write_text("\n".join(lines + [lines[5]]) + "\n")
         with pytest.raises(ValueError, match="exactly once"):
             traceio.read_gridfunction_csv(path, square_grid)
+
+    @pytest.mark.parametrize("dim, text, message", [
+        (1, "", ": empty file"),
+        (1, "x,value\n0.5,0.2,0.3\n", ", line 2: 3 fields, expected 2"),
+        (2, "x,y,value\n0.5,0.2\n", ", line 2: 2 fields, expected 3"),
+        (1, "x,value\n\n", ", line 2: 0 fields, expected 2"),
+        (1, "x,value\n0.5,v\n", ", line 2: could not convert")],
+        ids=["empty", "long_1d", "short_2d", "blank", "not_a_number"])
+    def test_bad_file_names_file_and_line(self, tmp_path, interval_grid,
+                                          square_grid, dim, text, message):
+        # an empty file ended in a StopIteration from the header read and a
+        # long 1D row in an IndexError; a short 2D row wrote a whole row of
+        # the grid and failed only on the node count
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        grid = interval_grid if dim == 1 else square_grid
+        with pytest.raises(ValueError, match=r"u\.csv" + message):
+            traceio.read_gridfunction_csv(path, grid)
 
     def test_seventeen_digit_floats(self, tmp_path, interval_grid):
         vals = np.zeros(interval_grid.shape)
