@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import geometry, traceio
-from .geometry import DomainError, Interval, Rectangle, build_grid
+from .geometry import DomainError, Interval, Rectangle, shared_grid
 from .infinity import sweep as run_sweep
 from .inner import NonConvergence, SolverConfig
 from .iteration import (Custom, DegenerateIterate, InitPolicy,
@@ -118,13 +118,12 @@ def _overflow(exc: OverflowError) -> int:
 
 def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
-    grid = build_grid(spec, args.n)
-    init = _parse_init(args.init, grid)
+    init = _parse_init(args.init, shared_grid(spec, args.n))
     cfg = SolverConfig(p=args.p, tol_grad=args.tol_grad)
     try:
         trace = inverse_iterate(spec, args.n, args.p, init,
                                 K_max=args.max_steps, tol_outer=args.tol,
-                                cfg=cfg, grid=grid, verbose=args.verbose)
+                                cfg=cfg, verbose=args.verbose)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

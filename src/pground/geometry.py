@@ -335,13 +335,13 @@ SHARED_GRIDS = 4
 
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def shared_grid(spec: DomainSpec, n: int) -> Grid:
-    """The process's one grid for (spec, n), which `inverse_iterate` and
-    `sweep` take when given no grid: built by `build_grid` on first use and
-    kept, with the operators and factorizations it builds up, among the
-    SHARED_GRIDS most recently used, so that repeated solves on a few
-    discretizations pay for the grid once.  A grid that leaves is freed by
-    reference counting once its callers let go of it.  Sharing changes no
-    result (`inverse_iterate`)."""
+    """The process's one grid for (spec, n), on which every solve runs
+    (`inverse_iterate`, and through it `sweep` and `pground solve`): built
+    by `build_grid` on first use and kept, with the operators and
+    factorizations it builds up, among the SHARED_GRIDS most recently used,
+    so that repeated solves on a few discretizations pay for the grid once.
+    A grid that leaves is freed by reference counting once its callers let
+    go of it.  Sharing changes no result (`inverse_iterate`)."""
     return build_grid(spec, n)
 
 

@@ -44,23 +44,20 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
     with NaN values and trace None.  The default K_max of 200 outer steps
     lets large-p points converge where R contracts slowly: on the L-shape
     n=32 at p=64 by about 0.83 a step, converging at step 117.  Every
-    point runs on the process's shared grid for (spec, n)
-    (`geometry.shared_grid`), as `inverse_iterate` without a grid does."""
+    point runs on the process's grid for (spec, n) (`inverse_iterate`)."""
     p_list = tuple(float(p) for p in p_list)
     if any(p <= 2 for p in p_list):
         raise ValueError("sweep exponents must exceed 2")
     if list(p_list) != sorted(set(p_list)):
         raise ValueError("p_list must be strictly increasing")
-    grid = shared_grid(spec, n)
-    rho = 1.0 / inradius(spec, grid)
+    rho = 1.0 / inradius(spec, shared_grid(spec, n))
     entries, traces = [], []
     init = PositiveConstant()
     for p in p_list:
         cfg = SolverConfig(p=p, tol_grad=tol_grad)
         try:
             tr = inverse_iterate(spec, n, p, init, K_max=K_max,
-                                 tol_outer=tol_outer, cfg=cfg, grid=grid,
-                                 verbose=verbose)
+                                 tol_outer=tol_outer, cfg=cfg, verbose=verbose)
             if tr.converged:
                 init = Custom(tr.final)
             ratios = tuple(s.report.grad_sup / s.report.sup_norm

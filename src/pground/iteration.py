@@ -128,7 +128,6 @@ def barrier_sup_bound(grid: Grid, p: float) -> float:
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
                     cfg: SolverConfig | None = None,
-                    grid: Grid | None = None,
                     min_steps: int = 3,
                     verbose: bool = False) -> IterationTrace:
     """Run the normalized inverse iteration and record its trace.
@@ -145,24 +144,24 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     on the start, and the continuation would walk the start away from it
     and back.  At p >= 2 the schedule is the single eps = 0.
 
-    Without a grid the call takes the process's shared grid for (spec, n)
-    (`geometry.shared_grid`), with the operators and factorizations earlier
-    calls left on it; `trace.final.grid` is that grid.  The result is the
+    The solve runs on the process's grid for (spec, n)
+    (`geometry.shared_grid`), with the operators and factorizations that
+    earlier calls left on it; `trace.final.grid` is that grid.  The result is the
     same as on a new grid: the factor handed from step to step lives for
     this call only, and a Laplacian factor left on the grid is the matrix a
     cold start would build."""
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
-    if tol_outer <= 0:
-        raise ValueError("tol_outer must be positive")
+    if not 0 < tol_outer < math.inf:
+        raise ValueError(f"tol_outer must be positive and finite, got "
+                         f"{tol_outer}")
     if min_steps < 3:
         raise ValueError("min_steps must be at least 3")
     if cfg is None:
         cfg = SolverConfig(p=p)
     elif cfg.p != p:
         raise ValueError(f"cfg.p={cfg.p} disagrees with p={p}")
-    if grid is None:
-        grid = shared_grid(spec, n)
+    grid = shared_grid(spec, n)
 
     x = make_initial(grid, init).values[grid.interior]
     norm0 = _norm_pow(grid, x, p) ** (1.0 / p)

@@ -57,12 +57,10 @@ def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
     return A.tocsc()
 
 
-def lambda2_reference(spec: DomainSpec, n: int,
-                      grid: Grid | None = None) -> tuple[float, GridFunction]:
+def lambda2_reference(spec: DomainSpec, n: int) -> tuple[float, GridFunction]:
     """Smallest eigenvalue and (positive, unit L^2) eigenvector of the
-    discrete Dirichlet Laplacian on the grid."""
-    if grid is None:
-        grid = build_grid(spec, n)
+    discrete Dirichlet Laplacian on a new grid for (spec, n)."""
+    grid = build_grid(spec, n)
     m = grid.num_interior
     if m > 20_000:
         raise SizeExceeded(f"{m} interior nodes exceeds the dense-path cap")
@@ -157,15 +155,13 @@ def shooting_profile(p: float, lam: float, num: int = 513):
 
 
 def rayleigh_bruteforce(spec: DomainSpec, n: int, p: float,
-                        restarts: int = 64, seed: int = 0,
-                        grid: Grid | None = None) -> float:
+                        restarts: int = 64, seed: int = 0) -> float:
     """Global minimum of the discrete Rayleigh quotient on a tiny grid by
     multistart local minimization over random sign patterns."""
     # loaded here, off the solve path: `import pground` leaves
     # scipy.optimize out
     from scipy.optimize import minimize
-    if grid is None:
-        grid = build_grid(spec, n)
+    grid = build_grid(spec, n)
     m = grid.num_interior
     if m > 12:
         raise SizeExceeded(f"{m} interior nodes exceeds the brute-force cap")

@@ -11,7 +11,8 @@ import pytest
 import pground.infinity
 from pground import traceio
 from pground.cli import main
-from pground.geometry import Interval, Rectangle, write_mask_file
+from pground.geometry import (Interval, Rectangle, shared_grid,
+                              write_mask_file)
 from pground.iteration import (DegenerateIterate, PositiveConstant,
                                RandomPositive, inverse_iterate, verify)
 
@@ -96,6 +97,20 @@ class TestSolve:
                                "--n", "31", "--p", "2",
                                "--init", f"file:{u_path}", "--out", prefix)
         assert code == 0
+
+    def test_file_init_read_onto_the_solve_grid(self, tmp_path, capsys,
+                                                interval_grid):
+        # the init is read onto the grid the solve runs on, so the solve
+        # builds one grid
+        u_path = tmp_path / "init.csv"
+        traceio.write_gridfunction_csv(u_path, hat_function(interval_grid))
+        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "31", "--p", "2",
+                               "--init", f"file:{u_path}",
+                               "--out", str(tmp_path / "filerun"))
+        assert code == 0, err
+        info = shared_grid.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_file_init_on_another_grid(self, tmp_path, capsys,
                                        interval_grid):
@@ -417,6 +432,19 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ")
         assert "finite and nonnegative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--domain", "interval", "--n", "31", "--p", "3",
+         "--tol", "inf"),
+        ("sweep", "--domain", "square", "--n", "16", "--tol", "nan")],
+        ids=["solve_inf", "sweep_nan"])
+    def test_bad_outer_tolerance_is_usage_error(self, tmp_path, capsys, argv):
+        # an infinite tolerance stopped every solve at its third step as
+        # converged (exit 0), and NaN ran every solve to its step limit
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "tol_outer" in err
 
     @pytest.mark.parametrize("flag", ["--tol-grad", "--gap-tol"])
     def test_zero_tolerance_is_valid(self, solved_prefix, capsys, flag):

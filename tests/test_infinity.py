@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pground.infinity
-from pground.geometry import Interval, MaskDomain, Rectangle, build_grid
+from pground.geometry import Interval, MaskDomain, Rectangle
 from pground.infinity import monotone_supnorm_check, sweep
 from pground.inner import NonConvergence
 from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
@@ -24,10 +24,9 @@ def interval_sweep():
 def continued_sweep(request):
     """A sweep and, per exponent, the standalone constant-init solve."""
     spec, n = request.param
-    grid = build_grid(spec, n)
     result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0))
-    alone = [inverse_iterate(spec, n, p, PositiveConstant(), tol_outer=1e-8,
-                             grid=grid) for p in result.p_list]
+    alone = [inverse_iterate(spec, n, p, PositiveConstant(), tol_outer=1e-8)
+             for p in result.p_list]
     return result, alone
 
 

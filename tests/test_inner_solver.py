@@ -16,7 +16,7 @@ from pground.calculus import (GridFunction, _energy, _nodal_gradient,
                               functional_gradient,
                               functional_value, gradient_field)
 from pground.geometry import Interval, MaskDomain, Rectangle, \
-    _gradient_operators, build_grid
+    _gradient_operators, build_grid, shared_grid
 from pground.infinity import sweep
 from pground.inner import (NonConvergence, SolverConfig, signed_power,
                            solve_step, solve_step_with_stats)
@@ -448,9 +448,9 @@ class TestFactorized:
         monkeypatch.setattr(inner, "splu", counting_splu)
         monkeypatch.setattr(inner, "_dissection", counting_dissection)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
-        grid = build_grid(spec, 72)
+        grid = shared_grid(spec, 72)
         assert not inner.Factors.of(grid).banded  # bandwidth 71
-        inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
+        inverse_iterate(spec, 72, 3.0, PositiveConstant())
         assert specs == ["NATURAL"] * 3
         assert len(orders) == 1
 
@@ -461,16 +461,18 @@ class TestFactorized:
         spec = l_mask
         ground = Custom(inverse_iterate(spec, 72, 3.0,
                                         PositiveConstant()).final)
-        fresh, kept = build_grid(spec, 72), build_grid(spec, 72)
-        inner.Factors.of(kept).laplacian
-        factorized, built = inner.factorized, []
-        monkeypatch.setattr(inner, "factorized",
-                            lambda A, order=None: built.append(A.dtype)
-                            or factorized(A, order=order))
-        traces = [inverse_iterate(spec, 72, 3.0, ground, grid=g)
-                  for g in (fresh, kept)]
+        factorized, built, traces = inner.factorized, [], []
+        for keep_laplacian in (False, True):
+            shared_grid.cache_clear()  # a new grid for each solve
+            if keep_laplacian:
+                inner.Factors.of(shared_grid(spec, 72)).laplacian
+            monkeypatch.setattr(inner, "factorized",
+                                lambda A, order=None: built.append(A.dtype)
+                                or factorized(A, order=order))
+            traces.append(inverse_iterate(spec, 72, 3.0, ground))
+            monkeypatch.setattr(inner, "factorized", factorized)
         assert set(built) == {np.dtype(np.float32)}  # no Laplacian factor
-        fresh, kept = inner.Factors.of(fresh), inner.Factors.of(kept)
+        fresh, kept = (inner.Factors.of(tr.final.grid) for tr in traces)
         assert "laplacian" not in vars(fresh)
         assert "laplacian" not in vars(kept)
         assert repr(traces[0].steps) == repr(traces[1].steps)
@@ -573,7 +575,7 @@ class TestBoxLaplacian:
         factorized = inner.factorized
         for p, init in ((2.0, PositiveConstant()), (3.0, PositiveConstant()),
                         (3.0, ground)):
-            grid = build_grid(spec, 72)
+            shared_grid.cache_clear()  # a new grid for each solve
             built = []
 
             def capture(A, order=None):
@@ -581,7 +583,7 @@ class TestBoxLaplacian:
                 return factorized(A, order=order)
 
             monkeypatch.setattr(inner, "factorized", capture)
-            inverse_iterate(spec, 72, p, init, grid=grid)
+            grid = inverse_iterate(spec, 72, p, init).final.grid
             monkeypatch.setattr(inner, "factorized", factorized)
             assert (len(built) > 0) == (p != 2)
             L = in_order(inner.Factors.of(grid), grid.G.T @ grid.G)
@@ -902,9 +904,9 @@ class TestSolverCaches:
         gc.disable()
         try:
             for k in range(30):
-                grid = build_grid(spec, 16)
-                inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
-                                PositiveConstant(), grid=grid)
+                shared_grid.cache_clear()  # a new grid for each solve
+                grid = inverse_iterate(spec, 16, 2.0 if k % 2 else 3.0,
+                                       PositiveConstant()).final.grid
                 factors = inner.Factors.of(grid)
                 # a banded grid maps the cell matrices straight to band
                 # storage, the p=2 Laplacian's identity too; it keeps the
@@ -918,14 +920,16 @@ class TestSolverCaches:
             # a SuperLU grid keeps its map to CSC slots, and drops the
             # Laplacian the cold start stood in
             for _ in range(3):
-                grid = build_grid(spec, 72)
-                inverse_iterate(spec, 72, 3.0, PositiveConstant(), grid=grid)
+                shared_grid.cache_clear()
+                grid = inverse_iterate(spec, 72, 3.0,
+                                       PositiveConstant()).final.grid
                 factors = inner.Factors.of(grid)
                 assert not factors.banded
                 assert "_csc" in vars(factors)
                 assert "laplacian" not in vars(factors)
                 refs += [weakref.ref(grid), weakref.ref(factors),
                          weakref.ref(factors._csc[0])]
+            shared_grid.cache_clear()
             del grid, factors
             assert all(ref() is None for ref in refs)
         finally:
@@ -958,9 +962,8 @@ class TestRelag:
         monkeypatch.setattr(inner, "factorized", counting_factorized)
         monkeypatch.setattr(inner, "_descend", counting_descend)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
-        grid = build_grid(spec, n)
-        inverse_iterate(spec, n, p, PositiveConstant(), grid=grid)
-        return inner.Factors.of(grid), runs
+        tr = inverse_iterate(spec, n, p, PositiveConstant())
+        return inner.Factors.of(tr.final.grid), runs
 
     def test_superlu_factor_kept_while_contracting(self, monkeypatch):
         back, runs = self._descents(monkeypatch, 72, 16.0)
@@ -995,17 +998,17 @@ class TestCarriedFactor:
     SPEC = Rectangle(0.0, 1.0, 0.0, 1.0)
 
     def test_repeated_iterate_on_one_grid_identical(self):
-        grid = build_grid(self.SPEC, 16)
-        a, b = (inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant(),
-                                grid=grid) for _ in range(2))
+        a, b = (inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant())
+                for _ in range(2))
+        assert a.final.grid is b.final.grid
         assert repr(a.steps) == repr(b.steps)
         assert repr(a.lambda_R) == repr(b.lambda_R)
         assert repr(a.lambda_Q) == repr(b.lambda_Q)
         assert np.array_equal(a.final.values, b.final.values)
 
     def test_solve_step_after_iterate_equals_fresh_grid(self):
-        used = build_grid(self.SPEC, 16)
-        inverse_iterate(self.SPEC, 16, 16.0, PositiveConstant(), grid=used)
+        used = inverse_iterate(self.SPEC, 16, 16.0,
+                               PositiveConstant()).final.grid
         cfg = SolverConfig(p=16.0)
         u, v = (solve_step(random_rhs(g, 73, nonneg=True), cfg)
                 for g in (used, build_grid(self.SPEC, 16)))
@@ -1133,9 +1136,9 @@ class TestFactorizeBoundary:
         monkeypatch.setattr(inner, "splu", counting(splu_))
         monkeypatch.setattr(inner.lapack, "dpbtrf", counting(dpbtrf))
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
-        grid = build_grid(spec, n)
+        grid = shared_grid(spec, n)
         assert inner.Factors.of(grid).banded is banded
-        inverse_iterate(spec, n, 3.0, PositiveConstant(), grid=grid)
+        inverse_iterate(spec, n, 3.0, PositiveConstant())
         assert calls["factorized"] == calls["backend"] > 0
         assert all(isinstance(k, (int, np.integer)) and k > 0 for k in nnz)
 

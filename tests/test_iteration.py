@@ -62,14 +62,14 @@ class TestInitPolicies:
 
     def test_custom_rebuilt_on_target_grid(self, square_grid, l_mask):
         # the L-shape grid has the square grid's node shape
-        lgrid = build_grid(l_mask, 16)
+        lgrid = shared_grid(l_mask, 16)
         assert lgrid.shape == square_grid.shape
         with pytest.raises(ValueError):  # nonzero off the L interior
             make_initial(lgrid, Custom(GridFunction.constant(square_grid)))
         u = GridFunction(square_grid, GridFunction.constant(lgrid).values)
-        tr = inverse_iterate(l_mask, 16, 3.0, Custom(u), grid=lgrid)
+        tr = inverse_iterate(l_mask, 16, 3.0, Custom(u))
         assert tr.final.grid is lgrid
-        ref = inverse_iterate(l_mask, 16, 3.0, PositiveConstant(), grid=lgrid)
+        ref = inverse_iterate(l_mask, 16, 3.0, PositiveConstant())
         # a warm first step against the start from zero: two inner paths
         # that meet at the fixed point, to the outer tolerance's digits
         assert tr.lambda_R == pytest.approx(ref.lambda_R, rel=1e-12)
@@ -114,6 +114,14 @@ class TestIteration:
         with pytest.raises(ValueError):
             inverse_iterate(Interval(0.0, 1.0), 15, 3.0, PositiveConstant(),
                             cfg=SolverConfig(p=2.0))
+
+    @pytest.mark.parametrize("tol_outer", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol_outer_rejected(self, tol_outer):
+        # an infinite tolerance stops at min_steps as converged, and NaN
+        # runs all K_max steps
+        with pytest.raises(ValueError, match="tol_outer"):
+            inverse_iterate(Interval(0.0, 1.0), 31, 3.0, PositiveConstant(),
+                            tol_outer=tol_outer)
 
     def test_min_steps_delays_stop(self):
         tr = inverse_iterate(Interval(0.0, 1.0), 15, 2.0, PositiveConstant(),
@@ -189,8 +197,8 @@ def _trace_key(tr):
 
 
 class TestSharedGrid:
-    """Without a grid, `inverse_iterate` and `sweep` take the process's one
-    grid for (spec, n), and keep SHARED_GRIDS of them."""
+    """Every solve runs on the process's one grid for (spec, n), and the
+    process keeps SHARED_GRIDS of them."""
 
     def test_calls_share_one_grid(self):
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -220,7 +228,9 @@ class TestSharedGrid:
                 assert "laplacian" in vars(factors)
         assert shared[0].final.grid is shared[1].final.grid
         for tr, (p, init) in zip(shared, runs):
-            new = inverse_iterate(spec, n, p, init, grid=build_grid(spec, n))
+            shared_grid.cache_clear()  # a new grid for each solve
+            new = inverse_iterate(spec, n, p, init)
+            assert new.final.grid is not tr.final.grid
             assert verify(tr).all_passed
             assert _trace_key(tr) == _trace_key(new)
 
@@ -556,12 +566,10 @@ class TestCustomWarmStart:
     schedule's last eps."""
 
     def test_first_step_at_last_eps_only(self, monkeypatch):
-        g = build_grid(Interval(0.0, 1.0), 31)
         near = inverse_iterate(Interval(0.0, 1.0), 31, 1.5,
-                               PositiveConstant(), grid=g).final
+                               PositiveConstant()).final
         solves = _eps_per_solve(monkeypatch)
-        tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, Custom(near),
-                             grid=g)
+        tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, Custom(near))
         eps = SolverConfig(p=1.5).resolved_eps(tr.h)
         assert len(solves) == tr.num_steps >= 3
         assert all(s == [eps[-1]] for s in solves)
@@ -584,15 +592,14 @@ class TestCustomWarmStart:
         """From the constant-init ground state (a start at the fixed point)
         and from the p=2 ground state, the trace has the steps the claims
         need, passes them and lands on the constant-init lambda_R."""
-        grid = build_grid(spec, n)
-        ref = inverse_iterate(spec, n, p, PositiveConstant(), grid=grid)
-        _, p2_state = lambda2_reference(spec, n, grid=grid)
+        ref = inverse_iterate(spec, n, p, PositiveConstant())
+        _, p2_state = lambda2_reference(spec, n)  # Custom re-homes it
         for start in (ref.final, p2_state):
-            tr = inverse_iterate(spec, n, p, Custom(start), grid=grid)
+            tr = inverse_iterate(spec, n, p, Custom(start))
             assert tr.converged and tr.num_steps >= 3
             report = verify(tr)
             assert report.all_passed, str(report)
             assert abs(tr.lambda_R - ref.lambda_R) <= 1e-9 * ref.lambda_R
         # started at the fixed point, step 1 has almost nothing to do
-        tr = inverse_iterate(spec, n, p, Custom(ref.final), grid=grid)
+        tr = inverse_iterate(spec, n, p, Custom(ref.final))
         assert tr.steps[1].inner_iters < ref.steps[1].inner_iters
