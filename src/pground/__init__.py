@@ -1,10 +1,8 @@
 """Inverse iteration for p-Laplacian ground states on lattice domains."""
 
 from .geometry import Grid, Interval, MaskDomain, Rectangle, build_grid, inradius
-from .calculus import (EnergyReport, GridFunction, energy_report,
-                       gradient_field, grad_sup, p_dirichlet_energy,
-                       p_norm_pow, rayleigh_quotient, sup_norm)
-from .inner import NonConvergence, SolverConfig, signed_power, solve_step
+from .calculus import EnergyReport, GridFunction, p_norm_pow, rayleigh_quotient
+from .inner import NonConvergence, SolverConfig, solve_step
 from .iteration import (Custom, DegenerateIterate, InitPolicy, IterationTrace,
                         PositiveConstant, RandomPositive, check_monotonicity,
                         consistency_estimators, inverse_iterate, verify)
@@ -13,9 +11,8 @@ from .infinity import SweepResult, monotone_supnorm_check, sweep
 
 __all__ = [
     "Grid", "Interval", "MaskDomain", "Rectangle", "build_grid", "inradius",
-    "EnergyReport", "GridFunction", "energy_report", "gradient_field",
-    "grad_sup", "p_dirichlet_energy", "p_norm_pow", "rayleigh_quotient",
-    "sup_norm", "NonConvergence", "SolverConfig", "signed_power", "solve_step",
+    "EnergyReport", "GridFunction", "p_norm_pow", "rayleigh_quotient",
+    "NonConvergence", "SolverConfig", "solve_step",
     "Custom", "DegenerateIterate", "InitPolicy", "IterationTrace",
     "PositiveConstant", "RandomPositive", "check_monotonicity",
     "consistency_estimators", "inverse_iterate", "lambda2_reference",

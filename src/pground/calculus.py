@@ -11,12 +11,11 @@ gradient as the grid's own operator, `grid.apply_G(x)` (G x by SciPy's
 compiled kernel on the grid's G, without the sparse matrix's per-call
 dispatch, which on the small grids cost more than the kernel).
 `_energy` / `_nodal_gradient` are the inner objective and its gradient,
-shared by the inner solve, `functional_value` / `functional_gradient` and
-the brute-force oracle.  `_report_logs` gives the `EnergyReport` and the
-log-sums of both p-integrals from one cell gradient; the outer iteration
-records it and the Rayleigh quotient per step.  The public functions take
-`GridFunction`s and adapt them to these kernels; `gradient_field` lays the
-cell gradient out on the full cell grid.
+shared by the inner solve and the brute-force oracle.  `_report_logs` gives
+the `EnergyReport` and the log-sums of both p-integrals from one cell
+gradient; the outer iteration records it and the Rayleigh quotient per step.
+The two public functions, `rayleigh_quotient` and `p_norm_pow`, take
+`GridFunction`s, as the oracles hold them, and adapt them to these kernels.
 
 Energy sums factor out the largest cell gradient before exponentiation so
 that large exponents (p up to 64 and beyond) stay inside double range.
@@ -68,10 +67,6 @@ class GridFunction:
         vals[grid.interior] = c
         return cls(grid, vals)
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
-
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values)
 
@@ -84,19 +79,6 @@ class EnergyReport:
     norm_p: float
     sup_norm: float
     grad_sup: float
-
-
-def gradient_field(u: GridFunction) -> np.ndarray:
-    """Per-cell gradient; shape (ncells,) in 1D, (ncx, ncy, 2) in 2D.
-
-    Cells outside the domain report zero.
-    """
-    g = u.grid
-    c = g.apply_G(u.values[g.interior]).reshape(g.dim, -1)
-    out = np.zeros((g.dim,) + g.cell_mask.shape)
-    for k in range(g.dim):  # one component at a time: a 2D mask is fast
-        out[k][g.cell_mask] = c[k]
-    return out[0] if g.dim == 1 else np.moveaxis(out, 0, -1)
 
 
 def _log_pow_sum(base_sq: np.ndarray, p: float) -> float:
@@ -144,56 +126,15 @@ def _norm_pow(grid: Grid, x: np.ndarray, p: float) -> float:
     return _weighted_exp(_log_pow_sum(x * x, p), grid.h ** grid.dim)
 
 
-def energy_report(u: GridFunction, p: float) -> EnergyReport:
-    return _report_logs(u.grid, u.values[u.grid.interior], p)[0]
-
-
 def rayleigh_quotient(u: GridFunction, p: float) -> float:
     """Ratio of the p-Dirichlet energy to the p-norm power; scale invariant."""
     return _quotient(*_report_logs(u.grid, u.values[u.grid.interior], p)[1:])
-
-
-def p_dirichlet_energy(u: GridFunction, p: float) -> float:
-    """Rectangle-rule value of the integral of |grad u|^p."""
-    return energy_report(u, p).dirichlet_p
-
-
-def grad_sup(u: GridFunction) -> float:
-    return energy_report(u, 2.0).grad_sup
 
 
 def p_norm_pow(u: GridFunction, p: float) -> float:
     """Rectangle-rule value of the integral of |u|^p (p-th power of the norm)."""
     _require_p(p)
     return _norm_pow(u.grid, u.values[u.grid.interior], p)
-
-
-def p_norm(u: GridFunction, p: float) -> float:
-    return p_norm_pow(u, p) ** (1.0 / p)
-
-
-def sup_norm(u: GridFunction) -> float:
-    return float(np.abs(u.values).max())
-
-
-def functional_value(v: GridFunction, f: GridFunction, p: float,
-                     eps: float = 0.0) -> float:
-    """Value of the inner objective:
-    sum over cells of (1/p)(|grad v|^2 + eps^2)^(p/2) h^d minus sum of f v h^d.
-    """
-    _require_p(p)
-    grid = v.grid
-    fh = f.values[grid.interior] * grid.h ** grid.dim
-    return _energy(grid, v.values[grid.interior], fh, p, eps)[0]
-
-
-def functional_gradient(v: GridFunction, f: GridFunction, p: float,
-                        eps: float = 0.0) -> GridFunction:
-    """Exact gradient of the inner objective w.r.t. interior node values."""
-    grid = v.grid
-    fh = f.values[grid.interior] * grid.h ** grid.dim
-    _, c, w = _energy(grid, v.values[grid.interior], fh, p, eps)
-    return GridFunction.from_interior(grid, _nodal_gradient(grid, c, w, fh))
 
 
 def _energy(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,

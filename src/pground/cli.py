@@ -8,8 +8,9 @@ Subcommands:
           the limits, energy decay, mu, the estimator gap (if converged) and
           the first-step barrier bound (SKIP where the files lack it)
 
-Exit codes: 0 success, 1 usage error, 2 solver non-convergence or
-floating-point overflow, 3 invariant check failure.
+Exit codes: 0 success, 1 usage error, 2 solver non-convergence, a
+degenerate iterate or floating-point overflow, 3 invariant check failure.
+`main` maps the errors of every subcommand to codes 1 and 2.
 """
 
 from __future__ import annotations
@@ -107,31 +108,12 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv[:at] + extra + argv[at:])
 
 
-def _overflow(exc: OverflowError) -> int:
-    """Report a quantity past the float range, such as the Rayleigh quotient
-    of the constant start, about (1/h)^p (at p = 256 on the interval
-    n=63)."""
-    print(f"error: floating-point overflow ({exc}): a quotient or energy at "
-          f"this p exceeds the float range", file=sys.stderr)
-    return 2
-
-
 def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
     init = _parse_init(args.init, shared_grid(spec, args.n))
     cfg = SolverConfig(p=args.p, tol_grad=args.tol_grad)
-    try:
-        trace = inverse_iterate(spec, args.n, args.p, init,
-                                K_max=args.max_steps, tol_outer=args.tol,
-                                cfg=cfg, verbose=args.verbose)
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateIterate as exc:
-        print(f"error: degenerate iterate: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        return _overflow(exc)
+    trace = inverse_iterate(spec, args.n, args.p, init, K_max=args.max_steps,
+                            tol_outer=args.tol, cfg=cfg, verbose=args.verbose)
     traceio.write_trace_csv(args.out + ".trace.csv", trace)
     traceio.write_summary_json(args.out + ".summary.json", trace)
     print(json.dumps(traceio.trace_summary(trace)))
@@ -141,12 +123,8 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _resolve_domain(args)
     p_list = [float(x) for x in args.p_list.split(",")]
-    try:
-        result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
-                           tol_outer=args.tol, verbose=args.verbose)
-    except DegenerateIterate as exc:
-        print(f"error: degenerate iterate: {exc}", file=sys.stderr)
-        return 2
+    result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
+                       tol_outer=args.tol, verbose=args.verbose)
     traceio.write_sweep_csv(args.out + ".sweep.csv", result)
     for e in result.entries:
         print(f"p={e.p:g} lambda_R={e.lambda_R:.6e} "
@@ -267,6 +245,18 @@ def main(argv=None) -> int:
     except (DomainError, SizeExceeded, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateIterate as exc:
+        print(f"error: degenerate iterate: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a quantity past the float range, such as the Rayleigh quotient of
+        # the constant start, about (1/h)^p (at p = 256 on the interval n=63)
+        print(f"error: floating-point overflow ({exc}): a quotient or "
+              f"energy at this p exceeds the float range", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -124,11 +124,15 @@ def read_mask_file(path) -> MaskDomain:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DomainError(f"{path}: empty mask file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise DomainError(f"{path}: header must be 'W H h'")
-    w, hgt = int(head[0]), int(head[1])
-    size = float(head[2])
+    try:
+        w, hgt, size = lines[0].split()
+        w, hgt, size = int(w), int(hgt), float(size)
+        if w < 1 or hgt < 1:
+            raise ValueError
+    except ValueError:
+        raise DomainError(f"{path}: header must be 'W H h' with W and H "
+                          f"positive integers and h a number, got "
+                          f"{lines[0]!r}") from None
     rows = lines[1:]
     if len(rows) != hgt:
         raise DomainError(f"{path}: expected {hgt} rows, got {len(rows)}")

@@ -180,12 +180,8 @@ class SolverConfig:
         return tuple(16 * e * 0.25 ** k for k in range(9))
 
 
-def signed_power(u: GridFunction, p: float) -> GridFunction:
-    """Nodewise |u|^(p-2) u, with 0 mapped to 0."""
-    return GridFunction(u.grid, _signed_power(u.values, p))
-
-
 def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
+    """Nodewise |v|^(p-2) v, with 0 mapped to 0."""
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     a = np.abs(v)

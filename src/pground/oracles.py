@@ -117,8 +117,8 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
     and bisection on the eigenvalue."""
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = None, None
     lam = math.pi ** 2  # reasonable starting scale for every p
     for _ in range(200):
@@ -145,19 +145,12 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def shooting_profile(p: float, lam: float, num: int = 513):
-    """Sampled eigenfunction candidate for eigenvalue lam: (x, u(x)) on a
-    uniform grid of [0, 1], normalized to unit sup."""
-    _, sol = _first_zero(p, lam, x_end=1.0)
-    x = np.linspace(0.0, 1.0, num)
-    u = sol.sol(x)[0]
-    return x, u / np.abs(u).max()
-
-
 def rayleigh_bruteforce(spec: DomainSpec, n: int, p: float,
                         restarts: int = 64, seed: int = 0) -> float:
     """Global minimum of the discrete Rayleigh quotient on a tiny grid by
     multistart local minimization over random sign patterns."""
+    if not restarts >= 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     # loaded here, off the solve path: `import pground` leaves
     # scipy.optimize out
     from scipy.optimize import minimize

@@ -41,9 +41,10 @@ def hat_function(grid):
 
 def loop_gradient_field(grid, values):
     """Per-cell gradient by an explicit loop over the domain's cells, laid
-    out as `gradient_field`: the forward difference (v[i+1] - v[i]) / h in
-    1D, the forward differences along the two edges at the cell's
-    lower-left corner in 2D; zero on cells outside the domain."""
+    out on the full cell grid: the forward difference (v[i+1] - v[i]) / h
+    in 1D, the forward differences along the two edges at the cell's
+    lower-left corner in 2D, as the last axis; zero on cells outside the
+    domain."""
     out = np.zeros(grid.cell_mask.shape + ((2,) if grid.dim == 2 else ()))
     for cell in zip(*np.nonzero(grid.cell_mask)):
         for k in range(grid.dim):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pground.calculus import (DegenerateFunction, GridFunction,
-                              energy_report, functional_gradient,
-                              functional_value, gradient_field, grad_sup,
-                              p_dirichlet_energy, p_norm, p_norm_pow,
-                              rayleigh_quotient, sup_norm, _quotient,
-                              _report_logs)
+from pground.calculus import (DegenerateFunction, GridFunction, _energy,
+                              _nodal_gradient, _quotient, _report_logs,
+                              p_norm_pow, rayleigh_quotient)
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.oracles import dirichlet_laplacian_matrix
 
@@ -55,13 +52,14 @@ class TestHatClosedForms:
 
     def test_gradient_values(self, interval_grid):
         u = hat_function(interval_grid)
-        g = gradient_field(u)
-        assert np.allclose(np.abs(g), 2.0)
+        c = interval_grid.apply_G(u.values[interval_grid.interior])
+        assert np.allclose(np.abs(c), 2.0)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0, 64.0])
     def test_dirichlet_energy(self, interval_grid, p):
-        u = hat_function(interval_grid)
-        assert p_dirichlet_energy(u, p) == pytest.approx(2.0 ** p, rel=1e-13)
+        x = hat_function(interval_grid).values[interval_grid.interior]
+        report = _report_logs(interval_grid, x, p)[0]
+        assert report.dirichlet_p == pytest.approx(2.0 ** p, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
     def test_p_norm_refinement(self, p):
@@ -70,7 +68,8 @@ class TestHatClosedForms:
         errs = []
         for n in (31, 63, 127):
             g = build_grid(Interval(0.0, 1.0), n)
-            errs.append(abs(p_norm(hat_function(g), p) - exact))
+            errs.append(abs(p_norm_pow(hat_function(g), p) ** (1.0 / p)
+                            - exact))
         assert errs[0] < 0.01
         assert errs[2] < errs[0]
 
@@ -84,9 +83,10 @@ class TestHatClosedForms:
         assert errs[2] < errs[0]
 
     def test_sup_norms(self, interval_grid):
-        u = hat_function(interval_grid)
-        assert sup_norm(u) == pytest.approx(1.0)
-        assert grad_sup(u) == pytest.approx(2.0)
+        x = hat_function(interval_grid).values[interval_grid.interior]
+        report = _report_logs(interval_grid, x, 2.0)[0]
+        assert report.sup_norm == pytest.approx(1.0)
+        assert report.grad_sup == pytest.approx(2.0)
 
 
 class TestScaleBehavior:
@@ -101,8 +101,9 @@ class TestScaleBehavior:
         R = rayleigh_quotient(u, p)
         Rc = rayleigh_quotient(u.scaled(c), p)
         assert abs(Rc - R) <= 1e-12 * abs(R)
-        assert p_dirichlet_energy(u.scaled(c), p) == pytest.approx(
-            c ** p * p_dirichlet_energy(u, p), rel=1e-10)
+        x = u.values[g.interior]
+        assert _report_logs(g, c * x, p)[0].dirichlet_p == pytest.approx(
+            c ** p * _report_logs(g, x, p)[0].dirichlet_p, rel=1e-10)
         assert p_norm_pow(u.scaled(c), p) == pytest.approx(
             c ** p * p_norm_pow(u, p), rel=1e-10)
 
@@ -115,8 +116,9 @@ class TestScaleBehavior:
                 rayleigh_quotient(u, p)
 
     def test_zero_function_degenerate(self, interval_grid):
+        zero = GridFunction(interval_grid, np.zeros(interval_grid.shape))
         with pytest.raises(DegenerateFunction):
-            rayleigh_quotient(GridFunction.zero(interval_grid), 2.0)
+            rayleigh_quotient(zero, 2.0)
 
     def test_large_p_stays_finite(self, interval_grid):
         u = hat_function(interval_grid).scaled(10.0)
@@ -136,10 +138,9 @@ class TestScaleBehavior:
         u = GridFunction.from_interior(square_grid, x)
         report, *logs = _report_logs(square_grid, x, p)
         R = _quotient(*logs)
-        assert report == energy_report(u, p)
         assert repr(R) == repr(rayleigh_quotient(u, p))
-        cells = gradient_field(u)
-        assert report.grad_sup == np.sqrt((cells * cells).sum(-1).max())
+        c = square_grid.apply_G(x).reshape(2, -1)
+        assert report.grad_sup == np.sqrt((c * c).sum(0).max())
         assert report.sup_norm == np.abs(u.values).max()
         if p < 64:
             assert R == pytest.approx(report.dirichlet_p / report.norm_p,
@@ -155,14 +156,13 @@ class TestScaleBehavior:
         u = GridFunction.from_interior(square_grid, x)
         report, *logs = _report_logs(square_grid, x, 64.0)
         R = _quotient(*logs)
-        assert report == energy_report(u, 64.0)
         assert repr(R) == repr(rayleigh_quotient(u, 64.0))
         assert report.dirichlet_p == math.inf and math.isfinite(R)
 
     def test_p_at_most_one_rejected(self, interval_grid):
         u = hat_function(interval_grid)
         with pytest.raises(ValueError):
-            p_dirichlet_energy(u, 1.0)
+            _report_logs(interval_grid, u.values[interval_grid.interior], 1.0)
         with pytest.raises(ValueError):
             rayleigh_quotient(u, 0.5)
 
@@ -173,11 +173,13 @@ class TestObjective:
         standard 5-point Dirichlet Laplacian."""
         g = square_grid
         rng = np.random.default_rng(7)
-        v = GridFunction.from_interior(g, rng.standard_normal(g.num_interior))
-        f = GridFunction.from_interior(g, rng.standard_normal(g.num_interior))
+        x = rng.standard_normal(g.num_interior)
+        f = rng.standard_normal(g.num_interior)
         A = dirichlet_laplacian_matrix(g)
-        expected = (A @ v.values[g.interior] - f.values[g.interior]) * g.h ** 2
-        got = functional_gradient(v, f, 2.0).values[g.interior]
+        expected = (A @ x - f) * g.h ** 2
+        fh = f * g.h ** 2
+        _, c, w = _energy(g, x, fh, 2.0, 0.0)
+        got = _nodal_gradient(g, c, w, fh)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -187,20 +189,20 @@ class TestObjective:
         spec = Rectangle(0.0, 1.0, 0.0, 1.0) if two_d else Interval(0.0, 1.0)
         g = build_grid(spec, 5)
         rng = np.random.default_rng(seed)
-        v = GridFunction.from_interior(g, rng.uniform(-1, 1, g.num_interior))
-        f = GridFunction.from_interior(g, rng.uniform(-1, 1, g.num_interior))
+        x = rng.uniform(-1, 1, g.num_interior)
+        fh = rng.uniform(-1, 1, g.num_interior) * g.h ** g.dim
         eps = 0.05 if p < 2 else 0.0
-        grad = functional_gradient(v, f, p, eps).values
+        _, c, w = _energy(g, x, fh, p, eps)
+        grad = _nodal_gradient(g, c, w, fh)
         step = 1e-6
-        idx = list(zip(*np.nonzero(g.interior)))
-        for node in idx:
-            vp = v.values.copy()
-            vm = v.values.copy()
-            vp[node] += step
-            vm[node] -= step
-            fd = (functional_value(GridFunction(g, vp), f, p, eps)
-                  - functional_value(GridFunction(g, vm), f, p, eps)) / (2 * step)
-            assert abs(grad[node] - fd) <= 1e-5 * max(1.0, abs(fd))
+        for i in range(g.num_interior):
+            xp = x.copy()
+            xm = x.copy()
+            xp[i] += step
+            xm[i] -= step
+            fd = (_energy(g, xp, fh, p, eps)[0]
+                  - _energy(g, xm, fh, p, eps)[0]) / (2 * step)
+            assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.floats(1.5, 8.0),
@@ -208,14 +210,13 @@ class TestObjective:
     def test_objective_convex(self, seed, p, theta):
         g = build_grid(Interval(0.0, 1.0), 9)
         rng = np.random.default_rng(seed)
-        a = GridFunction.from_interior(g, rng.uniform(-2, 2, g.num_interior))
-        b = GridFunction.from_interior(g, rng.uniform(-2, 2, g.num_interior))
-        f = GridFunction.from_interior(g, rng.uniform(-1, 1, g.num_interior))
+        a = rng.uniform(-2, 2, g.num_interior)
+        b = rng.uniform(-2, 2, g.num_interior)
+        fh = rng.uniform(-1, 1, g.num_interior) * g.h
         eps = g.h ** 2 if p < 2 else 0.0
-        mid = GridFunction(g, theta * a.values + (1 - theta) * b.values)
-        lhs = functional_value(mid, f, p, eps)
-        rhs = (theta * functional_value(a, f, p, eps)
-               + (1 - theta) * functional_value(b, f, p, eps))
+        lhs = _energy(g, theta * a + (1 - theta) * b, fh, p, eps)[0]
+        rhs = (theta * _energy(g, a, fh, p, eps)[0]
+               + (1 - theta) * _energy(g, b, fh, p, eps)[0])
         assert lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
     def test_discrete_poincare(self, interval_grid):

@@ -351,6 +351,21 @@ class TestOverflow:
         assert "overflow" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_oracle_error_line_and_exit_code(self):
+        # the brute-force quotient at p = 1000 overflows in the oracle,
+        # which raised its traceback with exit 1
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pground.cli", "oracle", "--method",
+             "bruteforce", "--domain", "interval", "--n", "3", "--p", "1000",
+             "--restarts", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: floating-point overflow")
+        assert "Traceback" not in proc.stderr
+
     def test_sweep_records_overflow_as_not_converged(self, tmp_path, capsys):
         # an overflowing point raised out of the sweep and lost the points
         # before it; now it is a row that did not converge, and the sweep
@@ -396,6 +411,19 @@ class TestOracle:
                                "--p", "3", "--restarts", "8")
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["bruteforce", "--p", "3", "--restarts", "0"],
+        ["bruteforce", "--p", "3", "--restarts", "-3"],
+        ["shooting", "--p", "3", "--tol", "inf"],
+    ], ids=["restarts0", "restarts-3", "tol-inf"])
+    def test_no_value_is_usage_error(self, capsys, argv):
+        # each printed a value of Infinity, which is not JSON, and exited 0
+        code, out, err = run_cli(capsys, "oracle", "--method", *argv,
+                                 "--domain", "interval", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestCheck:

@@ -197,6 +197,17 @@ class TestMaskFile:
         with pytest.raises(DomainError):
             read_mask_file(path)
 
+    @pytest.mark.parametrize("header", ["a 2 0.5", "-2 2 0.5", "2 0 0.5",
+                                        "2.5 2 0.5", "2 2 h", "2 2",
+                                        "2 2 0.5 1"])
+    def test_bad_header_names_the_file(self, tmp_path, header):
+        # a non-integer or negative W or H raised int()'s or numpy's error,
+        # which did not say which file was wrong
+        path = tmp_path / "bad.mask"
+        path.write_text(f"{header}\n#.\n##\n")
+        with pytest.raises(DomainError, match="bad.mask: header must be"):
+            read_mask_file(path)
+
 
 class TestInradius:
     def test_interval(self):

@@ -29,6 +29,24 @@ def _loaded(code: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+PUBLIC = [
+    "Custom", "DegenerateIterate", "EnergyReport", "Grid", "GridFunction",
+    "InitPolicy", "Interval", "IterationTrace", "MaskDomain",
+    "NonConvergence", "PositiveConstant", "RandomPositive", "Rectangle",
+    "SolverConfig", "SweepResult", "build_grid", "check_monotonicity",
+    "consistency_estimators", "inradius", "inverse_iterate",
+    "lambda2_reference", "lambda_p_shooting_1d", "monotone_supnorm_check",
+    "p_norm_pow", "rayleigh_bruteforce", "rayleigh_quotient", "solve_step",
+    "sweep", "verify",
+]
+
+
+def test_public_names():
+    import pground
+    assert sorted(pground.__all__) == PUBLIC
+    assert all(getattr(pground, name) is not None for name in PUBLIC)
+
+
 @pytest.mark.parametrize("module", ["pground", "pground.cli"])
 def test_import_leaves_unused_scipy_out(module):
     assert _loaded(f"import {module}") == []

@@ -13,7 +13,7 @@ from pground.calculus import GridFunction
 from pground.geometry import (SHARED_GRIDS, Grid, Interval, MaskDomain,
                               Rectangle, build_grid, shared_grid)
 from pground.infinity import sweep
-from pground.inner import SolverConfig, signed_power, solve_step
+from pground.inner import SolverConfig, _signed_power, solve_step
 from pground.iteration import (Custom, DegenerateIterate, PositiveConstant,
                                RandomPositive, barrier_sup_bound,
                                check_barrier, check_monotonicity,
@@ -56,9 +56,9 @@ class TestInitPolicies:
             make_initial(interval_grid, Custom(u))
 
     def test_zero_custom_raises(self, interval_grid):
+        zero = GridFunction(interval_grid, np.zeros(interval_grid.shape))
         with pytest.raises(DegenerateIterate):
-            inverse_iterate(Interval(0.0, 1.0), 31, 3.0,
-                            Custom(GridFunction.zero(interval_grid)))
+            inverse_iterate(Interval(0.0, 1.0), 31, 3.0, Custom(zero))
 
     def test_custom_rebuilt_on_target_grid(self, square_grid, l_mask):
         # the L-shape grid has the square grid's node shape
@@ -541,9 +541,10 @@ class TestWarmStartedSteps:
         g = build_grid(Interval(0.0, 1.0), 31)
         cfg = SolverConfig(p=1.5)
         u = make_initial(g, RandomPositive(seed=2))
-        warm = solve_step(signed_power(u, 1.5), cfg)
+        warm = solve_step(GridFunction(g, _signed_power(u.values, 1.5)), cfg)
         solves = _eps_per_solve(monkeypatch)
-        solve_step(signed_power(warm, 1.5), cfg, initial=warm)
+        solve_step(GridFunction(g, _signed_power(warm.values, 1.5)), cfg,
+                   initial=warm)
         assert solves == [list(cfg.resolved_eps(g.h))]
 
     @pytest.mark.parametrize("spec, n, lam", [

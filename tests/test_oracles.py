@@ -5,9 +5,8 @@ import pytest
 
 from pground.geometry import Interval, Rectangle
 from pground.iteration import PositiveConstant, inverse_iterate
-from pground.oracles import (SizeExceeded, lambda2_reference,
-                             lambda_p_shooting_1d, rayleigh_bruteforce,
-                             shooting_profile)
+from pground.oracles import (SizeExceeded, _first_zero, lambda2_reference,
+                             lambda_p_shooting_1d, rayleigh_bruteforce)
 
 
 def pi_p(p: float) -> float:
@@ -69,17 +68,24 @@ class TestShooting:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             lambda_p_shooting_1d(1.0)
-        with pytest.raises(ValueError):
-            lambda_p_shooting_1d(2.0, tol=0.0)
+        # an infinite tolerance ran no bisection step and returned the
+        # bracket's midpoint as the eigenvalue
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                lambda_p_shooting_1d(2.0, tol=tol)
 
     def test_profile_p2_is_sine(self):
-        x, u = shooting_profile(2.0, math.pi ** 2, num=257)
-        assert np.allclose(u, np.sin(math.pi * x), atol=1e-6)
+        # started with u'(0) = 1, the p = 2 profile is sin(pi x) / pi
+        x = np.linspace(0.0, 1.0, 257)
+        u = _first_zero(2.0, math.pi ** 2, x_end=1.0)[1].sol(x)[0]
+        assert np.allclose(math.pi * u, np.sin(math.pi * x), atol=1e-6)
 
     def test_profile_normalized(self):
-        x, u = shooting_profile(3.0, lambda_p_closed_form(3.0), num=257)
-        assert np.abs(u).max() == pytest.approx(1.0)
-        assert abs(u[0]) < 1e-8 and abs(u[-1]) < 1e-6
+        # at the closed-form eigenvalue the profile vanishes at both ends
+        x = np.linspace(0.0, 1.0, 257)
+        u = _first_zero(3.0, lambda_p_closed_form(3.0), x_end=1.0)[1].sol(x)[0]
+        u_sup = np.abs(u).max()
+        assert abs(u[0]) < 1e-8 * u_sup and abs(u[-1]) < 1e-6 * u_sup
 
 
 class TestBruteforce:
@@ -105,3 +111,9 @@ class TestBruteforce:
     def test_size_cap(self):
         with pytest.raises(SizeExceeded):
             rayleigh_bruteforce(Interval(0.0, 1.0), 100, 3.0)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_no_restart(self, restarts):
+        # no local minimization returned the value inf
+        with pytest.raises(ValueError, match="restarts"):
+            rayleigh_bruteforce(Interval(0.0, 1.0), 3, 3.0, restarts=restarts)
