@@ -2,7 +2,7 @@
 
 from .geometry import Grid, Interval, MaskDomain, Rectangle, build_grid, inradius
 from .calculus import EnergyReport, GridFunction, p_norm_pow, rayleigh_quotient
-from .inner import NonConvergence, SolverConfig, solve_step
+from .inner import NonConvergence
 from .iteration import (Custom, DegenerateIterate, InitPolicy, IterationTrace,
                         PositiveConstant, RandomPositive, check_monotonicity,
                         consistency_estimators, inverse_iterate, verify)
@@ -12,8 +12,7 @@ from .infinity import SweepResult, monotone_supnorm_check, sweep
 __all__ = [
     "Grid", "Interval", "MaskDomain", "Rectangle", "build_grid", "inradius",
     "EnergyReport", "GridFunction", "p_norm_pow", "rayleigh_quotient",
-    "NonConvergence", "SolverConfig", "solve_step",
-    "Custom", "DegenerateIterate", "InitPolicy", "IterationTrace",
+    "NonConvergence", "Custom", "DegenerateIterate", "InitPolicy", "IterationTrace",
     "PositiveConstant", "RandomPositive", "check_monotonicity",
     "consistency_estimators", "inverse_iterate", "lambda2_reference",
     "lambda_p_shooting_1d", "rayleigh_bruteforce", "SweepResult",

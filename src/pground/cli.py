@@ -22,7 +22,7 @@ import sys
 from . import geometry, traceio
 from .geometry import DomainError, Interval, Rectangle, shared_grid
 from .infinity import sweep as run_sweep
-from .inner import NonConvergence, SolverConfig
+from .inner import NonConvergence
 from .iteration import (Custom, DegenerateIterate, InitPolicy,
                         PositiveConstant, RandomPositive, inverse_iterate,
                         verify)
@@ -111,9 +111,9 @@ def _apply_config(parser, args, argv):
 def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
     init = _parse_init(args.init, shared_grid(spec, args.n))
-    cfg = SolverConfig(p=args.p, tol_grad=args.tol_grad)
     trace = inverse_iterate(spec, args.n, args.p, init, K_max=args.max_steps,
-                            tol_outer=args.tol, cfg=cfg, verbose=args.verbose)
+                            tol_outer=args.tol, tol_grad=args.tol_grad,
+                            verbose=args.verbose)
     traceio.write_trace_csv(args.out + ".trace.csv", trace)
     traceio.write_summary_json(args.out + ".summary.json", trace)
     print(json.dumps(traceio.trace_summary(trace)))

@@ -119,7 +119,8 @@ def _count_components(cells: np.ndarray) -> int:
 
 def read_mask_file(path) -> MaskDomain:
     """Parse the plain-text mask format: "W H h", then H rows of W characters,
-    '#' inside / '.' outside, listed top row first."""
+    '#' inside / '.' outside, listed top row first.  Every DomainError names
+    the file, a `MaskDomain` error at its end."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -146,7 +147,10 @@ def read_mask_file(path) -> MaskDomain:
                 cells[ix, iy] = True
             elif ch != ".":
                 raise DomainError(f"{path}: bad character {ch!r} in row {r}")
-    return MaskDomain(width=w, height=hgt, cells=cells, cell_size=size)
+    try:
+        return MaskDomain(width=w, height=hgt, cells=cells, cell_size=size)
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {path}") from None
 
 
 def write_mask_file(path, spec: MaskDomain) -> None:

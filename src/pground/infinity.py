@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import DomainSpec, inradius, shared_grid
-from .inner import NonConvergence, SolverConfig
+from .inner import NonConvergence
 from .iteration import (Custom, IterationTrace, PositiveConstant,
                         inverse_iterate)
 
@@ -54,10 +54,10 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
     entries, traces = [], []
     init = PositiveConstant()
     for p in p_list:
-        cfg = SolverConfig(p=p, tol_grad=tol_grad)
         try:
             tr = inverse_iterate(spec, n, p, init, K_max=K_max,
-                                 tol_outer=tol_outer, cfg=cfg, verbose=verbose)
+                                 tol_outer=tol_outer, tol_grad=tol_grad,
+                                 verbose=verbose)
             if tr.converged:
                 init = Custom(tr.final)
             ratios = tuple(s.report.grad_sup / s.report.sup_norm

@@ -40,8 +40,9 @@ at the first iteration that contracts the residual too little (a chord
 method, Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 1995, ch. 5; `_descend`).  The factor passes from step to step through the
 `carry` list of `solve_step_with_stats`, a local of the call, so no solve
-depends on an earlier one: the first step, each sweep point and every
-standalone solve start fresh, and so does every eps stage before the last.
+depends on an earlier one: the first step of each call, each sweep point
+and every solve given no carry start fresh, and so does every eps stage
+before the last.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
@@ -82,7 +83,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,64 +120,28 @@ class NonConvergence(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for one inner solve.
+MAX_INNER_ITERS = 200_000  # iteration budget of one inner solve, all stages
 
-    tol_grad is the absolute stopping threshold on the sup-norm of the
-    objective gradient; when None it defaults to 1e-10 * max(1, sup|f|),
-    which keeps the test invariant under rescaling of the right-hand side.
-    A last eps stage preconditioned by the cell Hessian also holds its
-    Newton decrement to the relative tolerance tau = 100 resolved_tol(1.0),
-    the slack `check_monotonicity` grants (`_descend`).
-    eps_schedule None means: no regularization for p >= 2, and a quarter-ratio
-    continuation from 16 h^2 down to h^2 / 4096 for p < 2.  Stopping the
-    continuation at h^2 leaves a measurable bias in the converged Rayleigh
-    quotient (relative 4e-5 at h = 1/32, p = 1.5); the longer tail removes
-    it.  The continuation is there for a start far from the minimizer, such
-    as zero: `inverse_iterate` runs the whole schedule on a first step from
-    zero only and solves each warm-started step (every later one, and the
-    first from a `Custom` init) at the last eps alone.
-    """
 
-    p: float
-    tol_grad: float | None = None
-    max_inner_iters: int = 200_000
-    eps_schedule: tuple | None = None
+def _resolved_tol(f_sup: float, tol_grad: float | None) -> float:
+    """The absolute stopping threshold on the sup-norm of the objective
+    gradient: tol_grad, or when None 1e-10 * max(1, sup|f|), which keeps the
+    test invariant under rescaling of the right-hand side."""
+    if tol_grad is not None:
+        return tol_grad
+    return 1e-10 * max(1.0, f_sup)
 
-    def __post_init__(self):
-        if not 1 < self.p < math.inf:
-            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
-        if self.tol_grad is not None and not 0 < self.tol_grad < math.inf:
-            raise ValueError(
-                f"tol_grad must be positive and finite, got {self.tol_grad}")
-        if not self.max_inner_iters >= 1:
-            raise ValueError(
-                f"max_inner_iters must be at least 1, got "
-                f"{self.max_inner_iters}")
-        if self.eps_schedule is not None:
-            sched = tuple(float(e) for e in self.eps_schedule)
-            if not sched:
-                raise ValueError("eps schedule must not be empty")
-            if not all(0 <= e < math.inf for e in sched):
-                raise ValueError(
-                    f"eps entries must be finite and nonnegative, got {sched}")
-            if any(a < b for a, b in zip(sched, sched[1:])):
-                raise ValueError("eps schedule must be nonincreasing")
-            object.__setattr__(self, "eps_schedule", sched)
 
-    def resolved_tol(self, f_sup: float) -> float:
-        if self.tol_grad is not None:
-            return self.tol_grad
-        return 1e-10 * max(1.0, f_sup)
-
-    def resolved_eps(self, h: float) -> tuple:
-        if self.eps_schedule is not None:
-            return self.eps_schedule
-        if self.p >= 2:
-            return (0.0,)
-        e = h * h
-        return tuple(16 * e * 0.25 ** k for k in range(9))
+def _eps_schedule(p: float, h: float) -> tuple:
+    """The eps stages of a solve from zero: the single eps = 0 for p >= 2,
+    and for p < 2 a quarter-ratio continuation from 16 h^2 down to
+    h^2 / 4096.  Stopping the continuation at h^2 leaves a measurable bias
+    in the converged Rayleigh quotient (relative 3e-6 at h = 1/32, p = 1.5,
+    on the interval and the L-shape); the longer tail removes it."""
+    if p >= 2:
+        return (0.0,)
+    e = h * h
+    return tuple(16 * e * 0.25 ** k for k in range(9))
 
 
 def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
@@ -189,28 +153,29 @@ def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
         return np.where(a > 0, a ** (p - 2) * v, 0.0)
 
 
-def solve_step(f: GridFunction, cfg: SolverConfig,
-               initial: GridFunction | None = None,
-               verbose: bool = False) -> GridFunction:
-    """Minimizer of the inner objective for right-hand side f."""
-    grid = f.grid
-    x, _ = solve_step_with_stats(
-        grid, f.values[grid.interior], cfg, verbose=verbose,
-        initial=None if initial is None else initial.values[grid.interior])
-    return GridFunction.from_interior(grid, x)
-
-
-def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
+def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
+                          tol_grad: float | None = None,
                           initial: np.ndarray | None = None,
                           verbose: bool = False, carry: list | None = None):
-    """Like solve_step on interior node vectors (the right-hand side f, the
-    start, zero if None, and the minimizer x) and also returns the total
-    inner iteration count, as (x, iterations).
+    """Minimizer of the inner objective for the right-hand side f, on
+    interior node vectors (f, the start and the minimizer x), with the total
+    inner iteration count, as (x, iterations).  tol_grad is the absolute
+    stopping threshold on the gradient sup-norm (`_resolved_tol`).
 
-    Every eps stage runs, each from the previous stage's last iterate and
-    with what is left of max_inner_iters; NonConvergence, carrying the last
-    iterate as a GridFunction, is raised when the last stage ends above the
-    tolerance.
+    A solve from zero (initial None) runs every stage of `_eps_schedule`,
+    each from the previous stage's last iterate and with what is left of
+    MAX_INNER_ITERS; the continuation is there for a start that far from
+    the minimizer.  A solve given a start runs the last eps only: the
+    strictly convex problem's minimizer does not depend on the start, and
+    the continuation would walk a start close to it away and back.  At
+    p >= 2 the schedule is the single eps = 0.  NonConvergence, carrying the
+    last iterate as a GridFunction, is raised when the last stage ends above
+    the tolerance.
+
+    A last eps stage preconditioned by the cell Hessian also holds its
+    Newton decrement to the relative tolerance tau = 100
+    _resolved_tol(1.0, tol_grad), the slack `check_monotonicity` grants
+    (`_descend`).
 
     carry, a list that is empty or holds one factor, is handed to the last
     stage: at p != 2 that stage starts on the factor in it and leaves there
@@ -219,20 +184,20 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, cfg: SolverConfig,
 
     The solve runs with BLAS on one thread (`_one_blas_thread`), whatever
     the caller's count, which it restores."""
-    tol = cfg.resolved_tol(float(np.abs(f).max(initial=0.0)))
-    eps_stages = cfg.resolved_eps(grid.h)
+    tol = _resolved_tol(float(np.abs(f).max(initial=0.0)), tol_grad)
+    eps_stages = _eps_schedule(p, grid.h)
+    if initial is not None:
+        eps_stages = eps_stages[-1:]
     fh = f * grid.h ** grid.dim
     x = np.zeros(grid.num_interior) if initial is None else initial
     total_iters = 0
-    # the relative slack `verify` grants, which the last stage's Newton
-    # decrement is held to
-    tau = 100 * cfg.resolved_tol(1.0)
+    tau = 100 * _resolved_tol(1.0, tol_grad)
     with _one_blas_thread():
         for stage, eps in enumerate(eps_stages):
             last = stage == len(eps_stages) - 1
-            x, used, residual = _descend(grid, x, fh, cfg, eps,
+            x, used, residual = _descend(grid, x, fh, p, eps,
                                          tol if last else 100 * tol,
-                                         cfg.max_inner_iters - total_iters,
+                                         MAX_INNER_ITERS - total_iters,
                                          verbose, tau if last else None,
                                          carry if last else None)
             total_iters += used
@@ -727,7 +692,7 @@ def _backtrack(t: float, slope: float, rise: float) -> float:
     return min(max(t_min, BACKTRACK_MIN * t), BACKTRACK * t)
 
 
-def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
+def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
              eps: float, tol: float, budget: int, verbose: bool,
              tau: float | None = None, carry: list | None = None):
     """Monotone preconditioned descent with BB step scaling from the
@@ -802,7 +767,6 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, cfg: SolverConfig,
     is not finite (the energy overflows at large p), where the quadratic has
     no value to go on, and the floor regime, where phi(t) - phi(0) is
     rounding and the quadratic would be fitted to noise."""
-    p = cfg.p
     hd = grid.h ** grid.dim
     J, c, w = _energy(grid, x, fh, p, eps)
     g = _nodal_gradient(grid, c, w, fh)

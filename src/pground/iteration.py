@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .calculus import (EnergyReport, GridFunction, _norm_pow, _quotient,
                        _report_logs)
 from .geometry import DomainSpec, Grid, Rectangle, shared_grid
-from .inner import SolverConfig, _signed_power, solve_step_with_stats
+from .inner import _resolved_tol, _signed_power, solve_step_with_stats
 
 
 class DegenerateIterate(RuntimeError):
@@ -127,7 +127,7 @@ def barrier_sup_bound(grid: Grid, p: float) -> float:
 
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
-                    cfg: SolverConfig | None = None,
+                    tol_grad: float | None = None,
                     min_steps: int = 3,
                     verbose: bool = False) -> IterationTrace:
     """Run the normalized inverse iteration and record its trace.
@@ -136,13 +136,12 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     outer steps (at least 3, the steps `check_monotonicity` needs), which is
     useful for observing a fixed point over a set number of steps.
 
-    Step 1 from a `PositiveConstant` or `RandomPositive` init starts its
-    inner solve from zero and runs cfg's whole eps schedule.  Every later
+    tol_grad is each inner solve's absolute gradient tolerance, None for
+    the default (`solve_step_with_stats`).  Step 1 from a `PositiveConstant`
+    or `RandomPositive` init starts its inner solve from zero.  Every later
     step, and step 1 from a `Custom` init, starts from the previous iterate
-    scaled by R^(-1/(p-1)), close to its minimizer, and solves at the last
-    eps only: the strictly convex inner problem's minimizer does not depend
-    on the start, and the continuation would walk the start away from it
-    and back.  At p >= 2 the schedule is the single eps = 0.
+    scaled by R^(-1/(p-1)), close to its minimizer, so its inner solve runs
+    the last eps stage only.
 
     The solve runs on the process's grid for (spec, n)
     (`geometry.shared_grid`), with the operators and factorizations that
@@ -155,12 +154,13 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     if not 0 < tol_outer < math.inf:
         raise ValueError(f"tol_outer must be positive and finite, got "
                          f"{tol_outer}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
+    if tol_grad is not None and not 0 < tol_grad < math.inf:
+        raise ValueError(
+            f"tol_grad must be positive and finite, got {tol_grad}")
     if min_steps < 3:
         raise ValueError("min_steps must be at least 3")
-    if cfg is None:
-        cfg = SolverConfig(p=p)
-    elif cfg.p != p:
-        raise ValueError(f"cfg.p={cfg.p} disagrees with p={p}")
     grid = shared_grid(spec, n)
 
     x = make_initial(grid, init).values[grid.interior]
@@ -170,7 +170,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     x = (1.0 / norm0) * x
 
     trace = IterationTrace(p=p, h=grid.h)
-    trace.tol_grad = cfg.resolved_tol(1.0)
+    trace.tol_grad = _resolved_tol(1.0, tol_grad)
     report, *logs = _report_logs(grid, x, p)
     R = _quotient(*logs)
     trace.steps.append(TraceStep(
@@ -178,9 +178,6 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         inner_iters=0))
     trace.barrier_bound = barrier_sup_bound(grid, p) * report.sup_norm
 
-    # the config of the warm-started steps: the last eps stage only
-    warm_cfg = replace(cfg, eps_schedule=cfg.resolved_eps(grid.h)[-1:])
-    cold_first = not isinstance(init, Custom)
     # the cell-Hessian factor one step's last stage ended on, which the
     # next starts on (`_descend`); it lives for this call only
     carry = []
@@ -188,11 +185,10 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         # warm start at the expected scale of the raw next iterate
         R_prev = R
         scale = R_prev ** (-1.0 / (p - 1)) if math.isfinite(R_prev) else 1.0
-        step_cfg, guess = ((cfg, None) if k == 1 and cold_first
-                           else (warm_cfg, scale * x))
-        x, iters = solve_step_with_stats(grid, _signed_power(x, p), step_cfg,
-                                         initial=guess, verbose=verbose,
-                                         carry=carry)
+        guess = None if k == 1 and not isinstance(init, Custom) else scale * x
+        x, iters = solve_step_with_stats(grid, _signed_power(x, p), p,
+                                         tol_grad, initial=guess,
+                                         verbose=verbose, carry=carry)
         c = _norm_pow(grid, x, p) ** (1.0 / p)
         if not (c > 0 and math.isfinite(c)):
             raise DegenerateIterate(f"iterate {k} has L^p norm {c}")

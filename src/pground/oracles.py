@@ -137,6 +137,8 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
         raise RuntimeError("failed to bracket the first eigenvalue")
     while (hi - lo) > tol * lo:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent doubles: a tol below their spacing
+            break
         z, _ = _first_zero(p, mid)
         if z is None or z > 1.0:
             lo = mid

@@ -248,7 +248,7 @@ class TestUsageErrors:
                                "--p", "2", "--out", "/tmp/x")
         assert code == 1
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     def test_non_finite_tolerance(self, capsys, tol):
         # a bad setting is a usage error, not a solver failure: with
         # inf the solve ran no inner iteration and reported a degenerate
@@ -259,6 +259,14 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: tol_grad")
+
+    @pytest.mark.parametrize("p", ["1", "0.5", "inf", "nan"])
+    def test_bad_p(self, capsys, p):
+        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                 "--n", "15", "--p", p, "--out", "/tmp/x")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: p must")
 
     @pytest.mark.parametrize("domain, bounds", [
         ("rect", "0,inf,0,1"), ("rect", "-inf,1,0,1"), ("rect", "0,1,nan,1")])
@@ -284,6 +292,18 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cell_size")
+        assert err.rstrip().endswith(f" in {path}")
+
+    def test_disconnected_mask_names_file(self, tmp_path, capsys):
+        path = tmp_path / "split.mask"
+        path.write_text("2 2 0.5\n#.\n.#\n")
+        code, out, err = run_cli(capsys, "solve", "--domain", f"mask:{path}",
+                                 "--n", "8", "--p", "3",
+                                 "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: mask interior is not 4-connected "
+                       f"(2 components) in {path}\n")
 
     def test_missing_mask_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain",
@@ -329,6 +349,15 @@ class TestSweep:
                                "--out", str(tmp_path / "sw"))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_rejects_non_finite_p(self, tmp_path, capsys, p):
+        code, stdout, err = run_cli(capsys, "sweep", "--domain", "interval",
+                                    "--n", "16", "--p-list", p,
+                                    "--out", str(tmp_path / "sw"))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: p must")
 
 
 class TestOverflow:

@@ -33,16 +33,17 @@ PUBLIC = [
     "Custom", "DegenerateIterate", "EnergyReport", "Grid", "GridFunction",
     "InitPolicy", "Interval", "IterationTrace", "MaskDomain",
     "NonConvergence", "PositiveConstant", "RandomPositive", "Rectangle",
-    "SolverConfig", "SweepResult", "build_grid", "check_monotonicity",
+    "SweepResult", "build_grid", "check_monotonicity",
     "consistency_estimators", "inradius", "inverse_iterate",
     "lambda2_reference", "lambda_p_shooting_1d", "monotone_supnorm_check",
-    "p_norm_pow", "rayleigh_bruteforce", "rayleigh_quotient", "solve_step",
-    "sweep", "verify",
+    "p_norm_pow", "rayleigh_bruteforce", "rayleigh_quotient", "sweep",
+    "verify",
 ]
 
 
 def test_public_names():
     import pground
+    assert len(PUBLIC) == 27
     assert sorted(pground.__all__) == PUBLIC
     assert all(getattr(pground, name) is not None for name in PUBLIC)
 

@@ -16,8 +16,8 @@ from pground.calculus import GridFunction, _energy, _nodal_gradient
 from pground.geometry import Interval, MaskDomain, Rectangle, \
     _gradient_operators, build_grid, shared_grid
 from pground.infinity import sweep
-from pground.inner import (NonConvergence, SolverConfig, _signed_power,
-                           solve_step, solve_step_with_stats)
+from pground.inner import (NonConvergence, _eps_schedule, _resolved_tol,
+                           _signed_power, solve_step_with_stats)
 from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
                                verify)
 from pground.oracles import dirichlet_laplacian_matrix
@@ -37,11 +37,13 @@ def cell_grad_sq(grid, v):
     return (cells * cells).sum(-1)[grid.cell_mask]
 
 
-def solve_stats(f, cfg):
-    """`solve_step_with_stats` on f's interior values, its minimizer as a
-    GridFunction."""
+def solve_stats(f, p, tol_grad=None, initial=None):
+    """`solve_step_with_stats` on the interior values of f and of the start
+    (None for zero), its minimizer as a GridFunction."""
     g = f.grid
-    x, iters = solve_step_with_stats(g, f.values[g.interior], cfg)
+    x, iters = solve_step_with_stats(
+        g, f.values[g.interior], p, tol_grad,
+        initial=None if initial is None else initial.values[g.interior])
     return GridFunction.from_interior(g, x), iters
 
 
@@ -102,52 +104,36 @@ class TestSignedPower:
 
 
 class TestSolverConfig:
+    """A solve's settings: p and tol_grad, which `inverse_iterate` checks,
+    and the default gradient tolerance and eps schedule."""
+
+    SPEC = Interval(0.0, 1.0)
+
     def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            SolverConfig(p=1.0)
+        for p in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="p must"):
+                inverse_iterate(self.SPEC, 15, p, PositiveConstant())
 
-    def test_rejects_increasing_eps(self):
-        with pytest.raises(ValueError):
-            SolverConfig(p=1.5, eps_schedule=(1e-4, 1e-2))
-
-    @pytest.mark.parametrize("iters", [0, -5])
-    def test_rejects_empty_budget(self, iters):
-        # no iteration would ever evaluate the start against the tolerance
-        with pytest.raises(ValueError):
-            SolverConfig(p=3.0, max_inner_iters=iters)
-
-    def test_rejects_empty_eps_schedule(self):
-        # a solve with no stage would have no residual to decide on
-        with pytest.raises(ValueError):
-            SolverConfig(p=3.0, eps_schedule=())
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
     def test_rejects_non_finite_tolerance(self, tol):
         # tol_grad=inf ended every descent before its first iteration
         with pytest.raises(ValueError, match="tol_grad"):
-            SolverConfig(p=3.0, tol_grad=tol)
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_rejects_non_finite_eps(self, eps):
-        # a NaN eps made every objective NaN
-        with pytest.raises(ValueError, match="eps"):
-            SolverConfig(p=1.5, eps_schedule=(eps,))
-        with pytest.raises(ValueError, match="eps"):
-            SolverConfig(p=1.5, eps_schedule=(1e-2, eps))
+            inverse_iterate(self.SPEC, 15, 3.0, PositiveConstant(),
+                            tol_grad=tol)
 
     def test_rejects_infinite_p(self):
-        with pytest.raises(ValueError):
-            SolverConfig(p=math.inf)
+        with pytest.raises(ValueError, match="p must"):
+            inverse_iterate(self.SPEC, 15, math.inf, PositiveConstant())
 
     def test_default_tol_scales_with_rhs(self):
-        cfg = SolverConfig(p=3.0)
-        assert cfg.resolved_tol(0.5) == pytest.approx(1e-10)
-        assert cfg.resolved_tol(100.0) == pytest.approx(1e-8)
+        assert _resolved_tol(0.5, None) == pytest.approx(1e-10)
+        assert _resolved_tol(100.0, None) == pytest.approx(1e-8)
+        assert _resolved_tol(100.0, 1e-6) == 1e-6
 
     def test_default_eps_schedule(self):
         h = 0.1
-        assert SolverConfig(p=3.0).resolved_eps(h) == (0.0,)
-        sched = SolverConfig(p=1.5).resolved_eps(h)
+        assert _eps_schedule(3.0, h) == (0.0,)
+        sched = _eps_schedule(1.5, h)
         assert sched[0] == pytest.approx(16 * h * h)
         assert sched[-1] == pytest.approx(h * h / 4096)
         ratios = [a / b for a, b in zip(sched, sched[1:])]
@@ -179,7 +165,7 @@ class TestQuadraticCase:
         spec = Rectangle(0.0, 1.0, 0.0, 1.0) if two_d else Interval(0.0, 1.0)
         g = build_grid(spec, 15)
         f = random_rhs(g, 42)
-        v = solve_step(f, SolverConfig(p=2.0))
+        v, _ = solve_stats(f, 2.0)
         A = dirichlet_laplacian_matrix(g)
         direct = spsolve(A.tocsr(), f.values[g.interior])
         assert np.allclose(v.values[g.interior], direct, rtol=1e-9, atol=1e-12)
@@ -1006,8 +992,7 @@ class TestCarriedFactor:
     def test_solve_step_after_iterate_equals_fresh_grid(self):
         used = inverse_iterate(self.SPEC, 16, 16.0,
                                PositiveConstant()).final.grid
-        cfg = SolverConfig(p=16.0)
-        u, v = (solve_step(random_rhs(g, 73, nonneg=True), cfg)
+        u, v = (solve_stats(random_rhs(g, 73, nonneg=True), 16.0)[0]
                 for g in (used, build_grid(self.SPEC, 16)))
         assert np.array_equal(u.values, v.values)
 
@@ -1015,8 +1000,7 @@ class TestCarriedFactor:
     def test_poor_carried_factor_replaced(self, p):
         g = build_grid(self.SPEC, 16)
         f = random_rhs(g, 71, nonneg=True).values[g.interior]
-        cfg = SolverConfig(p=p)
-        x0, _ = solve_step_with_stats(g, f, cfg)
+        x0, _ = solve_step_with_stats(g, f, p)
         start = x0 * np.random.default_rng(5).uniform(0.8, 1.2, x0.size)
         # the p=2 Laplacian is far from the cell Hessian at p=16
         laplacian = inner.Factors.of(g).laplacian
@@ -1027,7 +1011,7 @@ class TestCarriedFactor:
             return laplacian(rhs)
 
         carry = [poor]
-        x, iters = solve_step_with_stats(g, f, cfg, initial=start,
+        x, iters = solve_step_with_stats(g, f, p, initial=start,
                                          carry=carry)
         assert 0 < calls[0] < iters
         assert len(carry) == 1 and carry[0] is not poor
@@ -1035,9 +1019,9 @@ class TestCarriedFactor:
         fh = f * hd
         _, c, w = _energy(g, x, fh, p, 0.0)
         grad = _nodal_gradient(g, c, w, fh)
-        assert np.abs(grad).max() <= cfg.resolved_tol(float(f.max()))
+        assert np.abs(grad).max() <= _resolved_tol(float(f.max()), None)
         # the decrement in the metric of the exact Hessian at the result
-        tau = 100 * cfg.resolved_tol(1.0)
+        tau = 100 * _resolved_tol(1.0, None)
         hessian = inner.Factors.of(g).preconditioner(c, w, p, 0.0)
         slope = float(np.dot(grad, hessian(grad)))
         assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
@@ -1150,7 +1134,7 @@ class TestNewtonDecrementStop:
     @staticmethod
     def _solve(monkeypatch, spec, n, p):
         # one solve from zero for a positive right-hand side; returns the
-        # grid, f, cfg, the minimizer x, its iterations, the solve callable
+        # grid, f, the minimizer x, its iterations, the solve callable
         # of each cell-Hessian factor in the order they were built, and the
         # number of triangular solves made with any factor
         built, count = [], [0]
@@ -1174,37 +1158,36 @@ class TestNewtonDecrementStop:
         monkeypatch.setattr(inner.Factors, "preconditioner", recorded)
         g = build_grid(spec, n)
         f = random_rhs(g, 71, nonneg=True).values[g.interior]
-        cfg = SolverConfig(p=p)
-        x, iters = solve_step_with_stats(g, f, cfg)
-        return g, f, cfg, x, iters, built, count[0]
+        x, iters = solve_step_with_stats(g, f, p)
+        return g, f, x, iters, built, count[0]
 
     @pytest.mark.parametrize("p", [3.0, 64.0])
     def test_newton_iterate_meets_decrement_bound(self, monkeypatch, p):
-        g, f, cfg, x, iters, built, solves = self._solve(
+        g, f, x, iters, built, solves = self._solve(
             monkeypatch, Rectangle(0.0, 1.0, 0.0, 1.0), 16, p)
         assert inner.Factors.of(g).banded
-        self._check_decrement(g, f, cfg, x, iters, built, solves, p)
+        self._check_decrement(g, f, x, iters, built, solves, p)
 
     @pytest.mark.parametrize("p", [3.0, 64.0])
     def test_superlu_iterate_meets_decrement_bound(self, monkeypatch, p,
                                                    l_mask):
         # the L-shape, whose cold start stands a SuperLU factor in for the
         # Laplacian; the last factor is the single-precision Hessian
-        g, f, cfg, x, iters, built, solves = self._solve(
+        g, f, x, iters, built, solves = self._solve(
             monkeypatch, l_mask, 72, p)
         assert not inner.Factors.of(g).banded
-        self._check_decrement(g, f, cfg, x, iters, built, solves, p)
+        self._check_decrement(g, f, x, iters, built, solves, p)
 
     @staticmethod
-    def _check_decrement(g, f, cfg, x, iters, built, solves, p):
+    def _check_decrement(g, f, x, iters, built, solves, p):
         hd = g.h ** g.dim
         fh = f * hd
         _, c, w = _energy(g, x, fh, p, 0.0)
         grad = _nodal_gradient(g, c, w, fh)
-        assert np.abs(grad).max() <= cfg.resolved_tol(float(f.max()))
+        assert np.abs(grad).max() <= _resolved_tol(float(f.max()), None)
         # the decrement in the metric of the last factor, the cell Hessian
         # the descent ended on
-        tau = 100 * cfg.resolved_tol(1.0)
+        tau = 100 * _resolved_tol(1.0, None)
         slope = float(np.dot(grad, built[-1](grad)))
         assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
         assert solves == iters + 1  # the decrement's solve at the exit
@@ -1220,13 +1203,13 @@ class TestNewtonDecrementStop:
     def test_gradient_stop_unchanged(self, monkeypatch, spec, n, p):
         # one triangular solve per iteration, none at the exit, and the
         # same iterate as a descent without the decrement test
-        g, f, cfg, x, iters, _, solves = self._solve(monkeypatch, spec, n, p)
+        g, f, x, iters, _, solves = self._solve(monkeypatch, spec, n, p)
         assert p == 2 or not inner.Factors.of(g).banded
         assert solves == iters
         descend = inner._descend
         monkeypatch.setattr(inner, "_descend",
                             lambda *args: descend(*args[:8]))
-        x0, iters0 = solve_step_with_stats(g, f, cfg)
+        x0, iters0 = solve_step_with_stats(g, f, p)
         assert iters0 == iters
         assert np.array_equal(x0, x)
 
@@ -1235,11 +1218,10 @@ class TestGeneralP:
     @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
     def test_residual_below_tolerance(self, small_interval, p):
         f = random_rhs(small_interval, 5)
-        cfg = SolverConfig(p=p)
-        v, iters = solve_stats(f, cfg)
-        tol = cfg.resolved_tol(float(np.abs(f.values).max()))
+        v, iters = solve_stats(f, p)
+        tol = _resolved_tol(float(np.abs(f.values).max()), None)
         # for p < 2 the solve targets the final regularized objective
-        eps = cfg.resolved_eps(small_interval.h)[-1]
+        eps = _eps_schedule(p, small_interval.h)[-1]
         fh = f.values[small_interval.interior] * small_interval.h
         _, c, w = _energy(small_interval, v.values[small_interval.interior],
                           fh, p, eps)
@@ -1252,10 +1234,9 @@ class TestGeneralP:
         """Pair the solution against every one-node test function; the weak
         residual is exactly the objective gradient entry at that node."""
         f = random_rhs(small_interval, 6)
-        cfg = SolverConfig(p=p)
-        v = solve_step(f, cfg)
-        tol = cfg.resolved_tol(float(np.abs(f.values).max()))
-        eps = cfg.resolved_eps(small_interval.h)[-1]
+        v, _ = solve_stats(f, p)
+        tol = _resolved_tol(float(np.abs(f.values).max()), None)
+        eps = _eps_schedule(p, small_interval.h)[-1]
         fh = f.values[small_interval.interior] * small_interval.h
         _, c, w = _energy(small_interval, v.values[small_interval.interior],
                           fh, p, eps)
@@ -1265,9 +1246,8 @@ class TestGeneralP:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_comparison_nonnegative_rhs(self, small_interval, p):
         f = random_rhs(small_interval, 7, nonneg=True)
-        cfg = SolverConfig(p=p)
-        v = solve_step(f, cfg)
-        tol = cfg.resolved_tol(float(np.abs(f.values).max()))
+        v, _ = solve_stats(f, p)
+        tol = _resolved_tol(float(np.abs(f.values).max()), None)
         assert float(v.values.min()) >= -10 * tol
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -1275,11 +1255,10 @@ class TestGeneralP:
         """Strict convexity: the solve lands at the same point from the zero
         start and from a random warm start."""
         f = random_rhs(small_interval, 8)
-        cfg = SolverConfig(p=p)
-        v0 = solve_step(f, cfg)
+        v0, _ = solve_stats(f, p)
         warm = random_rhs(small_interval, 9).scaled(5.0)
-        v1 = solve_step(f, cfg, initial=warm)
-        tol = cfg.resolved_tol(float(np.abs(f.values).max()))
+        v1, _ = solve_stats(f, p, initial=warm)
+        tol = _resolved_tol(float(np.abs(f.values).max()), None)
         assert float(np.abs(v0.values - v1.values).max()) <= 100 * tol
 
     @settings(max_examples=15, deadline=None)
@@ -1295,18 +1274,16 @@ class TestGeneralP:
         objective develops under extreme rescaling."""
         g = build_grid(Interval(0.0, 1.0), 9)
         f = random_rhs(g, seed)
-        cfg = SolverConfig(p=p)
-        v = solve_step(f, cfg)
+        v, _ = solve_stats(f, p)
         f_scaled = GridFunction(g, c ** (p - 1) * f.values)
-        v_scaled = solve_step(f_scaled, cfg)
+        v_scaled, _ = solve_stats(f_scaled, p)
         assert np.allclose(v_scaled.values, c * v.values,
                            rtol=1e-5, atol=1e-8)
 
     def test_solve_solves_equation_2d(self, square_grid):
         f = random_rhs(square_grid, 10)
-        cfg = SolverConfig(p=3.0)
-        v = solve_step(f, cfg)
-        tol = cfg.resolved_tol(float(np.abs(f.values).max()))
+        v, _ = solve_stats(f, 3.0)
+        tol = _resolved_tol(float(np.abs(f.values).max()), None)
         g = square_grid
         fh = f.values[g.interior] * g.h ** 2
         _, c, w = _energy(g, v.values[g.interior], fh, 3.0, 0.0)
@@ -1315,54 +1292,55 @@ class TestGeneralP:
 
 
 class TestFailureModes:
-    def test_budget_exhausted_raises(self, small_interval):
+    def test_budget_exhausted_raises(self, small_interval, monkeypatch):
         f = random_rhs(small_interval, 11)
-        cfg = SolverConfig(p=3.0, max_inner_iters=2)
+        monkeypatch.setattr(inner, "MAX_INNER_ITERS", 2)
         with pytest.raises(NonConvergence) as exc_info:
-            solve_step(f, cfg)
+            solve_stats(f, 3.0)
         exc = exc_info.value
         assert exc.best is not None
         assert exc.residual > exc.tol
 
     def test_unreachable_tolerance_raises(self, small_interval):
         f = random_rhs(small_interval, 12)
-        cfg = SolverConfig(p=3.0, tol_grad=1e-30)
         with pytest.raises(NonConvergence) as exc_info:
-            solve_step(f, cfg)
+            solve_stats(f, 3.0, tol_grad=1e-30)
         # the 300-iteration no-progress floor ends it, not the 200,000 cap
         assert exc_info.value.iterations <= 1000
 
     def test_nan_gradient_raises(self):
         # from the zero start every cell is flat, so at p < 2 and eps = 0
         # the weights 0^(p/2-1) are infinite and the gradient is NaN
+        # (the continuation from a positive eps avoids it)
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 8)
         f = GridFunction.constant(g, 1.0)
+        fh = f.values[g.interior] * g.h ** 2
+        tol = _resolved_tol(1.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergence) as exc_info:
-                solve_stats(f, SolverConfig(p=1.5, eps_schedule=(0.0,)))
-            assert exc_info.value.iterations == 0
-            for schedule in [(0.01, 0.0), None]:
-                cfg = SolverConfig(p=1.5, eps_schedule=schedule)
-                v, iters = solve_stats(f, cfg)
-                eps = cfg.resolved_eps(g.h)[-1]
-                fh = f.values[g.interior] * g.h ** 2
-                _, c, w = _energy(g, v.values[g.interior], fh, 1.5, eps)
-                res = _nodal_gradient(g, c, w, fh)
-                assert iters > 0
-                assert float(np.abs(res).max()) <= 10 * cfg.resolved_tol(1.0)
+            _, iters, residual = inner._descend(
+                g, np.zeros(g.num_interior), fh, 1.5, 0.0, tol,
+                inner.MAX_INNER_ITERS, False)
+            assert iters == 0
+            assert not residual <= tol
+            v, iters = solve_stats(f, 1.5)
+        eps = _eps_schedule(1.5, g.h)[-1]
+        _, c, w = _energy(g, v.values[g.interior], fh, 1.5, eps)
+        res = _nodal_gradient(g, c, w, fh)
+        assert iters > 0
+        assert float(np.abs(res).max()) <= 10 * tol
 
-    def test_budget_exhausted_before_last_stage(self):
+    def test_budget_exhausted_before_last_stage(self, monkeypatch):
         # p < 2 runs an eps continuation; the budget runs out in its first
         # stage, the later stages only evaluate their start, and the solve
         # reports the last iterate on its grid against the target tolerance
         g = build_grid(Interval(0.0, 1.0), 15)
-        cfg = SolverConfig(p=1.5, max_inner_iters=3)
+        monkeypatch.setattr(inner, "MAX_INNER_ITERS", 3)
         with pytest.raises(NonConvergence) as exc_info:
-            solve_stats(GridFunction.constant(g, 1.0), cfg)
+            solve_stats(GridFunction.constant(g, 1.0), 1.5)
         exc = exc_info.value
         assert isinstance(exc.best, GridFunction) and exc.best.grid is g
         assert exc.iterations == 3
-        assert exc.tol == cfg.resolved_tol(1.0)
+        assert exc.tol == _resolved_tol(1.0, None)
         assert exc.tol < exc.residual < math.inf
 
 
@@ -1418,8 +1396,8 @@ class TestLineSearch:
             return J, c, w
 
         monkeypatch.setattr(inner, "_energy", recording)
-        x, iters, _ = inner._descend(g, np.zeros(g.num_interior), fh,
-                                     SolverConfig(p=2.0), 0.0, 0.0, 1, False)
+        x, iters, _ = inner._descend(g, np.zeros(g.num_interior), fh, 2.0,
+                                     0.0, 0.0, 1, False)
         assert iters == 1
         return trials, inner.ARMIJO_C * float(np.dot(-fh, d)) / hd, x, exact
 
@@ -1492,7 +1470,7 @@ class TestBlasThreads:
     def _solve(p=3.0):
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
         return solve_step_with_stats(g, random_rhs(g, 83).values[g.interior],
-                                     SolverConfig(p=p))[0]
+                                     p)[0]
 
     def test_one_thread_inside_caller_count_after(self, monkeypatch,
                                                   two_threads):

@@ -13,7 +13,7 @@ from pground.calculus import GridFunction
 from pground.geometry import (SHARED_GRIDS, Grid, Interval, MaskDomain,
                               Rectangle, build_grid, shared_grid)
 from pground.infinity import sweep
-from pground.inner import SolverConfig, _signed_power, solve_step
+from pground.inner import _eps_schedule, _signed_power
 from pground.iteration import (Custom, DegenerateIterate, PositiveConstant,
                                RandomPositive, barrier_sup_bound,
                                check_barrier, check_monotonicity,
@@ -108,12 +108,6 @@ class TestIteration:
         tr.converged = False
         with pytest.raises(ValueError):
             consistency_estimators(tr)
-
-    def test_cfg_p_mismatch(self):
-        from pground.inner import SolverConfig
-        with pytest.raises(ValueError):
-            inverse_iterate(Interval(0.0, 1.0), 15, 3.0, PositiveConstant(),
-                            cfg=SolverConfig(p=2.0))
 
     @pytest.mark.parametrize("tol_outer", [0.0, -1.0, math.inf, math.nan])
     def test_bad_tol_outer_rejected(self, tol_outer):
@@ -432,7 +426,7 @@ def _assert_checked(tr):
 
 class TestDefaultConfigConvergence:
     """Solves that once stalled at the line search's floating-point floor
-    under the default SolverConfig (no stall_rel)."""
+    under the default settings (no stall_rel)."""
 
     @pytest.mark.parametrize("p", [32.0, 64.0])
     def test_large_p_square(self, p, monkeypatch):
@@ -497,7 +491,8 @@ class TestPreconditionerPins:
 
 def _eps_per_solve(monkeypatch):
     """The eps of every `_descend` call, one list per inner solve that
-    `inverse_iterate` or `solve_step` makes."""
+    `inverse_iterate` makes or that calls `pground.inner`'s
+    `solve_step_with_stats`."""
     solves = []
     solve, descend = (pground.inner.solve_step_with_stats,
                       pground.inner._descend)
@@ -506,9 +501,9 @@ def _eps_per_solve(monkeypatch):
         solves.append([])
         return solve(*args, **kwargs)
 
-    def recorded_descend(grid, x, fh, cfg, eps, *rest):
+    def recorded_descend(grid, x, fh, p, eps, *rest):
         solves[-1].append(eps)
-        return descend(grid, x, fh, cfg, eps, *rest)
+        return descend(grid, x, fh, p, eps, *rest)
 
     monkeypatch.setattr(pground.inner, "solve_step_with_stats",
                         recorded_solve)
@@ -525,7 +520,7 @@ class TestWarmStartedSteps:
     def test_continuation_on_first_step_only(self, monkeypatch):
         solves = _eps_per_solve(monkeypatch)
         tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, PositiveConstant())
-        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        eps = _eps_schedule(1.5, tr.h)
         assert len(eps) > 1
         assert len(solves) == tr.num_steps >= 3
         assert solves[0] == list(eps)
@@ -537,15 +532,19 @@ class TestWarmStartedSteps:
         assert len(solves) == tr.num_steps >= 3
         assert all(s == [0.0] for s in solves)
 
-    def test_solve_step_warm_start_runs_every_stage(self, monkeypatch):
+    def test_solve_from_start_runs_last_stage_only(self, monkeypatch):
+        # the inner solve alone picks its stages: all from zero, the last
+        # from a given start
         g = build_grid(Interval(0.0, 1.0), 31)
-        cfg = SolverConfig(p=1.5)
-        u = make_initial(g, RandomPositive(seed=2))
-        warm = solve_step(GridFunction(g, _signed_power(u.values, 1.5)), cfg)
+        u = make_initial(g, RandomPositive(seed=2)).values[g.interior]
+        eps = _eps_schedule(1.5, g.h)
         solves = _eps_per_solve(monkeypatch)
-        solve_step(GridFunction(g, _signed_power(warm.values, 1.5)), cfg,
-                   initial=warm)
-        assert solves == [list(cfg.resolved_eps(g.h))]
+        x, _ = pground.inner.solve_step_with_stats(g, _signed_power(u, 1.5),
+                                                   1.5)
+        pground.inner.solve_step_with_stats(g, _signed_power(x, 1.5), 1.5,
+                                            initial=x)
+        assert len(eps) > 1
+        assert solves == [list(eps), [eps[-1]]]
 
     @pytest.mark.parametrize("spec, n, lam", [
         (Interval(0.0, 1.0), 63, 5.317900976187745),
@@ -571,7 +570,7 @@ class TestCustomWarmStart:
                                PositiveConstant()).final
         solves = _eps_per_solve(monkeypatch)
         tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5, Custom(near))
-        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        eps = _eps_schedule(1.5, tr.h)
         assert len(solves) == tr.num_steps >= 3
         assert all(s == [eps[-1]] for s in solves)
 
@@ -579,7 +578,7 @@ class TestCustomWarmStart:
         solves = _eps_per_solve(monkeypatch)
         tr = inverse_iterate(Interval(0.0, 1.0), 31, 1.5,
                              RandomPositive(seed=3))
-        eps = SolverConfig(p=1.5).resolved_eps(tr.h)
+        eps = _eps_schedule(1.5, tr.h)
         assert solves[0] == list(eps)
         assert all(s == [eps[-1]] for s in solves[1:])
 

@@ -65,6 +65,11 @@ class TestShooting:
         assert abs(lams[0] - lams[1]) / lams[1] < 0.01
         assert abs(lams[2] - lams[1]) / lams[1] < 0.01
 
+    def test_tol_below_double_resolution_ends(self):
+        # the bisection ran on forever once lo and hi were adjacent doubles
+        fine = lambda_p_shooting_1d(3.0, tol=1e-20)
+        assert abs(fine - lambda_p_shooting_1d(3.0, tol=1e-15)) <= 1e-14 * fine
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             lambda_p_shooting_1d(1.0)
