@@ -73,10 +73,8 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Summary norms of one grid function."""
+    """Sup norms of one grid function and of its cell gradient."""
 
-    dirichlet_p: float
-    norm_p: float
     sup_norm: float
     grad_sup: float
 
@@ -105,13 +103,9 @@ def _report_logs(grid: Grid, x: np.ndarray, p: float):
     _require_p(p)
     c = grid.apply_G(x)
     gsq = (c * c).reshape(grid.dim, -1).sum(axis=0)
-    log_grad, log_norm = _log_pow_sum(gsq, p), _log_pow_sum(x * x, p)
-    hd = grid.h ** grid.dim
-    report = EnergyReport(dirichlet_p=_weighted_exp(log_grad, hd),
-                          norm_p=_weighted_exp(log_norm, hd),
-                          sup_norm=float(np.abs(x).max(initial=0.0)),
+    report = EnergyReport(sup_norm=float(np.abs(x).max(initial=0.0)),
                           grad_sup=float(np.sqrt(gsq.max(initial=0.0))))
-    return report, log_grad, log_norm
+    return report, _log_pow_sum(gsq, p), _log_pow_sum(x * x, p)
 
 
 def _quotient(log_grad: float, log_norm: float) -> float:
@@ -161,5 +155,5 @@ def _nodal_gradient(grid: Grid, c: np.ndarray, w: np.ndarray,
 
 
 def _require_p(p: float) -> None:
-    if not p > 1:
-        raise ValueError(f"exponent p must exceed 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"exponent p must be finite and exceed 1, got {p}")

@@ -9,7 +9,8 @@ Subcommands:
           the first-step barrier bound (SKIP where the files lack it)
 
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence, a
-degenerate iterate or floating-point overflow, 3 invariant check failure.
+degenerate iterate, floating-point overflow or an oracle that found no
+bracket, 3 invariant check failure.
 `main` maps the errors of every subcommand to codes 1 and 2.
 """
 
@@ -26,8 +27,8 @@ from .inner import NonConvergence
 from .iteration import (Custom, DegenerateIterate, InitPolicy,
                         PositiveConstant, RandomPositive, inverse_iterate,
                         verify)
-from .oracles import (SizeExceeded, lambda2_reference, lambda_p_shooting_1d,
-                      rayleigh_bruteforce)
+from .oracles import (BracketFailure, SizeExceeded, lambda2_reference,
+                      lambda_p_shooting_1d, rayleigh_bruteforce)
 
 
 class UsageError(Exception):
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     except (DomainError, SizeExceeded, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NonConvergence as exc:
+    except (NonConvergence, BracketFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateIterate as exc:

@@ -153,15 +153,6 @@ def read_mask_file(path) -> MaskDomain:
         raise DomainError(f"{exc} in {path}") from None
 
 
-def write_mask_file(path, spec: MaskDomain) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{spec.width} {spec.height} {spec.cell_size!r}\n")
-        for r in range(spec.height):
-            iy = spec.height - 1 - r
-            fh.write("".join("#" if spec.cells[ix, iy] else "."
-                             for ix in range(spec.width)) + "\n")
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform node lattice over a domain.

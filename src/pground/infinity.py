@@ -19,24 +19,23 @@ class SweepEntry:
     p: float
     lambda_R: float
     lambda_root: float              # lambda_R ** (1/p)
-    ratio_sequence: tuple           # grad_sup / sup_norm per outer step
-    final_ratio: float
+    final_ratio: float              # grad_sup / sup_norm at the last step
     converged: bool
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    p_list: tuple
     entries: tuple
     inradius_reciprocal: float
     traces: tuple = field(repr=False, default=())
 
 
 def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
-          tol_outer: float = 1e-8, tol_grad: float | None = None,
-          verbose: bool = False) -> SweepResult:
+          tol_outer: float = 1e-8, verbose: bool = False) -> SweepResult:
     """Run the inverse iteration for each exponent in p_list and collect
-    the limit diagnostics.  The first exponent starts from the positive
+    the limit diagnostics.  Every exponent must satisfy 2 < p < inf, and
+    the list must be strictly increasing (ValueError before any solve
+    otherwise).  The first exponent starts from the positive
     constant, each later one (continuation in p) from the final iterate of
     the last exponent that converged, as a `Custom` init.  A point whose
     solve raises NonConvergence, or OverflowError where a quantity exceeds
@@ -46,8 +45,10 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
     n=32 at p=64 by about 0.83 a step, converging at step 117.  Every
     point runs on the process's grid for (spec, n) (`inverse_iterate`)."""
     p_list = tuple(float(p) for p in p_list)
-    if any(p <= 2 for p in p_list):
-        raise ValueError("sweep exponents must exceed 2")
+    for p in p_list:
+        if not 2 < p < math.inf:
+            raise ValueError(f"p must be finite and exceed 2 in a sweep, "
+                             f"got {p}")
     if list(p_list) != sorted(set(p_list)):
         raise ValueError("p_list must be strictly increasing")
     rho = 1.0 / inradius(spec, shared_grid(spec, n))
@@ -56,34 +57,28 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
     for p in p_list:
         try:
             tr = inverse_iterate(spec, n, p, init, K_max=K_max,
-                                 tol_outer=tol_outer, tol_grad=tol_grad,
-                                 verbose=verbose)
+                                 tol_outer=tol_outer, verbose=verbose)
             if tr.converged:
                 init = Custom(tr.final)
-            ratios = tuple(s.report.grad_sup / s.report.sup_norm
-                           for s in tr.steps[1:])
+            last = tr.steps[-1].report
             entries.append(SweepEntry(
                 p=p, lambda_R=tr.lambda_R,
                 lambda_root=math.exp(math.log(tr.lambda_R) / p),
-                ratio_sequence=ratios, final_ratio=ratios[-1],
+                final_ratio=last.grad_sup / last.sup_norm,
                 converged=tr.converged))
             traces.append(tr)
         except (NonConvergence, OverflowError):
             entries.append(SweepEntry(p=p, lambda_R=math.nan,
                                       lambda_root=math.nan,
-                                      ratio_sequence=(), final_ratio=math.nan,
-                                      converged=False))
+                                      final_ratio=math.nan, converged=False))
             traces.append(None)
-    return SweepResult(p_list=p_list, entries=tuple(entries),
+    return SweepResult(entries=tuple(entries),
                        inradius_reciprocal=rho, traces=tuple(traces))
 
 
 @dataclass(frozen=True)
 class SupnormCheck:
     status: str          # "pass", "fail", or "skipped"
-    grad_seq_ok: bool
-    sup_seq_ok: bool
-    ratio_stable: bool
     detail: str = ""
 
     @property
@@ -91,17 +86,22 @@ class SupnormCheck:
         return self.status == "pass"
 
 
-def monotone_supnorm_check(trace: IterationTrace, lambda_inf_est: float,
-                           step_slack: float = 0.05) -> SupnormCheck:
+# per-step relative growth the sup-norm sequences may show, for the
+# finite-p deviation from the infinity limit
+STEP_SLACK = 0.05
+
+
+def monotone_supnorm_check(trace: IterationTrace,
+                           lambda_inf_est: float) -> SupnormCheck:
     """On a large-p trace, check that the un-normalized sup norms of the
     iterates and of their gradients, scaled by powers of the estimated
-    infinity eigenvalue, are nonincreasing (with per-step slack for the
-    finite-p deviation), and that their ratio stabilizes."""
+    infinity eigenvalue, are nonincreasing (to STEP_SLACK per step), and
+    that their ratio stabilizes."""
     if trace.p < 32:
-        return SupnormCheck("skipped", False, False, False,
-                            f"p={trace.p} is below the asymptotic regime (>=32)")
+        return SupnormCheck(
+            "skipped", f"p={trace.p} is below the asymptotic regime (>=32)")
     log_lam = math.log(lambda_inf_est)
-    log_slack = math.log1p(step_slack)
+    log_slack = math.log1p(STEP_SLACK)
     # cumulative log of norm factors reconstructs the raw iterates
     log_c = 0.0
     log_sup, log_grad = [], []
@@ -115,4 +115,4 @@ def monotone_supnorm_check(trace: IterationTrace, lambda_inf_est: float,
     ratio_stable = (len(ratios) >= 2
                     and abs(ratios[-1] - ratios[-2]) <= 0.05 * abs(ratios[-1]))
     ok = grad_ok and sup_ok and ratio_stable
-    return SupnormCheck("pass" if ok else "fail", grad_ok, sup_ok, ratio_stable)
+    return SupnormCheck("pass" if ok else "fail")

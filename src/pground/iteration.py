@@ -30,11 +30,8 @@ class DegenerateIterate(RuntimeError):
 
 @dataclass(frozen=True)
 class PositiveConstant:
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("constant init must be positive")
+    """The constant 1 on the interior; `inverse_iterate` normalizes any
+    start, so a constant's value would change only rounding."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +51,14 @@ class Custom:
 
 InitPolicy = Union[PositiveConstant, RandomPositive, Custom]
 
+# outer steps before the Cauchy stop may end a run: the steps
+# `check_monotonicity` needs
+MIN_STEPS = 3
+
 
 def make_initial(grid: Grid, init: InitPolicy) -> GridFunction:
     if isinstance(init, PositiveConstant):
-        return GridFunction.constant(grid, init.value)
+        return GridFunction.constant(grid)
     if isinstance(init, RandomPositive):
         rng = np.random.default_rng(init.seed)
         return GridFunction.from_interior(
@@ -128,13 +129,11 @@ def barrier_sup_bound(grid: Grid, p: float) -> float:
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
                     tol_grad: float | None = None,
-                    min_steps: int = 3,
                     verbose: bool = False) -> IterationTrace:
     """Run the normalized inverse iteration and record its trace.
 
-    The Cauchy stop on the Rayleigh quotient is suppressed before min_steps
-    outer steps (at least 3, the steps `check_monotonicity` needs), which is
-    useful for observing a fixed point over a set number of steps.
+    The Cauchy stop on the Rayleigh quotient is suppressed before MIN_STEPS
+    outer steps, the steps `check_monotonicity` needs.
 
     tol_grad is each inner solve's absolute gradient tolerance, None for
     the default (`solve_step_with_stats`).  Step 1 from a `PositiveConstant`
@@ -159,8 +158,6 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     if tol_grad is not None and not 0 < tol_grad < math.inf:
         raise ValueError(
             f"tol_grad must be positive and finite, got {tol_grad}")
-    if min_steps < 3:
-        raise ValueError("min_steps must be at least 3")
     grid = shared_grid(spec, n)
 
     x = make_initial(grid, init).values[grid.interior]
@@ -204,7 +201,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         if verbose:
             print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}",
                   file=sys.stderr)
-        if abs(R - R_prev) <= tol_outer * R and k >= min_steps:
+        if abs(R - R_prev) <= tol_outer * R and k >= MIN_STEPS:
             trace.converged = True
             break
 
@@ -270,28 +267,23 @@ def _monotone_claim(name, values, slack):
     return _claim(name, [((a - b) / abs(a) + slack, k) for k, (a, b) in pairs])
 
 
-def check_monotonicity(trace: IterationTrace,
-                       slack: float | None = None) -> MonotonicityReport:
+def check_monotonicity(trace: IterationTrace) -> MonotonicityReport:
     """Verify the iteration's proven inequalities on a recorded trace:
     (a) the Rayleigh quotients are nonincreasing,
     (b) the norm-power ratios are nonincreasing,
     (c) both sequences stay above the limit values they converge to,
     (d) the scaled Dirichlet energies decay at least by the factor mu^p.
 
-    The relative slack defaults to 100 trace.tol_grad.  Both must be finite
-    and nonnegative (ValueError otherwise): an infinite slack would pass
-    every claim on any trace, and a NaN one fail them all.
+    The relative slack is 100 trace.tol_grad, which must be finite and
+    nonnegative (ValueError otherwise): an infinite slack would pass every
+    claim on any trace, and a NaN one fail them all.
     """
-    if len(trace.steps) < 4:
-        raise ValueError("trace needs at least 3 iteration steps")
-    if slack is None:
-        if not 0 <= trace.tol_grad < math.inf:
-            raise ValueError(f"tol_grad must be finite and nonnegative, "
-                             f"got {trace.tol_grad}")
-        slack = 100.0 * trace.tol_grad
-    if not 0 <= slack < math.inf:
-        raise ValueError(
-            f"slack must be finite and nonnegative, got {slack}")
+    if len(trace.steps) < MIN_STEPS + 1:
+        raise ValueError(f"trace needs at least {MIN_STEPS} iteration steps")
+    if not 0 <= trace.tol_grad < math.inf:
+        raise ValueError(f"tol_grad must be finite and nonnegative, "
+                         f"got {trace.tol_grad}")
+    slack = 100.0 * trace.tol_grad
     p = trace.p
     R = [s.R for s in trace.steps[1:]]
     N = [s.N for s in trace.steps[1:]]
@@ -345,7 +337,7 @@ def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
     lambda_R^(1/(p-1)) to 1e-12 relative, the estimator gap of a converged
     trace, and the barrier bound if the trace records it.  A check that does
     not apply has passed None and prints as SKIP.  gap_tol must be finite
-    and nonnegative (ValueError otherwise), as check_monotonicity's slack."""
+    and nonnegative (ValueError otherwise), as trace.tol_grad."""
     if not 0 <= gap_tol < math.inf:
         raise ValueError(
             f"gap_tol must be finite and nonnegative, got {gap_tol}")

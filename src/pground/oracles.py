@@ -26,6 +26,10 @@ class SizeExceeded(ValueError):
     """Grid too large for the requested dense/direct code path."""
 
 
+class BracketFailure(RuntimeError):
+    """The shooting oracle found no bracket of the first eigenvalue."""
+
+
 def dirichlet_laplacian_matrix(grid: Grid) -> sparse.csc_matrix:
     """Standard 3/5-point Dirichlet Laplacian (divided by h^2) on the interior
     nodes: the operator G^T G the quadratic (p=2) energy induces, built here
@@ -115,8 +119,8 @@ def _first_zero(p: float, lam: float, x_end: float = 3.0):
 def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
     """First Dirichlet eigenvalue of the 1D p-Laplacian on (0, 1) by shooting
     and bisection on the eigenvalue."""
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = None, None
@@ -134,7 +138,8 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
                 break
             lam *= 0.5
     if lo is None or hi is None:
-        raise RuntimeError("failed to bracket the first eigenvalue")
+        raise BracketFailure(f"shooting failed to bracket the first "
+                             f"eigenvalue at p={p}")
     while (hi - lo) > tol * lo:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent doubles: a tol below their spacing

@@ -40,10 +40,9 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
 def read_trace_csv(path, p: float, h: float,
                    tol_grad: float = 1e-10) -> IterationTrace:
     """Rebuild a trace (numeric columns only) from a CSV written by
-    write_trace_csv; Dirichlet/norm entries of the per-step reports are not
-    stored in the CSV and read back as nan.  An empty file, a row without
-    one field per column, or a field that is no number of its column's type
-    raises ValueError naming the file and the line."""
+    write_trace_csv.  An empty file, a row without one field per column, or
+    a field that is no number of its column's type raises ValueError naming
+    the file and the line."""
     trace = IterationTrace(p=p, h=h, tol_grad=tol_grad)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -61,8 +60,7 @@ def read_trace_csv(path, p: float, h: float,
                                                                row[1:7])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            rep = EnergyReport(dirichlet_p=math.nan, norm_p=math.nan,
-                               sup_norm=sup_norm, grad_sup=grad_sup)
+            rep = EnergyReport(sup_norm=sup_norm, grad_sup=grad_sup)
             trace.steps.append(TraceStep(
                 k=k, report=rep, R=R, N=N, Q=Q, norm_factor=norm_factor,
                 inner_iters=inner_iters))

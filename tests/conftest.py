@@ -23,6 +23,11 @@ def square_grid():
     return build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
 
 
+# `l_mask` in the mask-file format: the top file row is the top of the
+# domain
+L_MASK_TEXT = "2 2 0.5\n#.\n##\n"
+
+
 @pytest.fixture
 def l_mask():
     """Unit square minus its upper-right quadrant, 2x2 coarse cells."""

@@ -184,13 +184,16 @@ def test_criterion_7_sweep_traces_verify(square_sweep):
 
 
 def test_criterion_8_fixed_point():
+    # runs chained from each one's final iterate until at least 10 outer
+    # steps are recorded
     _, vec = lambda2_reference(INTERVAL, 63)
-    tr = inverse_iterate(INTERVAL, 63, 2.0, Custom(vec), K_max=10,
-                         min_steps=10)
+    tr = inverse_iterate(INTERVAL, 63, 2.0, Custom(vec))
     R = [s.R for s in tr.steps]
-    assert len(R) == 11
+    while len(R) < 11:
+        tr = inverse_iterate(INTERVAL, 63, 2.0, Custom(tr.final))
+        R += [s.R for s in tr.steps[1:]]
     spread = (max(R) - min(R)) / R[0]
-    print(f"criterion 8: R spread {spread:.2e} over 10 steps")
+    print(f"criterion 8: R spread {spread:.2e} over {len(R) - 1} steps")
     assert spread <= 1e-10
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pground.calculus import (DegenerateFunction, GridFunction, _energy,
                               _nodal_gradient, _quotient, _report_logs,
-                              p_norm_pow, rayleigh_quotient)
+                              _weighted_exp, p_norm_pow, rayleigh_quotient)
 from pground.geometry import Interval, Rectangle, build_grid
 from pground.oracles import dirichlet_laplacian_matrix
 
@@ -58,8 +58,9 @@ class TestHatClosedForms:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0, 64.0])
     def test_dirichlet_energy(self, interval_grid, p):
         x = hat_function(interval_grid).values[interval_grid.interior]
-        report = _report_logs(interval_grid, x, p)[0]
-        assert report.dirichlet_p == pytest.approx(2.0 ** p, rel=1e-13)
+        log_grad = _report_logs(interval_grid, x, p)[1]
+        assert _weighted_exp(log_grad, interval_grid.h) == pytest.approx(
+            2.0 ** p, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
     def test_p_norm_refinement(self, p):
@@ -102,8 +103,8 @@ class TestScaleBehavior:
         Rc = rayleigh_quotient(u.scaled(c), p)
         assert abs(Rc - R) <= 1e-12 * abs(R)
         x = u.values[g.interior]
-        assert _report_logs(g, c * x, p)[0].dirichlet_p == pytest.approx(
-            c ** p * _report_logs(g, x, p)[0].dirichlet_p, rel=1e-10)
+        assert _report_logs(g, c * x, p)[1] == pytest.approx(
+            p * math.log(c) + _report_logs(g, x, p)[1], abs=1e-10)
         assert p_norm_pow(u.scaled(c), p) == pytest.approx(
             c ** p * p_norm_pow(u, p), rel=1e-10)
 
@@ -143,8 +144,9 @@ class TestScaleBehavior:
         assert report.grad_sup == np.sqrt((c * c).sum(0).max())
         assert report.sup_norm == np.abs(u.values).max()
         if p < 64:
-            assert R == pytest.approx(report.dirichlet_p / report.norm_p,
-                                      rel=1e-13)
+            hd = square_grid.h ** 2
+            assert R == pytest.approx(_weighted_exp(logs[0], hd)
+                                      / _weighted_exp(logs[1], hd), rel=1e-13)
         zero = np.zeros(square_grid.num_interior)
         with pytest.raises(DegenerateFunction):
             _quotient(*_report_logs(square_grid, zero, p)[1:])
@@ -154,10 +156,11 @@ class TestScaleBehavior:
         rng = np.random.default_rng(7)
         x = 1e5 * rng.standard_normal(square_grid.num_interior)
         u = GridFunction.from_interior(square_grid, x)
-        report, *logs = _report_logs(square_grid, x, 64.0)
+        logs = _report_logs(square_grid, x, 64.0)[1:]
         R = _quotient(*logs)
         assert repr(R) == repr(rayleigh_quotient(u, 64.0))
-        assert report.dirichlet_p == math.inf and math.isfinite(R)
+        assert _weighted_exp(logs[0], square_grid.h ** 2) == math.inf
+        assert math.isfinite(R)
 
     def test_p_at_most_one_rejected(self, interval_grid):
         u = hat_function(interval_grid)
@@ -165,6 +168,15 @@ class TestScaleBehavior:
             _report_logs(interval_grid, u.values[interval_grid.interior], 1.0)
         with pytest.raises(ValueError):
             rayleigh_quotient(u, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, interval_grid, p):
+        # p = inf gave a quotient and a norm power of NaN
+        u = hat_function(interval_grid)
+        with pytest.raises(ValueError, match="finite"):
+            rayleigh_quotient(u, p)
+        with pytest.raises(ValueError, match="finite"):
+            p_norm_pow(u, p)
 
 
 class TestObjective:

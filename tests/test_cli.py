@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 import pground.infinity
+import pground.oracles
 from pground import traceio
 from pground.cli import main
-from pground.geometry import (Interval, Rectangle, shared_grid,
-                              write_mask_file)
+from pground.geometry import Interval, Rectangle, shared_grid
 from pground.iteration import (DegenerateIterate, PositiveConstant,
                                RandomPositive, inverse_iterate, verify)
 
-from conftest import hat_function
+from conftest import L_MASK_TEXT, hat_function
 
 
 def run_cli(capsys, *argv):
@@ -72,9 +72,9 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["converged"] is True
 
-    def test_mask_domain(self, tmp_path, capsys, l_mask):
+    def test_mask_domain(self, tmp_path, capsys):
         mask_path = tmp_path / "L.mask"
-        write_mask_file(mask_path, l_mask)
+        mask_path.write_text(L_MASK_TEXT)
         prefix = str(tmp_path / "L")
         code, out, _ = run_cli(capsys, "solve",
                                "--domain", f"mask:{mask_path}",
@@ -350,14 +350,16 @@ class TestSweep:
         assert code == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("p", ["inf", "nan"])
+    @pytest.mark.parametrize("p", ["inf", "nan", "4,8,inf"])
     def test_rejects_non_finite_p(self, tmp_path, capsys, p):
+        # with "4,8,inf" the sweep solved p = 4 and 8 before it raised
+        out = str(tmp_path / "sw")
         code, stdout, err = run_cli(capsys, "sweep", "--domain", "interval",
-                                    "--n", "16", "--p-list", p,
-                                    "--out", str(tmp_path / "sw"))
+                                    "--n", "16", "--p-list", p, "--out", out)
         assert code == 1
         assert stdout == ""
         assert err.startswith("error: p must")
+        assert not os.path.exists(out + ".sweep.csv")
 
 
 class TestOverflow:
@@ -440,6 +442,40 @@ class TestOracle:
                                "--p", "3", "--restarts", "8")
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["shooting", "--p", "inf"],
+        ["bruteforce", "--p", "inf", "--restarts", "1"],
+    ], ids=["shooting", "bruteforce"])
+    def test_infinite_p_is_usage_error(self, argv):
+        # the shooting oracle failed to bracket with a traceback, and the
+        # brute-force one took the quotient of the zero function; a console
+        # process, so that an uncaught exception would print its traceback
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pground.cli", "oracle", "--method",
+             *argv, "--domain", "interval", "--n", "3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "p must be finite and exceed 1, got inf" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_shooting_bracket_failure_exit_code(self, capsys, monkeypatch):
+        # at p = 200, doubling from pi^2 200 times stays below the
+        # eigenvalue: no zero ever lands inside (0, 1).  That takes about
+        # 10 s to find, so the ODE is replaced by one without a zero
+        monkeypatch.setattr(pground.oracles, "_first_zero",
+                            lambda p, lam: (None, None))
+        code, out, err = run_cli(capsys, "oracle", "--method", "shooting",
+                                 "--domain", "interval", "--n", "3",
+                                 "--p", "200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: shooting failed to bracket")
+        assert "p=200" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["bruteforce", "--p", "3", "--restarts", "0"],
@@ -640,7 +676,7 @@ class TestCheck:
                  "square": Rectangle(0.0, 1.0, 0.0, 1.0), "lshape": l_mask}
         flag = domain
         if domain == "lshape":
-            write_mask_file(tmp_path / "L.mask", l_mask)
+            (tmp_path / "L.mask").write_text(L_MASK_TEXT)
             flag = f"mask:{tmp_path / 'L.mask'}"
         prefix = str(tmp_path / "run")
         code, _, err = run_cli(capsys, "solve", "--domain", flag,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pground.infinity
+import pground.inner
 from pground.geometry import Interval, MaskDomain, Rectangle
 from pground.infinity import monotone_supnorm_check, sweep
 from pground.inner import NonConvergence
@@ -25,8 +26,8 @@ def continued_sweep(request):
     """A sweep and, per exponent, the standalone constant-init solve."""
     spec, n = request.param
     result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0))
-    alone = [inverse_iterate(spec, n, p, PositiveConstant(), tol_outer=1e-8)
-             for p in result.p_list]
+    alone = [inverse_iterate(spec, n, e.p, PositiveConstant(), tol_outer=1e-8)
+             for e in result.entries]
     return result, alone
 
 
@@ -121,6 +122,18 @@ class TestSweepValidation:
         with pytest.raises(ValueError):
             sweep(Interval(0.0, 1.0), 16, (4.0, 4.0))
 
+    @pytest.mark.parametrize("p_list", [(4.0, 8.0, math.inf),
+                                        (4.0, math.nan)], ids=["inf", "nan"])
+    def test_checks_every_exponent_before_solving(self, monkeypatch, p_list):
+        # the exponents before a non-finite one were solved, then the sweep
+        # raised and its result was lost
+        calls = []
+        monkeypatch.setattr(pground.infinity, "inverse_iterate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="finite"):
+            sweep(Interval(0.0, 1.0), 16, p_list)
+        assert calls == []
+
 
 class TestSweepResults:
     def test_all_converged(self, interval_sweep):
@@ -146,9 +159,11 @@ class TestSweepResults:
         assert abs(e.final_ratio - 2.0) / 2.0 < 0.25
 
     def test_ratio_sequence_recorded(self, interval_sweep):
-        for e in interval_sweep.entries:
-            assert len(e.ratio_sequence) >= 2
-            assert e.final_ratio == e.ratio_sequence[-1]
+        for e, tr in zip(interval_sweep.entries, interval_sweep.traces):
+            ratios = [s.report.grad_sup / s.report.sup_norm
+                      for s in tr.steps[1:]]
+            assert len(ratios) >= 2
+            assert e.final_ratio == ratios[-1]
 
     def test_traces_align_with_entries(self, interval_sweep):
         assert len(interval_sweep.traces) == len(interval_sweep.entries)
@@ -214,10 +229,11 @@ class TestSupnormCheck:
         result = monotone_supnorm_check(tr, 10.0)
         assert result.status == "fail"
 
-    def test_nonconvergence_entry_is_flagged(self):
-        # an unreachable inner tolerance must surface as a non-converged
+    def test_nonconvergence_entry_is_flagged(self, monkeypatch):
+        # an inner solve out of iterations must surface as a non-converged
         # nan entry, not an exception
-        res = sweep(Interval(0.0, 1.0), 16, (4.0,), tol_grad=1e-30)
+        monkeypatch.setattr(pground.inner, "MAX_INNER_ITERS", 2)
+        res = sweep(Interval(0.0, 1.0), 16, (4.0,))
         e = res.entries[0]
         assert not e.converged
         assert math.isnan(e.lambda_R)
