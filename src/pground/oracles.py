@@ -124,8 +124,19 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = None, None
-    lam = math.pi ** 2  # reasonable starting scale for every p
+    # lambda_p = (p - 1) pi_p^p with pi_p > 2 falling to 2, so 2^p starts
+    # the doubling below lambda_p and within a few steps of it at large p
+    # (doubling from pi^2 failed to bracket lambda_200 = 3.2e62 in 200
+    # steps); below p = 3.3, pi^2 is the larger start
+    try:
+        lam = max(math.pi ** 2, 2.0 ** p)
+    except OverflowError:
+        lam = math.inf
     for _ in range(200):
+        if not lam < math.inf:
+            raise BracketFailure(f"shooting failed to bracket the first "
+                                 f"eigenvalue at p={p}: it exceeds the "
+                                 f"float range")
         z, _ = _first_zero(p, lam)
         if z is None or z > 1.0:
             lo = lam

@@ -20,7 +20,7 @@ from .iteration import IterationTrace, TraceStep
 TRACE_COLUMNS = ["k", "R_k", "N_k", "Q_k", "sup_norm", "grad_sup",
                  "norm_factor", "inner_iters"]
 SWEEP_COLUMNS = ["p", "lambda_R", "lambda_root", "final_ratio",
-                 "inradius_reciprocal", "converged"]
+                 "inradius_reciprocal", "converged", "predicted"]
 
 
 def _fmt(x: float) -> str:
@@ -168,7 +168,7 @@ def write_sweep_csv(path, result: SweepResult) -> None:
         for e in result.entries:
             w.writerow([_fmt(e.p), _fmt(e.lambda_R), _fmt(e.lambda_root),
                         _fmt(e.final_ratio), _fmt(result.inradius_reciprocal),
-                        int(e.converged)])
+                        int(e.converged), int(e.predicted)])
 
 
 def write_gridfunction_csv(path, u: GridFunction) -> None:

@@ -323,7 +323,8 @@ class TestSweep:
         assert "inradius_reciprocal=2" in stdout
         with open(out + ".sweep.csv") as fh:
             assert fh.readline().strip() == \
-                "p,lambda_R,lambda_root,final_ratio,inradius_reciprocal,converged"
+                "p,lambda_R,lambda_root,final_ratio,inradius_reciprocal," \
+                "converged,predicted"
 
     def test_degenerate_iterate_exit_code(self, tmp_path, capsys,
                                           monkeypatch):
@@ -464,9 +465,8 @@ class TestOracle:
         assert "Traceback" not in proc.stderr
 
     def test_shooting_bracket_failure_exit_code(self, capsys, monkeypatch):
-        # at p = 200, doubling from pi^2 200 times stays below the
-        # eigenvalue: no zero ever lands inside (0, 1).  That takes about
-        # 10 s to find, so the ODE is replaced by one without a zero
+        # an ODE without a zero inside (0, 1) never gives an upper end of
+        # the bracket: after 200 doublings the oracle gives up
         monkeypatch.setattr(pground.oracles, "_first_zero",
                             lambda p, lam: (None, None))
         code, out, err = run_cli(capsys, "oracle", "--method", "shooting",

@@ -5,8 +5,9 @@ import pytest
 
 import pground.infinity
 import pground.inner
-from pground.geometry import Interval, MaskDomain, Rectangle
-from pground.infinity import monotone_supnorm_check, sweep
+from pground.calculus import GridFunction, rayleigh_quotient
+from pground.geometry import Interval, MaskDomain, Rectangle, shared_grid
+from pground.infinity import _continued_start, monotone_supnorm_check, sweep
 from pground.inner import NonConvergence
 from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
                                verify)
@@ -29,6 +30,104 @@ def continued_sweep(request):
     alone = [inverse_iterate(spec, n, e.p, PositiveConstant(), tol_outer=1e-8)
              for e in result.entries]
     return result, alone
+
+
+def capture_inits(monkeypatch, fail_at=None):
+    """Record the init of each sweep point; raise NonConvergence at
+    fail_at."""
+    inits = []
+    point = pground.infinity.inverse_iterate
+
+    def capturing(spec, n, p, init, **kwargs):
+        inits.append(init)
+        if p == fail_at:
+            raise NonConvergence(1.0, 0.1, 5)
+        return point(spec, n, p, init, **kwargs)
+
+    monkeypatch.setattr(pground.infinity, "inverse_iterate", capturing)
+    return inits
+
+
+def expected_start(finals, p):
+    """(values, predicted): the polynomial in 1/p through the (p, final)
+    pairs, at p and clipped at 0, where its Rayleigh quotient at p is below
+    the last final's; else the last final."""
+    last = finals[-1][1]
+    t = [1.0 / q for q, _ in finals]
+    coef = np.polyfit(t, np.array([u.values.ravel() for _, u in finals]),
+                      len(finals) - 1)
+    pred = np.maximum(np.polyval(coef, 1.0 / p), 0.0).reshape(last.grid.shape)
+    pred[~last.grid.interior] = 0.0
+    if (math.log(rayleigh_quotient(GridFunction(last.grid, pred), p))
+            < math.log(rayleigh_quotient(last, p))):
+        return pred, True
+    return last.values, False
+
+
+def assert_started_from(init, values, predicted):
+    assert isinstance(init, Custom)
+    scale = np.abs(values).max()
+    assert np.allclose(init.function.values, values, rtol=0.0,
+                       atol=1e-12 * scale), "start differs"
+    if not predicted:
+        assert np.array_equal(init.function.values, values)
+
+
+class TestPredictedStart:
+    """From the third point on, a sweep point starts from the extrapolation
+    in 1/p of the last (up to three) converged finals when that has the
+    lower Rayleigh quotient at the new p, else from the last final."""
+
+    # measured on the square n=16: over p = 4..64 the last final at 16 and
+    # 32 (log R lower by 0.20 and 0.17), the quadratic at 64 (by 0.19);
+    # over p = 16..64 the secant at 64
+    @pytest.mark.parametrize("p_list, taken", [
+        ((4.0, 8.0, 16.0, 32.0, 64.0), [False, False, True]),
+        ((16.0, 32.0, 64.0), [True])], ids=["quadratic", "secant"])
+    def test_start_has_the_lower_quotient(self, monkeypatch, p_list, taken):
+        inits = capture_inits(monkeypatch)
+        result = sweep(Rectangle(0.0, 1.0, 0.0, 1.0), 16, p_list)
+        assert all(e.converged for e in result.entries)
+        assert isinstance(inits[0], PositiveConstant)
+        assert inits[1].function is result.traces[0].final
+        assert [e.predicted for e in result.entries[:2]] == [False, False]
+        chosen = []
+        for i in range(2, len(p_list)):
+            finals = [(p, tr.final) for p, tr in
+                      zip(p_list[:i], result.traces[:i])][-3:]
+            values, predicted = expected_start(finals, p_list[i])
+            assert result.entries[i].predicted == predicted, p_list[i]
+            assert_started_from(inits[i], values, predicted)
+            chosen.append(predicted)
+        assert chosen == taken
+
+    def test_prediction_clipped_at_zero(self):
+        # the secant from p = 4 and 8 to 16 is 1.5 x8 - 0.5 x4: the sine,
+        # but -sin(pi h) at the two end nodes.  No prediction of the sweeps
+        # above has a negative value, so this one is built
+        grid = shared_grid(Interval(0.0, 1.0), 31)
+        phi = np.sin(np.pi * grid.node_coords()[grid.interior])
+        wiggle = 0.3 * phi * (-1.0) ** np.arange(phi.size)
+        ends = np.zeros(phi.size)
+        ends[[0, -1]] = 2.0 * phi[0]
+        finals = [(4.0, GridFunction.from_interior(grid, phi + 3 * wiggle
+                                                   + 2 * ends)),
+                  (8.0, GridFunction.from_interior(grid, phi + wiggle))]
+        init, predicted = _continued_start(finals, 16.0)
+        assert predicted
+        start = init.function.values[grid.interior]
+        assert start[0] == start[-1] == 0.0
+        assert np.allclose(start[1:-1], phi[1:-1], rtol=0.0, atol=1e-14)
+
+    def test_zero_prediction_keeps_last_final(self):
+        # the secant from 4 and 1 at p = 4 and 8 is -0.5 at p = 16, and 0
+        # once clipped: a start with no Rayleigh quotient
+        grid = shared_grid(Interval(0.0, 1.0), 31)
+        finals = [(4.0, GridFunction.constant(grid, 4.0)),
+                  (8.0, GridFunction.constant(grid, 1.0))]
+        init, predicted = _continued_start(finals, 16.0)
+        assert not predicted
+        assert init.function is finals[-1][1]
 
 
 class TestContinuationInP:
@@ -61,22 +160,24 @@ class TestContinuationInP:
         assert report.all_passed, str(report)
 
     def test_nonconvergence_keeps_last_converged_start(self, monkeypatch):
-        inits = []
-        point = pground.infinity.inverse_iterate
-
-        def failing_at_8(spec, n, p, init, **kwargs):
-            inits.append(init)
-            if p == 8.0:
-                raise NonConvergence(1.0, 0.1, 5)
-            return point(spec, n, p, init, **kwargs)
-
-        monkeypatch.setattr(pground.infinity, "inverse_iterate", failing_at_8)
-        result = sweep(Interval(0.0, 1.0), 31, (4.0, 8.0, 16.0))
-        assert [e.converged for e in result.entries] == [True, False, True]
+        inits = capture_inits(monkeypatch, fail_at=8.0)
+        p_list = (4.0, 8.0, 16.0, 32.0)
+        result = sweep(Interval(0.0, 1.0), 31, p_list)
+        assert [e.converged for e in result.entries] == [True, False, True,
+                                                         True]
         assert isinstance(inits[0], PositiveConstant)
-        for init in inits[1:]:
-            assert isinstance(init, Custom)
+        # the failed point enters no later start: 8 and 16 start from the
+        # p=4 final, the only converged one before them
+        for init in inits[1:3]:
             assert init.function is result.traces[0].final
+        assert not any(e.predicted for e in result.entries[:3])
+        # 32 starts from the secant through the p = 4 and 16 finals or from
+        # the p=16 final, whichever has the lower quotient at 32
+        finals = [(4.0, result.traces[0].final),
+                  (16.0, result.traces[2].final)]
+        values, predicted = expected_start(finals, 32.0)
+        assert result.entries[3].predicted == predicted
+        assert_started_from(inits[3], values, predicted)
 
     def test_overflow_recorded_as_not_converged(self):
         # lambda_R overflows the float range near p = 1024; the point is

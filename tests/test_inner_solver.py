@@ -1434,7 +1434,8 @@ class TestLineSearch:
 
     def test_square_sweep_energy_count(self, monkeypatch):
         # the square n=64 sweep over p = 4..64 made 1,389 trial energies
-        # with halving alone and makes 907 with the interpolated step
+        # with halving alone, 907 with the interpolated step and 592 with
+        # the predicted start as well
         calls, energy = [0], inner._energy
 
         def counting(*args):
@@ -1446,6 +1447,16 @@ class TestLineSearch:
                        (4.0, 8.0, 16.0, 32.0, 64.0))
         assert all(e.converged for e in result.entries)
         assert calls[0] <= 1000
+
+    def test_square_sweep_inner_iterations(self):
+        # the square n=64 sweep over p = 4..64 made 601 inner iterations
+        # starting each point from the last final, 426 with the guarded
+        # prediction in 1/p (`infinity._continued_start`)
+        result = sweep(Rectangle(0.0, 1.0, 0.0, 1.0), 64,
+                       (4.0, 8.0, 16.0, 32.0, 64.0))
+        assert all(e.converged for e in result.entries)
+        assert sum(s.inner_iters for tr in result.traces
+                   for s in tr.steps) <= 450
 
 
 class TestBlasThreads:

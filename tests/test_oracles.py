@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import pground.oracles
 from pground.geometry import Interval, Rectangle
 from pground.iteration import PositiveConstant, inverse_iterate
-from pground.oracles import (SizeExceeded, _first_zero, lambda2_reference,
-                             lambda_p_shooting_1d, rayleigh_bruteforce)
+from pground.oracles import (BracketFailure, SizeExceeded, _first_zero,
+                             lambda2_reference, lambda_p_shooting_1d,
+                             rayleigh_bruteforce)
 
 
 def pi_p(p: float) -> float:
@@ -78,6 +80,26 @@ class TestShooting:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol"):
                 lambda_p_shooting_1d(2.0, tol=tol)
+
+    def test_large_p_brackets_from_two_to_the_p(self, monkeypatch):
+        # doubling from pi^2 made 200 ODE solves at p = 200 and raised
+        # BracketFailure; from 2^p it doubles 8 times and bisects
+        calls, first_zero = [0], pground.oracles._first_zero
+
+        def counting(*args):
+            calls[0] += 1
+            return first_zero(*args)
+
+        monkeypatch.setattr(pground.oracles, "_first_zero", counting)
+        lam = lambda_p_shooting_1d(200.0)
+        assert lam == pytest.approx(lambda_p_closed_form(200.0), rel=1e-9)
+        assert calls[0] <= 45
+
+    def test_eigenvalue_past_float_range(self, monkeypatch):
+        # lambda_p > 2^p overflows from p = 1024 on; no ODE is solved
+        monkeypatch.setattr(pground.oracles, "_first_zero", None)
+        with pytest.raises(BracketFailure, match="float range"):
+            lambda_p_shooting_1d(2000.0)
 
     def test_profile_p2_is_sine(self):
         # started with u'(0) = 1, the p = 2 profile is sin(pi x) / pi

@@ -108,11 +108,14 @@ class TestSweepCsv:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["p", "lambda_R", "lambda_root", "final_ratio",
-                           "inradius_reciprocal", "converged"]
+                           "inradius_reciprocal", "converged", "predicted"]
         assert len(rows) == 3
         assert float(rows[1][0]) == 4.0
         assert float(rows[1][4]) == pytest.approx(2.0)
         assert rows[1][5] == "1"
+        # the first point starts from the constant, the second from the
+        # one converged final before it
+        assert [row[6] for row in rows[1:]] == ["0", "0"]
 
 
 class TestGridFunctionCsv:
