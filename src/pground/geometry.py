@@ -327,8 +327,8 @@ def build_grid(spec: DomainSpec, n: int) -> Grid:
 
 
 # the grids `shared_grid` keeps: all of a workload on a few discretizations,
-# where a square n=256 grid holds about 13 MB after a p=3 solve (G and the
-# SuperLU factor map)
+# where a square n=256 grid holds about 15 MB after a p=3 solve (G and the
+# multifrontal tree's map)
 SHARED_GRIDS = 4
 
 

@@ -22,17 +22,19 @@ derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
 One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
 bandwidth up to BAND_MAX = 64, which covers the interval and the 2D grids
-up to the square n=65, and SuperLU beyond.  Both back ends factor the same
-cell Hessian from the same per-cell terms; the back end decides only
-storage and precision: a band in double, or a sparse matrix of the 7-point
-pattern in single precision, in one nested-dissection order of the grid's
-nodes (George, SIAM J. Numer. Anal. 1973) that every factor on the grid
-takes as it is.  `Factors` keeps that back end's storage map and the p=2
-Laplacian (only until a lagged factor replaces it), and hands each matrix
-to `factorized`, the one factorization site.  The Laplacian has three
-solvers: the band factor on a banded grid, the fast Poisson solver (sine
-transforms, no factor) on a SuperLU grid whose interior nodes fill their
-box, and a SuperLU factor on the other SuperLU grids.
+up to the square n=65, and a multifrontal factor beyond
+(`pground.multifrontal`): a nested-dissection tree of the grid's interior
+nodes (George, SIAM J. Numer. Anal. 1973), padded so that every box at one
+depth has one shape, whose fronts each depth factors as one stacked array.
+Both back ends factor the same cell Hessian from the same per-cell terms;
+the back end decides only storage and precision: a band in double, or the
+tree's fronts in single precision.  `Factors` keeps that back end's
+storage map and the p=2 Laplacian (only until a lagged factor replaces
+it), and hands each matrix to `factorized`, the one factorization site.
+The Laplacian has three solvers: the band factor on a banded grid, the
+fast Poisson solver (sine transforms, no factor) on a wide-band grid whose
+interior nodes fill their box, and the tree's factor in double on the
+other wide-band grids.
 
 Within one `inverse_iterate` call, the last eps stage at p != 2 starts on
 the cell-Hessian factor the previous outer step ended on, and replaces it
@@ -59,19 +61,22 @@ to the Hessian where most weights are tiny (large p), and float32 may then
 round a factor into one that gives no descent; `_descend` releases such a
 factor at once.
 
-A SuperLU grid's factor runs in single precision because it is a lagged
+A wide-band grid's factor runs in single precision because it is a lagged
 model of the Hessian, taken up to 20 iterations or an outer step earlier:
-a double factor's rounding buys nothing that lag can use, and SuperLU's
-factor and triangular solves, bound by memory bandwidth, run faster on half
+a double factor's rounding buys nothing that lag can use, and the fronts'
+stacked products and solves, bound by memory bandwidth, run faster on half
 the bytes.  This is the mixed-precision pattern of factoring low and keeping
 the residual high (Carson & Higham, SIAM J. Sci. Comput. 2018): the
 gradient, the direction handed back, the iterate, the objective and every
 stopping test stay in double.  Two scales keep float32 in range at any p
 (at p=64 a cell gradient of 5 gives the weight 2e43, one of 0.1 gives
 1e-62): the Hessian is divided by max(w) and the right-hand side is cast at
-sup-norm 1; both are undone in double.  The Laplacian and the banded
-Hessian stay in double: the first is exact at p=2, and a single-precision
-band (spbtrf) took more iterations and was slower.
+sup-norm 1; both are undone in double.  The factor needs no positive pivot,
+only nonsingular separator blocks; a Hessian that float32 rounds to one
+with a singular block is factored in double from the same float32 entries.
+The Laplacian and the banded Hessian stay
+in double: the first is exact at p=2, and a single-precision band (spbtrf)
+took more iterations and was slower.
 """
 
 from __future__ import annotations
@@ -89,10 +94,10 @@ import numpy as np
 
 from scipy import sparse
 from scipy.linalg import LinAlgError, lapack
-from scipy.sparse.linalg import splu
 
 from .calculus import GridFunction, _energy, _nodal_gradient
 from .geometry import Grid
+from .multifrontal import FrontTree
 
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # largest step-length factor per rejected trial
@@ -100,7 +105,6 @@ BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
 W_FLOOR = 1e-10   # least weight over max(w) in a cell-Hessian factor
-ND_LEAF = 4       # widest box side left undivided by `_dissection`
 
 
 class NonConvergence(RuntimeError):
@@ -215,8 +219,8 @@ def _one_blas_thread():
     process-wide, so solves in concurrent threads would share it.
 
     One thread is what the back ends were calibrated on, and what makes
-    results independent of the machine: SuperLU's kernels and NumPy's dot
-    products sum in another order on several threads."""
+    results independent of the machine: the fronts' batched matmul and
+    NumPy's dot products sum in another order on several threads."""
     restore = []
     try:
         for get, set_ in _blas_thread_controls():
@@ -234,8 +238,8 @@ def _one_blas_thread():
 def _blas_thread_controls() -> tuple:
     """(get, set) of the thread count of each OpenBLAS that SciPy and NumPy
     bundle and have loaded: scipy.libs/libscipy_openblas-*, which serves
-    LAPACK and SuperLU, and numpy.libs/libscipy_openblas64_*, which serves
-    numpy.dot (its symbols carry the suffix 64_).  A library or symbol that
+    LAPACK, and numpy.libs/libscipy_openblas64_*, which serves numpy.dot and
+    numpy.matmul (its symbols carry the suffix 64_).  A library or symbol that
     is absent, as with another BLAS build or platform, is left out, so the
     pin is then a no-op.  Looked up once, on the first solve."""
     controls = []
@@ -277,31 +281,18 @@ class Banded(NamedTuple):
     nnz: int
 
 
-def factorized(A, order=None):
+def factorized(A):
     """Solve callable for the SPD matrix A, the one factorization site of
     the inner solve.  A `Banded` is factored by LAPACK's banded Cholesky
-    (dpbtrf, solves by dpbtrs), which skips SuperLU's ordering, symbolic
-    analysis and allocation, the bulk of the cost on small grids; a failed
-    factor (A not positive definite) raises scipy.linalg.LinAlgError.
+    (dpbtrf, solves by dpbtrs); a failed factor (A not positive definite)
+    raises scipy.linalg.LinAlgError.
 
-    A sparse A goes to SuperLU with the diagonal taken as pivot throughout,
-    as SuperLU recommends for a symmetric pattern with a stable diagonal
-    (X. S. Li, ACM TOMS 2005).  A is symmetric positive definite, so
-    symmetrically permuted LU without pivoting is stable.  Without an order
-    A is factored in a minimum-degree ordering of A^T + A, which keeps about
-    half the fill of the general-matrix COLAMD ordering.  With one, A is the
-    operator's rows and columns taken in that order (A[k, l] its entry at
-    nodes order[k], order[l]), already fill-reducing, and is factored as it
-    is; the solve takes the right-hand side into that order and the
-    solution out of it.  The factor is built with one-column panels and no
-    relaxed supernodes (panel_size=1, relax=1), which on these 5- and
-    7-point operators is faster than SciPy's multi-column panels at the
-    same fill.
-
-    A sparse A in single precision is factored and solved in single
-    precision; its solve casts the right-hand side at sup-norm 1, which
-    neither overflows nor flushes to zero, and returns the solution in
-    double, scaled back.  The solve of any A returns float64."""
+    A `Fronts` is factored by the multifrontal factor of its tree
+    (`pground.multifrontal`) in its precision, and raises LinAlgError
+    where a separator block is singular in it.  In single precision the
+    solve casts the right-hand side at sup-norm 1, which neither overflows
+    nor flushes to zero, and returns the solution in double, scaled back.
+    The solve of any A returns float64."""
     if isinstance(A, Banded):
         chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
         if info != 0:
@@ -310,25 +301,14 @@ def factorized(A, order=None):
         def solve(rhs):
             return lapack.dpbtrs(chol, rhs)[0]
         return solve
-    dtype = A.dtype
-    lu = splu(A.tocsc(),
-              permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
-              diag_pivot_thresh=0.0, panel_size=1, relax=1,
-              options={"SymmetricMode": True})
+    solve_t = A.tree.factor(A)
+    if A.dtype == np.float64:
+        return solve_t
 
     def solve(rhs):
-        b = rhs if order is None else rhs[order]
-        if dtype == np.float64:
-            x = lu.solve(b)
-        else:
-            scale = float(np.abs(b).max(initial=0.0)) or 1.0
-            x = np.multiply(lu.solve((b / scale).astype(dtype)), scale,
-                            dtype=np.float64)
-        if order is None:
-            return x
-        out = np.empty_like(x)
-        out[order] = x
-        return out
+        scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
+        return np.multiply(solve_t((rhs / scale).astype(A.dtype)), scale,
+                           dtype=np.float64)
     return solve
 
 
@@ -361,29 +341,28 @@ class Factors:
       closer in the node order than (i, j) and (i+1, j) where all are
       interior, so it adds entries but no width to the band.  The p=2
       Laplacian G^T G is the same map at H = I.
-    * The other grids factor H / max(w) in single precision with SuperLU,
-      every factor in the grid's one nested-dissection order
-      (`_dissection`), built once with the map; the solution is divided by
-      max(w) in double (module docstring).  The map (`_csc`) holds the CSC
-      pattern of both triangles in that order, and the table with the slot
-      of each ordered pair of a cell's stored G entries.  A matrix is then
-      summed from the pairs' products with H (`_sparse_matrix`), with no
-      walk over the terms; the map and an assembly's sums are a fraction of
-      the factor's memory.
+    * The other grids factor H / max(w) in single precision on their
+      multifrontal tree (`_fronts`, `pground.multifrontal`), built once
+      with its map; the solution is divided by max(w) in double (module
+      docstring).  The map places each pair of a cell's stored G entries in
+      the front of the node the tree eliminates first, so a factor sums its
+      fronts from the pairs' products with H, one depth at a time, with no
+      sparse matrix in between.  Where a single-precision factor meets a
+      singular separator block, the same entries are factored in double
+      (`preconditioner`).
 
     The Laplacian has three solvers (`laplacian`): the band map on a banded
-    grid; on a SuperLU grid whose interior nodes fill their box (a
+    grid; on a wide-band grid whose interior nodes fill their box (a
     rectangle, or a mask with every cell inside) the fast Poisson solver,
     since there G^T G is the 5-point Dirichlet Laplacian, diagonal in the
-    sine basis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); and a
-    SuperLU factor on the other grids, in its own minimum-degree order: for
-    the 5-point pattern nested dissection leaves more fill (2.09M against
-    3.23M entries on the L-shape n=256).  interior, which `Factors.of`
-    reads from the grid, marks the interior nodes over their bounding box,
-    the last axis fastest in the node order; a box grid is one where it is
-    all true.  A box grid thus factors no Laplacian in any solve.  A
-    sine-transform solve costs more than a band solve on the small grids,
-    so banded grids keep the band.
+    sine basis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); and on
+    the other grids the tree's factor of the same map at H = I, in double,
+    whose padding and off-mask nodes are identity rows.  interior, which
+    `Factors.of` reads from the grid, marks the interior nodes over their
+    bounding box, the last axis fastest in the node order; a box grid is
+    one where it is all true.  A box grid thus factors no Laplacian in any
+    solve.  A sine-transform solve costs more than a band solve on the
+    small grids, so banded grids keep the band.
     """
 
     def __init__(self, G: sparse.csr_matrix, dim: int, interior: np.ndarray):
@@ -403,8 +382,8 @@ class Factors:
         # matrix: xx in 1D; xx, xy, yy in 2D, where [::2] are the diagonal
         self._components = ([0], [0]) if dim == 1 else ([0, 0, 1], [0, 1, 1])
         self._interior = interior
-        # the interior nodes per axis of a SuperLU grid whose interior nodes
-        # fill their box
+        # the interior nodes per axis of a wide-band grid whose interior
+        # nodes fill their box
         self._box = None if self.banded or not interior.all() else \
             interior.shape
 
@@ -423,8 +402,10 @@ class Factors:
         """Factorized solve with the cell Hessian at the cell gradients c and
         weights w = a^(p/2-1) of one `_energy` call (a = |c|^2 + eps^2).
         None if max(w) is not positive and finite (the start from zero at
-        p != 2), where the caller stands the Laplacian in.  Every solve
-        returns the solution in double."""
+        p != 2), or if a wide-band grid's factor meets a singular separator
+        block in double as well as in single precision; the caller then
+        stands the Laplacian in.  Every solve returns the solution in
+        double."""
         wmax = float(w.max()) if w.size else 1.0
         if not (wmax > 0 and math.isfinite(wmax)):
             return None
@@ -434,9 +415,19 @@ class Factors:
         if self.banded:
             return self._band_factor(self._cell_entries(c, w, p, eps))
         # float32 holds the Hessian at max(w) = 1, at any p
-        solve_s = factorized(self._sparse_matrix(
-            self._cell_entries(c, w / wmax, p, eps), np.float32),
-            order=self._csc.order)
+        H = self._cell_entries(c, w / wmax, p, eps)
+        try:
+            solve_s = factorized(self._fronts.matrix(H, np.float32))
+        except LinAlgError:
+            # rounding left a separator block singular: the same entries,
+            # rounded to float32 as that factor took them, so that the
+            # direction depends on w's scale no more than there, factored
+            # in double
+            try:
+                solve_s = factorized(self._fronts.matrix(
+                    H.astype(np.float32), np.float64))
+            except LinAlgError:
+                return None
 
         def solve(rhs):
             return solve_s(rhs) / wmax
@@ -445,7 +436,7 @@ class Factors:
     def _cell_entries(self, c, w, p, eps):
         """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
         max(w, W_FLOOR max(w)): H_xx for all cells, then H_xy and H_yy (H
-        alone in 1D), as `_band` and `_csc` read them."""
+        alone in 1D), as `_band` and `_fronts` read them."""
         c = c.reshape(self._dim, -1)
         a = (c * c).sum(axis=0) + eps * eps
         u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
@@ -463,43 +454,23 @@ class Factors:
         ab = np.bincount(place, value * H[column], (b + 1) * n)
         return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
 
-    def _sparse_matrix(self, H: np.ndarray,
-                       dtype=np.float64) -> sparse.csc_matrix:
-        """G^T H G from the per-cell entries H as a CSC matrix in the order
-        of `_csc`, each ordered pair of a cell's G entries adding their
-        product with the pair's component of H at its slot, one pair of
-        entry positions at a time, so that no temporary is larger than one
-        value per cell.  The sums are cast to dtype; the matrix shares its
-        index arrays with the map."""
-        m = self._csc
-        H = H.reshape(-1, self._cells)
-        data = np.zeros(m.indices.size)
-        term = np.empty(self._cells)
-        for a, b in itertools.product(range(len(m.entry)), repeat=2):
-            np.multiply(m.entry[a], m.entry[b], out=term)
-            term *= H[m.component[a] + m.component[b]]
-            np.add.at(data, m.slot[a, b], term)
-        return sparse.csc_matrix((data.astype(dtype, copy=False), m.indices,
-                                  m.indptr),
-                                 shape=(m.indptr.size - 1,) * 2)
-
     @functools.cached_property
     def laplacian(self):
         """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
         quadratic energy induces: the preconditioner at p=2 and the stand-in
         of a cold start.  A banded grid factors it by the band map, a box
         grid solves it by sine transforms (`_dst_solver`), and the other
-        SuperLU grids factor it in its own minimum-degree order.
+        wide-band grids factor it on their tree, in double.
         `preconditioner` drops it whenever it builds a lagged factor, so
         that it adds no memory to theirs; the next cold start builds it
         again."""
-        if self.banded:
-            H = np.zeros((len(self._components[0]), self._cells))
-            H[::2] = 1.0
-            return self._band_factor(H.ravel())
         if self._box is not None:
             return self._dst_solver()
-        return factorized((self._G.T @ self._G).sorted_indices())
+        H = np.zeros((len(self._components[0]), self._cells))
+        H[::2] = 1.0
+        if self.banded:
+            return self._band_factor(H.ravel())
+        return factorized(self._fronts.matrix(H.ravel()))
 
     def _dst_solver(self):
         """Solve callable for G^T G on a box of m_1 x ... interior nodes,
@@ -578,91 +549,11 @@ class Factors:
         return place, column[keep], value[keep], int(nnz)
 
     @functools.cached_property
-    def _csc(self) -> _SparseMap:
-        """The map of `_sparse_matrix`: the CSC pattern of G^T H G with
-        both triangles, in the nested-dissection order of `_dissection`, and
-        the cell table (`_cell_table`) with the slot in that pattern of each
-        ordered pair of a cell's entries.  The pattern pairs every two nodes
-        of a cell: it is that of B^T B, where B is the incidence of cells
-        and their nodes.  The zero entries of a cell that stores fewer than
-        the widest row add zero to the slot their pairs find, or to slot 0
-        where the pattern has no entry for them."""
-        G, ncell, n = self._G, self._cells, self._G.shape[1]
-        order = _dissection(self._interior)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        node, entry, component = self._cell_table()
-        node = rank[node]
-        cell = np.repeat(np.arange(G.shape[0]) % ncell, np.diff(G.indptr))
-        B = sparse.csr_matrix((np.ones(G.nnz, dtype=np.int8),
-                               (cell, rank[G.indices])), shape=(ncell, n))
-        P = (B.T @ B).tocsc()
-        P.sort_indices()
-        del cell, B
-        # P's CSC arrays read as CSR hold P^T, whose entry [j, i] is here
-        # the slot of P[i, j]
-        slots = sparse.csr_array((np.arange(P.nnz, dtype=np.int32),
-                                  P.indices, P.indptr), shape=(n, n))
-        slot = np.empty((len(node),) * 2 + (ncell,), dtype=np.int32)
-        for a, b in itertools.product(range(len(node)), repeat=2):
-            slot[a, b] = slots[node[b], node[a]]
-        return _SparseMap(slot, entry, component,
-                          P.indices.astype(np.intc), P.indptr.astype(np.intc),
-                          order)
-
-
-class _SparseMap(NamedTuple):
-    """`Factors._csc`: slot[a, b, e] is the CSC slot to which the ordered
-    pair (a, b) of cell e's stored G entries adds entry[a, e] entry[b, e]
-    times the cell's H component component[a] + component[b] (xx, xy, yy;
-    xx alone in 1D); (indices, indptr) is the pattern and order the nodes
-    in its order."""
-
-    slot: np.ndarray
-    entry: np.ndarray
-    component: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    order: np.ndarray
-
-
-def _dissection(interior: np.ndarray) -> np.ndarray:
-    """A geometric nested-dissection order (George, SIAM J. Numer. Anal.
-    1973) of the nodes marked in interior, numbered in its row-major order:
-    the box is cut across its longest side at the middle line, the two
-    halves are ordered first, each in this order, and the line after them.
-    Boxes of at most ND_LEAF nodes per side keep the row-major order.  A
-    line couples nothing across it in the 3-, 5- or 7-point pattern, so
-    the factor of a half fills nothing in the other.  Returns order, the
-    node at each position.
-
-    The order of a box depends on its shape alone, and the boxes of one
-    level differ by at most one node per side, so each shape is ordered
-    once."""
-    index = np.full(interior.shape, -1, dtype=np.intp)
-    index[interior] = np.arange(np.count_nonzero(interior))
-    orders = {}
-
-    def box_order(shape):
-        # the row-major positions of a box of this shape, in its order
-        if shape not in orders:
-            flat = np.arange(math.prod(shape)).reshape(shape)
-            side = max(shape)
-            if side <= ND_LEAF:
-                orders[shape] = flat.ravel()
-            else:
-                axis, m = shape.index(side), side // 2
-                cut = (slice(None),) * axis
-                low = flat[cut + (slice(m),)]
-                high = flat[cut + (slice(m + 1, None),)]
-                orders[shape] = np.concatenate((
-                    low.ravel()[box_order(low.shape)],
-                    high.ravel()[box_order(high.shape)],
-                    flat[cut + (m,)].ravel()))
-        return orders[shape]
-
-    order = index.ravel()[box_order(index.shape)]
-    return order[order >= 0]
+    def _fronts(self) -> FrontTree:
+        """The map of a wide-band grid's factors: the nested-dissection tree
+        of its interior nodes and the place of each term of `_cell_table`
+        in its fronts (`pground.multifrontal`), built on the first factor."""
+        return FrontTree(self._interior, *self._cell_table())
 
 
 def _dst(a: np.ndarray, axis: int) -> np.ndarray:

@@ -175,8 +175,8 @@ def test_criterion_7_supnorm_diagnostics(square_sweep):
 
 
 def test_criterion_7_sweep_traces_verify(square_sweep):
-    # n=128 factors its lagged preconditioners by SuperLU, whose re-lag rule
-    # differs from the banded grids' every 20 iterations
+    # n=128 factors its lagged preconditioners on the multifrontal tree,
+    # in single precision, where n=64 and below use the double band
     result, _ = square_sweep
     for tr in result.traces:
         report = verify(tr)

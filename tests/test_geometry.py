@@ -163,8 +163,7 @@ class TestGradientOperator:
                                          ("l_shape", 16), ("square", 24)])
     def test_csr_equals_stacked_reference(self, kind, n, l_mask):
         # G is built as CSR from the cells' node pairs; the reference stacks
-        # the per-axis operators built through COO (square n=24 is a
-        # SuperLU-factored grid)
+        # the per-axis operators built through COO
         spec = {"interval": Interval(0.0, 1.0),
                 "square": Rectangle(0.0, 1.0, 0.0, 1.0),
                 "l_shape": l_mask}[kind]

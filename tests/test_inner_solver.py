@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import splu, spsolve
 
-from pground import inner
+from pground import inner, multifrontal
 from pground.calculus import GridFunction, _energy, _nodal_gradient
 from pground.geometry import Interval, MaskDomain, Rectangle, \
     _gradient_operators, build_grid, shared_grid
@@ -64,12 +64,29 @@ def cell_hessian(grid, x, p, eps=0.0):
     return c, w, M.tocsc()
 
 
-def in_order(factors, M):
-    """M with its rows and columns taken in the order of a grid's sparse
-    back end (its `Factors._csc`, nested dissection), as a CSC matrix with
-    sorted indices."""
-    order = factors._csc.order
-    M = sparse.csc_matrix(M)[order][:, order].tocsc()
+def front_matrix(tree, H, dtype=np.float64):
+    """G^T H G from the per-cell entries H as the fronts of a multifrontal
+    tree (`pground.multifrontal.FrontTree`) hold it, cast to dtype: each
+    depth's sums at the places its terms reach, on and below the diagonal,
+    mapped back to the grid's nodes and mirrored, as a CSC matrix with
+    sorted indices.  The identity rows of padding and off-mask nodes are
+    left out."""
+    rows, cols, values = [], [], []
+    for at, dep in enumerate(tree.depths):
+        hit = np.zeros(len(dep.nodes) * dep.nf * dep.k, dtype=bool)
+        hit[dep.place] = True
+        hit = hit.reshape(len(dep.nodes), dep.nf, dep.k)
+        box, row, col = np.nonzero(hit)
+        rows.append(dep.nodes[box, row])
+        cols.append(dep.sep[box, col])
+        values.append(tree.blocks(at, H).astype(dtype)[box, row, col])
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    assert rows.max() < tree.n and cols.max() < tree.n
+    off = rows != cols
+    M = sparse.csc_matrix((np.concatenate([values, values[off]]).astype(
+        np.float64), (np.concatenate([rows, cols[off]]),
+                      np.concatenate([cols, rows[off]]))),
+        shape=(tree.n,) * 2)
     M.sort_indices()
     return M
 
@@ -211,10 +228,10 @@ class TestWeightedPreconditioner:
 
     @staticmethod
     def _assembled(grid, H):
-        # the sparse back end's scatter of the per-cell entries H, listed as
-        # [H_xx, H_xy, H_yy] (H in 1D), before its cast to single precision;
-        # its rows and columns are in the grid's nested-dissection order
-        return inner.Factors.of(grid)._sparse_matrix(H.ravel())
+        # the multifrontal map's sums of the per-cell entries H, listed as
+        # [H_xx, H_xy, H_yy] (H in 1D), before any cast to single precision,
+        # in the grid's node order; any grid, banded or not, has the map
+        return front_matrix(inner.Factors.of(grid)._fronts, H.ravel())
 
     @staticmethod
     def _cell_entries(grid, seed):
@@ -236,10 +253,10 @@ class TestWeightedPreconditioner:
         H = self._cell_entries(g, 23)
         comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
         ops = _gradient_operators(g)
-        ref = in_order(inner.Factors.of(g),
-                       sum(Gk.T @ sparse.diags(H[comp[k, m]]) @ Gm
-                           for k, Gk in enumerate(ops)
-                           for m, Gm in enumerate(ops)))
+        ref = sparse.csc_matrix(sum(Gk.T @ sparse.diags(H[comp[k, m]]) @ Gm
+                                    for k, Gk in enumerate(ops)
+                                    for m, Gm in enumerate(ops)))
+        ref.sort_indices()
         A = self._assembled(g, H)
         assert A.has_sorted_indices
         assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
@@ -249,14 +266,15 @@ class TestWeightedPreconditioner:
     @pytest.mark.parametrize("kind",
                              ["interval", "square", "l_shape", "rectangle"])
     def test_unit_weights_give_laplacian(self, kind, l_mask):
-        # at H = I the scatter is the 3/5-point Laplacian in the grid's
-        # order, slot for slot once the cross term's zeros are dropped; the
-        # values agree to rounding of 1/h^2 against (1/h)^2
+        # at H = I the map gives the 3/5-point Laplacian, slot for slot once
+        # the cross term's zeros are dropped; the values agree to rounding
+        # of 1/h^2 against (1/h)^2
         g = self._grid(kind, l_mask)
         H = np.zeros((2 * g.dim - 1, int(np.count_nonzero(g.cell_mask))))
         H[::2] = 1.0
         A = self._assembled(g, H)
-        L = in_order(inner.Factors.of(g), dirichlet_laplacian_matrix(g))
+        L = sparse.csc_matrix(dirichlet_laplacian_matrix(g))
+        L.sort_indices()
         assert A.nnz == L.nnz if g.dim == 1 else A.nnz > L.nnz
         A.eliminate_zeros()
         assert np.array_equal(A.indices, L.indices)
@@ -264,15 +282,18 @@ class TestWeightedPreconditioner:
         assert np.abs(A.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
 
     def test_assembly_peak_memory(self):
-        # the scatter map's build, and each assembly from it, hold at most
-        # a small multiple of what they return (1.7x and 1.3x measured)
+        # the multifrontal map's build, and each factor from it (assembly
+        # included), hold at most a small multiple of what they keep: the
+        # map, and the factor's [S; W] blocks (2.9x and 2.3x measured)
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 64)
         H = self._cell_entries(g, 37).ravel()
         interior = g.interior[1:-1, 1:-1]
-        inner.Factors(g.G, g.dim, interior)._sparse_matrix(H)  # first call
+        warm = inner.Factors(g.G, g.dim, interior)._fronts  # first call
+        warm.factor(warm.matrix(H))
         factors = inner.Factors(g.G, g.dim, interior)
-        for build in (lambda: factors._csc,
-                      lambda: factors._sparse_matrix(H)):
+        for build in (lambda: factors._fronts,
+                      lambda: factors._fronts.factor(
+                          factors._fronts.matrix(H))):
             tracemalloc.start()
             try:
                 kept_arrays = build()
@@ -297,7 +318,7 @@ class TestWeightedPreconditioner:
             assert np.linalg.norm(x - direct) <= \
                 1e-10 * np.linalg.norm(direct)
         assert entries[0] is entries[1]
-        # a SuperLU grid's map to CSC slots, in its one order
+        # a wide-band grid's map of the cell entries to its fronts
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
         factors = inner.Factors.of(g)
         assert not factors.banded
@@ -307,7 +328,7 @@ class TestWeightedPreconditioner:
             v[g.interior] = rng.uniform(-1.0, 1.0, g.num_interior)
             b = rng.uniform(-1.0, 1.0, g.num_interior)
             x = self._preconditioner(g, v, 3.0)(b)
-            maps.append(factors._csc)
+            maps.append(factors._fronts)
             A = cell_hessian(g, v[g.interior], 3.0)[2]
             direct = spsolve(A, b)
             assert np.linalg.norm(x - direct) <= \
@@ -318,7 +339,7 @@ class TestWeightedPreconditioner:
 
 class TestFactorized:
     """The grid's `Factors` on both back ends: LAPACK's banded Cholesky
-    for bandwidth <= BAND_MAX, SuperLU beyond."""
+    for bandwidth <= BAND_MAX, the multifrontal factor beyond."""
 
     @staticmethod
     def _operator(spec, n, seed=41, p=3.0):
@@ -356,49 +377,54 @@ class TestFactorized:
         direct = self._splu_solve(A)(b)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
-    def test_wide_band_keeps_superlu(self):
-        factors, _, _, A = self._operator(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
+    def test_wide_band_factors_by_fronts(self):
+        # `factorized` takes a wide-band grid's matrix as its fronts, and
+        # in double solves it as SuperLU and spsolve do
+        factors, c, w, A = self._operator(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
         assert self._bandwidth(A) == 71 > inner.BAND_MAX
         assert not factors.banded
+        H = factors._cell_entries(c, w, 3.0, 0.0)
         b = np.random.default_rng(47).uniform(-1.0, 1.0, A.shape[0])
-        x = inner.factorized(A)(b)
-        assert np.array_equal(x, self._splu_solve(A)(b))
+        x = inner.factorized(factors._fronts.matrix(H))(b)
+        assert x.dtype == np.float64
+        assert np.linalg.norm(x - self._splu_solve(A)(b)) <= \
+            1e-12 * np.linalg.norm(x)
         direct = spsolve(A, b)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("kind, n, band", [
         ("square", 72, 71), ("l_shape", 72, 71), ("rectangle", 72, 71)])
     def test_superlu_grid_solves(self, kind, n, band, l_mask, monkeypatch):
-        # each lagged factor is the cell Hessian over max(w), its weights
-        # floored at W_FLOOR, in single precision, rounded once from double,
-        # in the grid's nested-dissection order; its solve returns double
-        # directions in the grid's node order with a normwise backward
-        # error of a few float32 units u, so a forward error of at most
-        # kappa(A) times that
+        # on a wide-band grid (bandwidth above BAND_MAX, once factored by
+        # SuperLU) each lagged factor is the cell Hessian over max(w), its
+        # weights floored at W_FLOOR, on the grid's one front tree, in
+        # single precision, rounded once from double; its solve returns
+        # double directions in the grid's node order with a normwise
+        # backward error of a few float32 units u, so a forward error of at
+        # most kappa(A) times that
         spec = {"square": Rectangle(0.0, 1.0, 0.0, 1.0), "l_shape": l_mask,
                 "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0)}[kind]
         factors, c, w, A = self._operator(spec, n, seed=59)
         assert self._bandwidth(A) == band > inner.BAND_MAX
         assert not factors.banded
-        built_matrices, orders = [], []
+        built = []
         factorized = inner.factorized
 
-        def recorded(M, order=None):
-            built_matrices.append(M.copy())
-            orders.append(order)
-            return factorized(M, order=order)
+        def recorded(M):
+            built.append(M)
+            return factorized(M)
 
         monkeypatch.setattr(inner, "factorized", recorded)
         first = factors.preconditioner(c, w, 3.0, 0.0)
         second = factors.preconditioner(c, w, 3.0, 0.0)
-        assert [M.dtype for M in built_matrices] == [np.float32] * 2
-        assert orders[0] is orders[1] is factors._csc.order
+        assert [M.dtype for M in built] == [np.float32] * 2
+        assert built[0].tree is built[1].tree is factors._fronts
         u = np.finfo(np.float32).eps / 2
-        ref = in_order(factors, A / w.max())
-        for M in built_matrices:
-            assert M.nnz == np.count_nonzero(ref.toarray())  # 7 points
-            assert abs(M.astype(np.float64) - ref).max() <= \
-                2 * u * abs(ref).max()
+        ref = A / w.max()
+        for M in built:
+            stored = front_matrix(M.tree, M.H, M.dtype)
+            assert stored.nnz == M.nnz == np.count_nonzero(ref.toarray())
+            assert abs(stored - ref).max() <= 2 * u * abs(ref).max()
         b = np.random.default_rng(61).uniform(-1.0, 1.0, A.shape[0])
         direct = spsolve(A, b)
         for solve in (first, second):
@@ -413,33 +439,32 @@ class TestFactorized:
             1e-12 * np.linalg.norm(direct)
 
     def test_one_ordering_per_grid(self, monkeypatch):
-        # over one whole solve on a fresh box grid the nested-dissection
-        # order is built once, and each lagged factor takes its matrix in
-        # that order as it is; the Laplacian of the cold start is no factor
-        # (a sine-transform solve); the factors are carried across the
-        # outer steps
-        specs, orders = [], []
-        splu_, dissection = inner.splu, inner._dissection
+        # over one whole solve on a fresh box grid the front tree is built
+        # once, and each lagged factor is a single-precision matrix on it;
+        # the Laplacian of the cold start is no factor (a sine-transform
+        # solve); the factors are carried across the outer steps
+        trees, factored = [], []
+        tree_class, factor = inner.FrontTree, inner.FrontTree.factor
 
-        def counting_splu(A, **kwargs):
-            specs.append(kwargs["permc_spec"])
-            return splu_(A, **kwargs)
+        def counting_tree(*args):
+            trees.append(tree_class(*args))
+            return trees[-1]
 
-        def counting_dissection(interior):
-            orders.append(dissection(interior))
-            return orders[-1]
+        def counting_factor(tree, M):
+            factored.append((tree, M.dtype))
+            return factor(tree, M)
 
-        monkeypatch.setattr(inner, "splu", counting_splu)
-        monkeypatch.setattr(inner, "_dissection", counting_dissection)
+        monkeypatch.setattr(inner, "FrontTree", counting_tree)
+        monkeypatch.setattr(tree_class, "factor", counting_factor)
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         grid = shared_grid(spec, 72)
         assert not inner.Factors.of(grid).banded  # bandwidth 71
         inverse_iterate(spec, 72, 3.0, PositiveConstant())
-        assert specs == ["NATURAL"] * 3
-        assert len(orders) == 1
+        assert len(trees) == 1
+        assert factored == [(trees[0], np.float32)] * 3
 
     def test_warm_start_keeps_no_order_factor(self, l_mask, monkeypatch):
-        # a Custom-init solve on a fresh SuperLU grid factors no Laplacian,
+        # a Custom-init solve on a fresh wide-band grid factors no Laplacian,
         # and a Laplacian factored before the solve is dropped by its first
         # lagged factor and changes nothing: both grids give the same trace
         spec = l_mask
@@ -451,8 +476,8 @@ class TestFactorized:
             if keep_laplacian:
                 inner.Factors.of(shared_grid(spec, 72)).laplacian
             monkeypatch.setattr(inner, "factorized",
-                                lambda A, order=None: built.append(A.dtype)
-                                or factorized(A, order=order))
+                                lambda A: built.append(A.dtype)
+                                or factorized(A))
             traces.append(inverse_iterate(spec, 72, 3.0, ground))
             monkeypatch.setattr(inner, "factorized", factorized)
         assert set(built) == {np.dtype(np.float32)}  # no Laplacian factor
@@ -483,8 +508,93 @@ class TestFactorized:
             inner.factorized(inner.Banded(ab, 22))
 
 
+@functools.cache
+def _wide_grid(kind):
+    """The grids of `TestMultifrontalFactor`: squares whose 65 and 71
+    interior nodes a side pad to 79 and whose 95 need none, 2x1 rectangles
+    (95 x 47 nodes, no padding; 143 x 71, padded to 159 x 79), the L-shape,
+    and a 5x5 mask without its centre cell."""
+    hole = np.ones((5, 5), dtype=bool)
+    hole[2, 2] = False
+    spec, n = {
+        "square66": (Rectangle(0.0, 1.0, 0.0, 1.0), 66),
+        "square72": (Rectangle(0.0, 1.0, 0.0, 1.0), 72),
+        "square96": (Rectangle(0.0, 1.0, 0.0, 1.0), 96),
+        "rectangle48": (Rectangle(0.0, 2.0, 0.0, 1.0), 48),
+        "rectangle72": (Rectangle(0.0, 2.0, 0.0, 1.0), 72),
+        "l_shape72": (MaskDomain(2, 2, np.array([[True, True],
+                                                 [True, False]]), 0.5), 72),
+        "hole70": (MaskDomain(5, 5, hole, 0.2), 70)}[kind]
+    return build_grid(spec, n)
+
+
+class TestMultifrontalFactor:
+    """The multifrontal factor of a grid against spsolve, on random
+    symmetric positive definite cell Hessians H = w I + (p-2) w u u^T (w > 0,
+    u of unit length): the solve returns the interior nodes alone, never a
+    padding or off-mask slot of the tree.  The factor is a block LDL^T one,
+    so it solves -A as well, and a singular separator block raises
+    LinAlgError from an explicit pivot test, not a RuntimeWarning from a
+    division by zero."""
+
+    KINDS = ["square66", "square72", "square96", "rectangle48",
+             "rectangle72", "l_shape72", "hole70"]
+
+    def test_padding_and_mask_slots(self):
+        # separator slots without a node, padding's or off a mask's, on
+        # every grid whose sides are no (s+1) 2^j - 1 or that is no box
+        for kind in self.KINDS:
+            tree = inner.Factors.of(_wide_grid(kind))._fronts
+            empty = any(np.any(dep.sep == tree.n) for dep in tree.depths)
+            assert empty == (kind not in ("square96", "rectangle48"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(KINDS), p=st.sampled_from([1.5, 3.0, 64.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_solve_matches_spsolve(self, kind, p, seed):
+        g = _wide_grid(kind)
+        factors = inner.Factors.of(g)
+        tree = factors._fronts
+        rng = np.random.default_rng(seed)
+        ncell = g.G.shape[0] // 2
+        c = rng.uniform(-1.0, 1.0, 2 * ncell)
+        w = rng.uniform(0.5, 2.0, ncell) * 10.0 ** rng.uniform(-3, 3)
+        H = factors._cell_entries(c, w, p, 0.0)
+        comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+        ops = _gradient_operators(g)
+        A = sparse.csc_matrix(sum(
+            Gk.T @ sparse.diags(H.reshape(3, -1)[comp[k, m]]) @ Gm
+            for k, Gk in enumerate(ops) for m, Gm in enumerate(ops)))
+        b = rng.uniform(-1.0, 1.0, g.num_interior)
+        direct = spsolve(A, b)
+        solve = inner.factorized(tree.matrix(H))
+        x = solve(b)
+        assert x.shape == (g.num_interior,) and x.dtype == np.float64
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+        # a factor's solve buffers carry nothing from one solve to the next
+        other = rng.uniform(-1.0, 1.0, g.num_interior)
+        solve(other)
+        assert np.array_equal(solve(b), x)
+        # single precision, after the division by max(w)
+        solve = inner.factorized(tree.matrix(H / w.max(), np.float32))
+        x = solve(b)
+        assert x.shape == (g.num_interior,) and x.dtype == np.float64
+        assert np.linalg.norm(A @ x / w.max() - b) <= \
+            1e-4 * np.linalg.norm(b)
+        solve(other)
+        assert np.array_equal(solve(b), x)
+        # the factor needs no positive pivot: -A is solved as well, and
+        # only a singular block raises
+        x = inner.factorized(tree.matrix(-H))(b)
+        assert np.linalg.norm(A @ x + b) <= 1e-12 * np.linalg.norm(b)
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(LinAlgError):
+                inner.factorized(tree.matrix(0 * H, dtype))
+
+
 class TestSinglePrecisionFactor:
-    """A SuperLU grid factors the cell Hessian in single precision, after
+    """A wide-band grid factors the cell Hessian in single precision, after
     scaling it by max(w) and the right-hand side by its sup-norm, so that
     no range of weights leaves float32's range."""
 
@@ -497,7 +607,6 @@ class TestSinglePrecisionFactor:
         x = np.random.default_rng(89).uniform(-1.0, 1.0, g.num_interior)
         _, c, w = _energy(g, x, 0 * x, 64.0, 0.0)
         assert w.max() > 1e100
-        factors.preconditioner(c, w, 64.0, 0.0)  # fixes the fill order
         b = np.random.default_rng(97).uniform(-1.0, 1.0, g.num_interior)
         d = factors.preconditioner(c, w, 64.0, 0.0)(b)
         assert np.all(np.isfinite(d)) and np.dot(b, d) > 0
@@ -506,6 +615,34 @@ class TestSinglePrecisionFactor:
             ds = factors.preconditioner(scale * c, scale * w, 64.0, 0.0)(b)
             assert np.all(np.isfinite(ds))
             assert np.linalg.norm(scale * ds - d) <= u * np.linalg.norm(d)
+
+    def test_singular_single_block_factored_in_double(self, monkeypatch):
+        # the iterate above: float32 rounds its Hessian, floored at
+        # W_FLOOR max(w), to one with a singular separator block, so the
+        # preconditioner factors the same float32 entries in double, whose
+        # solve gives a descent direction and meets that matrix, of
+        # condition 4e14, within 1e-3 (spsolve's residual is 2e-5, this
+        # factor's 2e-4)
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 72)
+        factors = inner.Factors.of(g)
+        tree = factors._fronts
+        x = np.random.default_rng(89).uniform(-1.0, 1.0, g.num_interior)
+        _, c, w = _energy(g, x, 0 * x, 64.0, 0.0)
+        H = factors._cell_entries(c, w / w.max(), 64.0, 0.0)
+        with pytest.raises(LinAlgError):
+            tree.factor(tree.matrix(H, np.float32))
+        dtypes = []
+        real = inner.FrontTree.factor
+        monkeypatch.setattr(inner.FrontTree, "factor", lambda self, M: (
+            dtypes.append(M.dtype), real(self, M))[1])
+        b = np.random.default_rng(97).uniform(-1.0, 1.0, g.num_interior)
+        d = factors.preconditioner(c, w, 64.0, 0.0)(b)
+        assert dtypes == [np.float32, np.float64]
+        assert np.all(np.isfinite(d)) and np.dot(b, d) > 0
+        A = front_matrix(tree, H.astype(np.float32).astype(np.float64),
+                         np.float64)
+        assert np.linalg.norm(A @ d * w.max() - b) <= \
+            1e-3 * np.linalg.norm(b)
 
     def test_l_shape_large_p_passes_verify(self, l_mask):
         # a mask that is no box, at the widest weight range of the sweeps
@@ -516,9 +653,10 @@ class TestSinglePrecisionFactor:
 
 
 class TestBoxLaplacian:
-    """A SuperLU grid whose interior nodes fill their box solves its
+    """A wide-band grid whose interior nodes fill their box solves its
     Laplacian G^T G by sine transforms, and factors no Laplacian in any
-    solve; the other SuperLU grids keep a SuperLU factor of it."""
+    solve; the other wide-band grids factor it on their front tree, in
+    double."""
 
     BOXES = {"square": Rectangle(0.0, 1.0, 0.0, 1.0),
              "rectangle": Rectangle(0.0, 2.0, 0.0, 1.0),
@@ -539,17 +677,28 @@ class TestBoxLaplacian:
         assert np.linalg.norm(solve(b) - direct) <= \
             1e-12 * np.linalg.norm(direct)
 
-    def test_l_shape_keeps_superlu_laplacian(self, l_mask):
+    def test_l_shape_factors_its_laplacian(self, l_mask, monkeypatch):
+        # the Laplacian of a grid that is no box: the fronts of the unit
+        # cell matrices, factored in double, the off-mask quadrant's nodes
+        # identity rows of the tree
         g = build_grid(l_mask, 72)
         factors = inner.Factors.of(g)
         assert not factors.banded
+        built, factorized = [], inner.factorized
+        monkeypatch.setattr(inner, "factorized",
+                            lambda A: built.append(A) or factorized(A))
         solve = factors.laplacian
+        (A,) = built
+        assert A.dtype == np.float64 and A.tree is factors._fronts
+        L = (g.G.T @ g.G).tocsc()
+        assert abs(front_matrix(A.tree, A.H) - L).max() <= \
+            1e-15 * abs(L).max()
         b = np.random.default_rng(83).uniform(-1.0, 1.0, g.num_interior)
-        direct = spsolve((g.G.T @ g.G).tocsc(), b)
+        direct = spsolve(L, b)
         assert np.linalg.norm(solve(b) - direct) <= \
             1e-12 * np.linalg.norm(direct)
 
-    def test_no_superlu_laplacian_in_solves(self, monkeypatch):
+    def test_no_laplacian_factor_in_solves(self, monkeypatch):
         # p=2, a cold start at p=3 and a Custom warm start on fresh grids:
         # no factor is the Laplacian; every factor is the single-precision
         # Hessian, of the 7-point pattern
@@ -562,23 +711,25 @@ class TestBoxLaplacian:
             shared_grid.cache_clear()  # a new grid for each solve
             built = []
 
-            def capture(A, order=None):
-                built.append(A.copy())
-                return factorized(A, order=order)
+            def capture(A):
+                built.append(A)
+                return factorized(A)
 
             monkeypatch.setattr(inner, "factorized", capture)
             grid = inverse_iterate(spec, 72, p, init).final.grid
             monkeypatch.setattr(inner, "factorized", factorized)
             assert (len(built) > 0) == (p != 2)
-            L = in_order(inner.Factors.of(grid), grid.G.T @ grid.G)
+            L = grid.G.T @ grid.G
             for A in built:
-                assert abs(A - L).max() > 0
-                assert A.dtype == np.float32 and A.nnz > L.nnz
+                M = front_matrix(A.tree, A.H, A.dtype)
+                assert abs(M - L).max() > 0
+                assert A.dtype == np.float32 and M.nnz > L.nnz
 
 
 class TestDissectionOrder:
-    """A SuperLU grid factors its cell Hessian in one nested-dissection
-    order of its interior nodes (`inner._dissection`), built with its map."""
+    """A wide-band grid factors its cell Hessian on one nested-dissection
+    tree of its interior nodes (`pground.multifrontal.FrontTree`), built
+    with its map."""
 
     GRIDS = {"square": (Rectangle(0.0, 1.0, 0.0, 1.0), 72),
              "rectangle": (Rectangle(0.0, 2.0, 0.0, 1.0), 72)}
@@ -591,28 +742,43 @@ class TestDissectionOrder:
 
     @pytest.mark.parametrize("kind", ["square", "rectangle", "l_shape"])
     def test_permutation_of_interior(self, kind, l_mask):
+        # the separators list every interior node once, and the other
+        # separator slots (padding, off-mask nodes) hold none
         grid = self._grid(kind, l_mask)
-        order = inner.Factors.of(grid)._csc.order
+        tree = inner.Factors.of(grid)._fronts
+        order = np.concatenate([dep.sep.ravel() for dep in tree.depths])
+        order = order[order < tree.n]
         assert np.array_equal(np.sort(order), np.arange(grid.num_interior))
 
     @pytest.mark.parametrize("kind", ["square", "rectangle", "l_shape"])
     def test_top_separator_splits_pattern(self, kind, l_mask):
         # the first cut is the middle line across the longest side of the
-        # interior nodes' box; the order lists the nodes below it, then
-        # those above it, then the line, and no entry of the 7-point
-        # pattern couples the two halves
+        # interior nodes' box, padded to (s+1) 2^j - 1 nodes; the first
+        # child's subtree holds the nodes below it, the second's those
+        # above it, and no entry of the 7-point pattern couples the two
         grid = self._grid(kind, l_mask)
+        tree = inner.Factors.of(grid)._fronts
         coords = np.nonzero(grid.interior)
-        side = [int(i.max() - i.min()) + 1 for i in coords]
-        axis = side.index(max(side))
-        at = coords[axis] - coords[axis].min() - max(side) // 2
+        padded = [(s + 1) * 2 ** j - 1 for s, j in (
+            multifrontal._padded(int(i.max() - i.min()) + 1) for i in coords)]
+        axis = padded.index(max(padded))
+        at = coords[axis] - coords[axis].min() - (max(padded) - 1) // 2
         low, high, line = (np.nonzero(part)[0]
                            for part in (at < 0, at > 0, at == 0))
         assert low.size and high.size and line.size
-        order = inner.Factors.of(grid)._csc.order
-        assert set(order[:low.size]) == set(low)
-        assert set(order[low.size:-line.size]) == set(high)
-        assert np.array_equal(order[-line.size:], line)
+        root = tree.depths[0].sep.ravel()
+        assert np.array_equal(root[root < tree.n], line)
+        for child, part in enumerate((low, high)):
+            # the root's child in this slot and its descendants, down the
+            # links from each depth's boxes to the next depth's
+            mine, below = None, []
+            for up, dep in zip(tree.depths, tree.depths[1:]):
+                kids = np.arange(2 * len(up.sep)) if up.kids is None else \
+                    up.kids
+                mine = kids % 2 == child if mine is None else mine[kids // 2]
+                below.append(dep.sep[mine].ravel())
+            below = np.concatenate(below)
+            assert np.array_equal(np.sort(below[below < tree.n]), part)
         x = np.random.default_rng(101).uniform(-1.0, 1.0, grid.num_interior)
         A = cell_hessian(grid, x, 3.0)[2]
         assert np.count_nonzero(A.toarray()) > 5 * grid.num_interior
@@ -621,24 +787,22 @@ class TestDissectionOrder:
     @pytest.mark.parametrize("spec, n", [(Rectangle(0.0, 1.0, 0.0, 1.0), 128),
                                          (Rectangle(0.0, 2.0, 0.0, 1.0), 96)])
     def test_fill_below_minimum_degree(self, spec, n):
-        # nnz(L + U) of the single-precision Hessian factor in the grid's
-        # order against SuperLU's minimum degree on the natural order
-        # (999,096 against 1,045,770 on the square n=128; 1,106,774
-        # against 1,130,148 on the 2x1 rectangle n=96)
+        # the values the factor keeps, K = [A11^-1; A21 A11^-1] per front,
+        # against nnz(L + U) of SuperLU's factor of the single-precision
+        # Hessian in its minimum-degree order (759,035 against 1,045,770 on
+        # the square n=128; 751,547 against 1,130,148 on the 2x1 rectangle
+        # n=96)
         grid = build_grid(spec, n)
         factors = inner.Factors.of(grid)
         x = np.random.default_rng(103).uniform(-1.0, 1.0, grid.num_interior)
         _, c, w = _energy(grid, x, 0 * x, 3.0, 0.0)
-        A = factors._sparse_matrix(factors._cell_entries(
-            c, w / w.max(), 3.0, 0.0)).astype(np.float32)
-        rank = np.argsort(factors._csc.order)
-        natural = A[rank][:, rank].tocsc()
-        options = dict(diag_pivot_thresh=0.0, panel_size=1, relax=1,
-                       options={"SymmetricMode": True})
-        fill = [(lu.L.nnz + lu.U.nnz) for lu in (
-            splu(A, permc_spec="NATURAL", **options),
-            splu(natural, permc_spec="MMD_AT_PLUS_A", **options))]
-        assert fill[0] < fill[1]
+        tree = factors._fronts
+        A = front_matrix(tree, factors._cell_entries(c, w / w.max(), 3.0,
+                                                     0.0)).astype(np.float32)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  panel_size=1, relax=1, options={"SymmetricMode": True})
+        kept = sum(len(dep.sep) * dep.nf * dep.k for dep in tree.depths)
+        assert kept < lu.L.nnz + lu.U.nnz
 
 
 class TestGridKernels:
@@ -763,7 +927,7 @@ class TestCellHessian:
     @pytest.mark.parametrize("n", [16, 72])
     def test_back_ends_factor_one_floored_hessian(self, n, monkeypatch):
         # p=16 with a block of flat cells, where w = 0 and only the floor
-        # keeps H > 0: the band (square n=16) and the float32 SuperLU matrix
+        # keeps H > 0: the band (square n=16) and the float32 fronts
         # (square n=72), multiplied back by max(w), are the same Hessian,
         # each entry to rounding in double and in float32 respectively
         g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), n)
@@ -778,10 +942,11 @@ class TestCellHessian:
         captured = []
         factorized = inner.factorized
 
-        def capture(M, **kwargs):
+        def capture(M):
             captured.append(M._replace(ab=M.ab.copy()) if factors.banded
-                            else M.astype(np.float64) * w.max())
-            return factorized(M, **kwargs)
+                            else front_matrix(M.tree, M.H, M.dtype)
+                            * w.max())
+            return factorized(M)
 
         monkeypatch.setattr(inner, "factorized", capture)
         factors.preconditioner(c, w, 16.0, 0.0)
@@ -789,7 +954,7 @@ class TestCellHessian:
         if factors.banded:
             M, rel = sparse.csc_matrix(self._dense(M)), 1e-13
         else:
-            A, rel = in_order(factors, A), np.finfo(np.float32).eps
+            rel = np.finfo(np.float32).eps
         assert (abs(M - A) - rel * abs(A)).max() <= 1e-15 * abs(A).max()
 
     def test_band_spans_cross_term(self, monkeypatch):
@@ -900,7 +1065,7 @@ class TestSolverCaches:
                 assert ("laplacian" in vars(factors)) == (k % 2 == 1)
                 refs += [weakref.ref(grid), weakref.ref(grid.G),
                          weakref.ref(factors), weakref.ref(factors._band[0])]
-            # a SuperLU grid keeps its map to CSC slots, and drops the
+            # a wide-band grid keeps its map to the fronts, and drops the
             # Laplacian the cold start stood in
             for _ in range(3):
                 shared_grid.cache_clear()
@@ -908,10 +1073,10 @@ class TestSolverCaches:
                                        PositiveConstant()).final.grid
                 factors = inner.Factors.of(grid)
                 assert not factors.banded
-                assert "_csc" in vars(factors)
+                assert "_fronts" in vars(factors)
                 assert "laplacian" not in vars(factors)
                 refs += [weakref.ref(grid), weakref.ref(factors),
-                         weakref.ref(factors._csc[0])]
+                         weakref.ref(factors._fronts)]
             shared_grid.cache_clear()
             del grid, factors
             assert all(ref() is None for ref in refs)
@@ -1099,13 +1264,14 @@ class TestFactorizeBoundary:
                                                           n, banded):
         calls = {"factorized": 0, "backend": 0}
         nnz = []
-        factorized, splu_, dpbtrf = (inner.factorized, inner.splu,
-                                     inner.lapack.dpbtrf)
+        factorized, factor, dpbtrf = (inner.factorized,
+                                      inner.FrontTree.factor,
+                                      inner.lapack.dpbtrf)
 
-        def counting_factorized(A, **kwargs):
+        def counting_factorized(A):
             calls["factorized"] += 1
             nnz.append(A.nnz)
-            return factorized(A, **kwargs)
+            return factorized(A)
 
         def counting(backend):
             def call(*args, **kwargs):
@@ -1114,7 +1280,7 @@ class TestFactorizeBoundary:
             return call
 
         monkeypatch.setattr(inner, "factorized", counting_factorized)
-        monkeypatch.setattr(inner, "splu", counting(splu_))
+        monkeypatch.setattr(inner.FrontTree, "factor", counting(factor))
         monkeypatch.setattr(inner.lapack, "dpbtrf", counting(dpbtrf))
         spec = Rectangle(0.0, 1.0, 0.0, 1.0)
         grid = shared_grid(spec, n)
@@ -1171,8 +1337,9 @@ class TestNewtonDecrementStop:
     @pytest.mark.parametrize("p", [3.0, 64.0])
     def test_superlu_iterate_meets_decrement_bound(self, monkeypatch, p,
                                                    l_mask):
-        # the L-shape, whose cold start stands a SuperLU factor in for the
-        # Laplacian; the last factor is the single-precision Hessian
+        # the L-shape, whose cold start stands a double multifrontal factor
+        # in for the Laplacian; the last factor is the single-precision
+        # Hessian
         g, f, x, iters, built, solves = self._solve(
             monkeypatch, l_mask, 72, p)
         assert not inner.Factors.of(g).banded
@@ -1193,7 +1360,7 @@ class TestNewtonDecrementStop:
         assert solves == iters + 1  # the decrement's solve at the exit
 
     @pytest.mark.parametrize("spec, n, p", [
-        # the L-shape, whose p=2 Laplacian is a SuperLU factor, so that
+        # the L-shape, whose p=2 Laplacian is a multifrontal factor, so that
         # every solve goes through `factorized`
         (MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5), 72,
          2.0),

@@ -206,7 +206,7 @@ class TestSharedGrid:
             .final.grid is not grid
         assert build_grid(spec, 16) is not grid
 
-    @pytest.mark.parametrize("n", [16, 72])  # banded, SuperLU
+    @pytest.mark.parametrize("n", [16, 72])  # banded, multifrontal
     def test_same_traces_as_new_grids(self, n):
         # a p=2 solve leaves its Laplacian on the shared grid, where the
         # p=3 cold start stands it in; on new grids each builds its own
@@ -449,11 +449,13 @@ L_SHAPE = MaskDomain(2, 2, np.array([[True, True], [True, False]]), 0.5)
 
 class TestPreconditionerPins:
     """Every grid preconditions with the cell Hessian: in double on banded
-    grids, in single precision on SuperLU grids."""
+    grids, in single precision on the wide-band grids' multifrontal tree."""
 
     def test_superlu_solve_unchanged(self):
-        # square n=72 (bandwidth 71) is a SuperLU grid; its per-step inner
-        # iterations are those of the single-precision Hessian carried
+        # square n=72 (bandwidth 71) is a wide-band grid, factored by SuperLU
+        # when these were pinned and by the multifrontal tree since, with
+        # the same iterations; they are those of the single-precision
+        # Hessian carried
         # across outer steps with the Newton-decrement stop, and lambda_R
         # agrees with that of the lagged-diffusivity operator G^T diag(w) G
         # it replaced (62.748266173881, iterations 26/25/10/8/7/6/5/4)
@@ -472,8 +474,8 @@ class TestPreconditionerPins:
         # the Hessian solve stops closest to the claims' slack at large p;
         # the square n=64 (bandwidth 63, the widest band) fails claim (c)
         # at p=64 when the gradient sup-norm alone ends the solve, without
-        # the Newton-decrement stop.  The L-shape n=72 is a SuperLU grid
-        # with a SuperLU Laplacian (it is no box)
+        # the Newton-decrement stop.  The L-shape n=72 is a wide-band grid
+        # whose Laplacian is the tree's double factor (it is no box)
         result = sweep(spec, n, (4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
         for entry, trace in zip(result.entries, result.traces):
             assert entry.converged
