@@ -289,10 +289,9 @@ def factorized(A):
 
     A `Fronts` is factored by the multifrontal factor of its tree
     (`pground.multifrontal`) in its precision, and raises LinAlgError
-    where a separator block is singular in it.  In single precision the
-    solve casts the right-hand side at sup-norm 1, which neither overflows
-    nor flushes to zero, and returns the solution in double, scaled back.
-    The solve of any A returns float64."""
+    where a separator block is singular in it; in single precision its
+    solve scales the right-hand side to sup-norm 1.  The solve of any A
+    returns float64."""
     if isinstance(A, Banded):
         chol, info = lapack.dpbtrf(A.ab, overwrite_ab=True)
         if info != 0:
@@ -301,15 +300,7 @@ def factorized(A):
         def solve(rhs):
             return lapack.dpbtrs(chol, rhs)[0]
         return solve
-    solve_t = A.tree.factor(A)
-    if A.dtype == np.float64:
-        return solve_t
-
-    def solve(rhs):
-        scale = float(np.abs(rhs).max(initial=0.0)) or 1.0
-        return np.multiply(solve_t((rhs / scale).astype(A.dtype)), scale,
-                           dtype=np.float64)
-    return solve
+    return A.tree.factor(A)
 
 
 class Factors:
@@ -344,10 +335,10 @@ class Factors:
     * The other grids factor H / max(w) in single precision on their
       multifrontal tree (`_fronts`, `pground.multifrontal`), built once
       with its map; the solution is divided by max(w) in double (module
-      docstring).  The map places each pair of a cell's stored G entries in
-      the front of the node the tree eliminates first, so a factor sums its
-      fronts from the pairs' products with H, one depth at a time, with no
-      sparse matrix in between.  Where a single-precision factor meets a
+      docstring).  The map sums the pairs' products with H into the
+      matrix's entries in one sparse product, and places each entry in the
+      front of the node the tree eliminates first, where a factor scatters
+      it, one depth at a time.  Where a single-precision factor meets a
       singular separator block, the same entries are factored in double
       (`preconditioner`).
 
@@ -430,7 +421,9 @@ class Factors:
                 return None
 
         def solve(rhs):
-            return solve_s(rhs) / wmax
+            x = solve_s(rhs)
+            x /= wmax
+            return x
         return solve
 
     def _cell_entries(self, c, w, p, eps):
@@ -551,8 +544,9 @@ class Factors:
     @functools.cached_property
     def _fronts(self) -> FrontTree:
         """The map of a wide-band grid's factors: the nested-dissection tree
-        of its interior nodes and the place of each term of `_cell_table`
-        in its fronts (`pground.multifrontal`), built on the first factor."""
+        of its interior nodes, the sums of the terms of `_cell_table` that
+        make each entry of the matrix, and the entry's place in the fronts
+        (`pground.multifrontal`), built on the first factor."""
         return FrontTree(self._interior, *self._cell_table())
 
 
