@@ -611,6 +611,32 @@ class TestMultifrontalFactor:
                 inner.factorized(tree.matrix(0 * H, dtype))
 
 
+    def test_live_solves_keep_their_arrays(self):
+        # a factor writes into the arrays of a dropped solve of its tree,
+        # never into those of one still held
+        g = _wide_grid("square72")
+        factors = inner.Factors.of(g)
+        tree = factors._fronts
+        rng = np.random.default_rng(41)
+        ncell = g.G.shape[0] // 2
+        M = [tree.matrix(factors._cell_entries(
+            rng.uniform(-1.0, 1.0, 2 * ncell), rng.uniform(0.5, 2.0, ncell),
+            3.0, 0.0), np.float32) for _ in range(3)]
+        b = rng.uniform(-1.0, 1.0, g.num_interior)
+        first = inner.factorized(M[0])
+        x = first(b)
+        second = inner.factorized(M[1])
+        y = second(b)
+        assert np.array_equal(first(b), x)
+        del first
+        third = inner.factorized(M[2])
+        assert np.array_equal(second(b), y)
+        for solve, m in ((second, M[1]), (third, M[2])):
+            A = front_matrix(tree, m.H)
+            assert np.linalg.norm(A @ solve(b) - b) <= \
+                1e-4 * np.linalg.norm(b)
+
+
 class TestSinglePrecisionFactor:
     """A wide-band grid factors the cell Hessian in single precision, after
     scaling it by max(w) and the right-hand side by its sup-norm, so that
