@@ -26,11 +26,12 @@ up to the square n=65, and a multifrontal factor beyond
 (`pground.multifrontal`): a nested-dissection tree of the grid's interior
 nodes (George, SIAM J. Numer. Anal. 1973), padded so that every box at one
 depth has one shape, whose fronts each depth factors as one stacked array.
-Both back ends factor the same cell Hessian from the same per-cell terms;
-the back end decides only storage and precision: a band in double, or the
-tree's fronts in single precision.  `Factors` keeps that back end's
-storage map and the p=2 Laplacian (only until a lagged factor replaces
-it), and hands each matrix to `factorized`, the one factorization site.
+Both back ends factor the same cell Hessian, summed from one list of its
+terms in one order; the back end decides only storage and precision: a
+band in double, or the tree's fronts in single precision.  `Factors` keeps
+that back end's storage map and the p=2 Laplacian (only until a lagged
+factor replaces it), and hands each matrix to `factorized`, the one
+factorization site.
 The Laplacian has three solvers: the band factor on a banded grid, the
 fast Poisson solver (sine transforms, no factor) on a wide-band grid whose
 interior nodes fill their box, and the tree's factor in double on the
@@ -323,9 +324,10 @@ class Factors:
     node order of such an operator, which couples the interior nodes of
     each cell, so b is the widest span of one cell's nodes: 1 on the
     interval, the interior nodes per column in 2D.  It decides only how the
-    Hessian is stored and in what precision, and both storage maps read one
-    table of each cell's stored G entries (`_cell_table`) in its own row
-    order:
+    Hessian is stored and in what precision.  Both storage maps are built
+    from one list of the Hessian's terms (`_terms`), and each sums them
+    into the matrix's entries in one sparse product, in the list's order,
+    so that both hold the same matrix to the bit:
 
     * A `banded` grid (b <= BAND_MAX) maps the terms to LAPACK band storage
       (`_band`) and factors H in double.  The cross term couples nodes one
@@ -335,12 +337,10 @@ class Factors:
     * The other grids factor H / max(w) in single precision on their
       multifrontal tree (`_fronts`, `pground.multifrontal`), built once
       with its map; the solution is divided by max(w) in double (module
-      docstring).  The map sums the pairs' products with H into the
-      matrix's entries in one sparse product, and places each entry in the
-      front of the node the tree eliminates first, where a factor scatters
-      it, one depth at a time.  Where a single-precision factor meets a
-      singular separator block, the same entries are factored in double
-      (`preconditioner`).
+      docstring).  The map places each entry in the front of the node the
+      tree eliminates first, where a factor scatters it, one depth at a
+      time.  Where a single-precision factor meets a singular separator
+      block, the same entries are factored in double (`preconditioner`).
 
     The Laplacian has three solvers (`laplacian`): the band map on a banded
     grid; on a wide-band grid whose interior nodes fill their box (a
@@ -372,6 +372,7 @@ class Factors:
         # (rows, columns) of the stored components of a symmetric cell
         # matrix: xx in 1D; xx, xy, yy in 2D, where [::2] are the diagonal
         self._components = ([0], [0]) if dim == 1 else ([0, 0, 1], [0, 1, 1])
+        self._width = len(self._components[0]) * self._cells  # H's length
         self._interior = interior
         # the interior nodes per axis of a wide-band grid whose interior
         # nodes fill their box
@@ -429,7 +430,7 @@ class Factors:
     def _cell_entries(self, c, w, p, eps):
         """The per-cell entries of H = w_f I + (p-2) w u u^T with w_f =
         max(w, W_FLOOR max(w)): H_xx for all cells, then H_xy and H_yy (H
-        alone in 1D), as `_band` and `_fronts` read them."""
+        alone in 1D), as the columns of `_terms` number them."""
         c = c.reshape(self._dim, -1)
         a = (c * c).sum(axis=0) + eps * eps
         u = np.divide(c, np.sqrt(a), out=np.zeros_like(c), where=a > 0)
@@ -442,9 +443,9 @@ class Factors:
         """Banded factor of G^T H G from the per-cell entries H.  The band
         is built in Fortran order, which dpbtrf factors in place, without a
         copy."""
-        place, column, value, nnz = self._band
+        to_band, nnz = self._band
         b, n = self._b, self._G.shape[1]
-        ab = np.bincount(place, value * H[column], (b + 1) * n)
+        ab = to_band @ H
         return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
 
     @functools.cached_property
@@ -494,7 +495,7 @@ class Factors:
 
     def _cell_table(self):
         """(node, entry, component), per cell the stored entries of its rows
-        of G, the table both maps are built from: row e * dim + k holds, for
+        of G, the table `_terms` is built from: row e * dim + k holds, for
         every cell, the e-th stored entry of the cell's row along axis k,
         entry its value, node its column and component k.  A cell that
         stores fewer entries than the widest row (nodes off the interior)
@@ -514,20 +515,18 @@ class Factors:
             entry[e * dim + k, stored] = G.data[at]
         return node, entry, np.tile(np.arange(dim, dtype=np.int32), width)
 
-    @functools.cached_property
-    def _band(self):
-        """(place, column, value, nnz): the terms of G^T H G on and above
-        its diagonal in its upper band storage, whose flat (b + 1) * n array
-        in column-major order sums value * H[column] at each place.  H lists
-        one component of the symmetric cell matrix for all cells, then the
-        next: H_xx, H_xy, H_yy in 2D, the one entry in 1D.  Each term is the
-        product G[r, i] G[s, j] of two stored entries of one cell, added at
-        [i, j] (i <= j), which place holds at row b + i - j, column j.  The
-        terms run over the ordered pairs of `_cell_table` rows, the first
-        row slowest, then over the cells, which is the order they sum in.
-        nnz counts the stored entries of G^T H G in both triangles, the 3-
-        or 7-point pattern."""
-        b, n, ncell = self._b, self._G.shape[1], self._cells
+    def _terms(self) -> tuple:
+        """(i, j, column, value): the terms of G^T H G, the one list both
+        storage maps are built from.  Each term is the product G[r, i]
+        G[s, j] of two stored entries of one cell's rows r and s (`value`),
+        times that cell's entry H[column] of the symmetric cell matrix, and
+        adds to the matrix entry [i, j], i <= j.  A term with i < j stands
+        for [j, i] as well; one with i = j comes once for (r, s) and once
+        for (s, r).  The terms run over the ordered pairs of `_cell_table`
+        rows, the first row slowest, then over the cells: the order in
+        which both maps sum them, so that both back ends hold the same
+        matrix to the bit."""
+        ncell = self._cells
         node, entry, component = self._cell_table()
         value = entry[:, None] * entry[None, :]
         keep = (node[:, None] <= node[None, :]) & (value != 0)
@@ -536,18 +535,32 @@ class Factors:
         # components (k, m) -> 0, 1, 2 for xx, xy or yx, yy
         pair = component[:, None] + component[None, :]
         column = pair[..., None] * ncell + np.arange(ncell, dtype=np.int32)
+        return i, j, column[keep], value[keep]
+
+    @functools.cached_property
+    def _band(self):
+        """(to_band, nnz): to_band, a sparse matrix, takes the per-cell
+        entries H to G^T H G on and above its diagonal in its upper band
+        storage, the flat (b + 1) * n array in column-major order.  It adds
+        each term of `_terms` at [i, j] to row b + i - j, column j, and its
+        product sums them in the order listed.  nnz counts the stored
+        entries of G^T H G in both triangles, the 3- or 7-point pattern."""
+        b, n = self._b, self._G.shape[1]
+        i, j, column, value = self._terms()
         place = j * (b + 1) + b + i - j
         hit = np.bincount(place, minlength=(b + 1) * n) > 0
         nnz = 2 * np.count_nonzero(hit) - np.count_nonzero(hit[b::b + 1])
-        return place, column[keep], value[keep], int(nnz)
+        to_band = sparse.coo_matrix((value, (place, column)),
+                                    shape=((b + 1) * n, self._width))
+        return to_band, int(nnz)
 
     @functools.cached_property
     def _fronts(self) -> FrontTree:
         """The map of a wide-band grid's factors: the nested-dissection tree
-        of its interior nodes, the sums of the terms of `_cell_table` that
-        make each entry of the matrix, and the entry's place in the fronts
+        of its interior nodes, the sums of the terms of `_terms` that make
+        each entry of the matrix, and the entry's place in the fronts
         (`pground.multifrontal`), built on the first factor."""
-        return FrontTree(self._interior, *self._cell_table())
+        return FrontTree(self._interior, self._terms(), self._width)
 
 
 def _dst(a: np.ndarray, axis: int) -> np.ndarray:

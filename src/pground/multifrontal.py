@@ -25,13 +25,16 @@ depth (the frame around the padded box, say) is left out of that depth's
 fronts.  Padding nodes and nodes off a mask's interior that fall in the
 separator of a box that is kept are decoupled identity rows.
 
-An entry of G^T H G couples a node to itself or to a neighbour, and is
+The matrix comes as a list of terms, each a value times one element of a
+vector H, added to the entry [i, j] of two nodes i <= j; the caller makes
+the list (`pground.inner.Factors._terms`, for G^T H G), and the tree reads
+no more of it.  An entry couples a node to itself or to a neighbour, and is
 held in the front of the one of the two the tree eliminates first.  Its
 place there is the same in every box of a depth, so the map is built per
 box shape: each depth's pattern of entries, repeated at each box's
-origin, keeps the entries the cell terms reach.  One sparse matrix takes
-the per-cell entries of H to the entries' values (`FrontTree._map`), and a
-factor scatters each depth's into its fronts.
+origin, keeps the entries the terms reach.  One sparse matrix takes H to
+the entries' values, summing each entry's terms in the order listed
+(`FrontTree._map`), and a factor scatters each depth's into its fronts.
 
 Per depth, leaves first, the factor fills each front's separator columns
 [A11; A21] from the map and its children's updates, inverts A11 (S =
@@ -105,9 +108,8 @@ class _Depth(NamedTuple):
 
 
 class Fronts(NamedTuple):
-    """The matrix G^T H G on a `FrontTree`, for its factor in dtype: H the
-    per-cell entries (one component of the symmetric cell matrix for all
-    cells, then the next)."""
+    """The matrix of a `FrontTree` at the vector H that its terms weigh,
+    for its factor in dtype."""
 
     tree: FrontTree
     H: np.ndarray
@@ -122,13 +124,12 @@ class Fronts(NamedTuple):
 class FrontTree:
     """The nested-dissection tree of the interior nodes marked in interior
     (over their bounding box, numbered row-major; 1D or 2D), with the map of
-    the terms of G^T H G to its fronts.  node, entry and component are G's
-    cell table (`pground.inner.Factors._cell_table`): per row, every cell's
-    stored entry of G, its node, and the component of H the row belongs to.
-    The depths are listed from the root down."""
+    a matrix's terms to its fronts.  terms is (i, j, column, value): each
+    term adds value H[column], for a vector H of length width, to the
+    matrix entry [i, j] of the nodes i <= j, and one with i < j stands for
+    [j, i] as well.  The depths are listed from the root down."""
 
-    def __init__(self, interior: np.ndarray, node: np.ndarray,
-                 entry: np.ndarray, component: np.ndarray):
+    def __init__(self, interior: np.ndarray, terms: tuple, width: int):
         interior = interior.reshape(interior.shape[0], -1)
         n = self.n = int(np.count_nonzero(interior))
         (sx, jx), (sy, jy) = (_padded(m) for m in interior.shape)
@@ -149,10 +150,15 @@ class FrontTree:
         # an entry of the matrix couples a node to itself or to a neighbour
         # later in the node order, at one of the offsets step in position;
         # the entry from position first at step[near] is numbered
-        # first * len(step) + near
+        # first * len(step) + near, and coupled marks those the terms reach
         step = np.array([0, 1, stride - 1, stride, stride + 1])
-        pairs, columns, values, coupled = _terms(index < n, step, node,
-                                                 entry, component)
+        near = np.zeros(step[-1] + 1, dtype=np.int32)
+        near[step] = np.arange(len(step))
+        position = np.flatnonzero(index < n).astype(np.int32)  # per node
+        i, j, columns, values = terms
+        pairs = position[i] * len(step) + near[position[j] - position[i]]
+        coupled = np.zeros(len(index) * len(step), dtype=bool)
+        coupled[pairs] = True
         # a node's neighbours, at offsets around in position, and the
         # number of its entry with each, less len(step) times its position
         around = np.concatenate([step, -step[1:]])
@@ -234,9 +240,8 @@ class FrontTree:
             row[pair] = np.arange(end, end + len(pair))
             end += len(pair)
         np.take(row, pairs, out=pairs)
-        self._map = sparse.coo_matrix(
-            (values, (pairs, columns)),
-            shape=(end, (2 * int(component.max()) + 1) * node.shape[1]))
+        self._map = sparse.coo_matrix((values, (pairs, columns)),
+                                      shape=(end, width))
         self.nnz = 2 * end - int(np.count_nonzero(coupled[::len(step)]))
         self._pool = {}
 
@@ -259,17 +264,9 @@ class FrontTree:
                 [up, np.full((2, 1), dep.nf)], axis=1).ravel())
 
     def matrix(self, H: np.ndarray, dtype=np.float64) -> Fronts:
-        """G^T H G from the per-cell entries H, for a factor in dtype."""
+        """The matrix at the vector H its terms weigh, for a factor in
+        dtype."""
         return Fronts(self, H, np.dtype(dtype))
-
-    def blocks(self, at: int, H: np.ndarray) -> np.ndarray:
-        """The (boxes, nf, k) fronts of depth at, in double, with the
-        identity rows' ones: the matrix's entries in each front's separator
-        columns, on and below the diagonal (zero above it)."""
-        dep = self.depths[at]
-        A = np.empty((len(dep.nodes), dep.nf, dep.k))
-        _fill(A, dep, self._map @ H)
-        return A
 
     def factor(self, M: Fronts):
         """Solve callable for the symmetric M, factored in M.dtype;
@@ -453,40 +450,6 @@ class FrontTree:
             np.take(sol, back, out=x32)
             return np.multiply(x32, scale, dtype=np.float64)
         return solve
-
-
-def _terms(held: np.ndarray, step: np.ndarray, node: np.ndarray,
-           entry: np.ndarray, component: np.ndarray) -> tuple:
-    """(pairs, columns, values, coupled): the terms of G^T H G from G's cell
-    table, in the order of the pairs of its rows (a, b), a <= b, then of
-    the cells.  A term is the product of two stored G entries a and b of a
-    cell, entry[a] entry[b] times the cell's component component[a] +
-    component[b] of H (the column of the per-cell entries), and adds to
-    the matrix entry of their nodes, numbered as in `FrontTree` (pairs); a
-    pair (a, b) with a < b stands for (b, a) as well.  coupled marks the
-    numbers of the entries the terms reach.  held marks the positions of
-    the nodes, in the layout the numbers count."""
-    rows, ncell = node.shape
-    near = np.zeros(step[-1] + 1, dtype=np.int32)
-    near[step] = np.arange(len(step))
-    at = np.flatnonzero(held).astype(np.int32)[node]
-    pairs, columns, values = [], [], []
-    for a in range(rows):
-        for b in range(a, rows):
-            value = entry[a] * entry[b]
-            hit = np.flatnonzero(value)
-            i, j = at[a, hit], at[b, hit]
-            pairs.append(np.minimum(i, j) * len(step) + near[np.abs(i - j)])
-            value = value[hit]
-            if a < b:
-                value[i == j] *= 2  # (a, b) and (b, a) on the diagonal
-            values.append(value)
-            columns.append(
-                (hit + (component[a] + component[b]) * ncell).astype(np.int32))
-    pairs, columns, values = map(np.concatenate, (pairs, columns, values))
-    coupled = np.zeros(len(held) * len(step), dtype=bool)
-    coupled[pairs] = True
-    return pairs, columns, values, coupled
 
 
 class _Work:

@@ -72,14 +72,16 @@ def front_matrix(tree, H, dtype=np.float64):
     sorted indices.  The identity rows of padding and off-mask nodes are
     left out."""
     rows, cols, values = [], [], []
-    for at, dep in enumerate(tree.depths):
+    entries = tree._map @ H
+    for dep in tree.depths:
         hit = np.zeros(len(dep.nodes) * dep.nf * dep.k, dtype=bool)
         hit[dep.place] = True
         hit = hit.reshape(len(dep.nodes), dep.nf, dep.k)
         box, row, col = np.nonzero(hit)
         rows.append(dep.nodes[box, row])
         cols.append(dep.sep[box, col])
-        values.append(tree.blocks(at, H).astype(dtype)[box, row, col])
+        A = multifrontal._fill(np.empty(hit.shape), dep, entries)
+        values.append(A.astype(dtype)[box, row, col])
     rows, cols, values = map(np.concatenate, (rows, cols, values))
     assert rows.max() < tree.n and cols.max() < tree.n
     off = rows != cols
@@ -1012,6 +1014,50 @@ class TestCellHessian:
         else:
             rel = np.finfo(np.float32).eps
         assert (abs(M - A) - rel * abs(A)).max() <= 1e-15 * abs(A).max()
+
+    @pytest.mark.parametrize("kind", ["interval", "square", "l_shape",
+                                      "rectangle"])
+    def test_back_ends_sum_one_matrix(self, kind, l_mask, monkeypatch):
+        # one list of terms, summed in one order: the band's double
+        # Hessian and the tree's (its map's sums, before any cast) are
+        # equal to the bit, with one pattern
+        spec, n = {"interval": (Interval(0.0, 1.0), 63),
+                   "square": (Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                   "l_shape": (l_mask, 16),
+                   "rectangle": (Rectangle(0.0, 2.0, 0.0, 1.0), 12)}[kind]
+        g = build_grid(spec, n)
+        factors = inner.Factors.of(g)
+        assert factors.banded
+        rng = np.random.default_rng(109)
+        c = rng.uniform(-1.0, 1.0, g.G.shape[0])
+        w = rng.uniform(0.5, 2.0, factors._cells)
+        banded = self._captured(monkeypatch)
+        factors.preconditioner(c, w, 3.0, 0.0)
+        (M,) = banded
+        tree = factors._fronts
+        A = front_matrix(tree, factors._cell_entries(c, w, 3.0, 0.0))
+        assert np.array_equal(self._dense(M), A.toarray())
+        assert M.nnz == tree.nnz == A.nnz
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 16.0])
+    @pytest.mark.parametrize("kind", ["square", "l_shape"])
+    def test_back_ends_give_one_eigenvalue(self, kind, p, l_mask,
+                                           monkeypatch):
+        # the same solve on the band and, with BAND_MAX at 0, on the tree
+        # in single precision; the grids the tree ran on leave the shared
+        # ones with the test
+        spec = l_mask if kind == "l_shape" else Rectangle(0.0, 1.0, 0.0, 1.0)
+        band = inverse_iterate(spec, 16, p, PositiveConstant())
+        assert inner.Factors.of(band.final.grid).banded
+        shared_grid.cache_clear()
+        monkeypatch.setattr(inner, "BAND_MAX", 0)
+        try:
+            tree = inverse_iterate(spec, 16, p, PositiveConstant())
+            assert not inner.Factors.of(tree.final.grid).banded
+        finally:
+            shared_grid.cache_clear()
+        assert tree.converged and band.converged
+        assert abs(tree.lambda_R - band.lambda_R) <= 1e-12 * band.lambda_R
 
     def test_band_spans_cross_term(self, monkeypatch):
         # a 3x3 mask without two opposite corner cells, one node per cell
