@@ -8,6 +8,9 @@ Subcommands:
           the limits, energy decay, mu, the estimator gap (if converged) and
           the first-step barrier bound (SKIP where the files lack it)
 
+`--verbose` (solve, sweep) writes the `pground` logger's progress lines to
+stderr for the one command; stdout stays the results.
+
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence, a
 degenerate iterate, floating-point overflow or an oracle that found no
 bracket, 3 invariant check failure.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import geometry, traceio
@@ -113,8 +117,7 @@ def cmd_solve(args) -> int:
     spec = _resolve_domain(args)
     init = _parse_init(args.init, shared_grid(spec, args.n))
     trace = inverse_iterate(spec, args.n, args.p, init, K_max=args.max_steps,
-                            tol_outer=args.tol, tol_grad=args.tol_grad,
-                            verbose=args.verbose)
+                            tol_outer=args.tol, tol_grad=args.tol_grad)
     traceio.write_trace_csv(args.out + ".trace.csv", trace)
     traceio.write_summary_json(args.out + ".summary.json", trace)
     print(json.dumps(traceio.trace_summary(trace)))
@@ -125,7 +128,7 @@ def cmd_sweep(args) -> int:
     spec = _resolve_domain(args)
     p_list = [float(x) for x in args.p_list.split(",")]
     result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
-                       tol_outer=args.tol, verbose=args.verbose)
+                       tol_outer=args.tol)
     traceio.write_sweep_csv(args.out + ".sweep.csv", result)
     for e in result.entries:
         print(f"p={e.p:g} lambda_R={e.lambda_R:.6e} "
@@ -234,10 +237,17 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # --verbose sends the `pground` logger's records to stderr for this one
+    # command: each outer step at INFO, every 1000th inner iteration at DEBUG
+    progress = logging.getLogger("pground")
+    handler, level = logging.StreamHandler(), progress.level
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = _apply_config(parser, args, argv)
+        if getattr(args, "verbose", False):
+            progress.addHandler(handler)
+            progress.setLevel(logging.DEBUG)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -258,6 +268,9 @@ def main(argv=None) -> int:
         print(f"error: floating-point overflow ({exc}): a quotient or "
               f"energy at this p exceeds the float range", file=sys.stderr)
         return 2
+    finally:
+        progress.removeHandler(handler)
+        progress.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -349,7 +349,11 @@ def inradius(spec: DomainSpec, grid: Grid | None = None) -> float:
 
     Exact for intervals and rectangles.  For masks, the max over interior
     nodes of the Euclidean distance to the nearest non-interior node (exact
-    distance transform), accurate to within one grid spacing.
+    distance transform), accurate to within one grid spacing.  A mask
+    given no grid is measured on a grid of spacing cell_size/3
+    (n = 3 min(width, height)), so the L-shape (two by two cells of 0.5,
+    one removed) reads 0.2357 against its exact (sqrt(2)/2)/(1+sqrt(2)) =
+    0.2929; pass the solve's grid for its own spacing.
     """
     if isinstance(spec, Interval):
         return 0.5 * (spec.b - spec.a)

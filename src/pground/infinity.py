@@ -35,7 +35,7 @@ class SweepResult:
 
 
 def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
-          tol_outer: float = 1e-8, verbose: bool = False) -> SweepResult:
+          tol_outer: float = 1e-8) -> SweepResult:
     """Run the inverse iteration for each exponent in p_list and collect
     the limit diagnostics.  Every exponent must satisfy 2 < p < inf, and
     the list must be strictly increasing (ValueError before any solve
@@ -69,7 +69,7 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
         init, predicted = _continued_start(finals[-3:], p)
         try:
             tr = inverse_iterate(spec, n, p, init, K_max=K_max,
-                                 tol_outer=tol_outer, verbose=verbose)
+                                 tol_outer=tol_outer)
             if tr.converged:
                 finals.append((p, tr.final))
             last = tr.steps[-1].report

@@ -86,6 +86,7 @@ import contextlib
 import ctypes
 import functools
 import itertools
+import logging
 import math
 import os
 import sys
@@ -106,6 +107,8 @@ BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
 W_FLOOR = 1e-10   # least weight over max(w) in a cell-Hessian factor
+
+logger = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
@@ -161,7 +164,7 @@ def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
 def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
                           tol_grad: float | None = None,
                           initial: np.ndarray | None = None,
-                          verbose: bool = False, carry: list | None = None):
+                          carry: list | None = None):
     """Minimizer of the inner objective for the right-hand side f, on
     interior node vectors (f, the start and the minimizer x), with the total
     inner iteration count, as (x, iterations).  tol_grad is the absolute
@@ -203,7 +206,7 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
             x, used, residual = _descend(grid, x, fh, p, eps,
                                          tol if last else 100 * tol,
                                          MAX_INNER_ITERS - total_iters,
-                                         verbose, tau if last else None,
+                                         tau if last else None,
                                          carry if last else None)
             total_iters += used
     if not residual <= tol:
@@ -591,12 +594,14 @@ def _backtrack(t: float, slope: float, rise: float) -> float:
 
 
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
-             eps: float, tol: float, budget: int, verbose: bool,
+             eps: float, tol: float, budget: int,
              tau: float | None = None, carry: list | None = None):
     """Monotone preconditioned descent with BB step scaling from the
     interior vector x; fh is f h^d on the interior nodes.  Returns
     (x, iterations, residual) where it stopped, the residual being the
-    gradient sup-norm there; it never raises.
+    gradient sup-norm there; it never raises.  Every 1000th iteration logs
+    its objective and gradient sup-norm at DEBUG on the `pground.inner`
+    logger.
 
     The loop runs while tol < residual < inf, fewer than `budget`
     iterations are spent and some iteration of the last 300 made
@@ -755,9 +760,9 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
         if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
             last_gain, mark_J = it, J
         best_gsup = min(best_gsup, gsup)
-        if verbose and it % 1000 == 0:
-            print(f"    inner iter {it}: J={J:.12e} grad_sup={gsup:.3e}",
-                  file=sys.stderr)
+        if it % 1000 == 0:
+            logger.debug("    inner iter %d: J=%.12e grad_sup=%.3e", it, J,
+                         gsup)
     if newton and carry is not None and precond is not None and not stand_in:
         carry.append(precond)
     return x, it, gsup

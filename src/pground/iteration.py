@@ -11,8 +11,8 @@ the one `GridFunction` the iteration builds after its start.
 
 from __future__ import annotations
 
+import logging
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -50,6 +50,8 @@ class Custom:
 
 
 InitPolicy = Union[PositiveConstant, RandomPositive, Custom]
+
+logger = logging.getLogger(__name__)
 
 # outer steps before the Cauchy stop may end a run: the steps
 # `check_monotonicity` needs
@@ -128,8 +130,7 @@ def barrier_sup_bound(grid: Grid, p: float) -> float:
 
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
-                    tol_grad: float | None = None,
-                    verbose: bool = False) -> IterationTrace:
+                    tol_grad: float | None = None) -> IterationTrace:
     """Run the normalized inverse iteration and record its trace.
 
     The Cauchy stop on the Rayleigh quotient is suppressed before MIN_STEPS
@@ -147,7 +148,10 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     earlier calls left on it; `trace.final.grid` is that grid.  The result is the
     same as on a new grid: the factor handed from step to step lives for
     this call only, and a Laplacian factor left on the grid is the matrix a
-    cold start would build."""
+    cold start would build.
+
+    Each outer step logs its line (`step k: R=... N=... inner_iters=...`)
+    at INFO on the `pground.iteration` logger."""
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     if not 0 < tol_outer < math.inf:
@@ -185,7 +189,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         guess = None if k == 1 and not isinstance(init, Custom) else scale * x
         x, iters = solve_step_with_stats(grid, _signed_power(x, p), p,
                                          tol_grad, initial=guess,
-                                         verbose=verbose, carry=carry)
+                                         carry=carry)
         c = _norm_pow(grid, x, p) ** (1.0 / p)
         if not (c > 0 and math.isfinite(c)):
             raise DegenerateIterate(f"iterate {k} has L^p norm {c}")
@@ -198,9 +202,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
             Q=N ** (1 - 1 / p), norm_factor=c, inner_iters=iters))
         if k == 1:
             trace.first_step_sup = c * report.sup_norm
-        if verbose:
-            print(f"step {k}: R={R:.12e} N={N:.6e} inner_iters={iters}",
-                  file=sys.stderr)
+        logger.info("step %d: R=%.12e N=%.6e inner_iters=%d", k, R, N, iters)
         if abs(R - R_prev) <= tol_outer * R and k >= MIN_STEPS:
             trace.converged = True
             break

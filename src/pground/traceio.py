@@ -77,18 +77,9 @@ def _header(reader, path) -> list:
 
 
 def trace_summary(trace: IterationTrace) -> dict:
-    return {
-        "p": trace.p,
-        "h": trace.h,
-        "lambda_R": trace.lambda_R,
-        "lambda_Q": trace.lambda_Q,
-        "mu": trace.mu,
-        "steps": trace.num_steps,
-        "converged": trace.converged,
-        "tol_grad": trace.tol_grad,
-        "barrier_bound": trace.barrier_bound,
-        "first_step_sup": trace.first_step_sup,
-    }
+    """The summary's values, keyed and ordered as `_SUMMARY_KEYS`."""
+    return {key: trace.num_steps if key == "steps" else getattr(trace, key)
+            for key in _SUMMARY_KEYS}
 
 
 def write_summary_json(path, trace: IterationTrace) -> None:
@@ -110,17 +101,18 @@ def _positive(v) -> bool:
     return _real(v) and 0 < v < math.inf
 
 
-# summary key -> (default if the summary predates it, test, what it must be);
-# a barrier entry is nan when the run did not record it
+# summary key, in the summary's order -> (default if the summary predates
+# it, test, what it must be); a barrier entry is nan when the run did not
+# record it
 _SUMMARY_KEYS = {
     "p": (None, lambda v: _real(v) and 1 < v < math.inf,
           "a finite number above 1"),
     "h": (None, _positive, "a positive finite number"),
-    "steps": (None, lambda v: _real(v) and isinstance(v, int) and v >= 0,
-              "a nonnegative integer"),
     "lambda_R": (None, _positive, "a positive finite number"),
     "lambda_Q": (None, _positive, "a positive finite number"),
     "mu": (None, _positive, "a positive finite number"),
+    "steps": (None, lambda v: _real(v) and isinstance(v, int) and v >= 0,
+              "a nonnegative integer"),
     "converged": (None, lambda v: isinstance(v, bool), "true or false"),
     "tol_grad": (1e-10, lambda v: _real(v) and 0 <= v < math.inf,
                  "finite and nonnegative"),

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -57,6 +58,24 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["converged"] is True
         assert "step 1:" in err
+
+    def test_verbose_ends_with_its_command(self, tmp_path, capsys, caplog):
+        # --verbose writes the `pground` logger's records to stderr; its
+        # handler goes, and the logger's level returns, when the command
+        # ends, so the plain solve after it logs and prints nothing
+        logger = logging.getLogger("pground")
+        for flags in (["--verbose"], []):
+            caplog.clear()
+            code, out, err = run_cli(capsys, "solve", "--domain", "interval",
+                                     "--n", "15", "--p", "3", *flags,
+                                     "--out", str(tmp_path / "run"))
+            assert code == 0
+            steps = json.loads(out)["steps"] if flags else 0
+            assert len(err.splitlines()) == steps
+            assert [r.getMessage() for r in caplog.records] == \
+                err.splitlines()
+            assert not logger.handlers
+            assert logger.level == logging.NOTSET
 
     def test_rect_requires_bounds(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain", "rect",
@@ -325,6 +344,20 @@ class TestSweep:
             assert fh.readline().strip() == \
                 "p,lambda_R,lambda_root,final_ratio,inradius_reciprocal," \
                 "converged,predicted"
+
+    def test_verbose_keeps_stdout(self, tmp_path, capsys):
+        # --verbose adds the outer steps' lines on stderr and changes
+        # nothing on stdout
+        args = ["sweep", "--domain", "square", "--n", "16", "--p-list",
+                "4,8", "--out", str(tmp_path / "sw")]
+        code, plain, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        code, loud, err = run_cli(capsys, *args, "--verbose")
+        assert code == 0
+        assert loud == plain
+        lines = err.splitlines()
+        assert lines and all(line.startswith("step ") for line in lines)
+        assert lines[0].startswith("step 1: R=")
 
     def test_degenerate_iterate_exit_code(self, tmp_path, capsys,
                                           monkeypatch):

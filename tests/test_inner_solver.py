@@ -1,5 +1,6 @@
 import functools
 import gc
+import logging
 import math
 import tracemalloc
 import weakref
@@ -1477,7 +1478,7 @@ class TestNewtonDecrementStop:
         assert solves == iters
         descend = inner._descend
         monkeypatch.setattr(inner, "_descend",
-                            lambda *args: descend(*args[:8]))
+                            lambda *args: descend(*args[:7]))
         x0, iters0 = solve_step_with_stats(g, f, p)
         assert iters0 == iters
         assert np.array_equal(x0, x)
@@ -1588,7 +1589,7 @@ class TestFailureModes:
         with np.errstate(divide="ignore", invalid="ignore"):
             _, iters, residual = inner._descend(
                 g, np.zeros(g.num_interior), fh, 1.5, 0.0, tol,
-                inner.MAX_INNER_ITERS, False)
+                inner.MAX_INNER_ITERS)
             assert iters == 0
             assert not residual <= tol
             v, iters = solve_stats(f, 1.5)
@@ -1611,6 +1612,23 @@ class TestFailureModes:
         assert exc.iterations == 3
         assert exc.tol == _resolved_tol(1.0, None)
         assert exc.tol < exc.residual < math.inf
+
+
+class TestProgressLog:
+    def test_every_thousandth_iteration_logged(self, caplog):
+        # a descent to a zero tolerance at p=1.2 spends its whole budget
+        # of 2000 iterations and logs a DEBUG line at 1000 and 2000
+        caplog.set_level(logging.DEBUG, logger="pground")
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
+        fh = np.full(g.num_interior, g.h ** 2)
+        _, iters, _ = inner._descend(g, np.zeros(g.num_interior), fh, 1.2,
+                                     1e-30, 0.0, 2000)
+        assert iters == 2000
+        records = [r for r in caplog.records if r.name == "pground.inner"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert [r.getMessage()[:22] for r in records] == [
+            "    inner iter 1000: J", "    inner iter 2000: J"]
+        assert all(" grad_sup=" in r.getMessage() for r in records)
 
 
 class TestLineSearch:
@@ -1666,7 +1684,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(inner, "_energy", recording)
         x, iters, _ = inner._descend(g, np.zeros(g.num_interior), fh, 2.0,
-                                     0.0, 0.0, 1, False)
+                                     0.0, 0.0, 1)
         assert iters == 1
         return trials, inner.ARMIJO_C * float(np.dot(-fh, d)) / hd, x, exact
 

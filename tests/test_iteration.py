@@ -1,5 +1,6 @@
 import copy
 import gc
+import logging
 import math
 import weakref
 
@@ -178,6 +179,16 @@ class TestIteration:
                              PositiveConstant())
         assert tr.converged
         assert tr.lambda_R > 0
+
+    def test_logs_each_outer_step(self, caplog):
+        # one INFO record per outer step, with the line `--verbose` prints
+        caplog.set_level(logging.INFO, logger="pground")
+        tr = inverse_iterate(Interval(0.0, 1.0), 15, 3.0, PositiveConstant())
+        records = [r for r in caplog.records if r.name == "pground.iteration"]
+        assert [r.levelno for r in records] == [logging.INFO] * tr.num_steps
+        assert [r.getMessage() for r in records] == [
+            f"step {s.k}: R={s.R:.12e} N={s.N:.6e} inner_iters={s.inner_iters}"
+            for s in tr.steps[1:]]
 
 
 def _trace_key(tr):
