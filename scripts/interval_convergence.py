@@ -2,10 +2,12 @@
 """Grid-refinement study on the unit interval.
 
 For a few exponents p, run the inverse iteration at increasing resolution and
-compare the converged Rayleigh quotient with the shooting oracle.
+compare the converged Rayleigh quotient with the shooting oracle.  Exits 1
+when a run does not converge.
 """
 
 import argparse
+import sys
 import time
 
 from pground.geometry import Interval
@@ -23,6 +25,7 @@ def main():
     p_list = [float(x) for x in args.p_list.split(",")]
     n_list = [int(x) for x in args.n_list.split(",")]
 
+    ok = True
     for p in p_list:
         ref = lambda_p_shooting_1d(p)
         print(f"\np = {p:g}   shooting reference {ref:.12f}")
@@ -35,9 +38,11 @@ def main():
             dt = time.monotonic() - t0
             rel = (tr.lambda_R - ref) / ref
             flag = "" if tr.converged else "  (not converged)"
+            ok = ok and tr.converged
             print(f"{n:>6} {tr.lambda_R:>18.12f} {rel:>12.2e} "
                   f"{tr.num_steps:>6} {dt:>7.1f}s{flag}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

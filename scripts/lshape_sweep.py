@@ -3,11 +3,13 @@
 
 The L is the unit square minus its upper-right quadrant; the largest inscribed
 disk sits diagonally against the reentrant corner with radius (2 - sqrt 2)/2,
-so lambda_R^(1/p) should drift toward 2/(2 - sqrt 2) ~ 3.414.
+so lambda_R^(1/p) should drift toward 2/(2 - sqrt 2) ~ 3.414.  Exits 1 when
+a point does not converge.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -33,7 +35,8 @@ def main():
     for e in result.entries:
         print(f"{e.p:>6g} {e.lambda_root:>13.6f} "
               f"{e.lambda_root - exact:>13.6f} {str(e.converged):>5}")
+    return 0 if all(e.converged for e in result.entries) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,9 +3,11 @@
 
 Tracks lambda_R^(1/p) against the reciprocal inradius (2.0 for the unit
 square) and prints the sup-norm ratio diagnostics for the largest exponents.
+Exits 1 when a point does not converge or a diagnostic reports fail.
 """
 
 import argparse
+import sys
 import time
 
 from pground.geometry import Rectangle
@@ -34,17 +36,20 @@ def main():
         print(f"{e.p:>6g} {e.lambda_R:>14.6e} {e.lambda_root:>13.6f} "
               f"{e.final_ratio:>12.6f} {str(e.converged):>5}")
 
+    ok = all(e.converged for e in result.entries)
     for e, tr in zip(result.entries, result.traces):
         if tr is None:
             continue
         check = monotone_supnorm_check(tr, e.lambda_root)
+        ok = ok and check.status != "fail"
         print(f"\np = {e.p:g} sup-norm diagnostics: {check.status}"
               + (f" ({check.detail})" if check.detail else ""))
 
     if args.out:
         traceio.write_sweep_csv(args.out + ".sweep.csv", result)
         print(f"\nwrote {args.out}.sweep.csv")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,9 @@ returns the objective with the cell gradients and weights it was computed
 from, which the gradient (`_nodal_gradient`) and the next refresh reuse.
 Below the objective's floating-point resolution a step is accepted by the
 derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
-2005).
+2005).  The descent is one loop, `_descend`, over three parts each called
+from one place in it: the line search (`_line_search`), the re-lag rule
+(`_relag`) and the stop test (`_converged`).
 
 One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
@@ -41,7 +43,7 @@ Within one `inverse_iterate` call, the last eps stage at p != 2 starts on
 the cell-Hessian factor the previous outer step ended on, and replaces it
 at the first iteration that contracts the residual too little (a chord
 method, Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, ch. 5; `_descend`).  The factor passes from step to step through the
+1995, ch. 5; `_relag`).  The factor passes from step to step through the
 `carry` list of `solve_step_with_stats`, a local of the call, so no solve
 depends on an earlier one: the first step of each call, each sweep point
 and every solve given no carry start fresh, and so does every eps stage
@@ -52,7 +54,7 @@ tol before the last stage) unless a floor ends it first, and hands its last
 iterate on; the solve raises NonConvergence at one place, when the last
 stage ends above tol.  A last stage at p != 2 also descends until its
 Newton decrement is small, which bounds the iterate's relative error
-(`_descend`); that test never raises.  The floors are listed with
+(`_converged`); that test never raises.  The floors are listed with
 `_descend`.
 
 Every cell-Hessian factor floors the weights at W_FLOOR = 1e-10 of max(w):
@@ -183,7 +185,7 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
     A last eps stage preconditioned by the cell Hessian also holds its
     Newton decrement to the relative tolerance tau = 100
     _resolved_tol(1.0, tol_grad), the slack `check_monotonicity` grants
-    (`_descend`).
+    (`_converged`).
 
     carry, a list that is empty or holds one factor, is handed to the last
     stage: at p != 2 that stage starts on the factor in it and leaves there
@@ -593,6 +595,91 @@ def _backtrack(t: float, slope: float, rise: float) -> float:
     return min(max(t_min, BACKTRACK_MIN * t), BACKTRACK * t)
 
 
+def _line_search(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
+                 eps: float, J: float, d: np.ndarray, slope: float,
+                 t: float):
+    """The step of `_descend` from x along -d, where J is the objective at
+    x and slope = g.d > 0: (t, x - t d, objective, (c, w), gradient) at the
+    first of 80 trials that is accepted, or None when none is (the
+    numerical floor for this eps).  t is the first trial step.
+
+    A trial point costs one `_energy` call; the gradient is formed from its
+    (c, w) only at the accepted trial and at trials below the resolution
+    floor, and the accepted trial's (c, w) is handed back for the next
+    re-lag.
+
+    A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
+    c t g.d while that decrease is resolvable (above 1e-15 max(1, |J|));
+    below it, by nonincrease within that floor together with the derivative
+    form of the Armijo condition, phi'(t) <= (2c - 1) phi'(0) for phi(t) =
+    J(x - t d), the approximate Wolfe test of Hager & Zhang, which costs
+    only the dot product of the trial gradient the step needs anyway and
+    is exact for a quadratic.  The objective handed back from it is the
+    lower of J(x) and the trial's, so the descent's nonincrease invariant
+    holds to within the 1e-14 slack it is stated with.
+
+    A trial that fails the Armijo test is followed by the minimizer of the
+    quadratic through phi(0), phi'(0) and phi(t), clipped to [0.1 t, 0.5 t]
+    (`_backtrack`).  Two cases keep plain halving: a trial objective that
+    is not finite (the energy overflows at large p), where the quadratic has
+    no value to go on, and the floor regime, where phi(t) - phi(0) is
+    rounding and the quadratic would be fitted to noise."""
+    floor = 1e-15 * max(1.0, abs(J))  # resolvable objective decrease
+    for _ in range(80):
+        trial = x - t * d
+        Jt, c, w = _energy(grid, trial, fh, p, eps)
+        decrease = ARMIJO_C * t * slope
+        if decrease > floor:
+            if Jt <= J - decrease:
+                return t, trial, Jt, (c, w), _nodal_gradient(grid, c, w, fh)
+            t = _backtrack(t, slope, Jt - J) if math.isfinite(Jt) else \
+                BACKTRACK * t
+        else:
+            g = _nodal_gradient(grid, c, w, fh)
+            if (Jt <= J + floor and float(np.dot(g, d))
+                    >= -(1.0 - 2.0 * ARMIJO_C) * slope):
+                return t, trial, min(Jt, J), (c, w), g
+            t *= BACKTRACK
+    return None
+
+
+def _relag(p: float, since: int, carried: bool, gsup: float,
+           before: float) -> bool:
+    """Whether `_descend` releases its factor after a step, to build the
+    next at the new iterate: at p != 2 once `since` iterations have run on
+    it (the 20-iteration window; at p = 2 the Laplacian is exact and stays),
+    and on a factor carried from the last outer step as soon as a step
+    fails to cut the gradient sup-norm gsup to KEEP of its value `before`
+    it.  The carried factor is a chord method's lagged Jacobian, kept while
+    it contracts (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 5).  The factor is released as soon as this
+    fires, before the next is built, so at most one is alive."""
+    return p != 2 and since >= 20 or carried and not gsup <= KEEP * before
+
+
+def _converged(gsup: float, tol: float, p: float, tau: float | None,
+               slope: float, hd: float, fh: np.ndarray,
+               x: np.ndarray) -> bool:
+    """The tolerance exit of `_descend` at x: the gradient sup-norm gsup at
+    most tol and, with tau given (the last eps stage on the cell Hessian
+    at p != 2), the Newton decrement small too (Boyd & Vandenberghe, Convex
+    Optimization, 9.5): p^2 g.d <= (p-1) tau^2 h^d |fh.x|, where slope =
+    g.d for the direction d of the descent's next step.
+
+    The factor is the Hessian over h^d, so g.d / h^d is about |x - x*|^2 in
+    the Hessian norm, and at the minimizer that norm of x* itself is (p-1)
+    fh.x* (the objective's Euler-Lagrange equation, at eps = 0).  The test
+    thus asks a relative error in that norm of at most tau / p, and N =
+    c^(-p) multiplies a relative error in the norm c by p, so N is off by at
+    most about tau, the relative slack `check_monotonicity` grants.  Unlike
+    the sup-norm, the test does not depend on the scale of the grid or of
+    f.  It only delays the sup-norm exit, so it never makes a solve fail.
+    A lagged or carried factor is read as the Hessian; the p=2 stencil
+    standing in for one is not, and is passed tau None."""
+    return gsup <= tol and (tau is None or p * p * slope <= (p - 1) * tau
+                            * tau * hd * abs(float(np.dot(fh, x))))
+
+
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
              eps: float, tol: float, budget: int,
              tau: float | None = None, carry: list | None = None):
@@ -603,33 +690,24 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     its objective and gradient sup-norm at DEBUG on the `pground.inner`
     logger.
 
-    The loop runs while tol < residual < inf, fewer than `budget`
-    iterations are spent and some iteration of the last 300 made
-    measurable progress (the gradient sup-norm fell below 0.99 of its best
-    or the objective by 1e-12 relative); it also stops when the line search
-    finds no acceptable step.  All exits but the tolerance are floors.
-
-    With tau given (the last eps stage) at p != 2, the tolerance exit also
-    asks the Newton decrement to be small (Boyd & Vandenberghe, Convex
-    Optimization, 9.5): it ends at residual <= tol only once p^2 g.d <=
-    (p-1) tau^2 h^d |fh.x|, with d the preconditioned gradient of the loop.
-    The factor is the Hessian over h^d, so g.d / h^d is about |x - x*|^2 in
-    the Hessian norm, and at the minimizer that norm of x* itself is (p-1)
-    fh.x* (the objective's Euler-Lagrange equation, at eps = 0).  The test
-    thus asks a relative error in that norm of at most tau / p, and N =
-    c^(-p) multiplies a relative error in the norm c by p, so N is off by at
-    most about tau, the relative slack `check_monotonicity` grants.  Unlike
-    the sup-norm, the test does not depend on the scale of the grid or of f.
-    d is the direction of the loop's next step, so when the test ends the
-    loop it has spent one solve, and a re-lag if one fell due there, and no
-    other work.  It only delays the tolerance exit, so it never makes a
-    solve fail.  p = 2 keeps the sup-norm exit alone, without that last
-    solve; so does the p=2 stencil standing in for the Hessian, after it.
+    Each iteration forms the direction d, asks `_converged` whether to
+    stop, steps by `_line_search` from the BB1 step in the metric of the
+    factor, and asks `_relag` whether the next iteration needs a new
+    factor.  With tau given (the last eps stage) at p != 2 the stop test
+    also asks the Newton decrement to be small, which costs the direction's
+    solve at the exit and, if one fell due there, a re-lag; every other
+    descent stops at residual <= tol before it forms a direction, so p = 2
+    keeps the sup-norm exit alone, without that last solve.  The loop also
+    ends when the line search finds no acceptable step, at residual = inf,
+    once `budget` iterations are spent, and when no iteration of the last
+    300 made measurable progress (the gradient sup-norm fell below 0.99 of
+    its best or the objective by 1e-12 relative).  All exits but the
+    tolerance are floors.
 
     The direction is the cell Hessian (`Factors.preconditioner`; the p=2
     stencil when p == 2) applied to the gradient.  It is factored at the
     current iterate's cell gradients c and weights w on the first iteration
-    and re-lagged every 20 after, and so is the p=2 stencil standing in for
+    and after each re-lag, and so is the p=2 stencil standing in for
     weights without a positive finite max (the start from zero).  After
     each re-lag, and on a carried factor, the first trial step is 1/h^d,
     Newton's step with the Hessian and the exact step at p=2.
@@ -645,31 +723,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     carry, a list that is empty or holds one factor, hands the cell Hessian
     from one outer step to the next; `solve_step_with_stats` passes it to
     the last eps stage.  A descent the decrement test applies to takes the
-    factor out, if there is one, and starts on it in place of a fresh one.
-    It re-lags as soon as an iteration on the carried factor fails to cut
-    the gradient sup-norm to KEEP of its value before that iteration, and at
-    the 20-iteration check if none does.  Both re-lags release the carried
-    factor before the next is built, so at most one is alive.  The descent
-    puts the factor it ends on into carry (not the p=2 stand-in).  The
-    decrement test reads the carried factor as it reads any lagged one.
-
-    A trial point costs one `_energy` call; the gradient is formed from its
-    (c, w) only at the accepted trial and at trials below the resolution
-    floor, and the accepted trial's (c, w) is kept for the next re-lag.
-
-    A trial step x - t d is accepted by the Armijo test J(x - t d) <= J(x) -
-    c t g.d while that decrease is resolvable (above 1e-15 |J|); below it,
-    by nonincrease within that floor together with the derivative form of
-    the Armijo condition, phi'(t) <= (2c - 1) phi'(0) for phi(t) =
-    J(x - t d), the approximate Wolfe test of Hager & Zhang, which costs
-    only the dot product of the trial gradient the step needs anyway.
-
-    A trial that fails the Armijo test is followed by the minimizer of the
-    quadratic through phi(0), phi'(0) and phi(t), clipped to [0.1 t, 0.5 t]
-    (`_backtrack`).  Two cases keep plain halving: a trial objective that
-    is not finite (the energy overflows at large p), where the quadratic has
-    no value to go on, and the floor regime, where phi(t) - phi(0) is
-    rounding and the quadratic would be fitted to noise."""
+    factor out, if there is one, and starts on it in place of a fresh one,
+    until `_relag` releases it.  The descent puts the factor it ends on into
+    carry (not the p=2 stand-in, and none when `_relag` released it at the
+    last step)."""
     hd = grid.h ** grid.dim
     J, c, w = _energy(grid, x, fh, p, eps)
     g = _nodal_gradient(grid, c, w, fh)
@@ -680,12 +737,10 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     # of it, so that the re-lag that replaces it can release it first
     precond = carry.pop() if newton and carry else None
     carried, stand_in, no_descent = precond is not None, False, False
-    it = last_gain = since_refresh = 0
+    it = last_gain = lagged_at = 0  # lagged_at: the window's first iteration
     best_gsup, mark_J = gsup, J
     while ((newton or tol < gsup) and gsup < math.inf and it < budget
            and it - last_gain <= 300):
-        if p != 2 and since_refresh >= 20:
-            precond = None  # released before the next is built
         if precond is None or it == 0:  # a new window
             if precond is None:
                 # (re-)lag at the current (c, w), or take the p=2 stencil:
@@ -698,65 +753,34 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
                 carried = no_descent = False
             # a new metric resets BB history, and 1/h^d is the exact first
             # step for p=2 and Newton's with the cell Hessian
-            prev = None  # (t, g, d) of the last accepted step
+            prev = None  # (g, d) of the last accepted step, whose step is t
             t = 1.0 / hd
-            since_refresh = 0
+            lagged_at = it
         d = precond(g)
         slope = float(np.dot(g, d))  # directional derivative along -d
         if not (slope > 0 or stand_in or gsup == 0):
             # no descent direction: a lagged factor is released and re-lagged
             # here, and one built here gets the p=2 stencil standing in
-            no_descent = since_refresh == 0 and not carried
+            no_descent = lagged_at == it and not carried
             precond = None
             continue
-        if gsup <= tol and (stand_in or p * p * slope <= (p - 1) * tau * tau
-                            * hd * abs(float(np.dot(fh, x)))):
-            break  # a newton descent at tol: the decrement is small too
+        if _converged(gsup, tol, p, None if stand_in else tau, slope, hd,
+                      fh, x):
+            break
         if prev is not None:
-            t_old, g_old, d_old = prev
-            s_y = t_old * float(np.dot(d_old, g_old - g))
-            if s_y > 0:
-                # BB1 in the preconditioned metric: s.P^{-1}s / s.y
-                t = t_old * t_old * float(np.dot(g_old, d_old)) / s_y
-            else:
-                t = 2.0 * t_old
-        floor = 1e-15 * max(1.0, abs(J))  # resolvable objective decrease
-        accepted = False
-        trial_g = None
-        for _ in range(80):
-            trial = x - t * d
-            Jt, ct, wt = _energy(grid, trial, fh, p, eps)
-            decrease = ARMIJO_C * t * slope
-            if decrease > floor:
-                if Jt <= J - decrease:
-                    accepted = True
-                    break
-            else:
-                # objective differences are below floating-point resolution;
-                # test the Armijo condition in its derivative form instead
-                # (Hager & Zhang's approximate Wolfe test, exact for a
-                # quadratic); the nonincrease invariant holds to within the
-                # 1e-14 slack it is stated with
-                trial_g = _nodal_gradient(grid, ct, wt, fh)
-                if (Jt <= J + floor and float(np.dot(trial_g, d))
-                        >= -(1.0 - 2.0 * ARMIJO_C) * slope):
-                    accepted = True
-                    break
-            if decrease > floor and math.isfinite(Jt):
-                t = _backtrack(t, slope, Jt - J)
-            else:
-                t *= BACKTRACK  # overflow at large p, or the floor regime
-        if not accepted:
+            g_old, d_old = prev
+            s_y = t * float(np.dot(d_old, g_old - g))
+            # BB1 in the preconditioned metric: s.P^{-1}s / s.y
+            t = t * t * float(np.dot(g_old, d_old)) / s_y if s_y > 0 else 2 * t
+        step = _line_search(grid, x, fh, p, eps, J, d, slope, t)
+        if step is None:
             break  # at the numerical floor for this eps
-        prev = (t, g, d)
-        x, J, c, w = trial, min(Jt, J), ct, wt
-        g = _nodal_gradient(grid, ct, wt, fh) if trial_g is None else trial_g
+        prev = (g, d)
+        t, x, J, (c, w), g = step
         before, gsup = gsup, float(np.abs(g).max())
-        if carried and not gsup <= KEEP * before:
-            carried = False
-            precond = None  # released now, re-lagged at the loop's top
         it += 1
-        since_refresh += 1
+        if _relag(p, it - lagged_at, carried, gsup, before):
+            precond = None  # released now, re-lagged at the loop's top
         if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
             last_gain, mark_J = it, J
         best_gsup = min(best_gsup, gsup)

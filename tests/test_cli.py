@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pground.infinity
+import pground.iteration
 import pground.oracles
 from pground import traceio
 from pground.cli import main
@@ -729,3 +731,56 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope"))
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestExperimentScripts:
+    """scripts/*.py exit 0 when every run converges and every sup-norm
+    diagnostic passes, and 1 otherwise."""
+
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    def _run(self, monkeypatch, name, *argv):
+        monkeypatch.setattr(sys, "argv", [name, *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPTS / name), run_name="__main__")
+        return exc.value.code
+
+    @staticmethod
+    def _unconverged(monkeypatch, module, at_p):
+        # the module's inverse_iterate, with its run at p not converged
+        iterate = module.inverse_iterate
+
+        def run(spec, n, p, *args, **kwargs):
+            tr = iterate(spec, n, p, *args, **kwargs)
+            tr.converged = tr.converged and p != at_p
+            return tr
+        monkeypatch.setattr(module, "inverse_iterate", run)
+
+    @pytest.mark.parametrize("name, argv, module", [
+        ("interval_convergence.py", ("--p-list", "3", "--n-list", "15"),
+         pground.iteration),
+        ("square_infinity_sweep.py", ("--n", "8", "--p-list", "4,8"),
+         pground.infinity),
+        ("lshape_sweep.py", ("--n", "8", "--p-list", "4,8"),
+         pground.infinity)])
+    def test_exit_1_on_unconverged_run(self, monkeypatch, capsys, name,
+                                       argv, module):
+        # the interval's shooting reference is only printed; a constant
+        # stands in for its cost
+        monkeypatch.setattr(pground.oracles, "lambda_p_shooting_1d",
+                            lambda p: 1.0)
+        assert self._run(monkeypatch, name, *argv) == 0
+        capsys.readouterr()
+        self._unconverged(monkeypatch, module, 3.0 if module is
+                          pground.iteration else 8.0)
+        assert self._run(monkeypatch, name, *argv) == 1
+        out = capsys.readouterr().out
+        assert "(not converged)" in out or " False" in out
+
+    def test_exit_1_on_failed_supnorm_check(self, monkeypatch):
+        argv = ("--n", "8", "--p-list", "4,32")
+        assert self._run(monkeypatch, "square_infinity_sweep.py", *argv) == 0
+        monkeypatch.setattr(pground.infinity, "monotone_supnorm_check",
+                            lambda tr, lam: pground.infinity.SupnormCheck(
+                                "fail"))
+        assert self._run(monkeypatch, "square_infinity_sweep.py", *argv) == 1

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import splu, spsolve
@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu, spsolve
 from pground import inner, multifrontal
 from pground.calculus import GridFunction, _energy, _nodal_gradient
 from pground.geometry import Interval, MaskDomain, Rectangle, \
-    _gradient_operators, build_grid, shared_grid
+    _count_components, _gradient_operators, build_grid, shared_grid
 from pground.infinity import sweep
 from pground.inner import (NonConvergence, _eps_schedule, _resolved_tol,
                            _signed_power, solve_step_with_stats)
@@ -1060,6 +1060,35 @@ class TestCellHessian:
         assert tree.converged and band.converged
         assert abs(tree.lambda_R - band.lambda_R) <= 1e-12 * band.lambda_R
 
+    @settings(max_examples=20, deadline=None)
+    @given(width=st.integers(1, 3), height=st.integers(1, 3),
+           bits=st.lists(st.booleans(), min_size=9, max_size=9),
+           n=st.integers(3, 12), p=st.sampled_from([1.5, 3.0, 16.0]))
+    def test_back_ends_give_one_eigenvalue_on_drawn_masks(
+            self, width, height, bits, n, p):
+        # the fixed cases above over drawn 4-connected masks of up to 3x3
+        # cells, on grids with a band to leave (one interior node, or
+        # none, gives bandwidth 0, which BAND_MAX = 0 keeps banded); a
+        # solve may end at K_max unconverged (p=16 contracts slowly on long
+        # masks), and then both back ends end on the same step
+        cells = np.array(bits[:width * height]).reshape(width, height)
+        assume(cells.any() and _count_components(cells) == 1)
+        spec = MaskDomain(width, height, cells, 1.0)
+        grid = build_grid(spec, n)
+        assume(grid.num_interior > 0 and inner.Factors.of(grid)._b > 0)
+        try:
+            shared_grid.cache_clear()
+            band = inverse_iterate(spec, n, p, PositiveConstant())
+            assert inner.Factors.of(band.final.grid).banded
+            shared_grid.cache_clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(inner, "BAND_MAX", 0)
+                tree = inverse_iterate(spec, n, p, PositiveConstant())
+            assert not inner.Factors.of(tree.final.grid).banded
+        finally:
+            shared_grid.cache_clear()
+        assert abs(tree.lambda_R - band.lambda_R) <= 1e-10 * band.lambda_R
+
     def test_band_spans_cross_term(self, monkeypatch):
         # a 3x3 mask without two opposite corner cells, one node per cell
         # side: no row of G holds two interior nodes, and only the centre
@@ -1293,6 +1322,37 @@ class TestCarriedFactor:
         hessian = inner.Factors.of(g).preconditioner(c, w, p, 0.0)
         slope = float(np.dot(grad, hessian(grad)))
         assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
+
+    @pytest.mark.parametrize("budget, held", [
+        (1, "poor"), (2, "none"), (3, "new")])
+    def test_carry_at_budget_stop(self, monkeypatch, budget, held):
+        # the start and the poor factor of the test above at p=16: the first
+        # step on the poor factor cuts the residual to KEEP, the second does
+        # not and releases it, and the third runs on a factor built at the
+        # iterate; a descent stopped by its budget hands on what it holds
+        g = build_grid(self.SPEC, 16)
+        f = random_rhs(g, 71, nonneg=True).values[g.interior]
+        x0, _ = solve_step_with_stats(g, f, 16.0)
+        start = x0 * np.random.default_rng(5).uniform(0.8, 1.2, x0.size)
+        laplacian = inner.Factors.of(g).laplacian
+        built, preconditioner = [], inner.Factors.preconditioner
+
+        def recorded(self, *args):
+            built.append(preconditioner(self, *args))
+            return built[-1]
+
+        def poor(rhs):
+            return laplacian(rhs)
+
+        monkeypatch.setattr(inner.Factors, "preconditioner", recorded)
+        carry = [poor]
+        _, iters, _ = inner._descend(
+            g, start, f * g.h ** g.dim, 16.0, 0.0,
+            _resolved_tol(float(f.max()), None), budget,
+            100 * _resolved_tol(1.0, None), carry)
+        assert iters == budget
+        assert carry == {"poor": [poor], "none": [], "new": built}[held]
+        assert len(built) == (held == "new")
 
     def test_one_factor_alive(self, monkeypatch):
         # the factor a re-lag replaces, carried or not, is released before
@@ -1718,6 +1778,65 @@ class TestLineSearch:
                                            lambda J: J + 1.0)
         assert decrease <= 1e-15
         assert trials[1] / trials[0] == pytest.approx(0.5, rel=1e-12)
+
+    @staticmethod
+    def _search(monkeypatch, scale, seen):
+        # one `_line_search` from zero at p=2 on the square n=16 along the
+        # Laplacian's Newton direction, for f of sup-norm scale, whose first
+        # trial 1/h^d is the minimizer; seen(J, k) is the objective the
+        # search sees at its k-th trial, whose energy is J.  Returns the
+        # search's result, the trial steps times h^d, the Armijo decrease
+        # c t g.d of the first trial, the grid and fh
+        g = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 16)
+        hd = g.h ** g.dim
+        fh = scale * random_rhs(g, 79).values[g.interior] * hd
+        x = np.zeros(g.num_interior)
+        J, c, w = _energy(g, x, fh, 2.0, 0.0)
+        grad = _nodal_gradient(g, c, w, fh)
+        d = inner.Factors.of(g).laplacian(grad)
+        slope = float(np.dot(grad, d))
+        trials, energy = [], inner._energy
+
+        def recording(grid, trial, *args):
+            Jt, ct, wt = energy(grid, trial, *args)
+            trials.append(float(np.dot(-trial, d) / np.dot(d, d)) * hd)
+            return seen(Jt, len(trials)), ct, wt
+
+        monkeypatch.setattr(inner, "_energy", recording)
+        step = inner._line_search(g, x, fh, 2.0, 0.0, J, d, slope, 1.0 / hd)
+        return step, trials, inner.ARMIJO_C * slope / hd, g, fh
+
+    def test_accepts_by_derivative_below_floor(self, monkeypatch):
+        # f of sup-norm 1e-8: J = 0 at zero, and the decrease c t g.d of
+        # the first trial is below the floor 1e-15 max(1, |J|).  Seen half
+        # a floor above J, the trial fails the Armijo test but passes the
+        # derivative test at the minimizer, and J stays the objective
+        step, trials, decrease, g, fh = self._search(
+            monkeypatch, 1e-8, lambda J, k: 5e-16)
+        assert decrease <= 1e-15
+        assert trials == [pytest.approx(1.0, rel=1e-14)]
+        t, x, J, (c, w), grad = step
+        assert t == 1.0 / g.h ** g.dim and J == 0.0
+        assert np.array_equal(grad, _nodal_gradient(g, c, w, fh))
+        assert np.abs(grad).max() <= 1e-6 * np.abs(fh).max()
+
+    @pytest.mark.parametrize("first, ratio", [
+        (math.inf, 0.5), (math.nan, 0.5), (1.0, 0.1)])
+    def test_halves_on_non_finite_energy(self, monkeypatch, first, ratio):
+        # a first trial seen at a non-finite objective is halved; a finite
+        # one far above the quadratic model takes the lower clip.  The
+        # second trial passes the Armijo test
+        step, trials, _, g, _ = self._search(
+            monkeypatch, 1.0, lambda J, k: first if k == 1 else J)
+        assert len(trials) == 2
+        assert trials[1] / trials[0] == pytest.approx(ratio, rel=1e-12)
+        assert step[0] * g.h ** g.dim == pytest.approx(ratio, rel=1e-12)
+
+    def test_none_after_80_rejections(self, monkeypatch):
+        # every trial seen far above J: the search gives up after 80
+        step, trials, *_ = self._search(monkeypatch, 1.0,
+                                        lambda J, k: J + 1.0)
+        assert step is None and len(trials) == 80
 
     def test_square_sweep_energy_count(self, monkeypatch):
         # the square n=64 sweep over p = 4..64 made 1,389 trial energies
