@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  solve   run the inverse iteration, write PREFIX.trace.csv + PREFIX.summary.json
+  solve   run the inverse iteration, write PREFIX.trace.csv,
+          PREFIX.summary.json and the final iterate PREFIX.final.csv (the
+          grid-function CSV that `--init file:` reads)
   sweep   run a large-p sweep, write OUT.sweep.csv
   oracle  print one reference value as JSON
   check   re-verify a saved trace offline: monotone R_k and N_k, bounds by
@@ -120,6 +122,7 @@ def cmd_solve(args) -> int:
                             tol_outer=args.tol, tol_grad=args.tol_grad)
     traceio.write_trace_csv(args.out + ".trace.csv", trace)
     traceio.write_summary_json(args.out + ".summary.json", trace)
+    traceio.write_gridfunction_csv(args.out + ".final.csv", trace.final)
     print(json.dumps(traceio.trace_summary(trace)))
     return 0 if trace.converged else 2
 
@@ -198,7 +201,8 @@ def build_parser() -> _Parser:
                     help="relative Cauchy tolerance on the Rayleigh quotient")
     ps.add_argument("--tol-grad", type=float, default=None)
     ps.add_argument("--init", default="const",
-                    help="const | random:SEED | file:CSV")
+                    help="const | random:SEED | file:CSV (such as a "
+                         "solve's PREFIX.final.csv)")
     ps.add_argument("--out", required=True, help="output file prefix")
     ps.add_argument("--config", help="JSON config file; flags override it")
     ps.add_argument("--verbose", action="store_true")

@@ -275,7 +275,9 @@ def _gradient_operators(grid: Grid):
 def build_grid(spec: DomainSpec, n: int) -> Grid:
     """A new grid discretizing `spec` with n interior nodes (interval) or n
     cells along the shorter side (rectangle / mask).  Its node and cell
-    masks are read-only, as a grid may serve many callers (`shared_grid`)."""
+    masks are read-only, as a grid may serve many callers (`shared_grid`).
+    DomainError for n < 3, and for a mask whose grid at n has no interior
+    node (a lone cell with one subdivision)."""
     if n < 3:
         raise DomainError(f"resolution n must be >= 3, got {n}")
     if isinstance(spec, Interval):
@@ -321,6 +323,8 @@ def build_grid(spec: DomainSpec, n: int) -> Grid:
         boundary = (incident > 0) & ~interior
     else:
         raise TypeError(f"unknown domain spec {type(spec).__name__}")
+    if not interior.any():
+        raise DomainError(f"the grid at n={n} has no interior node")
     for mask in (interior, boundary, cell_mask):
         mask.flags.writeable = False
     return Grid(spec, dim, h, origin, shape, interior, boundary, cell_mask)

@@ -13,8 +13,8 @@ import numpy as np
 from .calculus import GridFunction, _report_logs
 from .geometry import DomainSpec, inradius, shared_grid
 from .inner import NonConvergence
-from .iteration import (Custom, IterationTrace, PositiveConstant,
-                        inverse_iterate)
+from .iteration import (ClaimResult, Custom, IterationTrace,
+                        PositiveConstant, _claim, inverse_iterate)
 
 
 @dataclass(frozen=True)
@@ -123,43 +123,46 @@ def _continued_start(finals, p: float):
     return Custom(last), False
 
 
-@dataclass(frozen=True)
-class SupnormCheck:
-    status: str          # "pass", "fail", or "skipped"
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
 # per-step relative growth the sup-norm sequences may show, for the
 # finite-p deviation from the infinity limit
 STEP_SLACK = 0.05
 
 
 def monotone_supnorm_check(trace: IterationTrace,
-                           lambda_inf_est: float) -> SupnormCheck:
+                           lambda_inf_est: float) -> ClaimResult:
     """On a large-p trace, check that the un-normalized sup norms of the
     iterates and of their gradients, scaled by powers of the estimated
-    infinity eigenvalue, are nonincreasing (to STEP_SLACK per step), and
-    that their ratio stabilizes."""
+    infinity eigenvalue, are nonincreasing (each step's log growth at most
+    log1p(STEP_SLACK)), and that their ratio stabilizes (its last change at
+    most 5% of its last value).  One claim (`iteration._claim`) over the
+    growth margins, alternately sup and gradient at each step, then the
+    ratio margin; it fails with fewer than two steps to compare, and does
+    not apply (passed None) below p = 32."""
+    name = "sup-norm sequences nonincreasing, ratio stable"
     if trace.p < 32:
-        return SupnormCheck(
-            "skipped", f"p={trace.p} is below the asymptotic regime (>=32)")
+        return _claim(name, [], f"p={trace.p:g} is below the asymptotic "
+                                f"regime (>=32)")
     log_lam = math.log(lambda_inf_est)
     log_slack = math.log1p(STEP_SLACK)
+    steps = trace.steps[1:]
     # cumulative log of norm factors reconstructs the raw iterates
-    log_c = 0.0
-    log_sup, log_grad = [], []
-    for s in trace.steps[1:]:
+    log_c, logs = 0.0, []           # (k, log sup, log gradient sup)
+    for s in steps:
         log_c += math.log(s.norm_factor)
-        log_sup.append(s.k * log_lam + log_c + math.log(s.report.sup_norm))
-        log_grad.append(s.k * log_lam + log_c + math.log(s.report.grad_sup))
-    grad_ok = all(b <= a + log_slack for a, b in zip(log_grad, log_grad[1:]))
-    sup_ok = all(b <= a + log_slack for a, b in zip(log_sup, log_sup[1:]))
-    ratios = [math.exp(g - s) for g, s in zip(log_grad, log_sup)]
-    ratio_stable = (len(ratios) >= 2
-                    and abs(ratios[-1] - ratios[-2]) <= 0.05 * abs(ratios[-1]))
-    ok = grad_ok and sup_ok and ratio_stable
-    return SupnormCheck("pass" if ok else "fail")
+        scale = s.k * log_lam + log_c
+        logs.append((s.k, scale + math.log(s.report.sup_norm),
+                     scale + math.log(s.report.grad_sup)))
+
+    def margins():
+        for (_, sup, grad), (k, sup_next, grad_next) in zip(logs, logs[1:]):
+            yield sup + log_slack - sup_next, k
+            yield grad + log_slack - grad_next, k
+        # the ratio is scale-free, the normalized iterates' own quotient;
+        # with fewer than two steps there is no change to bound, which fails
+        r = [s.report.grad_sup / s.report.sup_norm for s in steps[-2:]]
+        yield (0.05 * abs(r[-1]) - abs(r[-1] - r[0]) if len(r) == 2
+               else -math.inf), trace.num_steps
+
+    last = 2 * max(len(steps) - 1, 0)   # the ratio margin's position
+    return _claim(name, margins(), lambda i: "(ratio change)" if i == last
+                  else f"({('sup', 'gradient sup')[i % 2]} growth)")

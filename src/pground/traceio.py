@@ -164,21 +164,16 @@ def write_sweep_csv(path, result: SweepResult) -> None:
 
 
 def write_gridfunction_csv(path, u: GridFunction) -> None:
-    """Node coordinates and values: header "x,value" (1D) or "x,y,value"."""
+    """Node coordinates and values: header "x,value" (1D) or "x,y,value".
+    `pground solve` writes its final iterate so (PREFIX.final.csv), and
+    `--init file:` reads it back (`read_gridfunction_csv`)."""
     g = u.grid
-    coords = g.node_coords()
+    coords = g.node_coords().reshape(g.shape + (g.dim,))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        carried = g.interior | g.boundary
-        if g.dim == 1:
-            w.writerow(["x", "value"])
-            for i in np.nonzero(carried)[0]:
-                w.writerow([_fmt(coords[i]), _fmt(u.values[i])])
-        else:
-            w.writerow(["x", "y", "value"])
-            for i, j in zip(*np.nonzero(carried)):
-                w.writerow([_fmt(coords[i, j, 0]), _fmt(coords[i, j, 1]),
-                            _fmt(u.values[i, j])])
+        w.writerow(["x", "y"][:g.dim] + ["value"])
+        for idx in map(tuple, np.argwhere(g.interior | g.boundary)):
+            w.writerow([*map(_fmt, coords[idx]), _fmt(u.values[idx])])
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:

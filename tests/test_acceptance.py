@@ -168,10 +168,8 @@ def test_criterion_7_supnorm_diagnostics(square_sweep):
     result, _ = square_sweep
     for entry, tr in zip(result.entries, result.traces):
         check = monotone_supnorm_check(tr, entry.lambda_root)
-        if entry.p >= 32:
-            assert check.passed, f"p={entry.p}: {check}"
-        else:
-            assert check.status == "skipped"
+        assert check.passed is (True if entry.p >= 32 else None), \
+            f"p={entry.p}: {check}"
 
 
 def test_criterion_7_sweep_traces_verify(square_sweep):

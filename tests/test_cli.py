@@ -8,14 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pground
 import pground.infinity
 import pground.iteration
 import pground.oracles
 from pground import traceio
 from pground.cli import main
-from pground.geometry import Interval, Rectangle, shared_grid
+from pground.geometry import Interval, MaskDomain, Rectangle, shared_grid
 from pground.iteration import (DegenerateIterate, PositiveConstant,
                                RandomPositive, inverse_iterate, verify)
 
@@ -51,6 +53,11 @@ class TestSolve:
         trace = traceio.read_trace_csv(prefix + ".trace.csv",
                                        p=summary["p"], h=summary["h"])
         assert len(trace.steps) == summary["steps"] + 1
+        # the final iterate, as `--init file:` reads it
+        ran = inverse_iterate(Interval(0.0, 1.0), 15, 2.0, PositiveConstant())
+        final = traceio.read_gridfunction_csv(prefix + ".final.csv",
+                                              ran.final.grid)
+        assert np.array_equal(final.values, ran.final.values)
 
     def test_verbose_keeps_stdout_json(self, tmp_path, capsys):
         prefix = str(tmp_path / "loud")
@@ -157,16 +164,16 @@ class TestSolve:
         assert err.startswith("error: ") and "empty file" in err
 
     def test_file_init_from_ground_state_checks(self, tmp_path, capsys):
-        # a start at the fixed point converges at once; the trace still has
-        # the 3 steps `check` needs
-        ground = inverse_iterate(Interval(0.0, 1.0), 31, 3.0,
-                                 PositiveConstant()).final
-        u_path = tmp_path / "ground.csv"
-        traceio.write_gridfunction_csv(u_path, ground)
+        # a start at the fixed point, the final iterate a solve wrote,
+        # converges at once; the trace still has the 3 steps `check` needs
+        ground = str(tmp_path / "ground")
+        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
+                               "--n", "31", "--p", "3", "--out", ground)
+        assert code == 0, err
         prefix = str(tmp_path / "warm")
         code, out, err = run_cli(capsys, "solve", "--domain", "interval",
-                                 "--n", "31", "--p", "3",
-                                 "--init", f"file:{u_path}", "--out", prefix)
+                                 "--n", "31", "--p", "3", "--init",
+                                 f"file:{ground}.final.csv", "--out", prefix)
         assert code == 0, err
         assert json.loads(out)["steps"] >= 3
         code, out, err = run_cli(capsys, "check", prefix)
@@ -314,6 +321,18 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: cell_size")
         assert err.rstrip().endswith(f" in {path}")
+
+    def test_mask_without_interior_node(self, tmp_path, capsys):
+        # a lone cell with one subdivision at n=3: the solve exited 2 with
+        # a degenerate iterate, the code of a solver failure
+        path = tmp_path / "dot.mask"
+        path.write_text("3 3 1\n...\n.#.\n...\n")
+        code, out, err = run_cli(capsys, "solve", "--domain", f"mask:{path}",
+                                 "--n", "3", "--p", "3",
+                                 "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: the grid at n=3 has no interior node\n"
 
     def test_disconnected_mask_names_file(self, tmp_path, capsys):
         path = tmp_path / "split.mask"
@@ -734,53 +753,57 @@ class TestCheck:
 
 
 class TestExperimentScripts:
-    """scripts/*.py exit 0 when every run converges and every sup-norm
-    diagnostic passes, and 1 otherwise."""
+    """scripts/reproduce.py exits 0 when every run converges and no
+    sup-norm claim fails, and 1 otherwise."""
 
-    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
 
-    def _run(self, monkeypatch, name, *argv):
-        monkeypatch.setattr(sys, "argv", [name, *argv])
+    def _run(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["reproduce.py", *argv])
         with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(self.SCRIPTS / name), run_name="__main__")
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
         return exc.value.code
 
-    @staticmethod
-    def _unconverged(monkeypatch, module, at_p):
-        # the module's inverse_iterate, with its run at p not converged
-        iterate = module.inverse_iterate
+    def test_exit_0_at_small_size(self, monkeypatch, capsys):
+        assert self._run(monkeypatch, "--size", "small") == 0
+        out = capsys.readouterr().out
+        assert out.count("p = 32 sup-norm claim: pass") == 1
+        assert out.count("claim: skip") == 4
+        assert "False" not in out and "not converged" not in out
+
+    def test_rejects_other_sizes(self, monkeypatch, capsys):
+        assert self._run(monkeypatch, "--size", "tiny") == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, point", [
+        (Interval, (63, 3.0)), (Rectangle, (16, 8.0)),
+        (MaskDomain, (16, 8.0))], ids=["interval", "square", "l_shape"])
+    def test_exit_1_on_unconverged_run(self, monkeypatch, capsys, kind,
+                                       point):
+        # the run at point (n, p) of one experiment reports no convergence
+        iterate = pground.iteration.inverse_iterate
 
         def run(spec, n, p, *args, **kwargs):
             tr = iterate(spec, n, p, *args, **kwargs)
-            tr.converged = tr.converged and p != at_p
+            tr.converged &= not (isinstance(spec, kind) and (n, p) == point)
             return tr
-        monkeypatch.setattr(module, "inverse_iterate", run)
-
-    @pytest.mark.parametrize("name, argv, module", [
-        ("interval_convergence.py", ("--p-list", "3", "--n-list", "15"),
-         pground.iteration),
-        ("square_infinity_sweep.py", ("--n", "8", "--p-list", "4,8"),
-         pground.infinity),
-        ("lshape_sweep.py", ("--n", "8", "--p-list", "4,8"),
-         pground.infinity)])
-    def test_exit_1_on_unconverged_run(self, monkeypatch, capsys, name,
-                                       argv, module):
-        # the interval's shooting reference is only printed; a constant
-        # stands in for its cost
-        monkeypatch.setattr(pground.oracles, "lambda_p_shooting_1d",
-                            lambda p: 1.0)
-        assert self._run(monkeypatch, name, *argv) == 0
-        capsys.readouterr()
-        self._unconverged(monkeypatch, module, 3.0 if module is
-                          pground.iteration else 8.0)
-        assert self._run(monkeypatch, name, *argv) == 1
+        monkeypatch.setattr(pground, "inverse_iterate", run)
+        monkeypatch.setattr(pground.infinity, "inverse_iterate", run)
+        # the shooting reference is only printed; a constant stands in for
+        # its cost
+        monkeypatch.setattr(pground, "lambda_p_shooting_1d", lambda p: 1.0)
+        assert self._run(monkeypatch, "--size", "small") == 1
         out = capsys.readouterr().out
-        assert "(not converged)" in out or " False" in out
+        assert out.count("(not converged)") == (kind is Interval)
+        assert out.count(" False") == (kind is not Interval)
 
-    def test_exit_1_on_failed_supnorm_check(self, monkeypatch):
-        argv = ("--n", "8", "--p-list", "4,32")
-        assert self._run(monkeypatch, "square_infinity_sweep.py", *argv) == 0
-        monkeypatch.setattr(pground.infinity, "monotone_supnorm_check",
-                            lambda tr, lam: pground.infinity.SupnormCheck(
-                                "fail"))
-        assert self._run(monkeypatch, "square_infinity_sweep.py", *argv) == 1
+    def test_exit_1_on_failed_supnorm_check(self, monkeypatch, capsys):
+        # a limit eigenvalue ten times too large fails the claim at p=32
+        check = pground.monotone_supnorm_check
+        monkeypatch.setattr(pground, "monotone_supnorm_check",
+                            lambda tr, lam: check(tr, 10.0 * lam))
+        monkeypatch.setattr(pground, "lambda_p_shooting_1d", lambda p: 1.0)
+        assert self._run(monkeypatch, "--size", "small") == 1
+        out = capsys.readouterr().out
+        assert "p = 32 sup-norm claim: fail, worst margin -" in out
+        assert "False" not in out and "not converged" not in out

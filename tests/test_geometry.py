@@ -9,6 +9,7 @@ from scipy import ndimage, sparse
 from pground.geometry import (DomainError, Interval, MaskDomain, Rectangle,
                               _gradient_operators, build_grid, inradius,
                               read_mask_file)
+from pground.iteration import PositiveConstant, inverse_iterate
 
 from conftest import L_MASK_TEXT
 
@@ -65,6 +66,19 @@ class TestBuildGrid:
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
             build_grid(Interval(0.0, 1.0), 2)
+
+    def test_rejects_mask_without_interior_node(self):
+        # a lone cell with one subdivision at n=3 has four boundary nodes
+        # and no interior one: a solve on it ended on a degenerate iterate,
+        # and Factors.of on a bare zero-size reduction
+        cells = np.zeros((3, 3), bool)
+        cells[1, 1] = True
+        spec = MaskDomain(3, 3, cells, 1.0)
+        with pytest.raises(DomainError, match="n=3 has no interior node"):
+            build_grid(spec, 3)
+        with pytest.raises(DomainError, match="n=3 has no interior node"):
+            inverse_iterate(spec, 3, 3.0, PositiveConstant())
+        assert build_grid(spec, 6).num_interior == 1
 
     def test_rejects_disconnected_mask(self):
         cells = np.array([[True, False], [False, True]])

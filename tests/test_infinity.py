@@ -5,12 +5,13 @@ import pytest
 
 import pground.infinity
 import pground.inner
-from pground.calculus import GridFunction, rayleigh_quotient
+from pground.calculus import EnergyReport, GridFunction, rayleigh_quotient
 from pground.geometry import Interval, MaskDomain, Rectangle, shared_grid
-from pground.infinity import _continued_start, monotone_supnorm_check, sweep
+from pground.infinity import (STEP_SLACK, _continued_start,
+                              monotone_supnorm_check, sweep)
 from pground.inner import NonConvergence
-from pground.iteration import (Custom, PositiveConstant, inverse_iterate,
-                               verify)
+from pground.iteration import (Custom, IterationTrace, PositiveConstant,
+                               TraceStep, inverse_iterate, verify)
 
 
 @pytest.fixture(scope="module")
@@ -310,25 +311,84 @@ class TestInfinityGroundState:
         assert roots[-1] - 2.0 <= 0.01 * 2.0
 
 
+def supnorm_trace(sups, grads, p=32.0):
+    """A trace at p whose steps 1, 2, ... have norm factor 1 and the given
+    sup norms of the iterate and of its gradient."""
+    steps = [TraceStep(k, EnergyReport(s, g), math.nan, math.nan, math.nan,
+                       1.0, 0)
+             for k, (s, g) in enumerate(zip((1.0, *sups), (1.0, *grads)))]
+    return IterationTrace(p=p, h=0.1, steps=steps)
+
+
+def growth_at_slack():
+    """Sup norms (a, b) with log(b) == log(a) + log1p(STEP_SLACK) in floating
+    point: a log growth of exactly the slack, as the check adds it."""
+    slack = math.log1p(STEP_SLACK)
+    a = 2.0
+    for _ in range(1000):
+        b = math.exp(math.log(a) + slack)
+        for c in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+            if math.log(c) == math.log(a) + slack:
+                return a, c
+        a = math.nextafter(a, math.inf)
+    raise AssertionError("no pair of sup norms grows by exactly the slack")
+
+
 class TestSupnormCheck:
     def test_skips_moderate_p(self, interval_sweep):
         tr = interval_sweep.traces[0]  # p = 4
         result = monotone_supnorm_check(tr, 2.0)
-        assert result.status == "skipped"
-        assert not result.passed
+        assert result.passed is None
+        assert "p=4 is below" in result.detail
 
     def test_passes_large_p(self, interval_sweep):
         tr = interval_sweep.traces[-1]  # p = 32
         lam_root = interval_sweep.entries[-1].lambda_root
         result = monotone_supnorm_check(tr, lam_root)
-        assert result.passed, result
+        assert result.passed is True, result
+        assert 0 <= result.worst_margin < math.inf
+        assert 2 <= result.worst_index <= tr.num_steps
 
     def test_fails_on_wrong_eigenvalue(self, interval_sweep):
         # a grossly overestimated limit eigenvalue inflates the scaled
         # sequences geometrically, so the nonincreasing check must fail
         tr = interval_sweep.traces[-1]
+        lam_root = interval_sweep.entries[-1].lambda_root
         result = monotone_supnorm_check(tr, 10.0)
-        assert result.status == "fail"
+        assert result.passed is False
+        # each step grows by about log(10 / lam_root)
+        assert result.worst_margin == pytest.approx(
+            math.log1p(STEP_SLACK) - math.log(10.0 / lam_root), abs=0.2)
+        assert result.detail.endswith(" growth)")
+
+    @pytest.mark.parametrize("seq", ["sup", "gradient sup"])
+    def test_growth_at_the_slack_passes_and_above_fails(self, seq):
+        a, b = growth_at_slack()
+        at = monotone_supnorm_check(supnorm_trace((a, b), (a, b)), 1.0)
+        assert at.passed is True and at.worst_margin == 0.0, at
+        above = math.nextafter(b, math.inf)
+        sups, grads = ((a, above), (a, b)) if seq == "sup" else \
+            ((a, b), (a, above))
+        result = monotone_supnorm_check(supnorm_trace(sups, grads), 1.0)
+        assert result.passed is False
+        assert (result.worst_index, result.detail) == (2, f"({seq} growth)")
+
+    def test_ratio_change_of_5_percent_passes_and_above_fails(self):
+        # the ratio falls from 21 to 20 by exactly 5% of 20
+        at = monotone_supnorm_check(supnorm_trace((1.0, 1.0), (21.0, 20.0)),
+                                    1.0)
+        assert at.passed is True and at.worst_margin == 0.0, at
+        assert at.detail == "(ratio change)"
+        above = monotone_supnorm_check(
+            supnorm_trace((1.0, 1.0), (math.nextafter(21.0, 22.0), 20.0)), 1.0)
+        assert above.passed is False
+        assert (above.worst_index, above.detail) == (2, "(ratio change)")
+
+    def test_fails_with_one_step_to_compare(self):
+        result = monotone_supnorm_check(supnorm_trace((1.0,), (1.0,)), 1.0)
+        assert result.passed is False
+        assert (result.worst_margin, result.detail) == (-math.inf,
+                                                        "(ratio change)")
 
     def test_nonconvergence_entry_is_flagged(self, monkeypatch):
         # an inner solve out of iterations must surface as a non-converged

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from pground import inner, multifrontal
 from pground.calculus import GridFunction, _energy, _nodal_gradient
-from pground.geometry import Interval, MaskDomain, Rectangle, \
+from pground.geometry import DomainError, Interval, MaskDomain, Rectangle, \
     _count_components, _gradient_operators, build_grid, shared_grid
 from pground.infinity import sweep
 from pground.inner import (NonConvergence, _eps_schedule, _resolved_tol,
@@ -1067,15 +1067,20 @@ class TestCellHessian:
     def test_back_ends_give_one_eigenvalue_on_drawn_masks(
             self, width, height, bits, n, p):
         # the fixed cases above over drawn 4-connected masks of up to 3x3
-        # cells, on grids with a band to leave (one interior node, or
-        # none, gives bandwidth 0, which BAND_MAX = 0 keeps banded); a
-        # solve may end at K_max unconverged (p=16 contracts slowly on long
-        # masks), and then both back ends end on the same step
+        # cells, on grids with a band to leave (one interior node gives
+        # bandwidth 0, which BAND_MAX = 0 keeps banded, and a grid with
+        # none is refused); a solve may end at K_max unconverged (p=16
+        # contracts slowly on long masks), and then both back ends end on
+        # the same step
         cells = np.array(bits[:width * height]).reshape(width, height)
         assume(cells.any() and _count_components(cells) == 1)
         spec = MaskDomain(width, height, cells, 1.0)
-        grid = build_grid(spec, n)
-        assume(grid.num_interior > 0 and inner.Factors.of(grid)._b > 0)
+        try:
+            grid = build_grid(spec, n)
+        except DomainError as exc:
+            assert f"n={n} has no interior node" in str(exc)
+            assume(False)
+        assume(inner.Factors.of(grid)._b > 0)
         try:
             shared_grid.cache_clear()
             band = inverse_iterate(spec, n, p, PositiveConstant())
