@@ -107,6 +107,7 @@ ARMIJO_C = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5   # largest step-length factor per rejected trial
 BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
+CLAIM_SLACK = 100  # claims' relative slack, in inner tols at sup|f| = 1
 KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
 W_FLOOR = 1e-10   # least weight over max(w) in a cell-Hessian factor
 
@@ -183,7 +184,7 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
     the tolerance.
 
     A last eps stage preconditioned by the cell Hessian also holds its
-    Newton decrement to the relative tolerance tau = 100
+    Newton decrement to the relative tolerance tau = CLAIM_SLACK
     _resolved_tol(1.0, tol_grad), the slack `check_monotonicity` grants
     (`_converged`).
 
@@ -201,7 +202,7 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
     fh = f * grid.h ** grid.dim
     x = np.zeros(grid.num_interior) if initial is None else initial
     total_iters = 0
-    tau = 100 * _resolved_tol(1.0, tol_grad)
+    tau = CLAIM_SLACK * _resolved_tol(1.0, tol_grad)
     with _one_blas_thread():
         for stage, eps in enumerate(eps_stages):
             last = stage == len(eps_stages) - 1
@@ -671,7 +672,8 @@ def _converged(gsup: float, tol: float, p: float, tau: float | None,
     fh.x* (the objective's Euler-Lagrange equation, at eps = 0).  The test
     thus asks a relative error in that norm of at most tau / p, and N =
     c^(-p) multiplies a relative error in the norm c by p, so N is off by at
-    most about tau, the relative slack `check_monotonicity` grants.  Unlike
+    most about tau, the relative slack `check_monotonicity` grants (tau =
+    CLAIM_SLACK times the inner tolerance for sup|f| = 1).  Unlike
     the sup-norm, the test does not depend on the scale of the grid or of
     f.  It only delays the sup-norm exit, so it never makes a solve fail.
     A lagged or carried factor is read as the Hessian; the p=2 stencil

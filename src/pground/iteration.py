@@ -21,7 +21,8 @@ import numpy as np
 from .calculus import (EnergyReport, GridFunction, _norm_pow, _quotient,
                        _report_logs)
 from .geometry import DomainSpec, Grid, Rectangle, shared_grid
-from .inner import _resolved_tol, _signed_power, solve_step_with_stats
+from .inner import (CLAIM_SLACK, _resolved_tol, _signed_power,
+                    solve_step_with_stats)
 
 
 class DegenerateIterate(RuntimeError):
@@ -128,13 +129,47 @@ def barrier_sup_bound(grid: Grid, p: float) -> float:
     return float((dist[in_domain].max() ** q) / (q * grid.dim ** (1.0 / (p - 1))))
 
 
+def _normalized(grid: Grid, y: np.ndarray, p: float):
+    """(c, y / c, report, R) for the interior vector y of L^p norm c: the
+    iteration's one normalization, of its start and of each raw solve,
+    with the normalized iterate's `EnergyReport` and Rayleigh quotient.
+    DegenerateIterate if c is zero or not finite."""
+    c = _norm_pow(grid, y, p) ** (1.0 / p)
+    if not (c > 0 and math.isfinite(c)):
+        raise DegenerateIterate(f"an iterate has L^p norm {c}")
+    x = (1.0 / c) * y
+    report, *logs = _report_logs(grid, x, p)
+    return c, x, report, _quotient(*logs)
+
+
+def _outer_step(grid: Grid, x: np.ndarray, p: float, R: float,
+                tol_grad: float | None, carry: list, warm: bool):
+    """One step of the map from the normalized iterate x of quotient R:
+    the raw solve y of the p-Laplace problem whose right-hand side is the
+    signed (p-1)-power of x, then its normalization (`_normalized`).
+    Returns (y, c, x_next, report, R_next, inner iterations); x is left
+    unchanged.
+
+    A warm solve starts from x scaled by R^(-1/(p-1)), the expected scale
+    of y, and runs the last eps stage only; a cold one starts from zero.
+    carry is the factor list `solve_step_with_stats` starts on and leaves
+    its last factor in."""
+    scale = R ** (-1.0 / (p - 1)) if math.isfinite(R) else 1.0
+    y, iters = solve_step_with_stats(grid, _signed_power(x, p), p, tol_grad,
+                                     initial=scale * x if warm else None,
+                                     carry=carry)
+    return (y, *_normalized(grid, y, p), iters)
+
+
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
                     tol_grad: float | None = None) -> IterationTrace:
     """Run the normalized inverse iteration and record its trace.
 
-    The Cauchy stop on the Rayleigh quotient is suppressed before MIN_STEPS
-    outer steps, the steps `check_monotonicity` needs.
+    Step 0 normalizes the start (`_normalized`), and each later step is
+    one call of the step map `_outer_step`, which ends in the same
+    normalization.  The Cauchy stop on the Rayleigh quotient is suppressed
+    before MIN_STEPS outer steps, the steps `check_monotonicity` needs.
 
     tol_grad is each inner solve's absolute gradient tolerance, None for
     the default (`solve_step_with_stats`).  Step 1 from a `PositiveConstant`
@@ -163,17 +198,10 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         raise ValueError(
             f"tol_grad must be positive and finite, got {tol_grad}")
     grid = shared_grid(spec, n)
-
-    x = make_initial(grid, init).values[grid.interior]
-    norm0 = _norm_pow(grid, x, p) ** (1.0 / p)
-    if not (norm0 > 0 and math.isfinite(norm0)):
-        raise DegenerateIterate("initial function has zero or non-finite L^p norm")
-    x = (1.0 / norm0) * x
-
-    trace = IterationTrace(p=p, h=grid.h)
-    trace.tol_grad = _resolved_tol(1.0, tol_grad)
-    report, *logs = _report_logs(grid, x, p)
-    R = _quotient(*logs)
+    trace = IterationTrace(p=p, h=grid.h,
+                           tol_grad=_resolved_tol(1.0, tol_grad))
+    _, x, report, R = _normalized(
+        grid, make_initial(grid, init).values[grid.interior], p)
     trace.steps.append(TraceStep(
         k=0, report=report, R=R, N=math.nan, Q=math.nan, norm_factor=1.0,
         inner_iters=0))
@@ -183,33 +211,21 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
     # next starts on (`_descend`); it lives for this call only
     carry = []
     for k in range(1, K_max + 1):
-        # warm start at the expected scale of the raw next iterate
-        R_prev = R
-        scale = R_prev ** (-1.0 / (p - 1)) if math.isfinite(R_prev) else 1.0
-        guess = None if k == 1 and not isinstance(init, Custom) else scale * x
-        x, iters = solve_step_with_stats(grid, _signed_power(x, p), p,
-                                         tol_grad, initial=guess,
-                                         carry=carry)
-        c = _norm_pow(grid, x, p) ** (1.0 / p)
-        if not (c > 0 and math.isfinite(c)):
-            raise DegenerateIterate(f"iterate {k} has L^p norm {c}")
+        _, c, x, report, R, iters = _outer_step(
+            grid, x, p, R, tol_grad, carry,
+            warm=k > 1 or isinstance(init, Custom))
         N = math.exp(-p * math.log(c))  # previous iterate is normalized
-        x = (1.0 / c) * x
-        report, *logs = _report_logs(grid, x, p)
-        R = _quotient(*logs)
         trace.steps.append(TraceStep(
             k=k, report=report, R=R, N=N,
             Q=N ** (1 - 1 / p), norm_factor=c, inner_iters=iters))
-        if k == 1:
-            trace.first_step_sup = c * report.sup_norm
         logger.info("step %d: R=%.12e N=%.6e inner_iters=%d", k, R, N, iters)
-        if abs(R - R_prev) <= tol_outer * R and k >= MIN_STEPS:
+        if abs(R - trace.steps[-2].R) <= tol_outer * R and k >= MIN_STEPS:
             trace.converged = True
             break
 
-    last = trace.steps[-1]
-    trace.lambda_R = last.R
-    trace.lambda_Q = last.Q
+    first, last = trace.steps[1], trace.steps[-1]
+    trace.first_step_sup = first.norm_factor * first.report.sup_norm
+    trace.lambda_R, trace.lambda_Q = last.R, last.Q
     trace.mu = trace.lambda_R ** (1.0 / (p - 1))
     trace.final = GridFunction.from_interior(grid, x)
     return trace
@@ -276,16 +292,17 @@ def check_monotonicity(trace: IterationTrace) -> MonotonicityReport:
     (c) both sequences stay above the limit values they converge to,
     (d) the scaled Dirichlet energies decay at least by the factor mu^p.
 
-    The relative slack is 100 trace.tol_grad, which must be finite and
-    nonnegative (ValueError otherwise): an infinite slack would pass every
-    claim on any trace, and a NaN one fail them all.
+    The relative slack is CLAIM_SLACK trace.tol_grad (`pground.inner`),
+    the inner solves' Newton-decrement tolerance.  trace.tol_grad must be
+    finite and nonnegative (ValueError otherwise): an infinite slack would
+    pass every claim on any trace, and a NaN one fail them all.
     """
     if len(trace.steps) < MIN_STEPS + 1:
         raise ValueError(f"trace needs at least {MIN_STEPS} iteration steps")
     if not 0 <= trace.tol_grad < math.inf:
         raise ValueError(f"tol_grad must be finite and nonnegative, "
                          f"got {trace.tol_grad}")
-    slack = 100.0 * trace.tol_grad
+    slack = CLAIM_SLACK * trace.tol_grad
     p = trace.p
     R = [s.R for s in trace.steps[1:]]
     N = [s.N for s in trace.steps[1:]]

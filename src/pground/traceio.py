@@ -40,9 +40,10 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
 def read_trace_csv(path, p: float, h: float,
                    tol_grad: float = 1e-10) -> IterationTrace:
     """Rebuild a trace (numeric columns only) from a CSV written by
-    write_trace_csv.  An empty file, a row without one field per column, or
-    a field that is no number of its column's type raises ValueError naming
-    the file and the line."""
+    write_trace_csv.  An empty file, a row without one field per column, a
+    field that is no number of its column's type, or a k column that is not
+    0, 1, 2, ... in row order raises ValueError naming the file and the
+    line: `monotone_supnorm_check` weighs each step by its k."""
     trace = IterationTrace(p=p, h=h, tol_grad=tol_grad)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -60,6 +61,9 @@ def read_trace_csv(path, p: float, h: float,
                                                                row[1:7])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if k != len(trace.steps):
+                raise ValueError(f"{where}: k is {k}, expected "
+                                 f"{len(trace.steps)}")
             rep = EnergyReport(sup_norm=sup_norm, grad_sup=grad_sup)
             trace.steps.append(TraceStep(
                 k=k, report=rep, R=R, N=N, Q=Q, norm_factor=norm_factor,

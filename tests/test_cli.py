@@ -719,6 +719,22 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and "line 3" in err
 
+    def test_relabelled_k_is_usage_error(self, solved_prefix, capsys):
+        # k relabelled 0, 2, 3, ... passed the check (exit 0)
+        path = solved_prefix + ".trace.csv"
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        for i in range(2, len(lines)):  # the rows from k = 1 on
+            row = lines[i].split(",")
+            lines[i] = ",".join([str(int(row[0]) + 1)] + row[1:])
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "line 3: k is 2, expected 1" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("domain, n, p, init", [
         ("interval", 31, 3.0, "const"),
         ("square", 16, 1.5, "random:3"),

@@ -191,6 +191,42 @@ class TestIteration:
             for s in tr.steps[1:]]
 
 
+class TestOuterStep:
+    """`inverse_iterate` is the start's normalization, then the step map
+    `_outer_step` in a loop, plus its stop."""
+
+    @pytest.mark.parametrize("spec, n, p, init", [
+        # a cold first step through the eps continuation
+        (Interval(0.0, 1.0), 63, 1.5, PositiveConstant()),
+        # a Hessian factor carried from step to step
+        (Rectangle(0.0, 1.0, 0.0, 1.0), 16, 6.0, PositiveConstant()),
+        # a warm first step
+        (Interval(0.0, 1.0), 63, 3.0,
+         Custom(lambda2_reference(Interval(0.0, 1.0), 63)[1])),
+    ], ids=["interval_p1.5", "square_p6", "custom"])
+    def test_loop_by_hand_gives_the_trace(self, spec, n, p, init):
+        tr = inverse_iterate(spec, n, p, init)
+        grid = tr.final.grid
+        _, x, report, R = pground.iteration._normalized(
+            grid, make_initial(grid, init).values[grid.interior], p)
+        steps = [(R, math.nan, 1.0, 0, report)]
+        carry = []
+        for k in range(1, tr.num_steps + 1):
+            before = x.copy()
+            y, c, x_next, report, R, iters = pground.iteration._outer_step(
+                grid, x, p, R, None, carry,
+                warm=k > 1 or isinstance(init, Custom))
+            assert np.array_equal(x, before)  # the input is left alone
+            assert np.array_equal(x_next, (1.0 / c) * y)
+            steps.append((R, math.exp(-p * math.log(c)), c, iters, report))
+            x = x_next
+        assert len(carry) == (p != 2.0)
+        assert repr(steps) == repr([(s.R, s.N, s.norm_factor, s.inner_iters,
+                                     s.report) for s in tr.steps])
+        assert repr(GridFunction.from_interior(grid, x).values.tolist()) \
+            == repr(tr.final.values.tolist())
+
+
 def _trace_key(tr):
     """What a run computes: the estimators, every step and the final
     iterate, as one string."""

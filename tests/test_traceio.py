@@ -70,6 +70,27 @@ class TestTraceCsv:
                                              + message):
             traceio.read_trace_csv(path, p=trace.p, h=trace.h)
 
+    @pytest.mark.parametrize("ks, line, message", [
+        ([0, 2, 3, 4, 5], 3, "k is 2, expected 1"),
+        ([0, 1, 1, 2, 3], 4, "k is 1, expected 2"),
+        ([1, 2, 3, 4, 5], 2, "k is 1, expected 0")],
+        ids=["gap", "repeat", "from_1"])
+    def test_k_out_of_order_names_file_and_line(self, tmp_path, trace, ks,
+                                                line, message):
+        # a relabelled k was read as written, and `verify` passed it;
+        # `monotone_supnorm_check` weighs each step by its k
+        prefix = str(tmp_path / "run")
+        traceio.write_trace_csv(prefix + ".trace.csv", trace)
+        traceio.write_summary_json(prefix + ".summary.json", trace)
+        path = tmp_path / "run.trace.csv"
+        lines = path.read_text().splitlines()
+        for i, k in enumerate(ks, start=1):
+            lines[i] = ",".join([str(k)] + lines[i].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"run\.trace\.csv, line {line}: "
+                                             + message):
+            traceio.read_trace(prefix)
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
