@@ -6,20 +6,21 @@ Method: spectral (Barzilai-Borwein stepped) gradient descent with Armijo
 backtracking on the interior node values, preconditioned by the exact
 Hessian of the cell energy (a Newton-type preconditioner, Nocedal & Wright,
 Numerical Optimization, ch. 3 and 6) taken at an earlier iterate and
-refreshed every 20 iterations.  A rejected trial step is followed by the
-minimizer of the quadratic through the objective and its slope at the
-iterate and the objective at the trial, kept within 0.1 and 0.5 of the
-rejected step (Dennis & Schnabel, Numerical Methods for Unconstrained
-Optimization, 6.3.2; Nocedal & Wright, 3.5); the step is halved instead
-where the trial objective overflows and below the objective's
-floating-point resolution.  One calculus kernel per trial point, `_energy`,
-returns the objective with the cell gradients and weights it was computed
-from, which the gradient (`_nodal_gradient`) and the next refresh reuse.
-Below the objective's floating-point resolution a step is accepted by the
-derivative form of the Armijo condition (Hager & Zhang, SIAM J. Optim.
-2005).  The descent is one loop, `_descend`, over three parts each called
-from one place in it: the line search (`_line_search`), the re-lag rule
-(`_relag`) and the stop test (`_converged`).
+refreshed once keeping it would take more iterations than a new factor
+costs, counted from the grid's sizes (`_relag`).  A rejected trial step is
+followed by the minimizer of the quadratic through the objective and its
+slope at the iterate and the objective at the trial, kept within 0.1 and
+0.5 of the rejected step (Dennis & Schnabel, Numerical Methods for
+Unconstrained Optimization, 6.3.2; Nocedal & Wright, 3.5); the step is
+halved instead where the trial objective overflows and below the
+objective's floating-point resolution.  One calculus kernel per trial
+point, `_energy`, returns the objective with the cell gradients and
+weights it was computed from, which the gradient (`_nodal_gradient`) and
+the next refresh reuse.  Below the objective's floating-point resolution
+a step is accepted by the derivative form of the Armijo condition (Hager &
+Zhang, SIAM J. Optim. 2005).  The descent is one loop, `_descend`, over
+three parts each called from one place in it: the line search
+(`_line_search`), the re-lag rule (`_relag`) and the stop test (`_left`).
 
 One object owns every factorization on a grid, the grid's `Factors`.  It
 picks the back end once, from G: LAPACK's banded Cholesky (dpbtrf) for
@@ -41,20 +42,20 @@ other wide-band grids.
 
 Within one `inverse_iterate` call, the last eps stage at p != 2 starts on
 the cell-Hessian factor the previous outer step ended on, and replaces it
-at the first iteration that contracts the residual too little (a chord
-method, Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, ch. 5; `_relag`).  The factor passes from step to step through the
-`carry` list of `solve_step_with_stats`, a local of the call, so no solve
-depends on an earlier one: the first step of each call, each sweep point
-and every solve given no carry start fresh, and so does every eps stage
-before the last.
+by the rule that weighs every factor (a chord method, Kelley, Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5; `_relag`).
+The factor passes from step to step through the `carry` list of
+`solve_step_with_stats`, a local of the call, so no solve depends on an
+earlier one: the first step of each call, each sweep point and every
+solve given no carry start fresh, and so does every eps stage before the
+last.
 
 One stopping rule: each eps stage descends to its gradient tolerance (100
 tol before the last stage) unless a floor ends it first, and hands its last
 iterate on; the solve raises NonConvergence at one place, when the last
 stage ends above tol.  A last stage at p != 2 also descends until its
 Newton decrement is small, which bounds the iterate's relative error
-(`_converged`); that test never raises.  The floors are listed with
+(`_left`); that test never raises.  The floors are listed with
 `_descend`.
 
 Every cell-Hessian factor floors the weights at W_FLOOR = 1e-10 of max(w):
@@ -65,8 +66,8 @@ round a factor into one that gives no descent; `_descend` releases such a
 factor at once.
 
 A wide-band grid's factor runs in single precision because it is a lagged
-model of the Hessian, taken up to 20 iterations or an outer step earlier:
-a double factor's rounding buys nothing that lag can use, and the fronts'
+model of the Hessian, taken some iterations or an outer step earlier: a
+double factor's rounding buys nothing that lag can use, and the fronts'
 stacked products and solves, bound by memory bandwidth, run faster on half
 the bytes.  This is the mixed-precision pattern of factoring low and keeping
 the residual high (Carson & Higham, SIAM J. Sci. Comput. 2018): the
@@ -108,7 +109,7 @@ BACKTRACK = 0.5   # largest step-length factor per rejected trial
 BACKTRACK_MIN = 0.1  # least step-length factor per rejected trial
 BAND_MAX = 64     # widest band `Factors` hands to LAPACK's dpbtrf
 CLAIM_SLACK = 100  # claims' relative slack, in inner tols at sup|f| = 1
-KEEP = 0.3        # least cut of the gradient sup-norm on a carried factor
+FACTOR_RATE = 4.5  # factor work per iteration work (`Factors.relag_cost`)
 W_FLOOR = 1e-10   # least weight over max(w) in a cell-Hessian factor
 
 logger = logging.getLogger(__name__)
@@ -186,7 +187,7 @@ def solve_step_with_stats(grid: Grid, f: np.ndarray, p: float,
     A last eps stage preconditioned by the cell Hessian also holds its
     Newton decrement to the relative tolerance tau = CLAIM_SLACK
     _resolved_tol(1.0, tol_grad), the slack `check_monotonicity` grants
-    (`_converged`).
+    (`_left`).
 
     carry, a list that is empty or holds one factor, is handed to the last
     stage: at p != 2 that stage starts on the factor in it and leaves there
@@ -455,6 +456,37 @@ class Factors:
         return factorized(Banded(ab.reshape(n, b + 1).T, nnz))
 
     @functools.cached_property
+    def relag_cost(self) -> float:
+        """A new cell-Hessian factor's cost in inner iterations, the price
+        `_relag` weighs: counted from sizes the grid fixes, never timed, so
+        that a solve takes one path on every machine.  A band factor makes
+        n b^2 multiply-adds (n nodes, bandwidth b) where an iteration passes
+        over the n b band entries and the cells; a tree factor passes over
+        its fronts, n_f^2 entries a box, where an iteration passes twice
+        over K (n_f k a box, up and down) and over the cells.  One rate,
+        FACTOR_RATE, turns both counts into iterations: the band factor's
+        multiply-adds take about 1/4.5 of an iteration's time per entry,
+        and the tree factor's work per front entry about 4.5 times it.  Both
+        also make a fixed number of calls, which is all they cost on the
+        smallest grids; there a re-lag costs about two iterations, the least
+        this returns.
+
+        That gives 2 on the interval n=63, 3.1 on the squares n=16, 14 on
+        the square n=64 and 9-12 on the trees of the squares n=72-256 and
+        the L-shape n=72.  Measured with BLAS on one thread, the factor
+        alone costs 1.5-1.7, 8.7 and 6.4-7.3 iterations there, and the
+        interval's re-lags about two.  A re-lag also restarts the step at
+        Newton's, which the line search cuts back more often than a BB step
+        (1.41 energy evaluations an iteration on `batch_small`, 1.26 under
+        a 20-iteration window), so the counts price that as well."""
+        if self.banded:
+            n, b = self._G.shape[1], self._b
+            return max(2.0, n * b * b / (FACTOR_RATE * (n * b + self._cells)))
+        fronts = sum(len(d.nodes) * d.nf * d.nf for d in self._fronts.depths)
+        kept = sum(len(d.nodes) * d.nf * d.k for d in self._fronts.depths)
+        return max(2.0, FACTOR_RATE * fronts / (2 * kept + self._cells))
+
+    @functools.cached_property
     def laplacian(self):
         """Solve callable for G^T G, the 3/5-point Dirichlet Laplacian the
         quadratic energy induces: the preconditioner at p=2 and the stand-in
@@ -644,28 +676,49 @@ def _line_search(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     return None
 
 
-def _relag(p: float, since: int, carried: bool, gsup: float,
-           before: float) -> bool:
+def _relag(seen: list, left: float, cost: float, stand_in: bool) -> bool:
     """Whether `_descend` releases its factor after a step, to build the
-    next at the new iterate: at p != 2 once `since` iterations have run on
-    it (the 20-iteration window; at p = 2 the Laplacian is exact and stays),
-    and on a factor carried from the last outer step as soon as a step
-    fails to cut the gradient sup-norm gsup to KEEP of its value `before`
-    it.  The carried factor is a chord method's lagged Jacobian, kept while
-    it contracts (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, ch. 5).  The factor is released as soon as this
-    fires, before the next is built, so at most one is alive."""
-    return p != 2 and since >= 20 or carried and not gsup <= KEEP * before
+    next at the new iterate: when keeping it would take more iterations
+    than a new one costs.  seen lists the gradient sup-norm since the
+    factor was taken up, left is the e-folds of it the descent still needs
+    (`_left`), and cost is a new factor's counted cost in iterations
+    (`Factors.relag_cost`).  The rule is the same for a factor built in the
+    descent, one carried from the last outer step and the p=2 stencil
+    standing in for one.
+
+    Keeping the factor takes left / rate iterations, at the contraction
+    rate (e-folds per iteration) over the later half of the iterations
+    since it was taken up: the first steps on a factor are Newton steps,
+    which cut the residual far more than it does later, and BB steps make
+    single steps noisy.  A new factor takes cost, and its own iterations
+    are taken as none: it is the Hessian at the iterate, whose Newton steps
+    contract the residual quadratically.  Watching the contraction is how a
+    simplified Newton method decides when to refresh its Jacobian
+    (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004;
+    Kelley 1995, ch. 5).  A factor under which the residual has not fallen
+    over that half is released, except the stand-in: at a start from zero
+    the gradient first grows with the iterate, and a Hessian factored at so
+    small an iterate takes Newton steps that no line search recovers
+    from."""
+    half = (len(seen) - 1) // 2
+    rate = math.log(seen[half] / seen[-1]) / (len(seen) - 1 - half)
+    return left > cost * rate if rate > 0 else left > 0 and not stand_in
 
 
-def _converged(gsup: float, tol: float, p: float, tau: float | None,
-               slope: float, hd: float, fh: np.ndarray,
-               x: np.ndarray) -> bool:
-    """The tolerance exit of `_descend` at x: the gradient sup-norm gsup at
-    most tol and, with tau given (the last eps stage on the cell Hessian
-    at p != 2), the Newton decrement small too (Boyd & Vandenberghe, Convex
-    Optimization, 9.5): p^2 g.d <= (p-1) tau^2 h^d |fh.x|, where slope =
-    g.d for the direction d of the descent's next step.
+def _efolds(a: float, b: float) -> float:
+    """log(a / b) where a > b (inf where b is 0), else 0."""
+    return 0.0 if not a > b else math.log(a / b) if b > 0 else math.inf
+
+
+def _left(gsup: float, tol: float, p: float, tau: float | None,
+          slope: float, hd: float, fh: np.ndarray, x: np.ndarray) -> float:
+    """The stop test of `_descend` at x, as the e-folds of the residual by
+    which it still fails, 0 where it passes: the gradient sup-norm gsup is
+    to be at most tol and, with tau given (the last eps stage on the cell
+    Hessian at p != 2), the Newton decrement small too (Boyd &
+    Vandenberghe, Convex Optimization, 9.5): p^2 g.d <= (p-1) tau^2 h^d
+    |fh.x|, where slope = g.d for the direction d of the descent's next
+    step.  g.d is quadratic in the residual, so its e-folds count half.
 
     The factor is the Hessian over h^d, so g.d / h^d is about |x - x*|^2 in
     the Hessian norm, and at the minimizer that norm of x* itself is (p-1)
@@ -678,8 +731,11 @@ def _converged(gsup: float, tol: float, p: float, tau: float | None,
     f.  It only delays the sup-norm exit, so it never makes a solve fail.
     A lagged or carried factor is read as the Hessian; the p=2 stencil
     standing in for one is not, and is passed tau None."""
-    return gsup <= tol and (tau is None or p * p * slope <= (p - 1) * tau
-                            * tau * hd * abs(float(np.dot(fh, x))))
+    left = _efolds(gsup, tol)
+    if tau is not None:
+        left = max(left, 0.5 * _efolds(p * p * slope, (p - 1) * tau * tau
+                                       * hd * abs(float(np.dot(fh, x)))))
+    return left
 
 
 def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
@@ -692,10 +748,12 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     its objective and gradient sup-norm at DEBUG on the `pground.inner`
     logger.
 
-    Each iteration forms the direction d, asks `_converged` whether to
-    stop, steps by `_line_search` from the BB1 step in the metric of the
-    factor, and asks `_relag` whether the next iteration needs a new
-    factor.  With tau given (the last eps stage) at p != 2 the stop test
+    Each iteration forms the direction d, asks `_left` whether to stop,
+    steps by `_line_search` from the BB1 step in the metric of the factor,
+    and asks `_relag` whether the next iteration needs a new factor: at
+    p != 2, once the factor has run its counted cost in iterations, or one
+    iteration if it was carried (at p = 2 the Laplacian is exact and
+    stays).  With tau given (the last eps stage) at p != 2 the stop test
     also asks the Newton decrement to be small, which costs the direction's
     solve at the exit and, if one fell due there, a re-lag; every other
     descent stops at residual <= tol before it forms a direction, so p = 2
@@ -739,11 +797,14 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
     # of it, so that the re-lag that replaces it can release it first
     precond = carry.pop() if newton and carry else None
     carried, stand_in, no_descent = precond is not None, False, False
-    it = last_gain = lagged_at = 0  # lagged_at: the window's first iteration
+    it = last_gain = lagged_at = 0  # lagged_at: the factor's first iteration
+    # the e-folds of the residual that the next outer step, which starts on
+    # the factor this descent ends on, needs: taken as this descent's
+    ahead = _efolds(gsup, tol) if newton and carry is not None else 0.0
     best_gsup, mark_J = gsup, J
     while ((newton or tol < gsup) and gsup < math.inf and it < budget
            and it - last_gain <= 300):
-        if precond is None or it == 0:  # a new window
+        if precond is None or it == 0:  # a new factor
             if precond is None:
                 # (re-)lag at the current (c, w), or take the p=2 stencil:
                 # exact at p=2, a stand-in where the weights give no factor
@@ -757,7 +818,7 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
             # step for p=2 and Newton's with the cell Hessian
             prev = None  # (g, d) of the last accepted step, whose step is t
             t = 1.0 / hd
-            lagged_at = it
+            lagged_at, seen = it, [gsup]
         d = precond(g)
         slope = float(np.dot(g, d))  # directional derivative along -d
         if not (slope > 0 or stand_in or gsup == 0):
@@ -766,8 +827,9 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
             no_descent = lagged_at == it and not carried
             precond = None
             continue
-        if _converged(gsup, tol, p, None if stand_in else tau, slope, hd,
-                      fh, x):
+        # the sup-norm first, which spares the decrement's dot product
+        if gsup <= tol and _left(gsup, tol, p, None if stand_in else tau,
+                                 slope, hd, fh, x) <= 0:
             break
         if prev is not None:
             g_old, d_old = prev
@@ -779,9 +841,15 @@ def _descend(grid: Grid, x: np.ndarray, fh: np.ndarray, p: float,
             break  # at the numerical floor for this eps
         prev = (g, d)
         t, x, J, (c, w), g = step
-        before, gsup = gsup, float(np.abs(g).max())
+        gsup = float(np.abs(g).max())
         it += 1
-        if _relag(p, it - lagged_at, carried, gsup, before):
+        seen.append(gsup)
+        # the last direction's slope stands in for the next one's
+        if (p != 2 and gsup > 0 and it - lagged_at >= (
+                1 if carried else factors.relag_cost) and _relag(
+                    seen, ahead + _left(gsup, tol, p, None if stand_in else
+                                        tau, slope, hd, fh, x),
+                    factors.relag_cost, stand_in)):
             precond = None  # released now, re-lagged at the loop's top
         if gsup < 0.99 * best_gsup or J < mark_J - 1e-12 * max(1.0, abs(J)):
             last_gain, mark_J = it, J

@@ -553,11 +553,13 @@ class TestCheck:
 
     def test_uses_recorded_tol_grad(self, tmp_path, capsys):
         # a tolerance loose enough that the trace fails the slack of
-        # --tol-grad 1e-10 by far, its claims (b)-(d) at least 1e-4 below
-        # it, and passes the slack of its own 1e-3 by about 0.1
+        # --tol-grad 1e-10 by far, its claims (b) and (c) about 2.6e-3 below
+        # it, and passes the slack of its own 1e-2 by about 1.  (At p=3 and
+        # 1e-3 the Newton steps of a re-lagged factor end each solve far
+        # below its tolerance, and the trace passes 1e-10 as well)
         prefix = str(tmp_path / "loose")
         code, _, err = run_cli(capsys, "solve", "--domain", "interval",
-                               "--n", "63", "--p", "3", "--tol-grad", "1e-3",
+                               "--n", "63", "--p", "6", "--tol-grad", "1e-2",
                                "--out", prefix)
         assert code == 0, err
         code, out, err = run_cli(capsys, "check", prefix)

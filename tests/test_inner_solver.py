@@ -1222,10 +1222,12 @@ class TestSolverCaches:
 
 
 class TestRelag:
-    """Factorizations per descent, the same on both back ends: a factor is
-    re-lagged every 20 iterations, and a descent after the first starts on
-    the factor the last one ended on, kept while each iteration still
-    contracts the residual."""
+    """Factorizations per descent under the one re-lag rule (`_relag`), on
+    both back ends: a factor taken up in a descent runs its counted cost in
+    iterations (`Factors.relag_cost`) before it is weighed, one carried from
+    the last outer step one iteration, and it is kept while its contraction
+    still pays for it.  A band factor at n=16 costs about three iterations,
+    a tree factor at n=72 about nine."""
 
     @staticmethod
     def _descents(monkeypatch, n, p):
@@ -1250,30 +1252,70 @@ class TestRelag:
         tr = inverse_iterate(spec, n, p, PositiveConstant())
         return inner.Factors.of(tr.final.grid), runs
 
-    def test_superlu_factor_kept_while_contracting(self, monkeypatch):
+    def test_tree_factor_runs_its_cost(self, monkeypatch):
         back, runs = self._descents(monkeypatch, 72, 16.0)
-        assert back._b == 71 and not back.banded
-        # the first descent starts from zero on the p=2 stand-in, which is
-        # replaced at 20 iterations; a later one, on a carried factor, goes
-        # past 20 iterations with fewer factors than one per 20
-        iters, factors = runs[0]
-        assert iters > 20 and factors >= 2
-        assert any(iters > 20 and factors < math.ceil(iters / 20)
+        assert back._b == 71 and not back.banded and back.relag_cost > 8
+        # the first descent starts from zero on the sine-transform stand-in,
+        # no factorization, and re-lags the Hessian more than once
+        assert runs[0][1] >= 2
+        # no descent takes a factor per fewer iterations than one costs, and
+        # a later one, on a carried factor, ends on it
+        assert all(factors <= iters / back.relag_cost + 1
                    for iters, factors in runs)
-
-    def test_banded_factor_every_20(self, monkeypatch):
-        back, runs = self._descents(monkeypatch, 16, 16.0)
-        assert back._b == 15 and back.banded
-        # the first descent starts fresh and re-lags every 20 iterations
-        iters, factors = runs[0]
-        assert factors == math.ceil(iters / 20)
-        # the later ones start on a carried factor, re-lagged at the first
-        # iteration that cuts the residual too little and then every 20
-        assert all(factors <= math.ceil(iters / 20) for iters, factors
-                   in runs[1:])
         assert any(factors == 0 < iters for iters, factors in runs[1:])
-        # a fresh factor per descent and every 20 iterations built 20
-        assert sum(factors for _, factors in runs) < 20
+
+    def test_band_factor_replaced_on_poor_contraction(self, monkeypatch):
+        back, runs = self._descents(monkeypatch, 16, 16.0)
+        assert back._b == 15 and back.banded and back.relag_cost < 4
+        # the first descent, the Laplacian stand-in and the Hessian factors
+        # that replace it, re-lags the cheap factor more often than once
+        # per 20 iterations (39 iterations on 9 factors)
+        iters, factors = runs[0]
+        assert factors > math.ceil(iters / 20)
+        assert all(factors <= iters / back.relag_cost + 1
+                   for iters, factors in runs)
+        # the carried factor is kept where it contracts well enough
+        assert any(factors == 0 < iters for iters, factors in runs[1:])
+
+    def test_tree_not_eager(self, monkeypatch):
+        # the square n=72 (bandwidth 71, the tree) at p=64 from the
+        # constant: 45 factorizations in 860 inner iterations under the
+        # 20-iteration window, 59 in 586 under the rule, which is the faster
+        # of the two there and is pinned.  A contraction re-lag that ignores
+        # the factor's cost took the L-shape n=72 sweep to p=128 from 94 to
+        # 1,489 factorizations
+        back, runs = self._descents(monkeypatch, 72, 64.0)
+        assert not back.banded
+        assert sum(factors for _, factors in runs) <= 59
+
+    def test_counted_not_timed(self):
+        # the cost the rule reads is counted from the grid: the same on the
+        # process's shared grid and on a new one, and neither module that
+        # factors reads a clock
+        for spec, n in ((Rectangle(0.0, 1.0, 0.0, 1.0), 16),
+                        (Rectangle(0.0, 1.0, 0.0, 1.0), 72),
+                        (MaskDomain(2, 2, np.array([[True, True],
+                                                    [True, False]]), 0.5),
+                         72)):
+            costs = [inner.Factors.of(g).relag_cost
+                     for g in (shared_grid(spec, n), build_grid(spec, n))]
+            assert costs[0] == costs[1] > 0
+        for module in (inner, multifrontal):
+            with open(module.__file__) as f:
+                source = f.read()
+            assert "import time" not in source
+            assert "from time" not in source
+            assert "time" not in vars(module)
+        # so two solves, each on a new grid, take one path
+        traces = []
+        for _ in range(2):
+            shared_grid.cache_clear()
+            traces.append(inverse_iterate(Rectangle(0.0, 1.0, 0.0, 1.0), 72,
+                                          6.0, PositiveConstant()))
+        a, b = traces
+        assert a.final.grid is not b.final.grid
+        assert repr(a.steps) == repr(b.steps)
+        assert repr(a.lambda_R) == repr(b.lambda_R)
 
 
 class TestCarriedFactor:
@@ -1329,12 +1371,13 @@ class TestCarriedFactor:
         assert p * p * slope <= (p - 1) * tau * tau * hd * abs(float(fh @ x))
 
     @pytest.mark.parametrize("budget, held", [
-        (1, "poor"), (2, "none"), (3, "new")])
+        (0, "poor"), (1, "none"), (2, "new"), (3, "new")])
     def test_carry_at_budget_stop(self, monkeypatch, budget, held):
         # the start and the poor factor of the test above at p=16: the first
-        # step on the poor factor cuts the residual to KEEP, the second does
-        # not and releases it, and the third runs on a factor built at the
-        # iterate; a descent stopped by its budget hands on what it holds
+        # step on the poor factor contracts the residual too little to pay
+        # for keeping it, so the rule releases it, and the second runs on a
+        # factor built at the iterate; a descent stopped by its budget hands
+        # on what it holds
         g = build_grid(self.SPEC, 16)
         f = random_rhs(g, 71, nonneg=True).values[g.interior]
         x0, _ = solve_step_with_stats(g, f, 16.0)
