@@ -4,7 +4,8 @@
 lines counts every line of a file; code counts the lines left once
 docstrings (a string literal that opens a module, class or function body),
 comment-only lines and blank lines are taken out, as found by `ast` and
-`tokenize`.  A report: it prints the counts and exits 0.
+`tokenize`; text counts the docstring and comment-only lines.  A report: it
+prints the counts and exits 0.
 
     python3 scripts/src_lines.py [directory]
 
@@ -21,7 +22,8 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "pground"
 
 
 def counts(source: str) -> tuple:
-    """(lines, code lines) of the Python source text."""
+    """(lines, code lines, docstring and comment-only lines) of the Python
+    source text."""
     lines = source.splitlines()
     skip = set()
     for node in ast.walk(ast.parse(source)):
@@ -32,26 +34,27 @@ def counts(source: str) -> tuple:
                 and isinstance(body[0].value, ast.Constant)
                 and isinstance(body[0].value.value, str)):
             skip.update(range(body[0].lineno, body[0].end_lineno + 1))
-    # lines holding a token other than a comment or a line break
-    code = set()
+    # lines holding a token other than a comment or a line break, and
+    # lines holding a comment
+    code, comment = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
-                            tokenize.INDENT, tokenize.DEDENT,
-                            tokenize.ENDMARKER):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER):
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines), len(code - skip)
+    return len(lines), len(code - skip), len(skip | (comment - code))
 
 
 def main(argv: list) -> int:
     root = pathlib.Path(argv[1]) if len(argv) > 1 else PACKAGE
-    total = [0, 0]
-    print(f"{'file':<24} {'lines':>7} {'code':>7}")
+    total = [0, 0, 0]
+    print(f"{'file':<24} {'lines':>7} {'code':>7} {'text':>7}")
     for path in sorted(root.glob("*.py")):
-        lines, code = counts(path.read_text())
-        total[0] += lines
-        total[1] += code
-        print(f"{path.name:<24} {lines:>7,} {code:>7,}")
-    print(f"{'total':<24} {total[0]:>7,} {total[1]:>7,}")
+        row = counts(path.read_text())
+        total = [t + r for t, r in zip(total, row)]
+        print(f"{path.name:<24}" + "".join(f" {r:>7,}" for r in row))
+    print(f"{'total':<24}" + "".join(f" {t:>7,}" for t in total))
     return 0
 
 

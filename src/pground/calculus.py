@@ -1,24 +1,10 @@
-"""Discrete energies on grid functions.
-
-The gradient lives on cells: in 1D the forward difference per cell, in 2D the
-pair of forward differences along the two edges at the cell's lower-left
-corner.  Both p-integrals use the rectangle rule.  The resulting discrete
-p-Dirichlet energy is convex and exactly differentiable, which is what the
-iteration's monotonicity arguments need.
-
-The kernels work on interior node vectors x, and each takes the cell
-gradient as the grid's own operator, `grid.apply_G(x)` (G x by SciPy's
-compiled kernel on the grid's G, without the sparse matrix's per-call
-dispatch, which on the small grids cost more than the kernel).
-`_energy` / `_nodal_gradient` are the inner objective and its gradient,
-shared by the inner solve and the brute-force oracle.  `_report_logs` gives
-the `EnergyReport` and the log-sums of both p-integrals from one cell
-gradient; the outer iteration records it and the Rayleigh quotient per step.
-The two public functions, `rayleigh_quotient` and `p_norm_pow`, take
-`GridFunction`s, as the oracles hold them, and adapt them to these kernels.
-
-Energy sums factor out the largest cell gradient before exponentiation so
-that large exponents (p up to 64 and beyond) stay inside double range.
+"""Discrete energies on grid functions.  The gradient lives on cells (in 2D the
+forward differences along the two edges at a cell's lower-left corner), and
+both p-integrals use the rectangle rule, so the discrete p-Dirichlet energy is
+convex and exactly differentiable, as the iteration's monotonicity arguments
+need.  The kernels work on interior node vectors through `grid.apply_G`, and
+factor the largest term out of each sum, so that large p stays inside double
+range.
 """
 
 from __future__ import annotations

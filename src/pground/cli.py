@@ -1,22 +1,8 @@
-"""Command-line front end.
-
-Subcommands:
-  solve   run the inverse iteration, write PREFIX.trace.csv,
-          PREFIX.summary.json and the final iterate PREFIX.final.csv (the
-          grid-function CSV that `--init file:` reads)
-  sweep   run a large-p sweep, write OUT.sweep.csv
-  oracle  print one reference value as JSON
-  check   re-verify a saved trace offline: monotone R_k and N_k, bounds by
-          the limits, energy decay, mu, the estimator gap (if converged) and
-          the first-step barrier bound (SKIP where the files lack it)
-
-`--verbose` (solve, sweep) writes the `pground` logger's progress lines to
-stderr for the one command; stdout stays the results.
-
-Exit codes: 0 success, 1 usage error, 2 solver non-convergence, a
-degenerate iterate, floating-point overflow or an oracle that found no
-bracket, 3 invariant check failure.
-`main` maps the errors of every subcommand to codes 1 and 2.
+"""Command-line front end: `pground solve`, `sweep`, `oracle` and `check`
+(`build_parser`).  Exit codes: 0 success, 1 usage error, 2 solver
+non-convergence, a degenerate iterate, floating-point overflow or an oracle
+that found no bracket, 3 invariant check failure; `main` maps the errors of
+every subcommand to 1 and 2.
 """
 
 from __future__ import annotations
@@ -85,10 +71,9 @@ def _parse_init(text: str, grid) -> InitPolicy:
 def _apply_config(parser, args, argv):
     """Parse the command line again with a JSON config file's values put in
     as flags right after the subcommand, so that each value passes its
-    flag's type and choices as a command-line value does and every flag
-    given on the command line, coming later, wins.  A key is a flag's dest
-    (`max_steps` for --max-steps); a switch takes true or false, any other
-    flag a string or a number."""
+    flag's type and choices and every flag on the command line, coming
+    later, wins.  A key is a flag's dest (`max_steps` for --max-steps); a
+    switch takes true or false, any other flag a string or a number."""
     with open(args.config) as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):

@@ -1,12 +1,6 @@
 """Domains, uniform lattice grids with their discrete operators, and the
-inradius.
-
-Domains are 1D intervals, axis-aligned rectangles, or boolean cell masks.
-Grids carry an interior/boundary classification per node; functions built on
-them vanish on boundary nodes (zero trace), so the boundary set itself is the
-discrete representation of the Dirichlet condition.  A grid also owns the one
-cell-gradient operator G that every energy, gradient and preconditioner is
-built from, together with the operators derived from it.
+inradius.  A grid classifies its nodes as interior or boundary, and grid
+functions vanish on the boundary, which is the discrete Dirichlet condition.
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
+    """The interval (a, b), finite with a < b (DomainError otherwise)."""
     a: float
     b: float
 
@@ -41,6 +36,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class Rectangle:
+    """The rectangle (ax, bx) x (ay, by), finite with ax < bx and ay < by
+    (DomainError otherwise)."""
     ax: float
     bx: float
     ay: float
@@ -101,9 +98,9 @@ DomainSpec = Union[Interval, Rectangle, MaskDomain]
 
 
 def _count_components(cells: np.ndarray) -> int:
-    """Number of 4-connected components of the True cells of a 2D mask:
-    the connected components of the graph whose edges join each pair of
-    inside cells that share a side."""
+    """Number of 4-connected components of the True cells of a 2D mask, by
+    connected components of the graph joining inside cells that share a
+    side."""
     count = int(np.count_nonzero(cells))
     idx = np.zeros(cells.shape, dtype=np.int64)
     idx[cells] = np.arange(count)
@@ -155,27 +152,14 @@ def read_mask_file(path) -> MaskDomain:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node lattice over a domain.
-
-    Node arrays are indexed [ix] (1D) or [ix, iy] (2D).  `interior` and
-    `boundary` partition the nodes that belong to the closed domain; nodes in
-    neither set lie outside a mask domain and never carry values.  `cell_mask`
-    marks lattice cells inside the domain; energies sum over these cells.
-    `build_grid` makes the three masks read-only: the solver entry points
-    share one grid per (spec, n) between calls (`shared_grid`), and hand it
-    back to their callers with each result.
-
-    The grid owns its discrete operators, each built on first use and
-    collected with the grid:
-      * `G`, the cell gradient of the interior node values, through which
-        the calculus (energies, gradient field, objective and its
-        gradient), the inner solve and the brute-force oracle all go;
-        `apply_G` and `apply_GT` are the products of G and G^T with a
-        vector, by SciPy's compiled kernels on G's arrays without the
-        sparse matrix's per-call dispatch;
-      * `solver_state`, where the inner solve keeps its factorizations of
-        the operators built from G.
-    """
+    """Uniform node lattice over a domain, node arrays indexed [ix] or
+    [ix, iy].  `interior` and `boundary` partition the nodes of the closed
+    domain (nodes in neither lie outside a mask), and `cell_mask` marks the
+    cells inside, over which energies sum; all three are read-only, since
+    grids are shared (`shared_grid`).  The grid owns its operators, built on
+    first use and freed with it: `G`, the cell gradient every energy, the
+    inner solve and the brute-force oracle go through, and `solver_state`,
+    where the inner solve keeps its factorizations."""
 
     spec: DomainSpec = field(repr=False)
     dim: int
@@ -202,10 +186,9 @@ class Grid:
     @functools.cached_property
     def G(self) -> sparse.csr_matrix:
         """Interior node values to per-cell gradients: one row per cell and
-        axis, all x components first, then all y, with -1/h at the cell's
-        lower node and 1/h at its upper node along that axis where those
-        are interior.  Built as CSR straight from the node pairs of
-        `_axis_pairs`; the stacked `_gradient_operators` are its reference."""
+        axis, x components first, with -1/h at the cell's lower node and 1/h
+        at its upper node along that axis where interior
+        (`_gradient_operators` is its reference)."""
         cols = np.concatenate([np.stack(pair, axis=1)
                                for pair in _axis_pairs(self)])
         ok = cols >= 0
@@ -222,7 +205,9 @@ class Grid:
         return G.shape + (G.indptr, G.indices, G.data)
 
     def apply_G(self, x: np.ndarray) -> np.ndarray:
-        """G @ x, by the kernel SciPy's product calls, on G's arrays."""
+        """G @ x, by the compiled kernel SciPy's product calls, on G's
+        arrays: without the sparse matrix's per-call dispatch, which costs
+        more than the kernel on small grids."""
         rows, cols, indptr, indices, data = self._G_arrays
         out = np.zeros(rows)
         _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, out)
@@ -273,11 +258,10 @@ def _gradient_operators(grid: Grid):
 
 
 def build_grid(spec: DomainSpec, n: int) -> Grid:
-    """A new grid discretizing `spec` with n interior nodes (interval) or n
-    cells along the shorter side (rectangle / mask).  Its node and cell
-    masks are read-only, as a grid may serve many callers (`shared_grid`).
+    """A new grid for spec with n interior nodes (interval) or n cells along
+    the shorter side (rectangle, mask), its masks read-only (`shared_grid`).
     DomainError for n < 3, and for a mask whose grid at n has no interior
-    node (a lone cell with one subdivision)."""
+    node."""
     if n < 3:
         raise DomainError(f"resolution n must be >= 3, got {n}")
     if isinstance(spec, Interval):
@@ -338,27 +322,19 @@ SHARED_GRIDS = 4
 
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def shared_grid(spec: DomainSpec, n: int) -> Grid:
-    """The process's one grid for (spec, n), on which every solve runs
-    (`inverse_iterate`, and through it `sweep` and `pground solve`): built
-    by `build_grid` on first use and kept, with the operators and
-    factorizations it builds up, among the SHARED_GRIDS most recently used,
-    so that repeated solves on a few discretizations pay for the grid once.
-    A grid that leaves is freed by reference counting once its callers let
-    go of it.  Sharing changes no result (`inverse_iterate`)."""
+    """The process's one grid for (spec, n), on which every solve runs:
+    built by `build_grid` on first use and kept, with the operators and
+    factorizations it builds up, among the SHARED_GRIDS most recently used.
+    Sharing changes no result (`inverse_iterate`)."""
     return build_grid(spec, n)
 
 
 def inradius(spec: DomainSpec, grid: Grid | None = None) -> float:
-    """Radius of the largest inscribed ball.
-
-    Exact for intervals and rectangles.  For masks, the max over interior
-    nodes of the Euclidean distance to the nearest non-interior node (exact
-    distance transform), accurate to within one grid spacing.  A mask
-    given no grid is measured on a grid of spacing cell_size/3
-    (n = 3 min(width, height)), so the L-shape (two by two cells of 0.5,
-    one removed) reads 0.2357 against its exact (sqrt(2)/2)/(1+sqrt(2)) =
-    0.2929; pass the solve's grid for its own spacing.
-    """
+    """Radius of the largest inscribed ball: exact for intervals and
+    rectangles; for masks, the largest distance from an interior node to a
+    non-interior one (exact distance transform), so accurate to one grid
+    spacing.  A mask given no grid is measured at spacing cell_size/3
+    (n = 3 min(width, height)); pass the solve's grid for its own spacing."""
     if isinstance(spec, Interval):
         return 0.5 * (spec.b - spec.a)
     if isinstance(spec, Rectangle):

@@ -29,6 +29,9 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The points of one `sweep`, one `SweepEntry` per exponent in order,
+    the reciprocal inradius they approach as p grows, and each point's trace
+    (None where its solve raised)."""
     entries: tuple
     inradius_reciprocal: float
     traces: tuple = field(repr=False, default=())
@@ -36,25 +39,15 @@ class SweepResult:
 
 def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
           tol_outer: float = 1e-8) -> SweepResult:
-    """Run the inverse iteration for each exponent in p_list and collect
-    the limit diagnostics.  Every exponent must satisfy 2 < p < inf, and
-    the list must be strictly increasing (ValueError before any solve
-    otherwise).  The first exponent starts from the positive constant, each
-    later one (continuation in p) from the final iterate of the last
-    exponent that converged, or, from the third on, from the extrapolation
-    in 1/p of the last two or three converged finals where that has the
-    lower Rayleigh quotient at the new p (`_continued_start`; the entry's
-    `predicted`).  On the square n=64 over p = 4..64 the prediction cut the
-    inner iterations from 601 to 426 (square n=128: 605 to 469); on the
-    L-shape and 2x1 rectangle sweeps the quotient test kept the last final
-    at every point.  A point whose solve raises NonConvergence, or
-    OverflowError where a quantity exceeds the float range (from about
-    p = 1024 on), is recorded as not converged, with NaN values and trace
-    None, and enters no later start.  The default K_max of 200 outer
-    steps lets large-p points converge where R contracts slowly: on the
-    L-shape n=32 at p=64 by about 0.83 a step, converging at step 117.
-    Every point runs on the process's grid for (spec, n)
-    (`inverse_iterate`)."""
+    """Run the inverse iteration for each exponent in p_list and collect the
+    limit diagnostics.  The exponents must be finite, above 2 and strictly
+    increasing (ValueError before any solve).  The first starts from the
+    positive constant, each later one from the last converged finals
+    (`_continued_start`).  A point whose solve raises NonConvergence, or
+    OverflowError (from about p = 1024), is recorded as not converged, with
+    NaN values and trace None.  The default K_max of 200 outer steps lets
+    large-p points converge where R contracts slowly: by about 0.83 a step
+    on the L-shape n=32 at p=64, which converges at step 117."""
     p_list = tuple(float(p) for p in p_list)
     for p in p_list:
         if not 2 < p < math.inf:
@@ -91,16 +84,14 @@ def sweep(spec: DomainSpec, n: int, p_list, K_max: int = 200,
 
 def _continued_start(finals, p: float):
     """(init, predicted) for exponent p from the (p, final) pairs of the
-    last converged points, oldest first: the positive constant for none,
-    the last final for one.  For two or three, the Lagrange polynomial in
-    1/p through them (natural-parameter continuation; Allgower & Georg,
+    last converged points, oldest first: the positive constant for none, the
+    last final for one.  For two or three, the Lagrange polynomial in 1/p
+    through them (natural-parameter continuation; Allgower & Georg,
     Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2),
-    clipped at 0, is the start where its Rayleigh quotient at p, the
-    quantity the iteration decreases, is below the last final's; else the
-    last final is.  The quotients are compared in logs, since they overflow
-    near p = 1000.  Unguarded, the prediction took the L-shape n=72 point
-    at p=128 from 386 to 1,359 inner iterations, raising its R_0 from
-    1.8e70 to 3.1e86."""
+    clipped at 0, where its Rayleigh quotient at p is below the last
+    final's, since a prediction can steepen the ridge that forms at large p;
+    else the last final.  The quotients are compared in logs, since they
+    overflow near p = 1000."""
     if not finals:
         return PositiveConstant(), False
     last = finals[-1][1]
@@ -132,12 +123,11 @@ def monotone_supnorm_check(trace: IterationTrace,
                            lambda_inf_est: float) -> ClaimResult:
     """On a large-p trace, check that the un-normalized sup norms of the
     iterates and of their gradients, scaled by powers of the estimated
-    infinity eigenvalue, are nonincreasing (each step's log growth at most
-    log1p(STEP_SLACK)), and that their ratio stabilizes (its last change at
-    most 5% of its last value).  One claim (`iteration._claim`) over the
-    growth margins, alternately sup and gradient at each step, then the
-    ratio margin; it fails with fewer than two steps to compare, and does
-    not apply (passed None) below p = 32."""
+    infinity eigenvalue, are nonincreasing (log growth at most
+    log1p(STEP_SLACK) a step), and that their ratio's last change is at most
+    5% of its value: one claim over the growth margins, sup and gradient at
+    each step, then the ratio's, which fails with fewer than two steps; None
+    below p = 32."""
     name = "sup-norm sequences nonincreasing, ratio stable"
     if trace.p < 32:
         return _claim(name, [], f"p={trace.p:g} is below the asymptotic "
@@ -157,8 +147,7 @@ def monotone_supnorm_check(trace: IterationTrace,
         for (_, sup, grad), (k, sup_next, grad_next) in zip(logs, logs[1:]):
             yield sup + log_slack - sup_next, k
             yield grad + log_slack - grad_next, k
-        # the ratio is scale-free, the normalized iterates' own quotient;
-        # with fewer than two steps there is no change to bound, which fails
+        # the ratio is scale-free, the normalized iterates' own quotient
         r = [s.report.grad_sup / s.report.sup_norm for s in steps[-2:]]
         yield (0.05 * abs(r[-1]) - abs(r[-1] - r[0]) if len(r) == 2
                else -math.inf), trace.num_steps

@@ -1,12 +1,7 @@
-"""Outer inverse iteration for the smallest p-Rayleigh quotient.
-
-Each step solves the p-Laplace problem whose right-hand side is the signed
-(p-1)-power of the previous iterate, records the norm ratio, and renormalizes
-to unit L^p norm.  Renormalization is legitimate because the step map is
-positively 1-homogeneous; the un-normalized sequence (and all quantities
-defined on it) is reconstructed from the stored norm factors.  The iterate
-is carried as its interior node vector from the start to `trace.final`,
-the one `GridFunction` the iteration builds after its start.
+"""Outer inverse iteration for the smallest p-Rayleigh quotient: each step
+solves the p-Laplace problem whose right-hand side is the signed (p-1)-power of
+the last iterate and renormalizes to unit L^p norm, as the step map is
+positively 1-homogeneous; the norm factors recover the rest.
 """
 
 from __future__ import annotations
@@ -37,15 +32,16 @@ class PositiveConstant:
 
 @dataclass(frozen=True)
 class RandomPositive:
+    """A start drawn uniformly from [0.5, 1.5] at each interior node by
+    `numpy.random.default_rng(seed)`."""
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class Custom:
-    """A start near a ground state, such as the final iterate at a nearby p;
-    step 1 is warm-started from it.  A rough start costs step 1 more than
-    the cold start from zero (interval n=63, p=6, random values: 40-60 inner
-    iterations cold, 140-210 warm)."""
+    """A start near a ground state, such as the final iterate at a nearby p,
+    from which step 1 is warm-started; a rough one costs that step more than
+    the cold start from zero."""
 
     function: GridFunction
 
@@ -86,6 +82,10 @@ class TraceStep:
 
 @dataclass
 class IterationTrace:
+    """The record of one `inverse_iterate` run: the outer steps (step 0 the
+    normalized start), the estimates of the last step, whether the Cauchy
+    stop was met, the inner tolerance the claims' slack is budgeted from,
+    the barrier record and the last normalized iterate."""
     p: float
     h: float
     steps: list = field(default_factory=list)
@@ -93,7 +93,10 @@ class IterationTrace:
     lambda_Q: float = math.nan
     mu: float = math.nan
     converged: bool = False
-    tol_grad: float = math.nan   # resolved inner tolerance, for slack budgets
+    # the inner tolerance at sup|f| = 1, from which the claims' slack is
+    # budgeted; a solve with sup|f| > 1 uses a larger one, up to 1.5e-9
+    # where this records 1e-10 (ROADMAP.md, item 7)
+    tol_grad: float = math.nan
     barrier_bound: float = math.nan     # sup|w|_inf * sup|u_0|
     first_step_sup: float = math.nan    # raw sup|u_1|
     final: "GridFunction | None" = None  # last normalized iterate
@@ -144,16 +147,12 @@ def _normalized(grid: Grid, y: np.ndarray, p: float):
 
 def _outer_step(grid: Grid, x: np.ndarray, p: float, R: float,
                 tol_grad: float | None, carry: list, warm: bool):
-    """One step of the map from the normalized iterate x of quotient R:
-    the raw solve y of the p-Laplace problem whose right-hand side is the
-    signed (p-1)-power of x, then its normalization (`_normalized`).
-    Returns (y, c, x_next, report, R_next, inner iterations); x is left
-    unchanged.
-
-    A warm solve starts from x scaled by R^(-1/(p-1)), the expected scale
-    of y, and runs the last eps stage only; a cold one starts from zero.
-    carry is the factor list `solve_step_with_stats` starts on and leaves
-    its last factor in."""
+    """One step of the map from the normalized iterate x of quotient R: the
+    raw solve y for the signed (p-1)-power of x and its normalization, as
+    (y, c, x_next, report, R_next, inner iterations).  A warm solve starts
+    from x scaled by R^(-1/(p-1)), y's expected scale, and runs the last eps
+    stage only; a cold one starts from zero.  carry is
+    `solve_step_with_stats`'s."""
     scale = R ** (-1.0 / (p - 1)) if math.isfinite(R) else 1.0
     y, iters = solve_step_with_stats(grid, _signed_power(x, p), p, tol_grad,
                                      initial=scale * x if warm else None,
@@ -164,29 +163,17 @@ def _outer_step(grid: Grid, x: np.ndarray, p: float, R: float,
 def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
                     K_max: int = 100, tol_outer: float = 1e-10,
                     tol_grad: float | None = None) -> IterationTrace:
-    """Run the normalized inverse iteration and record its trace.
-
-    Step 0 normalizes the start (`_normalized`), and each later step is
-    one call of the step map `_outer_step`, which ends in the same
-    normalization.  The Cauchy stop on the Rayleigh quotient is suppressed
-    before MIN_STEPS outer steps, the steps `check_monotonicity` needs.
-
-    tol_grad is each inner solve's absolute gradient tolerance, None for
-    the default (`solve_step_with_stats`).  Step 1 from a `PositiveConstant`
-    or `RandomPositive` init starts its inner solve from zero.  Every later
-    step, and step 1 from a `Custom` init, starts from the previous iterate
-    scaled by R^(-1/(p-1)), close to its minimizer, so its inner solve runs
-    the last eps stage only.
-
-    The solve runs on the process's grid for (spec, n)
-    (`geometry.shared_grid`), with the operators and factorizations that
-    earlier calls left on it; `trace.final.grid` is that grid.  The result is the
-    same as on a new grid: the factor handed from step to step lives for
-    this call only, and a Laplacian factor left on the grid is the matrix a
-    cold start would build.
-
-    Each outer step logs its line (`step k: R=... N=... inner_iters=...`)
-    at INFO on the `pground.iteration` logger."""
+    """Run the normalized inverse iteration and record its trace.  Step 0
+    normalizes the start (`_normalized`), and each later step is one call of
+    the step map `_outer_step`; the Cauchy stop on the Rayleigh quotient
+    waits for MIN_STEPS steps.  tol_grad is each inner solve's gradient
+    tolerance, None for the default.  Step 1 from a `PositiveConstant` or
+    `RandomPositive` init solves from zero; every later step, and step 1
+    from a `Custom` init, is warm.  The solve runs on the process's grid for
+    (spec, n) (`geometry.shared_grid`) and gives what a new grid would: the
+    factor carried from step to step lives for this call only, and a
+    Laplacian factor left on the grid is the one a cold start builds.  Each
+    step logs a line at INFO on the `pground.iteration` logger."""
     if K_max < 2:
         raise ValueError("K_max must be at least 2")
     if not 0 < tol_outer < math.inf:
@@ -207,8 +194,7 @@ def inverse_iterate(spec: DomainSpec, n: int, p: float, init: InitPolicy,
         inner_iters=0))
     trace.barrier_bound = barrier_sup_bound(grid, p) * report.sup_norm
 
-    # the cell-Hessian factor one step's last stage ended on, which the
-    # next starts on (`_descend`); it lives for this call only
+    # the factor one step ends on and the next starts on (`_descend`)
     carry = []
     for k in range(1, K_max + 1):
         _, c, x, report, R, iters = _outer_step(
@@ -261,11 +247,11 @@ class MonotonicityReport:
 
 
 def _claim(name, margins, detail=""):
-    """The one margin rule: margins yields (margin, k) pairs, k the step the
-    margin belongs to.  The worst margin is the first smallest, a NaN margin
-    counts as -inf, and the claim passes iff the worst margin is >= 0; with
-    no margins it does not apply (passed None).  A callable detail maps the
-    worst pair's position to the claim's note."""
+    """The one margin rule over margins, (margin, k) pairs, k the step of
+    the margin: the worst margin is the first smallest, a NaN counts as
+    -inf, and the claim passes iff it is >= 0, or does not apply (None) with
+    no margins.  A callable detail maps the worst pair's position to the
+    note."""
     worst, worst_k, worst_i = math.inf, -1, -1
     for i, (margin, k) in enumerate(margins):
         if math.isnan(margin):
@@ -286,17 +272,14 @@ def _monotone_claim(name, values, slack):
 
 
 def check_monotonicity(trace: IterationTrace) -> MonotonicityReport:
-    """Verify the iteration's proven inequalities on a recorded trace:
-    (a) the Rayleigh quotients are nonincreasing,
-    (b) the norm-power ratios are nonincreasing,
-    (c) both sequences stay above the limit values they converge to,
-    (d) the scaled Dirichlet energies decay at least by the factor mu^p.
-
-    The relative slack is CLAIM_SLACK trace.tol_grad (`pground.inner`),
-    the inner solves' Newton-decrement tolerance.  trace.tol_grad must be
-    finite and nonnegative (ValueError otherwise): an infinite slack would
-    pass every claim on any trace, and a NaN one fail them all.
-    """
+    """Verify the iteration's proven inequalities on a recorded trace: (a)
+    the Rayleigh quotients and (b) the norm-power ratios are nonincreasing,
+    (c) both stay above the limits they converge to, and (d) the scaled
+    Dirichlet energies decay at least by the factor mu^p.  The relative
+    slack is CLAIM_SLACK trace.tol_grad (`pground.inner`), the inner solves'
+    Newton-decrement tolerance; trace.tol_grad must be finite and
+    nonnegative (ValueError otherwise), since an infinite slack would pass
+    every claim and a NaN one fail them all."""
     if len(trace.steps) < MIN_STEPS + 1:
         raise ValueError(f"trace needs at least {MIN_STEPS} iteration steps")
     if not 0 <= trace.tol_grad < math.inf:
@@ -354,9 +337,8 @@ def check_barrier(trace: IterationTrace) -> ClaimResult:
 def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
     """Every check a recorded trace supports: claims (a)-(d), mu against
     lambda_R^(1/(p-1)) to 1e-12 relative, the estimator gap of a converged
-    trace, and the barrier bound if the trace records it.  A check that does
-    not apply has passed None and prints as SKIP.  gap_tol must be finite
-    and nonnegative (ValueError otherwise), as trace.tol_grad."""
+    trace and the barrier bound if recorded; one that does not apply prints
+    as SKIP.  gap_tol must be finite and nonnegative (ValueError otherwise)."""
     if not 0 <= gap_tol < math.inf:
         raise ValueError(
             f"gap_tol must be finite and nonnegative, got {gap_tol}")

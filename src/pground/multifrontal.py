@@ -1,52 +1,17 @@
-"""Multifrontal factor of the cell Hessian G^T H G of a grid (Duff & Reid,
-ACM TOMS 1983), on a nested-dissection tree of the bounding box of its
-interior nodes (George, SIAM J. Numer. Anal. 1973), batched by depth.
+"""Multifrontal factor of the cell Hessian G^T H G of a grid (Duff & Reid, ACM
+TOMS 1983) on a nested-dissection tree of the bounding box of its interior
+nodes (George, SIAM J. Numer. Anal. 1973), batched by depth.
 
-The box is padded along each axis to the next side (s+1) 2^j - 1 with
-1 <= s <= LEAF_SIDE, so that cutting a box across the middle line of a
-side halves that side exactly: every box at one depth has the same shape,
-and a depth's fronts stack into one array.  A box is cut across its longer
-side that can still be cut; a box of s_x x s_y nodes is a leaf.  A cut line
-couples nothing across it in the 3-, 5- or 7-point pattern, whose off-axis
-term couples (x+1, y) and (x, y+1).  An interval is a box one node wide.
-
-The front of a box lists its separator's nodes (a leaf's: all its nodes,
-row-major), then the nodes around the box that its nodes couple to: the
-row below it, the column right of it with the bottom-right corner, the
-column left of it with the top-left corner, and the row above it.  A
-child's boundary is then a few runs of its parent's front, the same for
-every box at a depth, so a child's update reaches its parent by slice-adds;
-the two children of a box share no slot of its boundary.  Of the orders of
-the four sides, this one cuts a child's boundary into the fewest runs
-(three a child on the square n=256).  A box that holds no interior node
-(in the padding, or off a mask) is left out of its depth with all it
-holds, and a boundary slot that holds no interior node in any box of its
-depth (the frame around the padded box, say) is left out of that depth's
-fronts.  Padding nodes and nodes off a mask's interior that fall in the
-separator of a box that is kept are decoupled identity rows.
-
-The matrix comes as a list of terms, each a value times one element of a
-vector H, added to the entry [i, j] of two nodes i <= j; the caller makes
-the list (`pground.inner.Factors._terms`, for G^T H G), and the tree reads
-no more of it.  An entry couples a node to itself or to a neighbour, and is
-held in the front of the one of the two the tree eliminates first.  Its
-place there is the same in every box of a depth, so the map is built per
-box shape: each depth's pattern of entries, repeated at each box's
-origin, keeps the entries the terms reach.  One sparse matrix takes H to
-the entries' values, summing each entry's terms in the order listed
-(`FrontTree._map`), and a factor scatters each depth's into its fronts.
-
-Per depth, leaves first, the factor fills each front's separator columns
-[A11; A21] from the map and its children's updates, inverts A11 (S =
-A11^-1; a symmetric sweep over the whole stack for small blocks, LAPACK's
-symmetric indefinite sytrf and sytri per front for large ones, either
-failing on a singular block), forms W = A21 S and passes the update
-A22 - W A21^T up, made as the product of -W with A21^T to which the
-children's blocks of A22 are added.  It keeps K = [S; -W] per front, so a
-solve walks the depths up and back down with one stacked matrix-vector
-product each way: this is the block LDL^T factor with D = diag(A11, ...).
-A factor works in arrays that the tree's next factor in the same dtype
-reuses once its solve is dropped (`_Work`).
+The box is padded per axis to the next side (s+1) 2^j - 1 with
+1 <= s <= LEAF_SIDE, so that a middle cut of a box's longer cuttable side
+halves it exactly (and couples nothing across it in the 7-point pattern) and
+every box at one depth has one shape: a depth's fronts stack into one array,
+and a child's update reaches its parent's front by the same slice-adds in every
+box.  A box's front lists its separator's nodes (a leaf's: all), then the row
+below, the column right with the bottom-right corner, the column left with the
+top-left corner and the row above: the order that cuts a child's boundary into
+the fewest runs.  Boxes and boundary slots with no interior node at a depth are
+left out, and padding and off-mask nodes in a kept separator are identity rows.
 """
 
 from __future__ import annotations
@@ -60,11 +25,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, lapack
 
 LEAF_SIDE = 4    # widest side of a leaf box
-# widest separator block inverted over the whole stack: on random blocks of
-# the widths and counts of the square n=256 tree (float32, one thread) the
-# sweep took 0.7 ms on 128-256 blocks of 15 where LAPACK per block took
-# 1.4-1.6 ms, and 1.1-1.8 ms on 32-64 blocks of 31 where LAPACK took
-# 0.5-1.9 ms
+# widest separator block inverted over the whole stack, which beat LAPACK
+# per block at width 15 and not at 31 on the square n=256 tree's blocks
 SWEEP_MAX = 16
 
 
@@ -79,20 +41,15 @@ def _padded(m: int) -> tuple:
 
 
 class _Depth(NamedTuple):
-    """The boxes of one depth that hold an interior node, k separator and
-    nf front slots each.  nodes holds the interior node at each front slot
-    (n where none), sep its first k columns.  kids lists the places of the
-    next depth's boxes among two per box of this one, the lower and the
-    upper half of each (None where every box has both), and adds, per
-    child slot, the slice-adds of the children's updates into the fronts'
-    separator columns and into the update (`_adds`).  A solve lays the next
-    depth's boundary values out in these two places per box, each child's
-    followed by a zero, and gathers a front's values from them at lift
-    (per child slot and front slot) and them from the front, followed by a
-    zero, at down.  The depth's entries of the matrix are the rows entries
-    of `FrontTree._map`, at the places place of a (boxes, nf, k) array, on
-    or below the diagonal; unit holds the places of its identity rows'
-    ones."""
+    """The boxes of one depth that hold an interior node, k separator and nf
+    front slots each.  nodes holds the interior node at each front slot (n
+    where none), sep its first k columns.  kids places the next depth's
+    boxes among two per box (None where every box has both), and adds lists,
+    per child slot, the slice-adds of their updates (`_adds`).  A solve lays
+    the next depth's boundary values out two per box, each followed by a
+    zero, and gathers them to a front at lift and from it at down.  The
+    depth's entries are the rows entries of `FrontTree._map`, at the places
+    place of a (boxes, nf, k) array; unit places the identity rows' ones."""
 
     k: int
     nf: int
@@ -122,12 +79,12 @@ class Fronts(NamedTuple):
 
 
 class FrontTree:
-    """The nested-dissection tree of the interior nodes marked in interior
-    (over their bounding box, numbered row-major; 1D or 2D), with the map of
-    a matrix's terms to its fronts.  terms is (i, j, column, value): each
-    term adds value H[column], for a vector H of length width, to the
-    matrix entry [i, j] of the nodes i <= j, and one with i < j stands for
-    [j, i] as well.  The depths are listed from the root down."""
+    """The nested-dissection tree of the nodes marked in interior (over
+    their bounding box, row-major; 1D or 2D), with the map of a matrix's
+    terms to its fronts, depths from the root down.  terms is (i, j, column,
+    value): each adds value H[column], for an H of length width, to the
+    entry [i, j] of nodes i <= j (and [j, i]), held in the front of the node
+    eliminated first at a place the same in every box of a depth."""
 
     def __init__(self, interior: np.ndarray, terms: tuple, width: int):
         interior = interior.reshape(interior.shape[0], -1)
@@ -135,9 +92,8 @@ class FrontTree:
         (sx, jx), (sy, jy) = (_padded(m) for m in interior.shape)
         shape = [(sx + 1) * 2 ** jx - 1, (sy + 1) * 2 ** jy - 1]
         cuts = [jx, jy]
-        # positions over the padded box and a frame around it, (x, y) for
-        # x, y >= -1 at (x + 1) stride + y + 1, and the interior node at
-        # each (n where there is none)
+        # the interior node (n for none) at each position over the padded
+        # box and a frame around it, (x, y) at (x + 1) stride + y + 1
         stride = shape[1] + 2
         index = np.full((shape[0] + 2, stride), n, dtype=np.int32)
         index[1:interior.shape[0] + 1, 1:interior.shape[1] + 1][interior] = \
@@ -147,10 +103,9 @@ class FrontTree:
         held_at = np.zeros((shape[0] + 3, stride + 1), dtype=np.int32)
         held_at[1:, 1:] = (index < n).cumsum(0).cumsum(1)
         index = index.ravel()
-        # an entry of the matrix couples a node to itself or to a neighbour
-        # later in the node order, at one of the offsets step in position;
-        # the entry from position first at step[near] is numbered
-        # first * len(step) + near, and coupled marks those the terms reach
+        # an entry couples a node to itself or to a later neighbour, at an
+        # offset step[near] in position; the one from position first is
+        # numbered first * len(step) + near, coupled marking those reached
         step = np.array([0, 1, stride - 1, stride, stride + 1])
         near = np.zeros(step[-1] + 1, dtype=np.int32)
         near[step] = np.arange(len(step))
@@ -248,9 +203,9 @@ class FrontTree:
     def _link(self, parent: np.ndarray, half: np.ndarray, nb: int,
               up: np.ndarray):
         """Link the last depth to the next, whose boxes have the parents
-        parent (places among the last depth's boxes) in the child slots
-        half, nb boundary slots each, and per child slot the slot of each
-        in its parent's front (up, the parent's nf for none)."""
+        parent in the child slots half, nb boundary slots each, and per
+        child slot the slot of each in its parent's front (up, the parent's
+        nf for none)."""
         dep = self.depths[-1]
         lift = np.full((2, dep.nf), nb)
         for c, u in enumerate(up):
@@ -264,26 +219,18 @@ class FrontTree:
                 [up, np.full((2, 1), dep.nf)], axis=1).ravel())
 
     def matrix(self, H: np.ndarray, dtype=np.float64) -> Fronts:
-        """The matrix at the vector H its terms weigh, for a factor in
-        dtype."""
+        """The matrix at the vector H its terms weigh, factored in dtype."""
         return Fronts(self, H, np.dtype(dtype))
 
     def factor(self, M: Fronts):
         """Solve callable for the symmetric M, factored in M.dtype;
-        LinAlgError where a separator block is singular in that precision
-        or the factor is not finite (a tiny pivot may overflow what follows
-        it, which the check of each depth's K catches).  The pivots need
-        not be positive, as in an LU factor without pivoting, so a positive
-        definite matrix that rounding leaves indefinite still gets a
-        factor.  The solve takes and returns vectors of the interior nodes
-        in double.  In single precision it casts the right-hand side at
-        sup-norm 1, which neither overflows nor flushes to zero, and scales
-        the solution back.
-
-        A factor's arrays come from the tree's `_Work` in its dtype, which
-        goes back to the tree when the factor fails, and when its solve is
-        dropped once it succeeds: the next factor then writes into the
-        same memory, with no page of it new to the process."""
+        LinAlgError where a separator block is singular in that precision or
+        the factor is not finite.  No pivot need be positive, so a positive
+        definite matrix that rounding leaves indefinite still gets a factor.
+        The solve maps double to double, casting the right-hand side at
+        sup-norm 1 in single precision.  The arrays come from the tree's
+        `_Work` for the dtype, which goes back when the factor fails or its
+        solve is dropped, so the next factor reuses its memory."""
         work = self._pool.pop(M.dtype, None) or _Work(M.dtype)
         try:
             solve = self._factor(M, work)
@@ -295,14 +242,13 @@ class FrontTree:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _factor(self, M: Fronts, work: _Work):
-        """`factor`, in the arrays of work.  A front is held as its
-        separator columns [A11; A21], lower triangle alone.  A depth's
-        update A22 - W A21^T is made in the one of two buffers that its
-        children's updates did not come in: the product of the kept -W with
-        A21^T, onto which the children's blocks of A22 are added.  No slot
-        of a front's boundary is in both its children's, so each entry gets
-        one child's block at most, and the sums are those of A22 - W A21^T
-        to the bit."""
+        """`factor`, in the arrays of work, per depth from the leaves: fill
+        each front's separator columns [A11; A21] (lower triangle) from the
+        map and the children's updates, keep K = [A11^-1; -W] with
+        W = A21 A11^-1, and pass up A22 - W A21^T as -W A21^T, made in the
+        buffer the children's updates did not come in, plus their blocks of
+        A22, which no two children share, so the sums are those of
+        A22 - W A21^T to the bit."""
         work.used = 0
         values = self._map @ M.H
         kept, update = [], None
@@ -340,16 +286,13 @@ class FrontTree:
         return self._solver(kept, work)
 
     def _solver(self, kept, work):
-        """The forward and back substitution through each depth's K =
-        [S; -W], root first: going up, a front's separator values v give
-        S v, and W v leaves its boundary; going down, its separator's
-        solution is S v - W^T x on its boundary's solution x.  The
-        right-hand side is taken into the separators' order once, so that
-        each depth reads and writes one stretch of it, and the solution out
-        of it at the end.
-        Each depth works in buffers and views made here, once per factor,
-        so that a solve costs a few numpy calls per depth and makes no
-        array but the solution it returns."""
+        """The substitution through each depth's K = [S; -W], the block
+        LDL^T factor with D = diag(A11, ...): going up, a front's separator
+        values v give S v, and W v leaves for its boundary; going down, its
+        separator's solution is S v - W^T x on its boundary's solution x.
+        The right-hand side is taken into the separators' order once, so
+        each depth reads one stretch of it, and buffers and views are made
+        once per factor, so a solve costs a few numpy calls per depth."""
         n, depths, dtype = self.n, self.depths, work.dtype
         order = np.concatenate([dep.sep.ravel() for dep in depths])
         empty = np.flatnonzero(order == n)  # separator slots without a node
@@ -359,11 +302,9 @@ class FrontTree:
         back = back[:n]
         rhs, sol = work.kept((2, len(order)))
         cast, x32 = work.kept((2, n)) if dtype == np.float32 else (None,) * 2
-        # per depth, root first: the fronts' values (going up, and going
-        # down their solution), K times their separators', W^T times their
-        # boundary's solution, and the boundary values in the layout of the
-        # depth above (`_Depth`), going up and going down (one array where
-        # every box there has both children), each followed by a zero
+        # per depth, root first: the fronts' values (up; down, their
+        # solution), K v, W^T x, and the boundary values in the layout of
+        # the depth above (`_Depth`), up and down, each followed by a zero
         bufs, end = [], 0
         for dep, above in zip(depths, [None] + depths[:-1]):
             boxes, k, nf = len(dep.sep), dep.k, dep.nf
@@ -453,10 +394,9 @@ class FrontTree:
 
 
 class _Work:
-    """The arrays of a tree's factor in one dtype, made by the first factor
-    in it: those its solve keeps, listed in the order the factor asks for
-    them, and its temporaries, each one buffer grown to the largest size
-    asked for."""
+    """The arrays of a tree's factor in one dtype, made by its first factor:
+    those its solve keeps, in the order the factor asks for them, and its
+    temporaries, each a buffer grown to the largest size asked for."""
 
     def __init__(self, dtype: np.dtype):
         self.dtype = dtype
@@ -480,9 +420,8 @@ class _Work:
 
 
 def _fill(A: np.ndarray, dep: _Depth, values: np.ndarray) -> np.ndarray:
-    """A, of shape (boxes, nf, k), set to the fronts of dep from the
-    matrix's entries values (`FrontTree._map`): each at its place, the
-    identity rows' ones, zero elsewhere."""
+    """A, of shape (boxes, nf, k), set to dep's fronts from the entries
+    values (`FrontTree._map`) at their places, with the identity rows' ones."""
     A.fill(0)
     flat = A.reshape(-1)
     flat[dep.place] = values[dep.entries]
@@ -506,10 +445,9 @@ def _adds(runs: tuple, k: int) -> tuple:
     """The slice-adds that carry the lower triangle of a child's update to
     its parent's front, whose separator has k slots: per pair of runs, the
     first at or after the second, (child rows, child columns, transposed,
-    front rows, front columns).  A block that lands above the front's
-    diagonal is added transposed.  The blocks in the separator's columns
-    are listed first, then those in the boundary's, whose slots are
-    counted from k (`FrontTree._factor`)."""
+    front rows, front columns), a block above the front's diagonal
+    transposed; those in the separator's columns first, then the boundary's,
+    counted from k."""
     adds = ([], [])
     for r, (s0, t0, n0) in enumerate(runs):
         for s1, t1, n1 in runs[:r + 1]:
@@ -534,15 +472,11 @@ def _extend(A: np.ndarray, child: np.ndarray, adds: tuple):
 
 def _inverse(A: np.ndarray, work: _Work, buffer: str) -> np.ndarray:
     """The inverse of each stacked symmetric matrix of A, read from its
-    lower triangle; LinAlgError where one is singular in this order of
-    elimination.  A block need not be positive definite: the factor is a
-    block LDL^T one.  Blocks up to SWEEP_MAX wide are inverted over the
-    whole stack by the symmetric sweep (Gauss-Jordan elimination without
-    pivoting, each pivot checked before its division), with the stack as
-    the last axis, so that each step's element-wise products run over the
-    stack, in work's buffer buffer; wider ones one by one by LAPACK's
-    symmetric indefinite factor with Bunch-Kaufman pivoting and its
-    inverse, sytrf and sytri."""
+    lower triangle; LinAlgError where one is singular in this elimination
+    order.  Blocks up to SWEEP_MAX wide are inverted over the whole stack by
+    the symmetric sweep (Gauss-Jordan elimination without pivoting, each
+    pivot checked), the stack as the last axis, in work's buffer buffer;
+    wider ones one by one by LAPACK's symmetric indefinite sytrf and sytri."""
     k = A.shape[-1]
     if k > SWEEP_MAX:
         low = np.tril(A)

@@ -1,12 +1,7 @@
-"""Independent reference computations used to validate the iteration.
-
-Three routes, each avoiding the inverse-iteration code path:
-  * smallest eigenpair of the linear (p=2) stencil by shift-invert Lanczos
-    (ARPACK about the shift 0), dense-checked on small grids;
-  * a 1D shooting method for general p, bisecting the eigenvalue until the
-    first zero of the ODE solution lands on the right endpoint;
-  * brute-force multistart minimization of the discrete Rayleigh quotient on
-    tiny grids.
+"""Independent references that avoid the inverse iteration's code path: the p=2
+eigenpair by shift-invert Lanczos (`lambda2_reference`), the 1D eigenvalue for
+any p by shooting (`lambda_p_shooting_1d`), and the brute-force minimum of the
+Rayleigh quotient on tiny grids (`rayleigh_bruteforce`).
 """
 
 from __future__ import annotations
@@ -87,14 +82,11 @@ def lambda2_reference(spec: DomainSpec, n: int) -> tuple[float, GridFunction]:
 
 
 def _first_zero(p: float, lam: float, x_end: float = 3.0):
-    """Location of the first positive zero of the 1D eigenfunction ODE started
-    with unit conjugate variable, or None if no zero before x_end.
-
-    The system is integrated in (u, s) with s the (p-1)-power of u'; s is
-    smooth through critical points of u even for p < 2.
-    """
-    # loaded here, off the solve path: `import pground` leaves
-    # scipy.integrate out
+    """The first positive zero of the 1D eigenfunction ODE started with unit
+    conjugate variable, or None before x_end.  It is integrated in (u, s)
+    with s the (p-1)-power of u', since s stays smooth through critical
+    points of u even for p < 2."""
+    # loaded here, off the solve path
     from scipy.integrate import solve_ivp
     q = p / (p - 1)
 
@@ -125,9 +117,8 @@ def lambda_p_shooting_1d(p: float, tol: float = 1e-10) -> float:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = None, None
     # lambda_p = (p - 1) pi_p^p with pi_p > 2 falling to 2, so 2^p starts
-    # the doubling below lambda_p and within a few steps of it at large p
-    # (doubling from pi^2 failed to bracket lambda_200 = 3.2e62 in 200
-    # steps); below p = 3.3, pi^2 is the larger start
+    # the doubling below lambda_p and within a few steps of it at large p;
+    # below p = 3.3, pi^2 is the larger start
     try:
         lam = max(math.pi ** 2, 2.0 ** p)
     except OverflowError:
@@ -169,8 +160,7 @@ def rayleigh_bruteforce(spec: DomainSpec, n: int, p: float,
     multistart local minimization over random sign patterns."""
     if not restarts >= 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    # loaded here, off the solve path: `import pground` leaves
-    # scipy.optimize out
+    # loaded here, off the solve path
     from scipy.optimize import minimize
     grid = build_grid(spec, n)
     m = grid.num_interior

@@ -1,7 +1,5 @@
-"""CSV / JSON serialization for traces, sweeps, and grid functions.
-
-Floats are printed with 17 significant digits so that a written trace reads
-back bit-identically.
+"""CSV and JSON files of traces, sweeps and grid functions; floats have 17
+significant digits, so that a written trace reads back bit-identically.
 """
 
 from __future__ import annotations
@@ -39,11 +37,10 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
 
 def read_trace_csv(path, p: float, h: float,
                    tol_grad: float = 1e-10) -> IterationTrace:
-    """Rebuild a trace (numeric columns only) from a CSV written by
-    write_trace_csv.  An empty file, a row without one field per column, a
-    field that is no number of its column's type, or a k column that is not
-    0, 1, 2, ... in row order raises ValueError naming the file and the
-    line: `monotone_supnorm_check` weighs each step by its k."""
+    """Rebuild a trace's steps from a CSV of `write_trace_csv`.  ValueError,
+    naming the file and line, for an empty file, a row without one field per
+    column, a field that is no number of its column's type, or a k column
+    that is not 0, 1, 2, ... (`monotone_supnorm_check` weighs steps by k)."""
     trace = IterationTrace(p=p, h=h, tol_grad=tol_grad)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -105,9 +102,8 @@ def _positive(v) -> bool:
     return _real(v) and 0 < v < math.inf
 
 
-# summary key, in the summary's order -> (default if the summary predates
-# it, test, what it must be); a barrier entry is nan when the run did not
-# record it
+# summary key, in order -> (default if the summary predates it, test, what
+# it must be); a barrier entry is nan where the run did not record it
 _SUMMARY_KEYS = {
     "p": (None, lambda v: _real(v) and 1 < v < math.inf,
           "a finite number above 1"),
@@ -128,11 +124,10 @@ _SUMMARY_KEYS = {
 
 
 def read_trace(prefix) -> IterationTrace:
-    """Rebuild the trace that PREFIX.trace.csv and PREFIX.summary.json
-    record.  A summary that predates a key reads as written with the default
-    inner tolerance (tol_grad 1e-10) and without the barrier record (nan).
-    A summary value of the wrong type or out of range (a null, a string, a
-    p at most 1, a negative tolerance) raises ValueError naming the key."""
+    """Rebuild the trace of PREFIX.trace.csv and PREFIX.summary.json.  A key
+    the summary predates reads as its default (tol_grad 1e-10, a barrier
+    entry nan); a value of the wrong type or out of range raises ValueError
+    naming the key."""
     summary = read_summary_json(prefix + ".summary.json")
     if not isinstance(summary, dict):
         raise ValueError(f"{prefix}: the summary is not a JSON object")
@@ -181,11 +176,10 @@ def write_gridfunction_csv(path, u: GridFunction) -> None:
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
-    """Read node values for an existing grid, one row for each node that
-    `write_gridfunction_csv` writes (interior and boundary); coordinates
-    must match grid nodes to within 1e-9 of the spacing.  An empty file, a
-    row without one field per column, or a field that is no number raises
-    ValueError naming the file and the line."""
+    """Read node values for grid, one row for each interior and boundary
+    node (`write_gridfunction_csv`), coordinates within 1e-9 of the spacing;
+    an empty file, a row without one field per column, or a field that is no
+    number raises ValueError naming the file and the line."""
     vals = np.zeros(grid.shape)
     seen = np.zeros(grid.shape, dtype=int)
     with open(path, newline="") as fh:

@@ -3,10 +3,13 @@ which the box grids' sine transforms use), scipy.sparse, scipy.sparse.linalg
 and scipy.linalg.  The SciPy subpackages that only the mask inradius and the
 oracles use are imported where those are called."""
 
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,21 @@ def test_public_names():
     assert len(PUBLIC) == 27
     assert sorted(pground.__all__) == PUBLIC
     assert all(getattr(pground, name) is not None for name in PUBLIC)
+
+
+def test_public_classes_and_functions_have_their_own_docstrings():
+    """A dataclass without one shows only its generated signature, so the
+    docstring is read from each definition's source."""
+    import pground
+    missing = []
+    for name in PUBLIC:
+        obj = getattr(pground, name)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue  # InitPolicy, a Union
+        node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+        if not ast.get_docstring(node):
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", ["pground", "pground.cli"])
