@@ -7,7 +7,9 @@ n=128 (p = 4..64) and on the L-shape n=72 (p = 4..128).
 
 Factorizations are counted by wrapping `pground.inner.factorized`, the one
 factorization site; the sine-transform Laplacian makes none.  A report: it
-prints one row per case, holds no timings, and exits 0.
+prints one row per case and holds no timings.  It exits 1 if a case counts
+no factorization: every case factors, so a zero means that the wrapper
+missed the factorization site, as after a rename of `factorized`.
 
     python3 scripts/inner_counts.py
 """
@@ -36,14 +38,17 @@ def main() -> int:
     pground.inner.factorized = counting
     small = (("interval", Interval(0.0, 1.0), 63), ("square", SQUARE, 16),
              ("L-shape", L_SHAPE, 16))
+    unfactored = []
     print(f"{'case':<34} {'outer':>6} {'inner':>7} {'factors':>8}")
     for j, p in enumerate((1.5, 2.0, 3.0, 6.0)):
         for i, (name, spec, n) in enumerate(small):
             factors[0] = 0
             tr = inverse_iterate(spec, n, p, RandomPositive(100 * i + j))
-            print(f"{f'{name} n={n} p={p:g}':<34} {len(tr.steps) - 1:>6} "
+            case = f"{name} n={n} p={p:g}"
+            print(f"{case:<34} {len(tr.steps) - 1:>6} "
                   f"{sum(s.inner_iters for s in tr.steps):>7} "
                   f"{factors[0]:>8}")
+            unfactored += [case] if factors[0] == 0 else []
     for name, spec, n, p_list in (
             ("square", SQUARE, 64, (4, 8, 16, 32, 64)),
             ("square", SQUARE, 128, (4, 8, 16, 32, 64)),
@@ -51,10 +56,15 @@ def main() -> int:
         factors[0] = 0
         result = sweep(spec, n, p_list)
         traces = [tr for tr in result.traces if tr is not None]
-        print(f"{f'{name} n={n} sweep p={p_list[0]}..{p_list[-1]}':<34} "
-              f"{sum(len(tr.steps) - 1 for tr in traces):>6} "
+        case = f"{name} n={n} sweep p={p_list[0]}..{p_list[-1]}"
+        print(f"{case:<34} {sum(len(tr.steps) - 1 for tr in traces):>6} "
               f"{sum(s.inner_iters for tr in traces for s in tr.steps):>7} "
               f"{factors[0]:>8}")
+        unfactored += [case] if factors[0] == 0 else []
+    if unfactored:
+        print(f"no factorization counted: {', '.join(unfactored)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

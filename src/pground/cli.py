@@ -32,28 +32,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_domain(text: str):
+def _parse_domain(text: str, bounds: str | None):
+    if bounds is not None and text != "rect":
+        raise UsageError("--bounds applies only to --domain rect")
     if text == "interval":
         return Interval(0.0, 1.0)
     if text == "square":
         return Rectangle(0.0, 1.0, 0.0, 1.0)
     if text == "rect":
-        return None  # resolved later from --bounds
+        if not bounds:
+            raise UsageError("--domain rect requires --bounds AX,BX,AY,BY")
+        parts = [float(x) for x in bounds.split(",")]
+        if len(parts) != 4:
+            raise UsageError("--bounds needs four comma-separated numbers")
+        return Rectangle(*parts)
     if text.startswith("mask:"):
         return geometry.read_mask_file(text[5:])
     raise UsageError(f"unknown domain {text!r}")
-
-
-def _resolve_domain(args):
-    spec = _parse_domain(args.domain)
-    if spec is None:
-        if not getattr(args, "bounds", None):
-            raise UsageError("--domain rect requires --bounds AX,BX,AY,BY")
-        parts = [float(x) for x in args.bounds.split(",")]
-        if len(parts) != 4:
-            raise UsageError("--bounds needs four comma-separated numbers")
-        spec = Rectangle(*parts)
-    return spec
 
 
 def _parse_init(text: str, grid) -> InitPolicy:
@@ -68,40 +63,8 @@ def _parse_init(text: str, grid) -> InitPolicy:
     raise UsageError(f"unknown init {text!r}")
 
 
-def _apply_config(parser, args, argv):
-    """Parse the command line again with a JSON config file's values put in
-    as flags right after the subcommand, so that each value passes its
-    flag's type and choices and every flag on the command line, coming
-    later, wins.  A key is a flag's dest (`max_steps` for --max-steps); a
-    switch takes true or false, any other flag a string or a number."""
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    if not isinstance(conf, dict):
-        raise UsageError(f"config file {args.config}: expected a JSON "
-                         f"object, got {type(conf).__name__}")
-    flags = set(vars(args)) - {"command", "func", "parser_ref", "config"}
-    extra = []
-    for key, value in conf.items():
-        if key not in flags:
-            raise UsageError(f"config key {key!r} is not a known flag")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(args.parser_ref.get_default(key), bool):
-            if not isinstance(value, bool):
-                raise UsageError(f"config key {key!r}: expected true or "
-                                 f"false, got {value!r}")
-            extra += [flag] if value else []
-        elif type(value) in (str, int, float):
-            extra.append(f"{flag}={value}")
-        else:
-            raise UsageError(f"config key {key!r}: expected a string or a "
-                             f"number, got {value!r}")
-    argv = list(sys.argv[1:] if argv is None else argv)
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + extra + argv[at:])
-
-
 def cmd_solve(args) -> int:
-    spec = _resolve_domain(args)
+    spec = _parse_domain(args.domain, args.bounds)
     init = _parse_init(args.init, shared_grid(spec, args.n))
     trace = inverse_iterate(spec, args.n, args.p, init, K_max=args.max_steps,
                             tol_outer=args.tol, tol_grad=args.tol_grad)
@@ -113,7 +76,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _resolve_domain(args)
+    spec = _parse_domain(args.domain, args.bounds)
     p_list = [float(x) for x in args.p_list.split(",")]
     result = run_sweep(spec, args.n, p_list, K_max=args.max_steps,
                        tol_outer=args.tol)
@@ -127,7 +90,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = _resolve_domain(args)
+    spec = _parse_domain(args.domain, args.bounds)
     if args.method == "dense":
         value, _ = lambda2_reference(spec, args.n)
         tol = 1e-12
@@ -138,23 +101,18 @@ def cmd_oracle(args) -> int:
         p = args.p
         tol = args.tol
         value = lambda_p_shooting_1d(p, tol)
-    elif args.method == "bruteforce":
+    else:  # bruteforce
         p = args.p
         tol = 1e-6
         value = rayleigh_bruteforce(spec, args.n, p, restarts=args.restarts,
                                     seed=args.seed)
-    else:
-        raise UsageError(f"unknown oracle method {args.method!r}")
     print(json.dumps({"method": args.method, "p": p, "value": value,
                       "tol": tol}))
     return 0
 
 
 def cmd_check(args) -> int:
-    trace = traceio.read_trace(args.prefix)
-    if args.tol_grad is not None:
-        trace.tol_grad = args.tol_grad
-    report = verify(trace, gap_tol=args.gap_tol)
+    report = verify(traceio.read_trace(args.prefix))
     print(report)
     failures = [c.name for c in report.claims if c.passed is False]
     if failures:
@@ -189,9 +147,8 @@ def build_parser() -> _Parser:
                     help="const | random:SEED | file:CSV (such as a "
                          "solve's PREFIX.final.csv)")
     ps.add_argument("--out", required=True, help="output file prefix")
-    ps.add_argument("--config", help="JSON config file; flags override it")
     ps.add_argument("--verbose", action="store_true")
-    ps.set_defaults(func=cmd_solve, parser_ref=ps)
+    ps.set_defaults(func=cmd_solve)
 
     pw = sub.add_parser("sweep", help="large-p sweep against the inradius")
     add_domain_flags(pw, need_p=False)
@@ -199,9 +156,8 @@ def build_parser() -> _Parser:
     pw.add_argument("--max-steps", type=int, default=200)
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument("--out", required=True)
-    pw.add_argument("--config", help="JSON config file; flags override it")
     pw.add_argument("--verbose", action="store_true")
-    pw.set_defaults(func=cmd_sweep, parser_ref=pw)
+    pw.set_defaults(func=cmd_sweep)
 
     po = sub.add_parser("oracle", help="reference computations")
     po.add_argument("--method", required=True,
@@ -215,11 +171,6 @@ def build_parser() -> _Parser:
 
     pc = sub.add_parser("check", help="re-verify a saved trace")
     pc.add_argument("prefix", help="output prefix used by solve")
-    pc.add_argument("--tol-grad", type=float, default=None,
-                    help="inner tolerance the trace was produced with "
-                         "(sets the slack budget); default: the one the "
-                         "summary records, else 1e-10")
-    pc.add_argument("--gap-tol", type=float, default=1e-6)
     pc.set_defaults(func=cmd_check)
     return parser
 
@@ -232,8 +183,6 @@ def main(argv=None) -> int:
     handler, level = logging.StreamHandler(), progress.level
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = _apply_config(parser, args, argv)
         if getattr(args, "verbose", False):
             progress.addHandler(handler)
             progress.setLevel(logging.DEBUG)
@@ -242,7 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (DomainError, SizeExceeded, FileNotFoundError, ValueError) as exc:
+    except (DomainError, SizeExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonConvergence, BracketFailure) as exc:

@@ -53,6 +53,9 @@ logger = logging.getLogger(__name__)
 # outer steps before the Cauchy stop may end a run: the steps
 # `check_monotonicity` needs
 MIN_STEPS = 3
+# the relative gap |lambda_R - lambda_Q| / lambda_R that `verify` allows a
+# converged trace
+GAP_TOL = 1e-6
 
 
 def make_initial(grid: Grid, init: InitPolicy) -> GridFunction:
@@ -334,14 +337,11 @@ def check_barrier(trace: IterationTrace) -> ClaimResult:
     return _claim("barrier sup bound", [(margin, 1)])
 
 
-def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
+def verify(trace: IterationTrace) -> MonotonicityReport:
     """Every check a recorded trace supports: claims (a)-(d), mu against
     lambda_R^(1/(p-1)) to 1e-12 relative, the estimator gap of a converged
-    trace and the barrier bound if recorded; one that does not apply prints
-    as SKIP.  gap_tol must be finite and nonnegative (ValueError otherwise)."""
-    if not 0 <= gap_tol < math.inf:
-        raise ValueError(
-            f"gap_tol must be finite and nonnegative, got {gap_tol}")
+    trace to GAP_TOL and the barrier bound if recorded; one that does not
+    apply prints as SKIP."""
     claims = check_monotonicity(trace).claims  # raises on a short trace
     last = trace.num_steps
     mu_ref = trace.lambda_R ** (1.0 / (trace.p - 1))
@@ -349,8 +349,8 @@ def verify(trace: IterationTrace, gap_tol: float = 1e-6) -> MonotonicityReport:
     mu = _claim("mu consistency with lambda_R", [(1e-12 - mu_err, last)])
     if trace.converged:
         gap_value = consistency_estimators(trace)
-        gap = _claim("estimator gap", [(gap_tol - gap_value, last)],
-                     f"(gap {gap_value:.3e}, tol {gap_tol:g})")
+        gap = _claim("estimator gap", [(GAP_TOL - gap_value, last)],
+                     f"(gap {gap_value:.3e}, tol {GAP_TOL:g})")
     else:
         gap = _claim("estimator gap", [], "trace not converged")
     if math.isnan(trace.barrier_bound) and math.isnan(trace.first_step_sup):

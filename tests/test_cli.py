@@ -189,86 +189,38 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_config_file(self, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"p": 3.0, "n": 15}))
-        prefix = str(tmp_path / "conf_run")
-        code, out, _ = run_cli(capsys, "solve", "--domain", "interval",
-                               "--n", "15", "--p", "2",
-                               "--config", str(conf), "--out", prefix)
-        assert code == 0
-        # the explicit --p flag wins over the config value
-        assert json.loads(out)["p"] == 2.0
-
-    def test_config_keeps_explicit_flag_at_its_default(self, tmp_path,
-                                                        capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"max_steps": 2, "verbose": True}))
-        prefix = str(tmp_path / "conf_run")
-        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
-                                 "--n", "15", "--p", "3", "--max-steps", "100",
-                                 "--config", str(conf), "--out", prefix)
-        assert code == 0, err
-        assert json.loads(out)["steps"] > 2
-        # a key no flag was given for still applies
-        assert "step 1:" in err
-
-    def test_config_unknown_key(self, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"frobnicate": 1}))
-        code, _, err = run_cli(capsys, "solve", "--domain", "interval",
-                               "--n", "15", "--p", "2",
-                               "--config", str(conf), "--out", "/tmp/x")
-        assert code == 1
-        assert "frobnicate" in err
-
-
-    @pytest.mark.parametrize("conf", [
-        {"tol": [1]}, {"tol": "abc"}, {"n": 3.5}, {"tol_grad": None},
-        {"verbose": 1}, {"max_steps": True}],
-        ids=["list", "bad-string", "float-for-int", "null", "int-for-switch",
-             "bool-for-int"])
-    def test_config_value_must_pass_its_flag(self, tmp_path, capsys, conf):
-        # a config value is parsed as the command-line value of its flag
-        path = tmp_path / "conf.json"
-        path.write_text(json.dumps(conf))
-        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
-                                 "--n", "15", "--p", "3", "--config",
-                                 str(path), "--out", str(tmp_path / "x"))
-        assert code == 1
-        assert out == "" and err.startswith("error:")
-        assert not (tmp_path / "x.summary.json").exists()
-
-    @pytest.mark.parametrize("conf", [[1, 2], "p", 3.0, None],
-                             ids=["list", "string", "number", "null"])
-    def test_config_must_be_an_object(self, tmp_path, capsys, conf):
-        # a top level that is no JSON object is a usage error, not an
-        # AttributeError traceback
-        path = tmp_path / "conf.json"
-        path.write_text(json.dumps(conf))
-        code, out, err = run_cli(capsys, "solve", "--domain", "interval",
-                                 "--n", "15", "--p", "3", "--config",
-                                 str(path), "--out", str(tmp_path / "x"))
-        assert code == 1
-        assert out == "" and err.startswith("error:")
-        assert "JSON object" in err
-
-    def test_config_string_value_is_parsed(self, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"max_steps": "2", "tol": "1e-30"}))
-        code, out, _ = run_cli(capsys, "solve", "--domain", "interval",
-                               "--n", "15", "--p", "3",
-                               "--config", str(conf),
-                               "--out", str(tmp_path / "run"))
-        assert code == 2  # two steps cannot meet the outer tolerance
-        assert json.loads(out)["steps"] == 2
-
 
 class TestUsageErrors:
     def test_unknown_domain(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--domain", "pentagon",
                                "--n", "8", "--p", "2", "--out", "/tmp/x")
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_bounds_without_rect(self, capsys):
+        # the bounds were ignored: the unit square was solved, exit 0
+        code, out, err = run_cli(capsys, "solve", "--domain", "square",
+                                 "--bounds", "0,2,0,1", "--n", "8", "--p", "3",
+                                 "--out", "/tmp/x")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --bounds")
+
+    @pytest.mark.parametrize("where", ["mask", "init", "summary"])
+    def test_directory_for_a_file(self, solved_prefix, capsys, where):
+        # each ended in an IsADirectoryError traceback
+        folder = os.path.dirname(solved_prefix)
+        solve = ["solve", "--n", "31", "--p", "3", "--out", folder + "/x"]
+        argv = {"mask": [*solve, "--domain", f"mask:{folder}"],
+                "init": [*solve, "--domain", "interval",
+                         "--init", f"file:{folder}"],
+                "summary": ["check", solved_prefix]}[where]
+        if where == "summary":
+            os.remove(solved_prefix + ".summary.json")
+            os.mkdir(solved_prefix + ".summary.json")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
     def test_missing_required_flag(self, capsys):
@@ -565,22 +517,6 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", prefix)
         assert code == 0, out + err
         assert "FAIL" not in out
-        # an explicit flag still overrides the recorded tolerance
-        code, _, _ = run_cli(capsys, "check", prefix, "--tol-grad", "1e-10")
-        assert code == 3
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--tol-grad", "inf"), ("--tol-grad", "-1"), ("--tol-grad", "nan"),
-        ("--gap-tol", "inf"), ("--gap-tol", "-1"), ("--gap-tol", "nan")])
-    def test_bad_tolerance_is_usage_error(self, solved_prefix, capsys, flag,
-                                          value):
-        # an infinite slack passed every claim on any trace (exit 0), and a
-        # negative or NaN one was reported as failed claims (exit 3)
-        code, out, err = run_cli(capsys, "check", solved_prefix, flag, value)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "finite and nonnegative" in err
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--domain", "interval", "--n", "31", "--p", "3",
@@ -595,11 +531,16 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and "tol_outer" in err
 
-    @pytest.mark.parametrize("flag", ["--tol-grad", "--gap-tol"])
-    def test_zero_tolerance_is_valid(self, solved_prefix, capsys, flag):
-        code, out, _ = run_cli(capsys, "check", solved_prefix, flag, "0")
-        assert code in (0, 3)
-        assert "PASS  (a)" in out or "FAIL  (a)" in out
+    def test_estimator_gap_failure_exit_code(self, solved_prefix, capsys):
+        # a gap of about 2e-6, twice GAP_TOL
+        summary = traceio.read_summary_json(solved_prefix + ".summary.json")
+        summary["lambda_Q"] *= 1 + 2e-6
+        with open(solved_prefix + ".summary.json", "w") as fh:
+            json.dump(summary, fh)
+        code, out, err = run_cli(capsys, "check", solved_prefix)
+        assert code == 3
+        assert "FAIL  estimator gap" in out
+        assert err.startswith("error: 1 check(s) failed: estimator gap")
 
     @pytest.mark.parametrize("value", [math.inf, -1.0, math.nan])
     def test_bad_recorded_tol_grad_is_usage_error(self, solved_prefix, capsys,
